@@ -42,13 +42,11 @@ from .entropies import (_optimize_sigma, _support_isometry, cond_entropy_up,
                         von_neumann_entropy)
 from .errors import (InfeasibleSpec, InvalidRegister, InvalidState,
                      NonConvergence, UnsupportedOrder)
-from .registers import (EIG_CUT, RegisterSpace, State,
+from .registers import (EIG_CUT, LOG2E, RegisterSpace, State,
                         canonical_purification_vector, embed_operator,
-                        herm_power, ket_state, space)
+                        herm_part, herm_power, ket_state, space)
 from .sampling import rng_from
 from .sdp import SdpProblem, hermitian_basis, solve_sdp
-
-LOG2E = 1.0 / LN2
 
 #: outer stationarity target: the Riemannian gradient norm (relative to the
 #: value scale) below which a descent run counts as converged
@@ -56,10 +54,6 @@ GRAD_TOL = 1e-6
 
 #: eigenvalue floor (relative) used when differentiating von Neumann terms
 _LOG_FLOOR = 1e-18
-
-
-def _herm(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
 
 
 def _fresh_label(base: str, taken) -> str:
@@ -91,7 +85,7 @@ class MarginalConstraint:
             state = state.reorder(regs)
         if abs(state.trace() - 1.0) > 1e-9:
             raise InvalidState("constraint state must have unit trace")
-        if float(np.linalg.eigvalsh(_herm(state.matrix)).min()) < -1e-9:
+        if float(np.linalg.eigvalsh(herm_part(state.matrix)).min()) < -1e-9:
             raise InvalidState("constraint state must be positive")
         self.registers = regs
         self.state = state
@@ -177,7 +171,7 @@ class _MarginalSet:
                         f"constraint register {l!r} has the wrong dimension")
             U = support if support is not None \
                 else _support_isometry(constraint.state.matrix)
-            self.psi_r = _herm(U.conj().T @ constraint.state.matrix @ U)
+            self.psi_r = herm_part(U.conj().T @ constraint.state.matrix @ U)
             self.rank_a = U.shape[1]
         else:
             a_labels = ()
@@ -223,21 +217,21 @@ class _MarginalSet:
         if self.fixed:
             return self.psi_r.copy()
         if self.constraint is None:
-            vals, vecs = np.linalg.eigh(_herm(G))
+            vals, vecs = np.linalg.eigh(herm_part(G))
             v = vecs[:, -1] if sense == "max" else vecs[:, 0]
             return np.outer(v, v.conj())
         prob = SdpProblem(sense=sense)
         prob.add_block("rho", self.dim)
-        prob.add_objective("rho", _herm(G))
+        prob.add_objective("rho", herm_part(G))
         for M, rhs in self.equalities():
             prob.add_eq_constraint({"rho": M}, rhs)
         sol = solve_sdp(prob, start={"rho": self.start()},
                         gap_tol=1e-9, gap_ceiling=1e-5)
-        return _herm(sol.variables["rho"])
+        return herm_part(sol.variables["rho"])
 
     def unrestrict(self, rho_r: np.ndarray) -> np.ndarray:
         """Map a set element back to the channel's input basis."""
-        return _herm(self.embed @ rho_r @ self.embed.conj().T)
+        return herm_part(self.embed @ rho_r @ self.embed.conj().T)
 
 
 # ------------------------------------------------------- direct-route setup
@@ -303,7 +297,7 @@ class _DirectSetup:
 
     def inner_entropy(self, W: np.ndarray, alpha, sigma0):
         """(H, sigma, converged) of the target given conditioning at W."""
-        omega = _herm(W @ W.conj().T)
+        omega = herm_part(W @ W.conj().T)
         if alpha.near_one:
             cond = _partial_trace_first(omega, self.d_q, self.d_cond)
             return (von_neumann_entropy(omega) - von_neumann_entropy(cond),
@@ -326,7 +320,7 @@ class _DirectSetup:
         """Euclidean gradient of the entropy in V, in the convention
         dF = 2 Re tr[G^dag dV] (the inner optimum contributes no first-order
         term, so sigma is held fixed)."""
-        omega = _herm(W @ W.conj().T)
+        omega = herm_part(W @ W.conj().T)
         if alpha.near_one:
             cond = _partial_trace_first(omega, self.d_q, self.d_cond)
             g_om = -_floored_log2(omega) \
@@ -337,7 +331,7 @@ class _DirectSetup:
             sig_s = herm_power(sigma, s) if self.d_cond > 1 else np.eye(1)
             B = np.kron(np.eye(self.d_q), sig_s)
             M = B @ W
-            hv, hU = np.linalg.eigh(_herm(M.conj().T @ M))
+            hv, hU = np.linalg.eigh(herm_part(M.conj().T @ M))
             hv = np.clip(hv, 0.0, None)
             top = hv.max(initial=0.0)
             keep = hv > EIG_CUT * max(top, 1e-300)
@@ -364,7 +358,7 @@ def _partial_trace_first(mat: np.ndarray, d_first: int, d_rest: int):
 
 
 def _floored_log2(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(_herm(mat))
+    vals, vecs = np.linalg.eigh(herm_part(mat))
     floor = _LOG_FLOOR * max(vals.max(initial=0.0), 1e-300)
     return (vecs * np.log2(np.clip(vals, floor, None))) @ vecs.conj().T
 
@@ -401,7 +395,7 @@ def _descend_isometry(setup: _DirectSetup, alpha, V0, *, grad_tol, max_iters):
         return value, V, sigma, False
 
     def riem(Vc, G):
-        return G - Vc @ _herm(Vc.conj().T @ G)
+        return G - Vc @ herm_part(Vc.conj().T @ G)
 
     def flat(M):
         return np.concatenate([M.real.ravel(), M.imag.ravel()])
@@ -524,19 +518,19 @@ class _ReducedDilation:
         out = np.zeros((self.d_t * self.d_env,) * 2, dtype=complex)
         for J in self.kraus:
             out += J @ rho @ J.conj().T
-        return _herm(out)
+        return herm_part(out)
 
     def pullback(self, G: np.ndarray) -> np.ndarray:
         acc = np.zeros((self.kraus[0].shape[1],) * 2, dtype=complex)
         for J in self.kraus:
             acc += J.conj().T @ G @ J
-        return _herm(acc)
+        return herm_part(acc)
 
 
 def _root_fidelity_and_grads(omega, sigma, d_t):
     """F_R(omega, I (x) sigma) with gradients in both arguments."""
     tau_h = np.kron(np.eye(d_t), herm_power(sigma, 0.5))
-    M = _herm(tau_h @ omega @ tau_h)
+    M = herm_part(tau_h @ omega @ tau_h)
     mv, mU = np.linalg.eigh(M)
     mv = np.clip(mv, 0.0, None)
     top = max(mv.max(initial=0.0), 1e-300)
@@ -546,9 +540,9 @@ def _root_fidelity_and_grads(omega, sigma, d_t):
     root = np.where(keep, np.sqrt(mv), 0.0)
     m_is = (mU * inv_h) @ mU.conj().T
     m_s = (mU * root) @ mU.conj().T
-    g_omega = 0.5 * _herm(tau_h @ m_is @ tau_h)
+    g_omega = 0.5 * herm_part(tau_h @ m_is @ tau_h)
     tau_ih = np.kron(np.eye(d_t), herm_power(sigma, -0.5))
-    g_tau = 0.5 * _herm(tau_ih @ m_s @ tau_ih)
+    g_tau = 0.5 * herm_part(tau_ih @ m_s @ tau_ih)
     d_z = sigma.shape[0]
     g_sigma = _partial_trace_first(g_tau, d_t, d_z)
     return froot, g_omega, g_sigma
@@ -573,7 +567,7 @@ def _solve_inf(problem: ChannelEntropyProblem, mset: _MarginalSet, *,
         froot, g_om, g_sig = _root_fidelity_and_grads(omega, sigma, red.d_t)
         g_rho = red.pullback(g_om)
         v_rho = rho if mset.fixed else mset.lmo(g_rho, "max")
-        v_sig_vecs = np.linalg.eigh(_herm(g_sig))
+        v_sig_vecs = np.linalg.eigh(herm_part(g_sig))
         v = v_sig_vecs[1][:, -1]
         v_sig = np.outer(v, v.conj())
         gap = float(np.real(np.trace(g_rho @ (v_rho - rho)))
@@ -637,10 +631,10 @@ def _solve_half(problem: ChannelEntropyProblem,
 
 
 def _project_psd(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(_herm(mat))
+    vals, vecs = np.linalg.eigh(herm_part(mat))
     vals = np.clip(vals, 0.0, None)
     out = (vecs * vals) @ vecs.conj().T
-    return _herm(out / max(float(np.real(np.trace(out))), 1e-300))
+    return herm_part(out / max(float(np.real(np.trace(out))), 1e-300))
 
 
 def _purified_witness(problem, mset: _MarginalSet, rho_r: np.ndarray) -> State:
@@ -688,7 +682,7 @@ def channel_cond_entropy(problem: ChannelEntropyProblem, *, restarts: int = 20,
             raise UnsupportedOrder(
                 "alpha=inf needs stabilizer_dim >= the input dimension")
         return _solve_inf(problem, mset)
-    if not alpha.near_one and abs(alpha.value - 0.5) <= 1e-12:
+    if alpha.is_half:
         if full_stab:
             return _solve_half(problem, mset)
     return _solve_direct(problem, restarts=restarts, seed=seed,
@@ -770,23 +764,23 @@ class _SecondArgument:
         out = np.zeros((out_dim, out_dim), dtype=complex)
         for K in self.kraus:
             out += K @ sigma_r @ K.conj().T
-        return _herm(out)
+        return herm_part(out)
 
     def pullback(self, G: np.ndarray) -> np.ndarray:
         if self.ident is not None:
             full = self.ident.pullback(G)
             E = self.mset.embed
-            return _herm(E.conj().T @ full @ E)
+            return herm_part(E.conj().T @ full @ E)
         acc = np.zeros((self.mset.dim,) * 2, dtype=complex)
         for K in self.kraus:
             acc += K.conj().T @ G @ K
-        return _herm(acc)
+        return herm_part(acc)
 
 
 def _log_frechet_map(tau: np.ndarray):
     """Frechet derivative of log2 at tau (Daleckii-Krein kernel; spectrum
     below the support cut contributes nothing)."""
-    lam, V = np.linalg.eigh(_herm(tau))
+    lam, V = np.linalg.eigh(herm_part(tau))
     lam = np.clip(lam, 0.0, None)
     keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
     n = len(lam)
@@ -817,7 +811,7 @@ def _divergence_grads(omega, tau, alpha):
     a = alpha.value
     s = (1.0 - a) / (2.0 * a)
     tau_s = herm_power(tau, s)
-    G = _herm(tau_s @ omega @ tau_s)
+    G = herm_part(tau_s @ omega @ tau_s)
     gv, gU = np.linalg.eigh(G)
     gv = np.clip(gv, 0.0, None)
     keep = gv > EIG_CUT * max(gv.max(initial=0.0), 1e-300)
@@ -825,7 +819,7 @@ def _divergence_grads(omega, tau, alpha):
     pw = np.where(keep, np.power(np.where(keep, gv, 1.0), a - 1.0), 0.0)
     Gm1 = (gU * pw) @ gU.conj().T
     c = a / ((a - 1.0) * LN2 * max(t_tot, 1e-300))
-    g_om = c * _herm(tau_s @ Gm1 @ tau_s)
+    g_om = c * herm_part(tau_s @ Gm1 @ tau_s)
     Mx = omega @ tau_s @ Gm1
     g_tau = c * _power_frechet(tau, s)(Mx + Mx.conj().T)
     return g_om, g_tau
@@ -847,8 +841,11 @@ def minimized_channel_divergence(m: Channel, n, constraints, alpha, *,
     :class:`IdentityTensor`; ``constraints`` is a pair of optional
     :class:`MarginalConstraint` for the two inputs.  Orders in [1/2, 1] are
     jointly convex, and the conditional-gradient gap then certifies the
-    returned value; for other orders the method is a multi-start descent and
-    the result is the best stationary value found.
+    returned value; there :class:`NonConvergence` is raised when the run
+    ends without a finite value and a gap below ``value_tol`` (e.g. when the
+    outputs at the start have orthogonal supports).  For other orders the
+    method is a multi-start descent and the result is the best stationary
+    value found.
     """
     alpha = as_order(alpha)
     if sorted(m.out_space.labels) != sorted(n.out_space.labels):
@@ -873,7 +870,7 @@ def minimized_channel_divergence(m: Channel, n, constraints, alpha, *,
         out = np.zeros((d, d), dtype=complex)
         for K in m_kraus:
             out += K @ rho_r @ K.conj().T
-        return _herm(out)
+        return herm_part(out)
 
     def value_at(rho_r, sig_r):
         tau = P_out @ nside.apply(sig_r) @ P_out.conj().T
@@ -892,8 +889,8 @@ def minimized_channel_divergence(m: Channel, n, constraints, alpha, *,
             for K in m_kraus:
                 g_rho += K.conj().T @ g_om @ K
             g_sig = nside.pullback(P_out.conj().T @ g_tau @ P_out)
-            v_rho = mside.lmo(_herm(g_rho), "min")
-            v_sig = nside.mset.lmo(_herm(g_sig), "min")
+            v_rho = mside.lmo(herm_part(g_rho), "min")
+            v_sig = nside.mset.lmo(herm_part(g_sig), "min")
             gap = float(np.real(np.trace(g_rho @ (rho - v_rho)))
                         + np.real(np.trace(g_sig @ (sig - v_sig))))
             if gap <= value_tol * max(1.0, abs(best)):
@@ -914,7 +911,8 @@ def minimized_channel_divergence(m: Channel, n, constraints, alpha, *,
     rho0, sig0 = mside.start(), nside.mset.start()
     best, gap = run(rho0, sig0)
     if certified:
-        if gap > value_tol * max(1.0, abs(best)) and gap is not math.inf:
+        if not (math.isfinite(best) and math.isfinite(gap)) \
+                or gap > value_tol * max(1.0, abs(best)):
             raise NonConvergence("conditional gradient stalled before its "
                                  "certificate", value=best, gap=gap)
         return float(best)
@@ -955,7 +953,7 @@ def entropy_via_conjugate_divergence(channel: Channel, target, constraint,
 def _random_feasible(mset: _MarginalSet, rng) -> np.ndarray:
     d_f = mset.free_space.dim
     G = rng.standard_normal((d_f, d_f)) + 1j * rng.standard_normal((d_f, d_f))
-    free = _herm(G @ G.conj().T)
+    free = herm_part(G @ G.conj().T)
     free = free / float(np.real(np.trace(free)))
     free = 0.5 * free + 0.5 * np.eye(d_f) / d_f
     if mset.constraint is None:
@@ -987,7 +985,7 @@ def _max_divergence_program(mside, m_kraus, nside, P_out, m) -> float:
         acc = np.zeros((mside.dim,) * 2, dtype=complex)
         for K in m_kraus:
             acc += K.conj().T @ E @ K
-        return -_herm(acc)
+        return -herm_part(acc)
 
     prob.add_operator_inequality([("scaled", n_adj), ("rho", m_adj)],
                                  np.zeros((d_out, d_out)), slack="slack")
@@ -997,13 +995,13 @@ def _max_divergence_program(mside, m_kraus, nside, P_out, m) -> float:
         omega0 += K @ rho0 @ K.conj().T
     sig0 = nside.mset.start()
     tau0 = P_out @ nside.apply(sig0) @ P_out.conj().T
-    tv = np.linalg.eigvalsh(_herm(tau0))
+    tv = np.linalg.eigvalsh(herm_part(tau0))
     if tv.min() <= 1e-12:
         raise InfeasibleSpec("the comparison map must have full-rank output "
                              "at an interior input")
-    c0 = float(np.linalg.eigvalsh(_herm(omega0)).max() / tv.min()) + 1.0
+    c0 = float(np.linalg.eigvalsh(herm_part(omega0)).max() / tv.min()) + 1.0
     start = {"rho": rho0, "scaled": c0 * sig0,
-             "slack": _herm(c0 * tau0 - omega0)}
+             "slack": herm_part(c0 * tau0 - omega0)}
     sol = solve_sdp(prob, start=start)
     return float(math.log2(max(sol.value, 1e-300)))
 
@@ -1034,7 +1032,7 @@ def _pair_from_parts(mset: _MarginalSet, channel: Channel, gamma_op,
     G = np.zeros((mset.dim,) * 2, dtype=complex)
     for K in ks:
         G += K.conj().T @ big @ K
-    G = _herm(G)
+    G = herm_part(G)
 
     primal = SdpProblem(sense="max")
     primal.add_block("rho", mset.dim)
@@ -1074,7 +1072,7 @@ def _pair_from_parts(mset: _MarginalSet, channel: Channel, gamma_op,
 def _as_gamma(gamma) -> tuple[np.ndarray, tuple]:
     if not isinstance(gamma, State):
         raise InvalidState("the test operator must be a labeled State")
-    mat = _herm(gamma.matrix)
+    mat = herm_part(gamma.matrix)
     if float(np.linalg.eigvalsh(mat).min()) < -1e-9:
         raise InvalidState("the test operator must be positive semidefinite")
     return mat, tuple(gamma.space.labels)
@@ -1141,7 +1139,7 @@ def product_feasibility_slack(pair: SdpPair, lam0: np.ndarray,
     lam_dim = op.shape[0]
     d_f = pair.dual_rhs.shape[0] // lam_dim
     big = np.kron(op, np.eye(d_f))
-    return float(np.linalg.eigvalsh(_herm(big - pair.dual_rhs)).min())
+    return float(np.linalg.eigvalsh(herm_part(big - pair.dual_rhs)).min())
 
 
 def solve_sdp_pair(pair: SdpPair, **kw):

@@ -31,6 +31,9 @@ LN2 = math.log(2.0)
 #: orders within this window of 1 are evaluated with the a=1 formula
 NEAR_ONE_WINDOW = 1e-5
 
+#: orders within this distance of 1/2 are dispatched to the fidelity programs
+HALF_WINDOW = 1e-12
+
 #: relative cutoff of the operator-orthogonality predicate
 ORTHO_CUT = 1e-12
 
@@ -70,6 +73,11 @@ class RenyiOrder:
     def near_one(self) -> bool:
         return abs(self.value - 1.0) <= NEAR_ONE_WINDOW
 
+    @property
+    def is_half(self) -> bool:
+        """Within ``HALF_WINDOW`` of 1/2, where the fidelity SDPs apply."""
+        return abs(self.value - 0.5) <= HALF_WINDOW
+
     def conjugate(self) -> "RenyiOrder":
         """The dual order b with 1/a + 1/b = 2 (i.e. b = a/(2a-1))."""
         a = self.value
@@ -77,7 +85,7 @@ class RenyiOrder:
             raise UnsupportedOrder("duality needs a >= 1/2")
         if self.is_infinite:
             return RenyiOrder(0.5)
-        if a == 0.5:
+        if self.is_half:
             return RenyiOrder(math.inf)
         return RenyiOrder(a / (2.0 * a - 1.0))
 

@@ -472,7 +472,7 @@ def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha, *, restarts, seed):
     alpha; each ladder rung a uses weights a * log2_probs, so the mixture
     tracks the order during continuation.
     """
-    if alpha == 0.5:
+    if as_order(alpha).is_half:
         weights = [2.0 ** (0.5 * lp) for lp in log2_probs]
         T, sigma = _t_max_half_sdp(branches, weights, d_q, d_qp)
         log2_T = float(np.log2(max(T, 1e-300)))
@@ -568,7 +568,7 @@ def cond_entropy_up(state: State, target, conditioning, alpha, *,
     if gap > UP_GAP_TOL:
         raise NonConvergence("restart spread exceeds the certification "
                              f"threshold ({gap:.2e})", value=value, gap=gap)
-    method = "sdp-fidelity" if a.value == 0.5 else "fixed-point"
+    method = "sdp-fidelity" if a.is_half else "fixed-point"
     info = {"sigma": V @ sigma @ V.conj().T, "gap": gap, "method": method}
     return (value, info) if return_info else value
 

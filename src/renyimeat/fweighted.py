@@ -29,9 +29,7 @@ from .entropies import (_grouped_branches, _log2_T_and_update, _marginal_pair,
                         cond_entropy_up, renyi_branch_mix)
 from .errors import (DomainMismatch, InfeasibleSpec, InvalidRegister,
                      InvalidState, UnsupportedOrder)
-from .registers import RegisterSpace, State, space
-
-LOG2E = math.log2(math.e)
+from .registers import LOG2E, RegisterSpace, State, space
 
 #: Largest dimension build_d_channel will give the appended register.
 D_DIM_CAP = 2 ** 16

@@ -10,6 +10,7 @@ scale is desk-sized (total dimension in the tens).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,6 +20,9 @@ from .errors import InvalidRegister, InvalidState
 #: eigenvalues below EIG_CUT * (largest eigenvalue) count as zero everywhere
 #: support projectors, ranks and pseudo-inverses are decided.
 EIG_CUT = 1e-12
+
+#: log2(e), the factor between natural and base-2 logarithms
+LOG2E = math.log2(math.e)
 
 
 class RegisterSpace:
@@ -378,6 +382,11 @@ def support_projector(mat: np.ndarray) -> np.ndarray:
     keep = vals > EIG_CUT * max(top, 1e-300)
     v = vecs[:, keep]
     return v @ v.conj().T
+
+
+def herm_part(mat: np.ndarray) -> np.ndarray:
+    """The Hermitian part (M + M^dag)/2 of a square matrix."""
+    return 0.5 * (mat + mat.conj().T)
 
 
 def herm_power(mat: np.ndarray, p: float, *, pseudo: bool = True) -> np.ndarray:

@@ -16,9 +16,22 @@ stopping once the barrier duality gap sum_b dim(X_b)/t drops below
 centered point: y = -nu/t from the KKT multipliers and S_b = X_b^{-1}/t,
 which certifies the value through weak duality.
 
+Every element of the orthonormal Hermitian basis has at most two nonzero
+entries, (i, j) and (j, i).  The basis is therefore kept in index form
+(:func:`hermitian_index`: two positions and two coefficients per element),
+and never as a dense n^2 x n^2 matrix: ``hvec``/``hunvec`` are O(n^2)
+gathers and scatters, and the barrier Hessian of a block,
+Re B^dag (X^{-1} (x) conj X^{-1}) B, is gathered entry by entry from
+X^{-1} in O(n^4) (:func:`barrier_hessian`).  The KKT matrix
+[[H, A^T], [A, 0]] is allocated once per solve; each Newton step rewrites
+its H blocks in place and solves the whole system by LU with three
+iterative-refinement passes.  The full system is kept on purpose: reducing
+it to the Schur complement A H^{-1} A^T loses the precision the last
+barrier rungs need (the KKT conditioning grows like t^2), so centering
+breaks down earlier and the certified values move.
+
 Blocks here are small (<= ~20x20 after slack lowering), so everything is
-dense and exact constraint reductions are built basis element by basis
-element.  Strictly feasible starts are expected from the problem builders
+dense.  Strictly feasible starts are expected from the problem builders
 (every family used in this package has an explicit interior point); a
 least-squares fallback is attempted otherwise.
 """
@@ -32,7 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InfeasibleSpec, InvalidState, SolverFailure
-from .registers import RegisterSpace, State
+from .registers import RegisterSpace, State, herm_part
 
 GAP_TOL = 1e-8
 MU_REDUCTION = 0.2
@@ -40,49 +53,96 @@ MU_REDUCTION = 0.2
 
 # ----------------------------------------------------- Hermitian vectorization
 
-@lru_cache(maxsize=None)
-def hermitian_basis_matrix(n: int) -> np.ndarray:
-    """Columns are row-major vec's of an orthonormal Hermitian basis of C^{nxn}.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-    Order: n diagonal units, then for each i<j the real pair (E_ij+E_ji)/sqrt2
-    followed by the imaginary pair i(E_ij-E_ji)/sqrt2.
+
+@lru_cache(maxsize=None)
+def hermitian_index(n: int):
+    """Index form ``(r1, r2, c1, c2)`` of the orthonormal Hermitian basis.
+
+    Basis element k has row-major vec with ``c1[k]`` at position ``r1[k]``,
+    ``c2[k]`` at ``r2[k]`` and zeros elsewhere; ``r2[k]`` is the transposed
+    position of ``r1[k]`` (on the diagonal the two coincide and
+    ``c2[k] = 0``).  Order: n diagonal units, then for each i<j the real
+    pair (E_ij+E_ji)/sqrt2 followed by the imaginary pair i(E_ij-E_ji)/sqrt2.
     """
-    cols = []
-    for i in range(n):
-        E = np.zeros((n, n), dtype=complex)
-        E[i, i] = 1.0
-        cols.append(E.reshape(-1))
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = inv_sqrt2
-            E[j, i] = inv_sqrt2
-            cols.append(E.reshape(-1))
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1j * inv_sqrt2
-            E[j, i] = -1j * inv_sqrt2
-            cols.append(E.reshape(-1))
-    return np.stack(cols, axis=1)
+    d = np.arange(n)
+    iu, ju = np.triu_indices(n, 1)
+    pairs = len(iu)
+    r1 = np.concatenate([d * n + d, np.repeat(iu * n + ju, 2)])
+    r2 = np.concatenate([d * n + d, np.repeat(ju * n + iu, 2)])
+    re_im = np.array([_INV_SQRT2, 1j * _INV_SQRT2])
+    c1 = np.concatenate([np.ones(n), np.tile(re_im, pairs)])
+    c2 = np.concatenate([np.zeros(n), np.tile(re_im.conj(), pairs)])
+    return _frozen(r1, r2, c1, c2)
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only (they are shared through a cache)."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def hvec(mat: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in the orthonormal basis."""
+    """Real coordinates Re(B^dag vec M) in the orthonormal basis.
+
+    For Hermitian ``mat`` these are its exact coordinates; for any other
+    square matrix they are those of its Hermitian part.
+    """
     n = mat.shape[0]
-    B = hermitian_basis_matrix(n)
-    return np.real(B.conj().T @ np.asarray(mat, dtype=complex).reshape(-1))
+    r1, r2, c1, c2 = hermitian_index(n)
+    m = np.asarray(mat, dtype=complex).reshape(-1)
+    return np.real(c1.conj() * m[r1] + c2.conj() * m[r2])
 
 
 def hunvec(v: np.ndarray, n: int) -> np.ndarray:
-    B = hermitian_basis_matrix(n)
-    return (B @ np.asarray(v, dtype=float)).reshape(n, n)
+    """The Hermitian matrix B v with real coordinates ``v``."""
+    r1, r2, c1, c2 = hermitian_index(n)
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(n * n, dtype=complex)
+    np.add.at(out, r1, c1 * v)
+    np.add.at(out, r2, c2 * v)
+    return out.reshape(n, n)
 
 
 def hermitian_basis(n: int):
-    """Iterate the basis elements as matrices (same order as the columns)."""
-    B = hermitian_basis_matrix(n)
+    """Iterate the basis elements as n x n matrices, in coordinate order."""
+    r1, r2, c1, c2 = hermitian_index(n)
     for k in range(n * n):
-        yield B[:, k].reshape(n, n)
+        E = np.zeros(n * n, dtype=complex)
+        E[r1[k]] += c1[k]
+        E[r2[k]] += c2[k]
+        yield E.reshape(n, n)
+
+
+@lru_cache(maxsize=None)
+def _hessian_index(n: int):
+    """Gather indices and coefficients for :func:`barrier_hessian`.
+
+    Write r1[k] = (a_k, b_k), so r2[k] = (b_k, a_k), and G_xy for the
+    n^2 x n^2 gather G_xy[k, l] = Y[x_k, y_l].  For Hermitian Y the four
+    (r_s, r_t) terms of Re b_k^dag (Y (x) conj Y) b_l collapse into
+    Re[U * G_aa * conj(G_bb) + V * G_ab * G_ab^T] (elementwise products)
+    with U = conj(c1) c1^T + c2 c2^dag and V = conj(c1) c2^T + c2 c1^dag.
+    """
+    r1, _, c1, c2 = hermitian_index(n)
+    a, b = np.divmod(r1, n)
+    U = np.outer(c1.conj(), c1) + np.outer(c2, c2.conj())
+    V = np.outer(c1.conj(), c2) + np.outer(c2, c1.conj())
+    return _frozen(a, b, U, V)
+
+
+def barrier_hessian(Y: np.ndarray) -> np.ndarray:
+    """Re B^dag (Y (x) conj Y) B for Hermitian ``Y`` by O(n^4) gathers.
+
+    At ``Y = X^{-1}`` this is the Hessian of -logdet X in the real
+    coordinates of :func:`hvec`; its (k, l) entry is tr[E_k Y E_l Y].
+    """
+    a, b, U, V = _hessian_index(Y.shape[0])
+    Ya = Y[a]
+    Gab = Ya[:, b]
+    return np.real(U * (Ya[:, a] * Y[b].conj()[:, b]) + V * (Gab * Gab.T))
 
 
 # ----------------------------------------------------------- problem container
@@ -142,7 +202,8 @@ class SdpProblem:
         G = _as_herm(G, n, "inequality rhs")
         sign = 1.0 if sense == ">=" else -1.0
         self.add_block(slack, n)
-        for E in hermitian_basis(n):
+        rhs = hvec(G)
+        for k, E in enumerate(hermitian_basis(n)):
             mats = {slack: -sign * E}
             for name, adj in terms:
                 M = adj(E)
@@ -150,7 +211,7 @@ class SdpProblem:
                     mats[name] = mats[name] + M
                 else:
                     mats[name] = M
-            self.add_eq_constraint(mats, float(np.real(np.trace(E.conj().T @ G))))
+            self.add_eq_constraint(mats, float(rhs[k]))
 
     # -- serialization (audit dumps) --------------------------------------
 
@@ -277,7 +338,7 @@ def _split(x, names, dims, offs):
 
 
 def _min_eig(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
+    return float(np.linalg.eigvalsh(herm_part(mat)).min())
 
 
 def _refined_inverse(X: np.ndarray) -> np.ndarray:
@@ -291,7 +352,7 @@ def _refined_inverse(X: np.ndarray) -> np.ndarray:
     I = np.eye(X.shape[0])
     for _ in range(2):
         Xi = Xi + Xi @ (I - X @ Xi)
-        Xi = 0.5 * (Xi + Xi.conj().T)
+        Xi = herm_part(Xi)
     return Xi
 
 
@@ -317,7 +378,7 @@ def _refined_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _chol_logdet(mat: np.ndarray):
     """(ok, logdet) without raising; ok=False if not positive definite."""
     try:
-        L = np.linalg.cholesky(0.5 * (mat + mat.conj().T))
+        L = np.linalg.cholesky(herm_part(mat))
     except np.linalg.LinAlgError:
         return False, 0.0
     return True, 2.0 * float(np.sum(np.log(np.real(np.diag(L)))))
@@ -349,13 +410,17 @@ def _starting_point(problem, names, dims, offs, A, b, start):
     return x0
 
 
-def _center(t, x, names, dims, offs, A, b, c, max_inner):
+def _center(t, x, names, dims, offs, A, b, c, max_inner, kkt):
     """Newton-center the barrier objective at weight ``t``.
 
-    Returns (x, invs, y_center, newton_steps).  Raises SolverFailure when the
-    decrement cannot be driven below its stagnation thresholds.
+    ``kkt`` is the solve's KKT matrix [[H, A^T], [A, 0]]; the diagonal H
+    blocks are rewritten in place at every step.  Returns (x, invs,
+    y_center, newton_steps).  Raises SolverFailure when the decrement cannot
+    be driven below its stagnation thresholds.
     """
     m = A.shape[0]
+    n = len(x)
+    H = kkt[:n, :n]
     y_center = np.zeros(m)
     prev_lam2 = np.inf
     steps = 0
@@ -363,22 +428,17 @@ def _center(t, x, names, dims, offs, A, b, c, max_inner):
         steps += 1
         invs = []
         grad = t * c.copy()
-        H = np.zeros((len(x), len(x)))
         for i, d in enumerate(dims):
-            X = hunvec(x[offs[i]:offs[i + 1]], d)
-            X = 0.5 * (X + X.conj().T)
+            X = herm_part(hunvec(x[offs[i]:offs[i + 1]], d))
             Xi = _refined_inverse(X)
             invs.append(Xi)
             grad[offs[i]:offs[i + 1]] -= hvec(Xi)
-            B = hermitian_basis_matrix(d)
-            K = np.kron(Xi, Xi.conj())
-            Hb = np.real(B.conj().T @ K @ B)
+            Hb = barrier_hessian(Xi)
             H[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = 0.5 * (Hb + Hb.T)
         if m:
-            KKT = np.block([[H, A.T], [A, np.zeros((m, m))]])
             rhs = np.concatenate([-grad, b - A @ x])
-            sol = _refined_solve(KKT, rhs)
-            dx, y_center = sol[:len(x)], sol[len(x):]
+            sol = _refined_solve(kkt, rhs)
+            dx, y_center = sol[:n], sol[n:]
         else:
             dx = _refined_solve(H, -grad)
         lam2 = float(dx @ (H @ dx))
@@ -440,6 +500,10 @@ def solve_sdp(problem: SdpProblem, *, start: dict | None = None,
     n_total = float(sum(dims))
     x = _starting_point(problem, names, dims, offs, A, b, start)
     m = A.shape[0]
+    N = len(x)
+    kkt = np.zeros((N + m, N + m))
+    kkt[:N, N:] = A.T
+    kkt[N:, :N] = A
     t = 1.0
     total_newton = 0
     good = None  # (x, invs, y_center, t) at the last centered rung
@@ -447,7 +511,7 @@ def solve_sdp(problem: SdpProblem, *, start: dict | None = None,
     for _outer in range(max_outer):
         try:
             x_c, invs, y_center, steps = _center(t, x, names, dims, offs,
-                                                 A, b, c, max_inner)
+                                                 A, b, c, max_inner, kkt)
         except SolverFailure:
             if good is None:
                 raise

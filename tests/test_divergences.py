@@ -55,6 +55,12 @@ def test_order_conjugate_map():
         as_order(0.4).conjugate()
 
 
+def test_order_half_window():
+    assert as_order(0.5).is_half and as_order(0.5 + 1e-13).is_half
+    assert not as_order(0.5 + 1e-9).is_half
+    assert as_order(0.5 + 1e-13).conjugate().is_infinite
+
+
 def test_order_hat_map():
     assert as_order(1).hat().is_one
     assert as_order(2).hat().is_infinite

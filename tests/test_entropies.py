@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from renyimeat import entropies
 from renyimeat.entropies import (
     UP_GAP_TOL,
     alpha_entropy,
@@ -193,6 +194,20 @@ def test_method_dispatch():
                               return_info=True)
     assert info["method"] == "fixed-point"
     assert info["gap"] <= UP_GAP_TOL
+
+
+def test_near_half_order_takes_the_sdp_route(monkeypatch):
+    rho = random_density(space(("A", 2), ("B", 2)), seed=3)
+    at_half = cond_entropy_up(rho, ["A"], ["B"], 0.5)
+    calls = []
+    sdp = entropies._t_max_half_sdp
+    monkeypatch.setattr(entropies, "_t_max_half_sdp",
+                        lambda *a: calls.append(a) or sdp(*a))
+    near, info = cond_entropy_up(rho, ["A"], ["B"], 0.5 + 1e-13,
+                                 return_info=True)
+    assert len(calls) == 1
+    assert info["method"] == "sdp-fidelity"
+    assert near == pytest.approx(at_half, abs=1e-9)
 
 
 # ------------------------------------------------------- order and variants

@@ -8,6 +8,7 @@ from renyimeat.registers import space
 from renyimeat.sampling import random_density, rng_from
 from renyimeat.sdp import (
     SdpProblem,
+    barrier_hessian,
     embed_adjoint,
     hermitian_basis,
     hunvec,
@@ -20,6 +21,48 @@ def random_hermitian(n, seed):
     rng = rng_from(seed)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (G + G.conj().T)
+
+
+def dense_basis(n):
+    """Oracle: columns are row-major vec's of the basis, built entry by entry
+    (n diagonal units, then per i<j the real and the imaginary pair)."""
+    cols = []
+    for i in range(n):
+        E = np.zeros((n, n), dtype=complex)
+        E[i, i] = 1.0
+        cols.append(E.reshape(-1))
+    r = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            E = np.zeros((n, n), dtype=complex)
+            E[i, j] = E[j, i] = r
+            cols.append(E.reshape(-1))
+            E = np.zeros((n, n), dtype=complex)
+            E[i, j], E[j, i] = 1j * r, -1j * r
+            cols.append(E.reshape(-1))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_index_kernels_match_the_dense_basis(n):
+    B = dense_basis(n)
+    rng = rng_from(40 + n)
+    M = random_hermitian(n, rng)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v = rng.standard_normal(n * n)
+    for k, E in enumerate(hermitian_basis(n)):
+        np.testing.assert_array_equal(E, B[:, k].reshape(n, n))
+    np.testing.assert_allclose(hvec(M), np.real(B.conj().T @ M.reshape(-1)),
+                               rtol=0, atol=1e-12)
+    # a non-Hermitian input keeps the Re(B^dag vec M) semantics
+    np.testing.assert_allclose(hvec(G), np.real(B.conj().T @ G.reshape(-1)),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(hunvec(v, n), (B @ v).reshape(n, n),
+                               rtol=0, atol=1e-12)
+    X = G @ G.conj().T + 0.1 * np.eye(n)
+    Xi = np.linalg.inv(X)
+    want = np.real(B.conj().T @ np.kron(Xi, Xi.conj()) @ B)
+    np.testing.assert_allclose(barrier_hessian(Xi), want, rtol=0, atol=1e-12)
 
 
 def test_hermitian_basis_is_orthonormal():
