@@ -14,10 +14,11 @@ Routes, by order:
   purification isometries, with the inner conditioning optimum supplied by
   the fixed-point/polish engine of :mod:`renyimeat.entropies` and analytic
   first-order information obtained by differentiating through that optimum;
-* ``alpha = inf`` and ``alpha = 1/2`` become a single convex program over
-  *mixed* inputs of a reduced dilation of the channel (conjugate order 1/2
-  resp. inf), which is exact and certified — this rewrite needs the default
-  stabilizer dimension;
+* ``alpha = inf`` and ``alpha = 1/2`` each become one semidefinite program
+  over *mixed* inputs of a reduced dilation of the channel, at the conjugate
+  order 1/2 resp. inf: a root-fidelity program in Watrous's block form
+  resp. a max-divergence covering program, exact and certified by the
+  duality gap — this rewrite needs the default stabilizer dimension;
 * inputs that are completely pinned by the constraint skip the outer
   optimization entirely (all purifications are related by an isometry on
   the reference, which the entropy cannot see).
@@ -212,15 +213,14 @@ class _MarginalSet:
                         float(np.real(np.trace(E @ self.psi_r)))))
         return out
 
-    def lmo(self, G: np.ndarray, sense: str):
-        """Extremal feasible point of the linear functional tr[G rho]."""
+    def lmo(self, G: np.ndarray):
+        """Feasible point minimizing the linear functional tr[G rho]."""
         if self.fixed:
             return self.psi_r.copy()
         if self.constraint is None:
-            vals, vecs = np.linalg.eigh(herm_part(G))
-            v = vecs[:, -1] if sense == "max" else vecs[:, 0]
+            v = np.linalg.eigh(herm_part(G))[1][:, 0]
             return np.outer(v, v.conj())
-        prob = SdpProblem(sense=sense)
+        prob = SdpProblem(sense="min")
         prob.add_block("rho", self.dim)
         prob.add_objective("rho", herm_part(G))
         for M, rhs in self.equalities():
@@ -527,72 +527,58 @@ class _ReducedDilation:
         return herm_part(acc)
 
 
-def _root_fidelity_and_grads(omega, sigma, d_t):
-    """F_R(omega, I (x) sigma) with gradients in both arguments."""
-    tau_h = np.kron(np.eye(d_t), herm_power(sigma, 0.5))
-    M = herm_part(tau_h @ omega @ tau_h)
-    mv, mU = np.linalg.eigh(M)
-    mv = np.clip(mv, 0.0, None)
-    top = max(mv.max(initial=0.0), 1e-300)
-    keep = mv > EIG_CUT * top
-    froot = float(np.sum(np.sqrt(mv[keep])))
-    inv_h = np.where(keep, np.power(np.where(keep, mv, 1.0), -0.5), 0.0)
-    root = np.where(keep, np.sqrt(mv), 0.0)
-    m_is = (mU * inv_h) @ mU.conj().T
-    m_s = (mU * root) @ mU.conj().T
-    g_omega = 0.5 * herm_part(tau_h @ m_is @ tau_h)
-    tau_ih = np.kron(np.eye(d_t), herm_power(sigma, -0.5))
-    g_tau = 0.5 * herm_part(tau_ih @ m_s @ tau_ih)
-    d_z = sigma.shape[0]
-    g_sigma = _partial_trace_first(g_tau, d_t, d_z)
-    return froot, g_omega, g_sigma
-
-
 def _partial_trace_last(mat, d_first, d_last):
     return np.trace(mat.reshape(d_first, d_last, d_first, d_last),
                     axis1=1, axis2=3)
 
 
-def _solve_inf(problem: ChannelEntropyProblem, mset: _MarginalSet, *,
-               value_tol=1e-7, max_iters=5000) -> ChannelEntropyResult:
-    """alpha = inf: maximize the root fidelity F_R(N[rho], I (x) sigma)
-    jointly over the marginal set and sigma (concave, so the conditional
-    gradient gap certifies global optimality); the entropy is -2 log2 F*."""
+def _solve_inf(problem: ChannelEntropyProblem,
+               mset: _MarginalSet) -> ChannelEntropyResult:
+    """alpha = inf is conjugate to the root fidelity: maximize Re tr[Z] over
+    [[N[rho], Z], [Z^dag, I (x) sigma]] >= 0 with rho in the marginal set and
+    tr[sigma] = 1 (Watrous's block form); the entropy is -2 log2 of the
+    optimum.  One SDP, certified by its duality gap.
+
+    Both diagonal blocks are compressed to the range of N at the interior
+    start, which holds N[rho] for every feasible rho; the fidelity is
+    unchanged, and the compressed start is strictly feasible even when the
+    output is rank-deficient.
+    """
     red = _ReducedDilation(problem, mset)
-    rho = mset.start()
-    sigma = np.eye(red.d_env) / red.d_env
-    froot, gap = 0.0, math.inf
-    for _ in range(max_iters):
-        omega = red.apply(rho)
-        froot, g_om, g_sig = _root_fidelity_and_grads(omega, sigma, red.d_t)
-        g_rho = red.pullback(g_om)
-        v_rho = rho if mset.fixed else mset.lmo(g_rho, "max")
-        v_sig_vecs = np.linalg.eigh(herm_part(g_sig))
-        v = v_sig_vecs[1][:, -1]
-        v_sig = np.outer(v, v.conj())
-        gap = float(np.real(np.trace(g_rho @ (v_rho - rho)))
-                    + np.real(np.trace(g_sig @ (v_sig - sigma))))
-        if gap <= value_tol * max(froot, 1e-6) * LN2 / 2.0:
-            break
-        t = 1.0
-        accepted = False
-        for _bt in range(40):
-            rho_c = (1.0 - t) * rho + t * v_rho
-            sig_c = (1.0 - t) * sigma + t * v_sig
-            fc = _root_fidelity_and_grads(red.apply(rho_c), sig_c, red.d_t)[0]
-            if fc >= froot + 0.1 * t * gap:
-                rho, sigma = rho_c, sig_c
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-    value = -2.0 * math.log2(max(froot, 1e-300))
-    converged = gap <= value_tol * max(froot, 1e-6) * LN2 / 2.0
-    witness = _purified_witness(problem, mset, rho)
-    if not converged:
-        raise NonConvergence("conditional gradient stalled before its "
-                             "certificate", value=value, gap=gap)
+    rho0 = mset.start()
+    omega0 = red.apply(rho0)
+    U = _support_isometry(omega0)
+    r = U.shape[1]
+    prob = SdpProblem(sense="max")
+    prob.add_block("rho", mset.dim)
+    prob.add_block("sigma", red.d_env)
+    prob.add_block("block", 2 * r)
+    C = np.zeros((2 * r, 2 * r), dtype=complex)
+    C[:r, r:] = C[r:, :r] = 0.5 * np.eye(r)
+    prob.add_objective("block", C)
+    for M, rhs in mset.equalities():
+        prob.add_eq_constraint({"rho": M}, rhs)
+    prob.add_eq_constraint({"sigma": np.eye(red.d_env)}, 1.0)
+    for E in hermitian_basis(r):
+        lifted = U @ E @ U.conj().T
+        pin = np.zeros((2 * r, 2 * r), dtype=complex)
+        pin[:r, :r] = E
+        prob.add_eq_constraint({"block": pin, "rho": -red.pullback(lifted)},
+                               0.0)
+        link = np.zeros((2 * r, 2 * r), dtype=complex)
+        link[r:, r:] = E
+        prob.add_eq_constraint(
+            {"block": link,
+             "sigma": -_partial_trace_first(lifted, red.d_t, red.d_env)}, 0.0)
+    sigma0 = np.eye(red.d_env) / red.d_env
+    block0 = np.zeros((2 * r, 2 * r), dtype=complex)
+    block0[:r, :r] = herm_part(U.conj().T @ omega0 @ U)
+    block0[r:, r:] = herm_part(U.conj().T @ np.kron(np.eye(red.d_t), sigma0)
+                               @ U)
+    sol = solve_sdp(prob, start={"rho": rho0, "sigma": sigma0,
+                                 "block": block0})
+    value = -2.0 * math.log2(max(sol.value, 1e-300))
+    witness = _purified_witness(problem, mset, _project_psd(sol.variables["rho"]))
     return ChannelEntropyResult(value=value, witness=witness, spread=0.0,
                                 converged=True, method="fidelity-program")
 
@@ -889,8 +875,8 @@ def minimized_channel_divergence(m: Channel, n, constraints, alpha, *,
             for K in m_kraus:
                 g_rho += K.conj().T @ g_om @ K
             g_sig = nside.pullback(P_out.conj().T @ g_tau @ P_out)
-            v_rho = mside.lmo(herm_part(g_rho), "min")
-            v_sig = nside.mset.lmo(herm_part(g_sig), "min")
+            v_rho = mside.lmo(herm_part(g_rho))
+            v_sig = nside.mset.lmo(herm_part(g_sig))
             gap = float(np.real(np.trace(g_rho @ (rho - v_rho)))
                         + np.real(np.trace(g_sig @ (sig - v_sig))))
             if gap <= value_tol * max(1.0, abs(best)):

@@ -10,15 +10,17 @@ first-order condition sigma <- normalize(Tr_A[G(sigma)^a]) with
 G(sigma) = (id (x) sigma^s) rho (id (x) sigma^s), s = (1-a)/(2a), falling back
 to projected gradient on the density-matrix simplex when the iteration does
 not settle, and certifies the result against random restarts.  a = infinity
-is an exact semidefinite program, a = 1 is evaluated spectrally.
+is an exact semidefinite program (a max-divergence covering program), a = 1
+is evaluated spectrally.
 
 All branch sums are carried in log space so that mixtures with extreme
-weights (or the very large orders used to approach a = infinity) stay finite.
+weights (or very large finite orders) stay finite.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 from scipy.special import logsumexp
@@ -26,7 +28,6 @@ from scipy.special import logsumexp
 from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      NotClassical, NotPure, UnsupportedOrder)
-from .parallel import run_batch
 from .registers import EIG_CUT, State, embed_operator
 from .sampling import random_density, rng_from
 from .sdp import SdpProblem, embed_adjoint, hermitian_basis, solve_sdp
@@ -146,8 +147,8 @@ def _log2_T_and_update(branches, log2_weights, d_q: int, sigma: np.ndarray,
     """log2 of T(sigma) = sum_i w_i tr[G_i(sigma)^a], and the (unnormalized)
     fixed-point update sum_i w_i Tr_Q[G_i^a], in branch-scaled arithmetic.
 
-    Weights enter as log2(w_i) so that the extreme orders used to approach
-    a = infinity (where w_i = p_i^a underflows) stay representable.
+    Weights enter as log2(w_i) so that very large orders (where
+    w_i = p_i^a underflows) stay representable.
     """
     s = (1.0 - alpha) / (2.0 * alpha)
     d_qp = sigma.shape[0]
@@ -500,7 +501,7 @@ def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha, *, restarts, seed):
             sigma = out[1]
         return out
 
-    results = run_batch(from_start, starts)
+    results = [from_start(s0) for s0 in starts]
     finite = [r for r in results if np.isfinite(r[0]) and r[2]]
     if not finite:
         finite = [r for r in results if np.isfinite(r[0])]
@@ -556,7 +557,8 @@ def cond_entropy_up(state: State, target, conditioning, alpha, *,
     r = V.shape[1]
 
     if a.is_infinite:
-        value, X = _hup_inf_sdp(reduced, d_q, r)
+        t, X = _max_cover_sdp([reduced], d_q, r)
+        value = -float(np.log2(t))
         info = {"sigma": V @ (X / max(float(np.real(np.trace(X))), 1e-300))
                           @ V.conj().T,
                 "gap": 0.0, "method": "sdp"}
@@ -573,19 +575,27 @@ def cond_entropy_up(state: State, target, conditioning, alpha, *,
     return (value, info) if return_info else value
 
 
-def _hup_inf_sdp(rho: np.ndarray, d_q: int, d_b: int):
-    """H^up_inf(A|B) = -log2 min{tr X : id_A (x) X >= rho_AB, X >= 0}."""
+def _max_cover_sdp(branches, d_q: int, d_b: int):
+    """min{tr X : id_Q (x) X >= M_i for every i, X >= 0} and its optimizer.
+
+    With one branch rho this is 2^(-H^up_inf(Q|B)); with the weighted
+    branches of a classical mixture it is the a = infinity inner extremum
+    (substituting X = lambda sigma linearizes the max-divergence bounds
+    M_i <= lambda id (x) sigma).
+    """
     amb = registers.space(("q", d_q), ("p", d_b))
     prob = SdpProblem("min")
     prob.add_block("X", d_b)
     prob.add_objective("X", np.eye(d_b))
-    prob.add_operator_inequality([("X", embed_adjoint(amb, ["p"]))], rho,
-                                 slack="S")
-    lam = float(np.linalg.norm(rho, 2))
-    X0 = (lam + 1.0) * np.eye(d_b)
-    sol = solve_sdp(prob, start={"X": X0,
-                                 "S": np.kron(np.eye(d_q), X0) - rho})
-    return -float(np.log2(sol.value)), sol.variables["X"]
+    top = max(float(np.linalg.norm(m, 2)) for m in branches)
+    X0 = (top + 1.0) * np.eye(d_b)
+    start = {"X": X0}
+    for i, m in enumerate(branches):
+        prob.add_operator_inequality([("X", embed_adjoint(amb, ["p"]))], m,
+                                     slack=f"S{i}")
+        start[f"S{i}"] = np.kron(np.eye(d_q), X0) - m
+    sol = solve_sdp(prob, start=start)
+    return float(sol.value), sol.variables["X"]
 
 
 # ------------------------------------------------------------------- duality
@@ -613,9 +623,10 @@ def _verify_classical(state: State, labels):
         raise NotClassical(f"state is not classical on registers {list(labels)}")
 
 
-def classmix_up(state: State, target, conditioning, classical, alpha, *,
-                restarts: int = 20, seed: int = 0) -> float:
-    """H^up over a classical register in the conditioning, branch by branch."""
+def _classmix(state, target, conditioning, classical, alpha, variant,
+              branch_entropy) -> float:
+    """Per-branch entropies over a classical register in the conditioning,
+    combined by :func:`renyi_branch_mix`."""
     classical = list(classical)
     conditioning = list(conditioning)
     if not set(classical) <= set(conditioning):
@@ -628,48 +639,113 @@ def classmix_up(state: State, target, conditioning, classical, alpha, *,
         if branch is None:
             continue
         probs.append(w)
-        values.append(cond_entropy_up(branch, list(target), rest, alpha,
-                                      restarts=restarts, seed=seed))
-    return renyi_branch_mix(probs, values, alpha, variant="up")
+        values.append(branch_entropy(branch, list(target), rest, alpha))
+    return renyi_branch_mix(probs, values, alpha, variant=variant)
+
+
+def classmix_up(state: State, target, conditioning, classical, alpha, *,
+                restarts: int = 20, seed: int = 0) -> float:
+    """H^up over a classical register in the conditioning, branch by branch."""
+    return _classmix(state, target, conditioning, classical, alpha, "up",
+                     partial(cond_entropy_up, restarts=restarts, seed=seed))
 
 
 def classmix_down(state: State, target, conditioning, classical, alpha) -> float:
     """H_a over a classical register in the conditioning, branch by branch."""
-    classical = list(classical)
-    conditioning = list(conditioning)
-    if not set(classical) <= set(conditioning):
-        raise InvalidRegister("classical registers must sit in the conditioning")
-    rho = _marginal_pair(state, target, conditioning)
-    _verify_classical(rho, classical)
-    rest = [l for l in conditioning if l not in classical]
-    probs, values = [], []
-    for _outcome, w, branch in rho.branches(classical):
-        if branch is None:
-            continue
-        probs.append(w)
-        values.append(cond_entropy_down(branch, list(target), rest, alpha))
-    return renyi_branch_mix(probs, values, alpha, variant="down")
+    return _classmix(state, target, conditioning, classical, alpha, "down",
+                     cond_entropy_down)
 
 
 # --------------------------------------------- two-sided classical mixture
 
-def _grouped_branches(state: State, classical_cond, classical_target,
-                      q_labels, qp_labels):
-    """{outer outcome: [(inner outcome, joint weight, rho_QQ' matrix), ...]}
-    with branch states reordered to Q then Q' legs."""
+def _two_sided_split(state: State, target, conditioning, classical_target,
+                     classical_cond):
+    """Validate the register split of a two-sided mixture; returns the
+    marginal on target + conditioning and the label lists
+    (Q, Q', classical target, classical conditioning)."""
+    target = list(target)
+    conditioning = list(conditioning)
+    classical_target = list(classical_target)
+    classical_cond = list(classical_cond)
+    if not set(classical_target) <= set(target):
+        raise InvalidRegister("classical_target must sit inside target")
+    if not set(classical_cond) <= set(conditioning):
+        raise InvalidRegister("classical_cond must sit inside conditioning")
+    rho = _marginal_pair(state, target, conditioning)
+    _verify_classical(rho, classical_target + classical_cond)
+    q_labels = [l for l in target if l not in classical_target]
+    qp_labels = [l for l in conditioning if l not in classical_cond]
+    return rho, q_labels, qp_labels, classical_target, classical_cond
+
+
+def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
+                   classical_cond, a: RenyiOrder, tilt, *, variant: str,
+                   restarts: int, seed: int) -> float:
+    """The two-sided classical mixture with tilted branches.
+
+    Branch (cs, cp) enters the inner extremum of its public outcome cp with
+    log2 weight log2 p(cs|cp) + ((a-1)/a) tilt(cs, cp), where (a-1)/a -> 1
+    at a = infinity.  Per public outcome the extremum over sigma is solved
+    by :func:`_sup_sigma` at finite orders and by the covering program
+    :func:`_max_cover_sdp` at a = infinity (the max-divergence form
+    -log2 sum_cp p(cp) min{tr X : id (x) X >= p(cs|cp) 2^tilt rho_cs,cp}).
+    ``variant="down"`` pins sigma to the conditional marginal of Q' instead;
+    at a = infinity that is the closed form
+    -log2 sum_cp p(cp) max_cs p(cs|cp) 2^tilt
+        lambda_max((id (x) sigma)^(-1/2) rho_cs,cp (id (x) sigma)^(-1/2)).
+    """
+    d_q = int(np.prod([rho.space.dim_of(l) for l in q_labels])) \
+        if q_labels else 1
+    # {cp: [(cs, joint weight, rho_QQ' with Q legs first), ...]}
     groups: dict = {}
-    n_outer = len(classical_cond)
-    for outcome, w, branch in state.branches(list(classical_cond) +
-                                             list(classical_target)):
+    legs = list(q_labels) + list(qp_labels)
+    n_cp = len(classical_cond)
+    for outcome, w, branch in rho.branches(classical_cond + classical_target):
         if branch is None:
             continue
-        outer, inner = outcome[:n_outer], outcome[n_outer:]
-        if q_labels or qp_labels:
-            mat = branch.reorder(list(q_labels) + list(qp_labels)).matrix
+        mat = branch.reorder(legs).matrix if legs \
+            else np.ones((1, 1), dtype=complex)
+        groups.setdefault(outcome[:n_cp], []).append((outcome[n_cp:], w, mat))
+    theta = 1.0 if a.is_infinite else (a.value - 1.0) / a.value
+    outer_logs = []
+    for outer, entries in groups.items():
+        p_outer = sum(w for _, w, _ in entries)
+        log2_p = [math.log2(w / p_outer) + theta * tilt(inner, outer)
+                  for inner, w, _ in entries]
+        branches = [m for _, _, m in entries]
+        # reduce Q' to the union of the branch supports
+        marg_space = registers.space(("q", d_q),
+                                     ("p", branches[0].shape[0] // d_q))
+        margs = [State(m, marg_space, check=False).partial_trace(keep=["p"])
+                 .matrix for m in branches]
+        V = _support_isometry(sum(margs))
+        W = np.kron(np.eye(d_q), V)
+        red = [registers.herm_part(W.conj().T @ m @ W) for m in branches]
+        r = V.shape[1]
+        if variant == "down" or r == 1:
+            # sigma pinned to the conditional marginal of this group; its
+            # support covers every branch, so the pseudo-powers lose nothing
+            sig = sum(w / p_outer * (V.conj().T @ m @ V)
+                      for (_, w, _), m in zip(entries, margs))
+            sig = registers.herm_part(sig) / float(np.real(np.trace(sig)))
+            if a.is_infinite:
+                log2_t = max(lw + math.log2(_branch_eigs(m, d_q, sig, -0.5)
+                                            [0].max())
+                             for m, lw in zip(red, log2_p))
+            else:
+                log2_t = _log2_T_and_update(
+                    red, [a.value * lp for lp in log2_p], d_q, sig, a.value,
+                    False)[0] / a.value
+        elif a.is_infinite:
+            t, _X = _max_cover_sdp([2.0 ** lw * m for m, lw in
+                                    zip(red, log2_p)], d_q, r)
+            log2_t = math.log2(t)
         else:
-            mat = np.ones((1, 1), dtype=complex)
-        groups.setdefault(outer, []).append((inner, w, mat))
-    return groups
+            log2_t = _sup_sigma(red, log2_p, d_q, r, a.value,
+                                restarts=restarts, seed=seed)[0] / a.value
+        outer_logs.append(math.log(p_outer) + log2_t * LN2)
+    total = float(logsumexp(outer_logs) / LN2)
+    return -total if a.is_infinite else a.value / (1.0 - a.value) * total
 
 
 def two_sided_classmix(state: State, *, target, conditioning,
@@ -683,109 +759,15 @@ def two_sided_classmix(state: State, *, target, conditioning,
                         || id_Q (x) sigma)} ]^{1/a}
 
     with the inner optimization a minimum for a > 1 and a maximum for a < 1.
-    a = infinity is evaluated at two large orders and Richardson-extrapolated
-    in 1/a (the limit definition); a = 1 coincides with the von Neumann value.
+    a = infinity is its limit, one max-divergence covering program per
+    conditioning outcome; a = 1 coincides with the von Neumann value.
     """
     a = as_order(alpha)
-    target = list(target)
-    conditioning = list(conditioning)
-    classical_target = list(classical_target)
-    classical_cond = list(classical_cond)
-    if not set(classical_target) <= set(target):
-        raise InvalidRegister("classical_target must sit inside target")
-    if not set(classical_cond) <= set(conditioning):
-        raise InvalidRegister("classical_cond must sit inside conditioning")
-    rho = _marginal_pair(state, target, conditioning)
-    _verify_classical(rho, classical_target + classical_cond)
-
+    rho, q_labels, qp_labels, classical_target, classical_cond = \
+        _two_sided_split(state, target, conditioning, classical_target,
+                         classical_cond)
     if a.near_one:
         return cond_entropy_down(rho, target, conditioning, 1.0)
-    if a.is_infinite:
-        def at(order):
-            return two_sided_classmix(rho, target=target,
-                                      conditioning=conditioning,
-                                      classical_target=classical_target,
-                                      classical_cond=classical_cond,
-                                      alpha=order, restarts=restarts,
-                                      seed=seed)
-        h1, h2 = at(5e5), at(1e6)
-        return 2.0 * h2 - h1  # eliminate the 1/alpha term
-
-    q_labels = [l for l in target if l not in classical_target]
-    qp_labels = [l for l in conditioning if l not in classical_cond]
-    d_q = int(np.prod([rho.space.dim_of(l) for l in q_labels])) if q_labels else 1
-    groups = _grouped_branches(rho, classical_cond, classical_target,
-                               q_labels, qp_labels)
-
-    av = a.value
-    outer_logs = []
-    for _outer, entries in groups.items():
-        p_outer = sum(w for _, w, _ in entries)
-        branches = [m for _, _, m in entries]
-        log2_p = [math.log2(w / p_outer) for _, w, _ in entries]
-        d_qp_full = branches[0].shape[0] // d_q
-        if d_qp_full == 1:
-            log2_T, _ = _log2_T_and_update(branches,
-                                           [av * lp for lp in log2_p], d_q,
-                                           np.ones((1, 1)), av, False)
-        else:
-            # reduce Q' to the union of the branch supports
-            marg_space = registers.space(("q", d_q), ("p", d_qp_full))
-            acc = sum(State(m, marg_space, check=False)
-                      .partial_trace(keep=["p"]).matrix for m in branches)
-            V = _support_isometry(acc)
-            W = np.kron(np.eye(d_q), V)
-            red = [0.5 * ((W.conj().T @ m @ W) + (W.conj().T @ m @ W).conj().T)
-                   for m in branches]
-            log2_T, _sigma, _gap = _sup_sigma(red, log2_p, d_q, V.shape[1],
-                                              av, restarts=restarts, seed=seed)
-        outer_logs.append(np.log(p_outer) + (log2_T / av) * LN2)
-    total = float(logsumexp(outer_logs) / LN2)
-    return av / (1.0 - av) * total
-
-
-def two_sided_classmix_inf_direct(state: State, *, target, conditioning,
-                                  classical_target, classical_cond) -> float:
-    """The a = infinity limit evaluated through the max-divergence form:
-
-        -log2 sum_chat p(chat) min{tr X : id_Q (x) X >= p(cbar|chat) *
-                                    rho_{QQ'|cbar chat} for every cbar}
-
-    (substituting X = lambda sigma linearizes the per-branch constraints).
-    Serves as an independent check of the extrapolated value.
-    """
-    target = list(target)
-    conditioning = list(conditioning)
-    classical_target = list(classical_target)
-    classical_cond = list(classical_cond)
-    rho = _marginal_pair(state, target, conditioning)
-    _verify_classical(rho, classical_target + classical_cond)
-    q_labels = [l for l in target if l not in classical_target]
-    qp_labels = [l for l in conditioning if l not in classical_cond]
-    d_q = int(np.prod([rho.space.dim_of(l) for l in q_labels])) if q_labels else 1
-    groups = _grouped_branches(rho, classical_cond, classical_target,
-                               q_labels, qp_labels)
-
-    acc = 0.0
-    for _outer, entries in groups.items():
-        p_outer = sum(w for _, w, _ in entries)
-        scaled = [(w / p_outer) * m for _, w, m in entries]
-        d_qp = scaled[0].shape[0] // d_q
-        if d_qp == 1:
-            t_star = max(float(np.linalg.norm(m, 2)) for m in scaled)
-        else:
-            amb = registers.space(("q", d_q), ("p", d_qp))
-            prob = SdpProblem("min")
-            prob.add_block("X", d_qp)
-            prob.add_objective("X", np.eye(d_qp))
-            start = {}
-            top = max(float(np.linalg.norm(m, 2)) for m in scaled)
-            X0 = (top + 1.0) * np.eye(d_qp)
-            for i, m in enumerate(scaled):
-                prob.add_operator_inequality(
-                    [("X", embed_adjoint(amb, ["p"]))], m, slack=f"S{i}")
-                start[f"S{i}"] = np.kron(np.eye(d_q), X0) - m
-            start["X"] = X0
-            t_star = solve_sdp(prob, start=start).value
-        acc += p_outer * t_star
-    return -float(np.log2(acc))
+    return _two_sided_mix(rho, q_labels, qp_labels, classical_target,
+                          classical_cond, a, lambda cs, cp: 0.0,
+                          variant="up", restarts=restarts, seed=seed)

@@ -21,12 +21,10 @@ import numpy as np
 from scipy.optimize import bisect
 from scipy.special import logsumexp
 
-from . import registers
 from .channels import Channel, prepare_channel
-from .divergences import LN2, as_order, classical_renyi_entropy
-from .entropies import (_grouped_branches, _log2_T_and_update, _marginal_pair,
-                        _sup_sigma, _support_isometry, _verify_classical,
-                        cond_entropy_up, renyi_branch_mix)
+from .divergences import as_order, classical_renyi_entropy
+from .entropies import (_two_sided_mix, _two_sided_split, cond_entropy_up,
+                        renyi_branch_mix, two_sided_classmix)
 from .errors import (DomainMismatch, InfeasibleSpec, InvalidRegister,
                      InvalidState, UnsupportedOrder)
 from .registers import LOG2E, RegisterSpace, State, space
@@ -143,23 +141,6 @@ def _check_order(alpha):
     return a
 
 
-def _split_labels(state, target, conditioning, classical_target,
-                  classical_cond):
-    target = list(target)
-    conditioning = list(conditioning)
-    classical_target = list(classical_target)
-    classical_cond = list(classical_cond)
-    if not set(classical_target) <= set(target):
-        raise InvalidRegister("classical_target must sit inside target")
-    if not set(classical_cond) <= set(conditioning):
-        raise InvalidRegister("classical_cond must sit inside conditioning")
-    rho = _marginal_pair(state, target, conditioning)
-    _verify_classical(rho, classical_target + classical_cond)
-    q_labels = [l for l in target if l not in classical_target]
-    qp_labels = [l for l in conditioning if l not in classical_cond]
-    return rho, q_labels, qp_labels, classical_target, classical_cond
-
-
 def fweighted_entropy(state: State, f: TradeoffFunction, alpha, *,
                       target, conditioning, classical_target=(),
                       classical_cond=(), variant: str = "up",
@@ -173,82 +154,26 @@ def fweighted_entropy(state: State, f: TradeoffFunction, alpha, *,
     The inner optimization is a minimum for a > 1 and a maximum for a < 1;
     f enters each branch as an extra log-weight of ((a-1)/a) f, so the whole
     machinery of the unweighted two-sided mixture carries over.  a = infinity
-    is evaluated at two large orders and Richardson-extrapolated in 1/a.
+    is its limit, the max-divergence program
+    -log2 sum_cp p(cp) min{tr X : id_Q (x) X >= p(cs|cp) 2^f(cs,cp)
+    rho_{QQ'|cs cp} for every cs}.
 
     ``variant="down"`` replaces the optimized sigma^(cp) by the actual
     conditional marginal rho_{Q'|cp} (no optimization); since that is a
     feasible point of the inner extremum, the down value never exceeds the
     up value, which is the comparison the up/down lemma is stated against.
+    At a = infinity the down value is a closed form in the largest
+    eigenvalues of the branches sandwiched by rho_{Q'|cp}^(-1/2).
     """
     if variant not in ("up", "down"):
         raise InvalidState(f"unknown variant {variant!r}")
     a = _check_order(alpha)
     rho, q_labels, qp_labels, classical_target, classical_cond = \
-        _split_labels(state, target, conditioning, classical_target,
-                      classical_cond)
-
-    if a.is_infinite:
-        def at(order):
-            return fweighted_entropy(rho, f, order, target=target,
-                                     conditioning=conditioning,
-                                     classical_target=classical_target,
-                                     classical_cond=classical_cond,
-                                     variant=variant, restarts=restarts,
-                                     seed=seed)
-        h1, h2 = at(5e5), at(1e6)
-        return 2.0 * h2 - h1
-
-    av = a.value
-    d_q = int(np.prod([rho.space.dim_of(l) for l in q_labels])) \
-        if q_labels else 1
-    groups = _grouped_branches(rho, classical_cond, classical_target,
-                               q_labels, qp_labels)
-
-    outer_logs = []
-    for outer, entries in groups.items():
-        p_outer = sum(w for _, w, _ in entries)
-        fs = [f.value(inner, outer) for inner, _, _ in entries]
-        branches = [m for _, _, m in entries]
-        log2_p = [math.log2(w / p_outer) + (av - 1.0) / av * fv
-                  for (_, w, _), fv in zip(entries, fs)]
-        d_qp_full = branches[0].shape[0] // d_q
-        if d_qp_full == 1:
-            log2_T, _ = _log2_T_and_update(
-                branches, [av * lp for lp in log2_p], d_q,
-                np.ones((1, 1)), av, False)
-        else:
-            marg_space = _pair_space(d_q, d_qp_full)
-            margs = [State(m, marg_space, check=False)
-                     .partial_trace(keep=["p"]).matrix for m in branches]
-            acc = sum(margs)
-            V = _support_isometry(acc)
-            W = np.kron(np.eye(d_q), V)
-            red = [0.5 * ((W.conj().T @ m @ W)
-                          + (W.conj().T @ m @ W).conj().T)
-                   for m in branches]
-            if variant == "down":
-                # sigma^(cp) pinned to the actual conditional marginal of
-                # this group; its support covers every branch, so the
-                # pseudo-power evaluation loses nothing
-                lws = [math.log2(w / p_outer) for _, w, _ in entries]
-                sig = sum(2.0 ** lw * (V.conj().T @ m @ V)
-                          for lw, m in zip(lws, margs))
-                sig = 0.5 * (sig + sig.conj().T)
-                sig = sig / float(np.real(np.trace(sig)))
-                log2_T, _ = _log2_T_and_update(
-                    red, [av * lp for lp in log2_p], d_q, sig, av, False)
-            else:
-                log2_T, _sigma, _gap = _sup_sigma(red, log2_p, d_q,
-                                                  V.shape[1], av,
-                                                  restarts=restarts,
-                                                  seed=seed)
-        outer_logs.append(math.log(p_outer) + (log2_T / av) * LN2)
-    total = float(logsumexp(outer_logs) / LN2)
-    return av / (1.0 - av) * total
-
-
-def _pair_space(d_q: int, d_qp: int) -> RegisterSpace:
-    return space(("q", d_q), ("p", max(d_qp, 1)))
+        _two_sided_split(state, target, conditioning, classical_target,
+                         classical_cond)
+    return _two_sided_mix(rho, q_labels, qp_labels, classical_target,
+                          classical_cond, a, f.value, variant=variant,
+                          restarts=restarts, seed=seed)
 
 
 def fweighted_cs_conditioned(state: State, f: TradeoffFunction, alpha, *,
@@ -266,8 +191,8 @@ def fweighted_cs_conditioned(state: State, f: TradeoffFunction, alpha, *,
     """
     a = _check_order(alpha)
     rho, q_labels, qp_labels, classical_target, classical_cond = \
-        _split_labels(state, target, conditioning, classical_target,
-                      classical_cond)
+        _two_sided_split(state, target, conditioning, classical_target,
+                         classical_cond)
     probs, values = [], []
     for outcome, w, branch in rho.branches(classical_target + classical_cond):
         if branch is None:
@@ -401,8 +326,6 @@ def verify_createD(state: State, f: TradeoffFunction, alpha, *, mode: str,
     of the equality; dyadic mode returns the signed slacks (lower, upper) of
     the two-sided bound, both of which must be nonnegative up to numerics.
     """
-    from .entropies import two_sided_classmix  # deferred: sibling module
-
     a = _check_order(alpha)
     classical_target = list(classical_target)
     classical_cond = list(classical_cond)

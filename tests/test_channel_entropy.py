@@ -1,5 +1,6 @@
-"""Channel conditional entropies at alpha = 1/2: pinned inputs, SDP pairs,
-chain rule and additivity, on seeded qubit instances."""
+"""Channel conditional entropies at the endpoint orders: pinned inputs, SDP
+pairs, chain rule and additivity at alpha = 1/2, and the alpha = inf fidelity
+program, on seeded qubit instances."""
 
 import math
 
@@ -12,6 +13,8 @@ from renyimeat.channel_entropy import (
     build_sdp_individual,
     build_sdp_joint,
     channel_cond_entropy,
+    entropy_at_witness,
+    entropy_via_conjugate_divergence,
     minimized_channel_divergence,
     product_feasibility_slack,
     solve_sdp_pair,
@@ -125,3 +128,49 @@ def test_orthogonal_outputs_raise_instead_of_certifying_inf():
         minimized_channel_divergence(to0, to1, (None, None), 0.75)
     assert err.value.value == math.inf
     assert not math.isfinite(err.value.gap)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_infinite_order_is_attained_by_its_witness(seed):
+    ch = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)),
+                        seed=seed, kraus_rank=2)
+    res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", "inf"))
+    assert res.method == "fidelity-program" and res.converged
+    # the witness is a feasible input: its entropy bounds the infimum from
+    # above, and the duality gap of the program bounds it from below
+    assert res.value == pytest.approx(
+        entropy_at_witness(ch, "T", res.witness, "inf"), abs=1e-7)
+    half = channel_cond_entropy(ChannelEntropyProblem(ch, "T", HALF))
+    assert res.value <= half.value + TOL
+    # independent route: the minimized order-1/2 divergence of the dilation,
+    # certified by its conditional-gradient gap (1e-6)
+    conj = entropy_via_conjugate_divergence(ch, "T", None, "inf")
+    assert res.value == pytest.approx(conj, abs=1e-6)
+
+
+CH4 = dict(inp=(("A", 2), ("F", 2)), out=(("T", 2), ("Y", 2)), seed=3,
+           kraus_rank=2, pin=5)
+
+
+@pytest.mark.parametrize("inst", [
+    dict(inp=(("A", 2),), out=(("T", 2),), seed=1, kraus_rank=2, pin=None),
+    dict(inp=(("A", 2),), out=(("T", 2), ("Y", 2)), seed=1560023975,
+         kraus_rank=2, pin=None),
+    dict(inp=(("A", 2),), out=(("T", 2), ("Y", 2)), seed=1, kraus_rank=3,
+         pin=None),
+    CH4,
+], ids=["qubit-to-qubit", "seed-1560023975", "kraus-rank-3", "ch4-pinned"])
+def test_infinite_order_certifies_rank_deficient_and_pinned_inputs(inst):
+    """Instances where the output is rank-deficient at every input, or the
+    input is partly pinned: the program must still certify its value."""
+    ch = random_channel(space(*inst["inp"]), space(*inst["out"]),
+                        seed=inst["seed"], kraus_rank=inst["kraus_rank"])
+    con = None if inst["pin"] is None else pinned("A", inst["pin"])
+    res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", "inf",
+                                                     constraint=con))
+    assert res.method == "fidelity-program" and res.converged
+    assert res.value == pytest.approx(
+        entropy_at_witness(ch, "T", res.witness, "inf"), abs=1e-7)
+    if con is not None:
+        np.testing.assert_allclose(res.witness.marginal(["A"]).matrix,
+                                   con.state.matrix, atol=1e-7)

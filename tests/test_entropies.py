@@ -24,7 +24,6 @@ from renyimeat.entropies import (
     cond_entropy_up,
     renyi_branch_mix,
     two_sided_classmix,
-    two_sided_classmix_inf_direct,
     von_neumann_entropy,
 )
 from renyimeat.errors import (InvalidRegister, NonConvergence, NotClassical,
@@ -421,17 +420,18 @@ def test_two_sided_classmix_matches_unstructured_optimizer():
 
 
 def test_two_sided_infinite_order_cross_check():
-    """The limit evaluation and the order-by-order route must agree.
+    """The structured route and the unstructured optimizer must agree at
+    a = infinity.
 
-    The production path extrapolates through finite orders; the check value
-    solves one max-divergence program per conditioning outcome.  These are
-    independent computations (different code paths, different convergence
-    machinery), so agreement pins both.
+    The structured route solves one max-divergence covering program per
+    conditioning outcome; the unstructured one solves the H^up_inf program
+    of the whole state, blind to its classical registers.  These are
+    independent computations, so agreement pins both.
     """
     rho = four_register_state()
     kw = dict(target=["Q", "Cb"], conditioning=["Ch", "Qp"],
               classical_target=["Cb"], classical_cond=["Ch"])
-    direct = two_sided_classmix_inf_direct(rho, **kw)
-    assert direct == pytest.approx(0.664498824743, abs=1e-9)
-    extrapolated = two_sided_classmix(rho, alpha="inf", restarts=2, **kw)
-    assert extrapolated == pytest.approx(direct, abs=1e-5)
+    structured = two_sided_classmix(rho, alpha="inf", **kw)
+    assert structured == pytest.approx(0.664498824743, abs=1e-9)
+    unstructured = cond_entropy_up(rho, ["Q", "Cb"], ["Ch", "Qp"], "inf")
+    assert structured == pytest.approx(unstructured, abs=1e-7)

@@ -144,6 +144,29 @@ def test_fweighted_infinite_order():
     assert got == pytest.approx(0.690678808388, abs=1e-6)
 
 
+def test_fweighted_down_infinite_order_closed_form():
+    """At a = infinity the down variant is
+    -log2 sum_cp p(cp) max_cs p(cs|cp) 2^f(cs,cp) lambda_max(S rho S), with
+    rho the branch state on Q Q' and S = id_Q (x) rho_{Q'|cp}^(-1/2)."""
+    parts = {}
+    for (cb, ch), w, branch in RHO4.branches(["Cb", "Ch"]):
+        parts.setdefault(ch, []).append((cb, w, branch.matrix))
+    total = 0.0
+    for ch, entries in parts.items():
+        p_cp = sum(w for _, w, _ in entries)
+        marg = sum(w / p_cp * np.trace(m.reshape(2, 2, 2, 2), axis1=0,
+                                       axis2=2) for _, w, m in entries)
+        vals, vecs = np.linalg.eigh(marg)
+        S = np.kron(np.eye(2), (vecs / np.sqrt(vals)) @ vecs.conj().T)
+        total += p_cp * max(
+            w / p_cp * 2.0 ** F.value(cb, ch)
+            * np.linalg.eigvalsh(S @ m @ S).max() for cb, w, m in entries)
+    want = -math.log2(total)
+    got = fweighted_entropy(RHO4, F, "inf", variant="down", **KW)
+    assert got == pytest.approx(want, abs=1e-10)
+    assert got == pytest.approx(0.527973507627, abs=1e-9)
+
+
 @pytest.mark.parametrize("alpha,want", [(0.6, 1.483105134278),
                                         (2.0, 1.048914582629)])
 def test_fweighted_down_frozen(alpha, want):
