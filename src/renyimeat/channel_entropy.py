@@ -39,13 +39,15 @@ import numpy as np
 
 from .channels import Channel, _perm_matrix, compose, trace_out_channel
 from .divergences import LN2, as_order, sandwiched_divergence
-from .entropies import (_optimize_sigma, _support_isometry, cond_entropy_up,
+from .entropies import (_optimize_sigma, _power_frechet_map,
+                        _support_isometry, cond_entropy_up,
                         von_neumann_entropy)
 from .errors import (InfeasibleSpec, InvalidRegister, InvalidState,
                      NonConvergence, UnsupportedOrder)
 from .registers import (EIG_CUT, LOG2E, RegisterSpace, State,
-                        canonical_purification_vector, embed_operator,
-                        herm_part, herm_power, ket_state, space)
+                        canonical_purification_vector, divided_differences,
+                        embed_operator, herm_part, herm_power, ket_state,
+                        space)
 from .sampling import rng_from
 from .sdp import SdpProblem, hermitian_basis, solve_sdp
 
@@ -661,8 +663,7 @@ def channel_cond_entropy(problem: ChannelEntropyProblem, *, restarts: int = 20,
     mset = _MarginalSet(problem.channel.in_space, problem.constraint)
     if mset.fixed:
         # the input is pinned: every purification gives the same entropy
-        return _pinned_input_entropy(problem, mset, restarts=restarts,
-                                     seed=seed)
+        return _pinned_input_entropy(problem, mset)
     if alpha.is_infinite:
         if not full_stab:
             raise UnsupportedOrder(
@@ -675,7 +676,7 @@ def channel_cond_entropy(problem: ChannelEntropyProblem, *, restarts: int = 20,
                          grad_tol=grad_tol, max_iters=max_iters)
 
 
-def _pinned_input_entropy(problem, mset, *, restarts, seed):
+def _pinned_input_entropy(problem, mset):
     ch = problem.channel
     st = State(mset.unrestrict(mset.psi_r), ch.in_space, check=False)
     taken = set(ch.in_space.labels) | set(ch.out_space.labels)
@@ -683,16 +684,15 @@ def _pinned_input_entropy(problem, mset, *, restarts, seed):
     pure = st.purified(stab)
     out = ch.apply(pure)
     cond = [l for l in out.space.labels if l not in problem.target]
-    value = cond_entropy_up(out, list(problem.target), cond, problem.alpha,
-                            restarts=restarts, seed=seed)
+    value = cond_entropy_up(out, list(problem.target), cond, problem.alpha)
     witness = _purified_witness(problem, mset, mset.psi_r)
     return ChannelEntropyResult(value=float(value), witness=witness,
                                 spread=0.0, converged=True,
                                 method="pinned-input")
 
 
-def entropy_at_witness(channel: Channel, target, witness: State, alpha, *,
-                       restarts: int = 20, seed=0) -> float:
+def entropy_at_witness(channel: Channel, target, witness: State,
+                       alpha) -> float:
     """Conditional entropy of the channel output at one explicit input.
 
     ``witness`` may carry extra (reference) registers beyond the channel
@@ -702,8 +702,7 @@ def entropy_at_witness(channel: Channel, target, witness: State, alpha, *,
     target = (target,) if isinstance(target, str) else tuple(target)
     out = channel.apply(witness)
     cond = [l for l in out.space.labels if l not in target]
-    return float(cond_entropy_up(out, list(target), cond, alpha,
-                                 restarts=restarts, seed=seed))
+    return float(cond_entropy_up(out, list(target), cond, alpha))
 
 
 # --------------------------------------------- optimized channel divergence
@@ -769,17 +768,10 @@ def _log_frechet_map(tau: np.ndarray):
     lam, V = np.linalg.eigh(herm_part(tau))
     lam = np.clip(lam, 0.0, None)
     keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
-    n = len(lam)
-    Phi = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if not (keep[i] and keep[j]):
-                continue
-            a, b = lam[i], lam[j]
-            if abs(a - b) <= 1e-12 * max(a, b):
-                Phi[i, j] = 1.0 / a
-            else:
-                Phi[i, j] = (math.log(a) - math.log(b)) / (a - b)
+    base = np.where(keep, lam, 1.0)
+    Phi = divided_differences(lam, np.where(keep, np.log(base), 0.0),
+                              np.where(keep, 1.0 / base, 0.0),
+                              keep[:, None] & keep[None, :])
 
     def apply(X: np.ndarray) -> np.ndarray:
         Y = V.conj().T @ X @ V
@@ -807,13 +799,8 @@ def _divergence_grads(omega, tau, alpha):
     c = a / ((a - 1.0) * LN2 * max(t_tot, 1e-300))
     g_om = c * herm_part(tau_s @ Gm1 @ tau_s)
     Mx = omega @ tau_s @ Gm1
-    g_tau = c * _power_frechet(tau, s)(Mx + Mx.conj().T)
+    g_tau = c * _power_frechet_map(tau, s)(Mx + Mx.conj().T)
     return g_om, g_tau
-
-
-def _power_frechet(tau, s):
-    from .entropies import _power_frechet_map
-    return _power_frechet_map(tau, s)
 
 
 def minimized_channel_divergence(m: Channel, n, constraints, alpha, *,

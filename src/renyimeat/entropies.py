@@ -9,9 +9,14 @@ with D_a the base-2 sandwiched divergence.  The "up" optimizer iterates the
 first-order condition sigma <- normalize(Tr_A[G(sigma)^a]) with
 G(sigma) = (id (x) sigma^s) rho (id (x) sigma^s), s = (1-a)/(2a), falling back
 to projected gradient on the density-matrix simplex when the iteration does
-not settle, and certifies the result against random restarts.  a = infinity
-is an exact semidefinite program (a max-divergence covering program), a = 1
-is evaluated spectrally.
+not settle.  It runs once, from the mean of the conditioning marginals:
+sigma -> tr[G(sigma)^a] is convex for a > 1 and concave for a in [1/2, 1)
+(Frank-Lieb), so a stationary point is the optimum.  The result is
+certified by a duality interval: the value at sigma bounds H^up from below,
+and -H^up_b(A|C) = H^up_a(A|B) on a purification (1/a + 1/b = 2) turns a
+closed-form dual point into a bound from above.  a = 1/2 and a = infinity
+are exact semidefinite programs (a fidelity and a max-divergence covering
+program), a = 1 is evaluated spectrally.
 
 All branch sums are carried in log space so that mixtures with extreme
 weights (or very large finite orders) stay finite.
@@ -20,7 +25,6 @@ weights (or very large finite orders) stay finite.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 from scipy.special import logsumexp
@@ -29,11 +33,11 @@ from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      NotClassical, NotPure, UnsupportedOrder)
 from .registers import EIG_CUT, State, embed_operator
-from .sampling import random_density, rng_from
 from .sdp import SdpProblem, embed_adjoint, hermitian_basis, solve_sdp
 from . import registers
 
-#: certified restart spread above which the "up" optimizer reports failure
+#: widest duality interval (in bits of entropy) an optimized "up" value may
+#: carry; a wider one raises NonConvergence
 UP_GAP_TOL = 1e-7
 
 _FP_MAX_ITERS = 1000
@@ -159,9 +163,10 @@ def _log2_T_and_update(branches, log2_weights, d_q: int, sigma: np.ndarray,
         top = vals.max(initial=0.0)
         if top <= 0.0 or lw == -math.inf:
             continue
-        scaled = (vals / top) ** alpha
-        keep = scaled > 1e-300
-        N = (vecs[:, keep] * scaled[keep]) @ vecs[:, keep].conj().T
+        # modes at rounding level would add (1e-17)^a to T for a < 1
+        keep = vals > EIG_CUT * top
+        scaled = (vals[keep] / top) ** alpha
+        N = (vecs[:, keep] * scaled) @ vecs[:, keep].conj().T
         logs.append(alpha * np.log2(top) + lw)
         mats.append(N)
     if not logs:
@@ -225,19 +230,11 @@ def _power_frechet_map(sigma: np.ndarray, s: float):
     lam, V = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
     lam = np.clip(lam, 0.0, None)
     keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
-    pows = np.where(keep, np.power(np.where(keep, lam, 1.0), s), 0.0)
-    n = len(lam)
-    Phi = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            a, b = lam[i], lam[j]
-            if not keep[i] and not keep[j]:
-                continue
-            if abs(a - b) <= 1e-12 * max(a, b):
-                x = max(a, b)
-                Phi[i, j] = s * x ** (s - 1.0)
-            else:
-                Phi[i, j] = (pows[i] - pows[j]) / (a - b)
+    base = np.where(keep, lam, 1.0)
+    Phi = registers.divided_differences(
+        lam, np.where(keep, base ** s, 0.0),
+        np.where(keep, s * base ** (s - 1.0), 0.0),
+        keep[:, None] | keep[None, :])
 
     def apply(X: np.ndarray) -> np.ndarray:
         Y = V.conj().T @ X @ V
@@ -276,9 +273,9 @@ def _grad_neg_entropy(branches, log2_weights, d_q, sigma, alpha):
         if gtop <= 0.0:
             continue
         ratio = gvals / gtop
-        Na = np.sum(ratio ** alpha)
-        # pseudo-power: modes cut from the evaluation contribute no gradient
+        # pseudo-power: modes cut from the evaluation contribute nothing
         gkeep = ratio > EIG_CUT
+        Na = np.sum(ratio[gkeep] ** alpha)
         rpow = np.zeros_like(ratio)
         rpow[gkeep] = ratio[gkeep] ** (alpha - 1.0)
         Gm1 = (gvecs * rpow) @ gvecs.conj().T
@@ -396,17 +393,58 @@ def _hup_value_from_log2T(log2_T: float, alpha: float) -> float:
     return -log2_T / (alpha - 1.0)
 
 
-def _restart_sigmas(marginals, d_qp, restarts, seed):
-    """Deterministic list of starting points: marginal mean, flat, random."""
-    mean = sum(marginals) / len(marginals)
-    mean = mean / max(float(np.real(np.trace(mean))), 1e-300)
-    starts = [mean, np.eye(d_qp) / d_qp]
-    rng = rng_from(seed)
-    sub = rng.integers(0, 2**63 - 1, size=max(0, restarts - len(starts)))
-    for sd in sub:
-        starts.append(random_density(registers.space(("p", d_qp)),
-                                     seed=int(sd)).matrix)
-    return starts[:max(restarts, 1)]
+def _duality_gap(branches, log2_probs, d_q, sigma, alpha, log2_T) -> float:
+    """Width of an interval that holds H^up_a(I Q | Q') of the normalized
+    block state omega = (+)_i w_i rho_i, w_i proportional to
+    2^log2_probs[i], where ``log2_T`` is the solver's value at ``sigma``.
+
+    The lower end is that value, -D_a(omega || id (x) sigma).  The upper
+    end is dual: H^up_a(A|B) = -H^up_b(A|C) on a purification psi_ABC with
+    1/a + 1/b = 2, so D_b(psi_AC || id (x) tau) is an upper bound for every
+    density tau on C.  With M_i = V_i Lambda_i^(1/2) purifying rho_i,
+    phi_i = (id_Q (x) sigma^s) M_i and P_i = phi_i^T conj(phi_i), the point
+    tau = (+)_i (w_i P_i)^a / z closes the interval at the optimal sigma.
+    By the Gram identity tr[(Y Y^dag)^b] = tr[(Y^dag Y)^b] the bound is
+    log2 z + (a/(1-a)) log2 ||X||_b with X = sum_i w_i^a N_i^dag
+    (id_Q (x) P_i^(a-1)) N_i on Q', N_i being M_i reshaped to (Q K_i) x Q',
+    so no matrix exceeds one branch.  Spectra are cut at EIG_CUT like the
+    objective; cutting X lowers ||X||_b, which raises the upper end for
+    a > 1 and moves it by less than EIG_CUT^b for a < 1.
+    """
+    s = (1.0 - alpha) / (2.0 * alpha)
+    beta = alpha / (2.0 * alpha - 1.0)
+    d_qp = sigma.shape[0]
+    sig_s = registers.herm_power(sigma, s)
+    log2_c = float(logsumexp([lp * LN2 + math.log(np.real(np.trace(rho)))
+                              for rho, lp in zip(branches, log2_probs)]) / LN2)
+    logs_z, logs_x, xs = [], [], []
+    for rho, lp in zip(branches, log2_probs):
+        lw = lp - log2_c
+        vals, vecs = np.linalg.eigh(rho)
+        keep = vals > EIG_CUT * max(vals.max(initial=0.0), 1e-300)
+        M = (vecs[:, keep] * np.sqrt(vals[keep])).reshape(d_q, d_qp, -1)
+        phi = np.einsum("ab,qbk->qak", sig_s, M).reshape(d_q * d_qp, -1)
+        mu, U = np.linalg.eigh(registers.herm_part(phi.T @ phi.conj()))
+        top = mu.max(initial=0.0)
+        if top <= 0.0:
+            return math.inf     # sigma misses this branch entirely
+        mk = mu > EIG_CUT * top
+        ratio = mu[mk] / top
+        logs_z.append(alpha * (lw + math.log2(top))
+                      + math.log2(np.sum(ratio ** alpha)))
+        T = (U[:, mk] * ratio ** (alpha - 1.0)) @ U[:, mk].conj().T
+        xs.append(np.einsum("qak,kl,qbl->ab", M.conj(), T, M))
+        logs_x.append(alpha * lw + (alpha - 1.0) * math.log2(top))
+    log2_z = float(logsumexp(np.array(logs_z) * LN2) / LN2)
+    L = max(logs_x)
+    X = sum(2.0 ** (lx - L) * x for lx, x in zip(logs_x, xs))
+    xv = np.linalg.eigvalsh(registers.herm_part(X))
+    xtop = xv.max()
+    xv = xv[xv > EIG_CUT * xtop] / xtop
+    log2_norm = L + math.log2(xtop) + math.log2(np.sum(xv ** beta)) / beta
+    up = log2_z + alpha / (1.0 - alpha) * log2_norm
+    lo = -(log2_T - alpha * log2_c) / (alpha - 1.0)
+    return max(up - lo, 0.0)
 
 
 def _t_max_half_sdp(branches, weights, d_q: int, d_b: int):
@@ -466,12 +504,15 @@ def _alpha_ladder(alpha: float):
     return list(np.geomspace(8.0, alpha, n + 1))
 
 
-def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha, *, restarts, seed):
-    """Best extremized log2 T over restarts; returns (log2_T, sigma, gap).
+def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
+    """Extremized log2 T from one warm start; returns (log2_T, sigma, gap).
 
-    ``log2_probs`` are per-branch log2 weights *before* raising to the power
-    alpha; each ladder rung a uses weights a * log2_probs, so the mixture
-    tracks the order during continuation.
+    The start is the normalized mean of the branch marginals.  ``gap`` is
+    the width of the duality interval (:func:`_duality_gap`) in entropy
+    units of the normalized block state; the a = 1/2 program is exact and
+    reports 0.  ``log2_probs`` are per-branch log2 weights *before* raising
+    to the power alpha; each ladder rung a uses weights a * log2_probs, so
+    the mixture tracks the order during continuation.
     """
     if as_order(alpha).is_half:
         weights = [2.0 ** (0.5 * lp) for lp in log2_probs]
@@ -486,46 +527,32 @@ def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha, *, restarts, seed):
         return log2_T, sigma, 0.0
 
     marg_space = registers.space(("q", d_q), ("p", d_qp))
-    margs = [State(r, marg_space, check=False).partial_trace(keep=["p"]).matrix
-             for r in branches]
-    starts = _restart_sigmas(margs, d_qp, restarts, seed)
+    mean = sum(State(r, marg_space, check=False).partial_trace(keep=["p"])
+               .matrix for r in branches)
+    sigma = mean / max(float(np.real(np.trace(mean))), 1e-300)
     rungs = _alpha_ladder(alpha)
-
-    def from_start(s0):
-        sigma = s0
-        out = (math.inf, s0, False)
-        for i, a in enumerate(rungs):
-            lw = [a * lp for lp in log2_probs]
-            out = _optimize_sigma(branches, lw, d_q, d_qp, a, sigma,
-                                  polish=(i == len(rungs) - 1))
-            sigma = out[1]
-        return out
-
-    results = [from_start(s0) for s0 in starts]
-    finite = [r for r in results if np.isfinite(r[0]) and r[2]]
-    if not finite:
-        finite = [r for r in results if np.isfinite(r[0])]
-    if not finite:
-        raise NonConvergence("no restart produced a finite value")
-    if alpha > 1.0:
-        best = min(finite, key=lambda r: r[0])
-    else:
-        best = max(finite, key=lambda r: r[0])
-    vals = np.array([r[0] for r in finite])
-    gap = float(vals.max() - vals.min()) * abs(1.0 / (alpha - 1.0))
-    return best[0], best[1], gap
+    for i, a in enumerate(rungs):
+        log2_T, sigma, _ = _optimize_sigma(
+            branches, [a * lp for lp in log2_probs], d_q, d_qp, a, sigma,
+            polish=(i == len(rungs) - 1))
+    if not np.isfinite(log2_T):
+        raise NonConvergence("the sigma solve produced no finite value")
+    return log2_T, sigma, _duality_gap(branches, log2_probs, d_q, sigma,
+                                       alpha, log2_T)
 
 
 # ---------------------------------------------------------------- H^up ("up")
 
 def cond_entropy_up(state: State, target, conditioning, alpha, *,
-                    restarts: int = 20, seed: int = 0,
                     return_info: bool = False):
     """H^up_a(target | conditioning): optimized conditional Renyi entropy.
 
     With ``return_info=True`` returns ``(value, info)`` where ``info`` holds
     the optimal conditioning state (on the support of the marginal), the
-    certified restart spread ("gap"), and the method used.
+    width of the certified interval around the value ("gap": the duality
+    interval at generic orders, 0 where the route is exact), and the method
+    used.  Raises :class:`NonConvergence` when that width exceeds
+    ``UP_GAP_TOL``.
     """
     a = as_order(alpha)
     rho = _marginal_pair(state, target, conditioning)
@@ -564,11 +591,10 @@ def cond_entropy_up(state: State, target, conditioning, alpha, *,
                 "gap": 0.0, "method": "sdp"}
         return (value, info) if return_info else value
 
-    log2_T, sigma, gap = _sup_sigma([reduced], [0.0], d_q, r, a.value,
-                                    restarts=restarts, seed=seed)
+    log2_T, sigma, gap = _sup_sigma([reduced], [0.0], d_q, r, a.value)
     value = _hup_value_from_log2T(log2_T, a.value)
-    if gap > UP_GAP_TOL:
-        raise NonConvergence("restart spread exceeds the certification "
+    if not gap <= UP_GAP_TOL:
+        raise NonConvergence("duality interval exceeds the certification "
                              f"threshold ({gap:.2e})", value=value, gap=gap)
     method = "sdp-fidelity" if a.is_half else "fixed-point"
     info = {"sigma": V @ sigma @ V.conj().T, "gap": gap, "method": method}
@@ -643,11 +669,11 @@ def _classmix(state, target, conditioning, classical, alpha, variant,
     return renyi_branch_mix(probs, values, alpha, variant=variant)
 
 
-def classmix_up(state: State, target, conditioning, classical, alpha, *,
-                restarts: int = 20, seed: int = 0) -> float:
+def classmix_up(state: State, target, conditioning, classical,
+                alpha) -> float:
     """H^up over a classical register in the conditioning, branch by branch."""
     return _classmix(state, target, conditioning, classical, alpha, "up",
-                     partial(cond_entropy_up, restarts=restarts, seed=seed))
+                     cond_entropy_up)
 
 
 def classmix_down(state: State, target, conditioning, classical, alpha) -> float:
@@ -679,8 +705,8 @@ def _two_sided_split(state: State, target, conditioning, classical_target,
 
 
 def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
-                   classical_cond, a: RenyiOrder, tilt, *, variant: str,
-                   restarts: int, seed: int) -> float:
+                   classical_cond, a: RenyiOrder, tilt, *,
+                   variant: str) -> float:
     """The two-sided classical mixture with tilted branches.
 
     Branch (cs, cp) enters the inner extremum of its public outcome cp with
@@ -689,6 +715,9 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
     by :func:`_sup_sigma` at finite orders and by the covering program
     :func:`_max_cover_sdp` at a = infinity (the max-divergence form
     -log2 sum_cp p(cp) min{tr X : id (x) X >= p(cs|cp) 2^tilt rho_cs,cp}).
+    The value is a quasi-arithmetic mean of the per-outcome entropies, so it
+    moves by at most the widest per-outcome duality interval; a width above
+    ``UP_GAP_TOL`` raises :class:`NonConvergence`.
     ``variant="down"`` pins sigma to the conditional marginal of Q' instead;
     at a = infinity that is the closed form
     -log2 sum_cp p(cp) max_cs p(cs|cp) 2^tilt
@@ -707,7 +736,7 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
             else np.ones((1, 1), dtype=complex)
         groups.setdefault(outcome[:n_cp], []).append((outcome[n_cp:], w, mat))
     theta = 1.0 if a.is_infinite else (a.value - 1.0) / a.value
-    outer_logs = []
+    outer_logs, widths = [], []
     for outer, entries in groups.items():
         p_outer = sum(w for _, w, _ in entries)
         log2_p = [math.log2(w / p_outer) + theta * tilt(inner, outer)
@@ -741,16 +770,22 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
                                     zip(red, log2_p)], d_q, r)
             log2_t = math.log2(t)
         else:
-            log2_t = _sup_sigma(red, log2_p, d_q, r, a.value,
-                                restarts=restarts, seed=seed)[0] / a.value
+            log2_T, _sigma, width = _sup_sigma(red, log2_p, d_q, r, a.value)
+            log2_t = log2_T / a.value
+            widths.append(width)
         outer_logs.append(math.log(p_outer) + log2_t * LN2)
     total = float(logsumexp(outer_logs) / LN2)
-    return -total if a.is_infinite else a.value / (1.0 - a.value) * total
+    value = -total if a.is_infinite else a.value / (1.0 - a.value) * total
+    gap = float(np.max(widths, initial=0.0))
+    if not gap <= UP_GAP_TOL:
+        raise NonConvergence("duality interval of a public outcome exceeds "
+                             f"the certification threshold ({gap:.2e})",
+                             value=value, gap=gap)
+    return value
 
 
 def two_sided_classmix(state: State, *, target, conditioning,
-                       classical_target, classical_cond, alpha,
-                       restarts: int = 5, seed: int = 0) -> float:
+                       classical_target, classical_cond, alpha) -> float:
     """H^up_a(Q Cbar | Chat Q') for a state classical on Cbar (inside the
     target) and Chat (inside the conditioning):
 
@@ -770,4 +805,4 @@ def two_sided_classmix(state: State, *, target, conditioning,
         return cond_entropy_down(rho, target, conditioning, 1.0)
     return _two_sided_mix(rho, q_labels, qp_labels, classical_target,
                           classical_cond, a, lambda cs, cp: 0.0,
-                          variant="up", restarts=restarts, seed=seed)
+                          variant="up")

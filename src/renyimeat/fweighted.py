@@ -143,8 +143,7 @@ def _check_order(alpha):
 
 def fweighted_entropy(state: State, f: TradeoffFunction, alpha, *,
                       target, conditioning, classical_target=(),
-                      classical_cond=(), variant: str = "up",
-                      restarts: int = 5, seed: int = 0) -> float:
+                      classical_cond=(), variant: str = "up") -> float:
     """H^{up,f}_a(Q Cs | Cp Q'), the tradeoff-weighted conditional entropy.
 
         (a/(1-a)) log2 sum_cp p(cp) *
@@ -172,14 +171,12 @@ def fweighted_entropy(state: State, f: TradeoffFunction, alpha, *,
         _two_sided_split(state, target, conditioning, classical_target,
                          classical_cond)
     return _two_sided_mix(rho, q_labels, qp_labels, classical_target,
-                          classical_cond, a, f.value, variant=variant,
-                          restarts=restarts, seed=seed)
+                          classical_cond, a, f.value, variant=variant)
 
 
 def fweighted_cs_conditioned(state: State, f: TradeoffFunction, alpha, *,
                              target, conditioning, classical_target=(),
-                             classical_cond=(), restarts: int = 5,
-                             seed: int = 0) -> float:
+                             classical_cond=()) -> float:
     """The chain-rule companion with *both* classical registers conditioning:
 
         H^{up,f}_a(Q | Cs Cp Q')
@@ -200,8 +197,7 @@ def fweighted_cs_conditioned(state: State, f: TradeoffFunction, alpha, *,
         n_cs = len(classical_target)
         cs, cp = outcome[:n_cs], outcome[n_cs:]
         h = cond_entropy_up(branch, q_labels, qp_labels,
-                            "inf" if a.is_infinite else a.value,
-                            restarts=restarts, seed=seed)
+                            "inf" if a.is_infinite else a.value)
         probs.append(w)
         values.append(h - f.value(cs, cp))
     return renyi_branch_mix(probs, values,
@@ -316,8 +312,7 @@ def build_d_channel(spec: DRegisterSpec, reader_space: RegisterSpace, *,
 
 def verify_createD(state: State, f: TradeoffFunction, alpha, *, mode: str,
                    target, conditioning, classical_target, classical_cond,
-                   offset: float | None = None, restarts: int = 5,
-                   seed: int = 0, out_label: str = "D",
+                   offset: float | None = None, out_label: str = "D",
                    dim_cap: int = D_DIM_CAP):
     """Check the entropy-encoding identity on an actual state.
 
@@ -340,12 +335,11 @@ def verify_createD(state: State, f: TradeoffFunction, alpha, *, mode: str,
                              conditioning=list(conditioning),
                              classical_target=[out_label] + classical_target,
                              classical_cond=classical_cond,
-                             alpha=alpha, restarts=restarts, seed=seed)
+                             alpha=alpha)
     rhs = fweighted_entropy(state, f, alpha, target=target,
                             conditioning=conditioning,
                             classical_target=classical_target,
-                            classical_cond=classical_cond,
-                            restarts=restarts, seed=seed)
+                            classical_cond=classical_cond)
     if mode == "exact":
         return abs(lhs - spec.offset - rhs)
     width = 2.0 ** (-spec.offset / 2.0) * LOG2E

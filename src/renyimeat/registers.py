@@ -410,3 +410,22 @@ def herm_power(mat: np.ndarray, p: float, *, pseudo: bool = True) -> np.ndarray:
     if not pseudo and not pos.all():
         raise InvalidState("matrix is singular and pseudo=False")
     return (vecs * out) @ vecs.conj().T
+
+
+def divided_differences(lam: np.ndarray, f: np.ndarray, df: np.ndarray,
+                        keep: np.ndarray) -> np.ndarray:
+    """Daleckii-Krein kernel of a spectral function at eigenvalues ``lam``.
+
+    Entry (i, j) is (f_i - f_j) / (lam_i - lam_j), or the derivative at the
+    larger of the two when they agree to 1e-12 relative; pairs outside the
+    boolean mask ``keep`` are zero.  ``f`` and ``df`` hold the function and
+    its derivative at ``lam`` and must be finite wherever ``keep`` can
+    reach.  In the eigenbasis V of a matrix X, the Frechet derivative of f
+    at X maps H to V (kernel * (V^dag H V)) V^dag.
+    """
+    a, b = lam[:, None], lam[None, :]
+    diff = a - b
+    close = np.abs(diff) <= 1e-12 * np.maximum(a, b)
+    tangent = np.where(a >= b, df[:, None], df[None, :])
+    secant = (f[:, None] - f[None, :]) / np.where(close, 1.0, diff)
+    return np.where(keep, np.where(close, tangent, secant), 0.0)

@@ -29,7 +29,8 @@ from renyimeat.entropies import (
 from renyimeat.errors import (InvalidRegister, NonConvergence, NotClassical,
                               NotPure, UnsupportedOrder)
 from renyimeat.registers import State, ket_state, space
-from renyimeat.sampling import random_cq_state, random_density, random_pure
+from renyimeat.sampling import (random_cq_state, random_density,
+                                random_isometry, random_pure)
 
 ALPHAS = [0.5, 0.75, 1.0, 2.0, 5.0, "inf"]
 
@@ -112,7 +113,7 @@ def test_bell_state_conditional_entropy(alpha):
     psi = bell()
     assert cond_entropy_down(psi, ["A"], ["B"], alpha) \
         == pytest.approx(-1.0, abs=1e-9)
-    assert cond_entropy_up(psi, ["A"], ["B"], alpha, restarts=3) \
+    assert cond_entropy_up(psi, ["A"], ["B"], alpha) \
         == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -124,14 +125,14 @@ def test_product_state_reduces_to_marginal_entropy(alpha):
     want = alpha_entropy(rho_a.matrix, alpha)
     assert cond_entropy_down(prod, ["A"], ["B"], alpha) \
         == pytest.approx(want, abs=1e-8)
-    assert cond_entropy_up(prod, ["A"], ["B"], alpha, restarts=3) \
+    assert cond_entropy_up(prod, ["A"], ["B"], alpha) \
         == pytest.approx(want, abs=1e-8)
 
 
 def test_copy_state_has_zero_conditional_entropy():
     rho = copy_state([0.3, 0.7])
     for alpha in ALPHAS:
-        assert cond_entropy_up(rho, ["A"], ["B"], alpha, restarts=3) \
+        assert cond_entropy_up(rho, ["A"], ["B"], alpha) \
             == pytest.approx(0.0, abs=1e-8)
 
 
@@ -189,10 +190,56 @@ def test_method_dispatch():
     assert info["method"] == "sdp"
     _, info = cond_entropy_up(rho, ["A"], ["B"], 0.5, return_info=True)
     assert info["method"] == "sdp-fidelity"
-    _, info = cond_entropy_up(rho, ["A"], ["B"], 2.0, restarts=3,
-                              return_info=True)
+    _, info = cond_entropy_up(rho, ["A"], ["B"], 2.0, return_info=True)
     assert info["method"] == "fixed-point"
     assert info["gap"] <= UP_GAP_TOL
+
+
+@pytest.mark.parametrize("alpha", [0.7, 2.0, 6.0])
+def test_classical_state_matches_closed_form_within_its_gap(alpha):
+    """For a diagonal p(a, b), H^up_a(A|B) =
+    a/(1-a) log2 sum_b (sum_a p(a, b)^a)^(1/a); the returned value must sit
+    within its own certified interval of it."""
+    p = np.random.default_rng(23).dirichlet(np.ones(9)).reshape(3, 3)
+    rho = State(np.diag(p.reshape(-1)), space(("A", 3), ("B", 3)))
+    want = alpha / (1.0 - alpha) * math.log2(
+        np.sum(np.sum(p ** alpha, axis=0) ** (1.0 / alpha)))
+    got, info = cond_entropy_up(rho, ["A"], ["B"], alpha, return_info=True)
+    assert abs(got - want) <= info["gap"] + 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.51, 0.55, 0.6])
+def test_rank_deficient_input_is_invariant_under_local_unitaries(alpha):
+    """Eigenvalues of G at rounding level would add (1e-17)^a to T for a < 1
+    and move the value by up to 1e-8 under a change of local basis."""
+    for seed in range(300, 306):
+        psi = random_pure(space(("A", 2), ("B", 2), ("C", 2)), seed=seed)
+        rho = psi.marginal(["A", "B"])
+        u = np.kron(random_isometry(2, 2, seed=seed),
+                    random_isometry(2, 2, seed=seed + 1))
+        turned = State(u @ rho.matrix @ u.conj().T, rho.space, check=False)
+        assert cond_entropy_up(turned, ["A"], ["B"], alpha) == pytest.approx(
+            cond_entropy_up(rho, ["A"], ["B"], alpha), abs=1e-11)
+
+
+def _stop_at_start(branches, log2_weights, d_q, d_qp, alpha, sigma0, *,
+                   polish=True):
+    """A sigma solve that returns its start unmoved."""
+    return (entropies._evaluate_log2_T(branches, log2_weights, d_q, sigma0,
+                                       alpha), sigma0, False)
+
+
+def test_unsolved_sigma_raises_with_its_duality_gap(monkeypatch):
+    monkeypatch.setattr(entropies, "_optimize_sigma", _stop_at_start)
+    rho = random_density(space(("A", 2), ("B", 3)), seed=202)
+    with pytest.raises(NonConvergence) as err:
+        cond_entropy_up(rho, ["A"], ["B"], 2.0)
+    assert UP_GAP_TOL < err.value.gap < math.inf
+    with pytest.raises(NonConvergence) as err:
+        two_sided_classmix(four_register_state(), target=["Q", "Cb"],
+                           conditioning=["Ch", "Qp"], classical_target=["Cb"],
+                           classical_cond=["Ch"], alpha=2.0)
+    assert UP_GAP_TOL < err.value.gap < math.inf
 
 
 def test_near_half_order_takes_the_sdp_route(monkeypatch):
@@ -216,7 +263,7 @@ def test_up_dominates_down():
     for seed in range(4):
         rho = random_density(space(("A", 2), ("B", 2)), seed=40 + seed)
         for alpha in [0.5, 0.8, 2.0, 4.0, "inf"]:
-            up = cond_entropy_up(rho, ["A"], ["B"], alpha, restarts=3)
+            up = cond_entropy_up(rho, ["A"], ["B"], alpha)
             down = cond_entropy_down(rho, ["A"], ["B"], alpha)
             assert up >= down - 1e-9
 
@@ -224,7 +271,7 @@ def test_up_dominates_down():
 def test_monotone_in_alpha():
     rho = random_density(space(("A", 2), ("B", 2)), seed=77)
     grid = [0.5, 0.7, 1.0, 1.5, 2.0, 4.0, 16.0, "inf"]
-    ups = [cond_entropy_up(rho, ["A"], ["B"], a, restarts=3) for a in grid]
+    ups = [cond_entropy_up(rho, ["A"], ["B"], a) for a in grid]
     downs = [cond_entropy_down(rho, ["A"], ["B"], a) for a in grid]
     for lo, hi in zip(ups, ups[1:]):
         assert hi <= lo + 1e-9
@@ -252,8 +299,8 @@ def test_data_processing_on_conditioning():
         rho = random_density(space(("A", 2), ("B", 2)), seed=80 + seed)
         out = dephased(rho)
         for alpha in [0.5, 1.0, 2.0, "inf"]:
-            before_up = cond_entropy_up(rho, ["A"], ["B"], alpha, restarts=3)
-            after_up = cond_entropy_up(out, ["A"], ["B"], alpha, restarts=3)
+            before_up = cond_entropy_up(rho, ["A"], ["B"], alpha)
+            after_up = cond_entropy_up(out, ["A"], ["B"], alpha)
             assert after_up >= before_up - 1e-8
             before_dn = cond_entropy_down(rho, ["A"], ["B"], alpha)
             after_dn = cond_entropy_down(out, ["A"], ["B"], alpha)
@@ -337,7 +384,7 @@ CLASSMIX_DOWN = [
 
 @pytest.mark.parametrize("alpha,want", CLASSMIX_UP)
 def test_classmix_up_frozen(alpha, want):
-    got = classmix_up(cab_state(), ["A"], ["C", "B"], ["C"], alpha, restarts=3)
+    got = classmix_up(cab_state(), ["A"], ["C", "B"], ["C"], alpha)
     assert got == pytest.approx(want, abs=2e-9)
 
 
@@ -350,8 +397,8 @@ def test_classmix_down_frozen(alpha, want):
 def test_classmix_agrees_with_direct_evaluation():
     rho = random_cq_state(space(("C", 3)), space(("A", 2), ("B", 2)), seed=55)
     for alpha in [0.6, 2.0]:
-        via_mix = classmix_up(rho, ["A"], ["C", "B"], ["C"], alpha, restarts=3)
-        direct = cond_entropy_up(rho, ["A"], ["C", "B"], alpha, restarts=5)
+        via_mix = classmix_up(rho, ["A"], ["C", "B"], ["C"], alpha)
+        direct = cond_entropy_up(rho, ["A"], ["C", "B"], alpha)
         assert via_mix == pytest.approx(direct, abs=1e-7)
         via_mix = classmix_down(rho, ["A"], ["C", "B"], ["C"], alpha)
         direct = cond_entropy_down(rho, ["A"], ["C", "B"], alpha)
@@ -402,7 +449,7 @@ def test_two_sided_classmix_frozen(alpha, want):
     got = two_sided_classmix(four_register_state(), target=["Q", "Cb"],
                              conditioning=["Ch", "Qp"],
                              classical_target=["Cb"], classical_cond=["Ch"],
-                             alpha=alpha, restarts=3)
+                             alpha=alpha)
     assert got == pytest.approx(want, abs=2e-9)
 
 
@@ -413,9 +460,8 @@ def test_two_sided_classmix_matches_unstructured_optimizer():
                                         conditioning=["Ch", "Qp"],
                                         classical_target=["Cb"],
                                         classical_cond=["Ch"],
-                                        alpha=alpha, restarts=3)
-        direct = cond_entropy_up(rho, ["Q", "Cb"], ["Ch", "Qp"], alpha,
-                                 restarts=5)
+                                        alpha=alpha)
+        direct = cond_entropy_up(rho, ["Q", "Cb"], ["Ch", "Qp"], alpha)
         assert structured == pytest.approx(direct, abs=1e-7)
 
 

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renyimeat import entropies
 from renyimeat.channels import Isometry
 from renyimeat.entropies import cond_entropy_up, two_sided_classmix
 from renyimeat.errors import (DomainMismatch, InfeasibleSpec, InvalidRegister,
-                              InvalidState, NotClassical, UnsupportedOrder)
+                              InvalidState, NonConvergence, NotClassical,
+                              UnsupportedOrder)
 from renyimeat.fweighted import (DRegisterSpec, TradeoffFunction,
                                  build_d_channel, fweighted_cs_conditioned,
                                  fweighted_entropy, lme, verify_createD)
@@ -135,12 +137,24 @@ FWEIGHTED_UP = [
 
 @pytest.mark.parametrize("alpha,want", FWEIGHTED_UP)
 def test_fweighted_frozen(alpha, want):
-    got = fweighted_entropy(RHO4, F, alpha, restarts=3, **KW)
+    got = fweighted_entropy(RHO4, F, alpha, **KW)
     assert got == pytest.approx(want, abs=2e-9)
 
 
+def test_unsolved_sigma_raises_with_its_duality_gap(monkeypatch):
+    def stop_at_start(branches, log2_weights, d_q, d_qp, alpha, sigma0, *,
+                      polish=True):
+        return (entropies._evaluate_log2_T(branches, log2_weights, d_q,
+                                           sigma0, alpha), sigma0, False)
+
+    monkeypatch.setattr(entropies, "_optimize_sigma", stop_at_start)
+    with pytest.raises(NonConvergence) as err:
+        fweighted_entropy(RHO4, F, 2.0, **KW)
+    assert entropies.UP_GAP_TOL < err.value.gap < math.inf
+
+
 def test_fweighted_infinite_order():
-    got = fweighted_entropy(RHO4, F, "inf", restarts=2, **KW)
+    got = fweighted_entropy(RHO4, F, "inf", **KW)
     assert got == pytest.approx(0.690678808388, abs=1e-6)
 
 
@@ -170,14 +184,14 @@ def test_fweighted_down_infinite_order_closed_form():
 @pytest.mark.parametrize("alpha,want", [(0.6, 1.483105134278),
                                         (2.0, 1.048914582629)])
 def test_fweighted_down_frozen(alpha, want):
-    got = fweighted_entropy(RHO4, F, alpha, variant="down", restarts=3, **KW)
+    got = fweighted_entropy(RHO4, F, alpha, variant="down", **KW)
     assert got == pytest.approx(want, abs=1e-9)
 
 
 @pytest.mark.parametrize("alpha,want", [(0.8, 0.446791226664),
                                         (2.0, 0.155896868826)])
 def test_cs_conditioned_frozen(alpha, want):
-    got = fweighted_cs_conditioned(RHO4, F, alpha, restarts=3, **KW)
+    got = fweighted_cs_conditioned(RHO4, F, alpha, **KW)
     assert got == pytest.approx(want, abs=2e-9)
 
 
@@ -187,8 +201,8 @@ def test_cs_conditioned_frozen(alpha, want):
 def test_zero_tradeoff_is_the_plain_entropy():
     zero = TradeoffFunction([0, 1], [0, 1], np.zeros((2, 2)))
     for alpha in (0.6, 2.0):
-        got = fweighted_entropy(RHO4, zero, alpha, restarts=3, **KW)
-        want = two_sided_classmix(RHO4, alpha=alpha, restarts=3, **KW)
+        got = fweighted_entropy(RHO4, zero, alpha, **KW)
+        want = two_sided_classmix(RHO4, alpha=alpha, **KW)
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -196,15 +210,15 @@ def test_constant_tradeoff_shifts():
     zero = TradeoffFunction([0, 1], [0, 1], np.zeros((2, 2)))
     const = zero.shifted(0.37)
     for alpha in (0.6, 2.0):
-        base = fweighted_entropy(RHO4, zero, alpha, restarts=3, **KW)
-        got = fweighted_entropy(RHO4, const, alpha, restarts=3, **KW)
+        base = fweighted_entropy(RHO4, zero, alpha, **KW)
+        got = fweighted_entropy(RHO4, const, alpha, **KW)
         assert got == pytest.approx(base - 0.37, abs=1e-10)
 
 
 def test_normalization_shift_general_table():
     for alpha in (0.6, 2.0):
-        base = fweighted_entropy(RHO4, F, alpha, restarts=3, **KW)
-        got = fweighted_entropy(RHO4, F.shifted(-1.2), alpha, restarts=3, **KW)
+        base = fweighted_entropy(RHO4, F, alpha, **KW)
+        got = fweighted_entropy(RHO4, F.shifted(-1.2), alpha, **KW)
         assert got == pytest.approx(base + 1.2, abs=1e-10)
 
 
@@ -214,14 +228,13 @@ def test_trivial_secret_matches_lme_form():
     fp = TradeoffFunction.on_public([0, 1, 2], [0.3, -0.2, 0.5])
     alpha = 2.0
     got = fweighted_entropy(rho, fp, alpha, target=["Q"],
-                            conditioning=["Ch", "Qp"], classical_cond=["Ch"],
-                            restarts=3)
+                            conditioning=["Ch", "Qp"], classical_cond=["Ch"])
     probs, vals = [], []
     for outcome, w, br in rho.branches(["Ch"]):
         if br is None:
             continue
         probs.append(w)
-        vals.append(cond_entropy_up(br, ["Q"], ["Qp"], alpha, restarts=5)
+        vals.append(cond_entropy_up(br, ["Q"], ["Qp"], alpha)
                     - fp.value((), outcome))
     want = lme(probs, vals, 2.0 ** ((1.0 - alpha) / alpha))
     assert got == pytest.approx(want, abs=1e-8)
@@ -233,9 +246,8 @@ def test_single_outcome_is_entropy_minus_f():
     tagged = classical_state([1.0], space(("Ch", 1))).tensor(rho)
     fp = TradeoffFunction.on_public([0], [0.45])
     got = fweighted_entropy(tagged, fp, 2.0, target=["Q"],
-                            conditioning=["Ch", "Qp"], classical_cond=["Ch"],
-                            restarts=3)
-    want = cond_entropy_up(rho, ["Q"], ["Qp"], 2.0, restarts=5) - 0.45
+                            conditioning=["Ch", "Qp"], classical_cond=["Ch"])
+    want = cond_entropy_up(rho, ["Q"], ["Qp"], 2.0) - 0.45
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -352,7 +364,7 @@ def test_exact_mode_needs_an_order():
 
 @pytest.mark.parametrize("alpha", [0.6, 2.0])
 def test_createD_exact_identity(alpha):
-    res = verify_createD(RHO4, F, alpha, mode="exact", restarts=3, **KW)
+    res = verify_createD(RHO4, F, alpha, mode="exact", **KW)
     assert res <= 1e-7
 
 
@@ -366,14 +378,14 @@ def test_createD_zero_tradeoff_normalization():
     lhs = two_sided_classmix(ext, target=["D", "Q", "Cb"],
                              conditioning=["Ch", "Qp"],
                              classical_target=["D", "Cb"],
-                             classical_cond=["Ch"], alpha=2.0, restarts=3)
-    want = two_sided_classmix(RHO4, alpha=2.0, restarts=3, **KW)
+                             classical_cond=["Ch"], alpha=2.0)
+    want = two_sided_classmix(RHO4, alpha=2.0, **KW)
     assert lhs - 1.0 == pytest.approx(want, abs=1e-7)
 
 
 @pytest.mark.parametrize("alpha", [0.6, 2.0])
 def test_createD_dyadic_interval(alpha):
-    lo, hi = verify_createD(RHO4, F, alpha, mode="dyadic", restarts=3, **KW)
+    lo, hi = verify_createD(RHO4, F, alpha, mode="dyadic", **KW)
     assert lo >= -1e-8
     assert hi >= -1e-8
     width = 2.0 ** (-3.4 / 2.0) * LOG2E
@@ -385,25 +397,24 @@ def test_createD_dyadic_interval(alpha):
 
 def test_monotone_in_order():
     grid = [0.5, 0.9, 1.5, 4.0]
-    vals = [fweighted_entropy(RHO4, F, a, restarts=3, **KW) for a in grid]
+    vals = [fweighted_entropy(RHO4, F, a, **KW) for a in grid]
     for lo, hi in zip(vals, vals[1:]):
         assert hi <= lo + 1e-9
 
 
 @pytest.mark.parametrize("alpha,alpha_hat", [(0.6, 1.0 / 1.4), (2.0, "inf")])
 def test_up_down_sandwich(alpha, alpha_hat):
-    up = fweighted_entropy(RHO4, F, alpha, restarts=3, **KW)
-    down = fweighted_entropy(RHO4, F, alpha, variant="down", restarts=3, **KW)
+    up = fweighted_entropy(RHO4, F, alpha, **KW)
+    down = fweighted_entropy(RHO4, F, alpha, variant="down", **KW)
     up_hat = fweighted_entropy(RHO4, F, alpha_hat,
-                               restarts=(2 if alpha_hat == "inf" else 3),
                                **KW)
     assert up >= down - 1e-8
     assert down >= up_hat - 1e-8
 
 
 def test_data_processing_on_conditioning():
-    before = fweighted_entropy(RHO4, F, 2.0, restarts=3, **KW)
-    after = fweighted_entropy(RHO4.pinched(["Qp"]), F, 2.0, restarts=3, **KW)
+    before = fweighted_entropy(RHO4, F, 2.0, **KW)
+    after = fweighted_entropy(RHO4.pinched(["Qp"]), F, 2.0, **KW)
     assert after >= before - 1e-8
 
     iso_mat = np.zeros((4, 2), dtype=complex)
@@ -413,8 +424,7 @@ def test_data_processing_on_conditioning():
     widened = iso.as_channel().apply(RHO4)
     same = fweighted_entropy(widened, F, 2.0, target=["Q", "Cb"],
                              conditioning=["Ch", "Qp", "N"],
-                             classical_target=["Cb"], classical_cond=["Ch"],
-                             restarts=3)
+                             classical_target=["Cb"], classical_cond=["Ch"])
     assert same == pytest.approx(before, abs=1e-8)
 
 
@@ -452,9 +462,8 @@ def test_classical_conditioning_on_extra_register():
     alpha = 2.0
     got = fweighted_entropy(rho5, F, alpha, target=["Q", "Cb"],
                             conditioning=["Ch", "Qp", "Z"],
-                            classical_target=["Cb"], classical_cond=["Ch"],
-                            restarts=3)
-    per_z = [fweighted_entropy(parts[z], F, alpha, restarts=3, **KW)
+                            classical_target=["Cb"], classical_cond=["Ch"])
+    per_z = [fweighted_entropy(parts[z], F, alpha, **KW)
              for z in range(2)]
     want = lme(pz, per_z, 2.0 ** ((1.0 - alpha) / alpha))
     assert got == pytest.approx(want, abs=1e-8)
@@ -472,9 +481,9 @@ def test_chain_rule_with_conditioned_secret():
     for ap, app in [(2.0, 3.0), (0.8, 0.9)]:
         al = _third_order(ap, app)
         sign = (al - 1.0) * (ap - 1.0) * (app - 1.0)
-        lhs = fweighted_entropy(RHO4, F, al, restarts=3, **KW)
-        mid = fweighted_cs_conditioned(RHO4, F, ap, restarts=3, **KW)
-        tail = cond_entropy_up(RHO4, ["Cb"], ["Ch", "Qp"], app, restarts=5)
+        lhs = fweighted_entropy(RHO4, F, al, **KW)
+        mid = fweighted_cs_conditioned(RHO4, F, ap, **KW)
+        tail = cond_entropy_up(RHO4, ["Cb"], ["Ch", "Qp"], app)
         slack = (lhs - mid - tail) * (1.0 if sign > 0 else -1.0)
         assert slack >= -1e-7
 
@@ -503,13 +512,11 @@ def test_chain_rule_with_extra_register():
     al = _third_order(ap, app)   # 1.4, all three orders above 1
     lhs = fweighted_entropy(rho5r, F, al, target=["R", "Q", "Cb"],
                             conditioning=["Ch", "Qp"],
-                            classical_target=["Cb"], classical_cond=["Ch"],
-                            restarts=3)
+                            classical_target=["Cb"], classical_cond=["Ch"])
     mid = fweighted_entropy(rho5r, F, ap, target=["Q", "Cb"],
                             conditioning=["Ch", "Qp", "R"],
-                            classical_target=["Cb"], classical_cond=["Ch"],
-                            restarts=3)
-    tail = cond_entropy_up(rho5r, ["R"], ["Ch", "Qp"], app, restarts=5)
+                            classical_target=["Cb"], classical_cond=["Ch"])
+    tail = cond_entropy_up(rho5r, ["R"], ["Ch", "Qp"], app)
     assert lhs - mid - tail >= -1e-7
 
 
@@ -524,7 +531,7 @@ def test_purified_input_convexity():
         return fweighted_entropy(out, f, 1.5, target=["S", "Cb"],
                                  conditioning=["Ch", "E", "Et"],
                                  classical_target=["Cb"],
-                                 classical_cond=["Ch"], restarts=3)
+                                 classical_cond=["Ch"])
 
     w1 = random_density(space(("Qt", 2)), seed=61)
     w2 = random_density(space(("Qt", 2)), seed=62)
@@ -538,6 +545,5 @@ def test_purified_input_convexity():
     out_ext = chan.apply(ext).pinched(["Cb", "Ch"])
     h_ext = fweighted_entropy(out_ext, f, 1.5, target=["S", "Cb"],
                               conditioning=["Ch", "E", "Et"],
-                              classical_target=["Cb"], classical_cond=["Ch"],
-                              restarts=3)
+                              classical_target=["Cb"], classical_cond=["Ch"])
     assert h_ext - functional(ext.partial_trace(keep=["Qt"])) >= -1e-8

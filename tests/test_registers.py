@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from renyimeat.channel_entropy import _log_frechet_map
+from renyimeat.entropies import _power_frechet_map
 from renyimeat.errors import InvalidRegister, InvalidState
 from renyimeat.registers import (
     EIG_CUT,
@@ -281,3 +283,52 @@ def test_basis_ket_indexing():
     sp = space(("A", 2), ("B", 3))
     v = basis_ket(sp, (1, 2))
     assert v[5] == 1.0 and np.count_nonzero(v) == 1
+
+
+# ------------------------------------------------------ Frechet derivatives
+
+
+def _psd(rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    return g @ g.conj().T / np.trace(g @ g.conj().T).real
+
+
+def _hermitian(seed):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return h + h.conj().T
+
+
+def _log2_on_support(mat):
+    vals, vecs = np.linalg.eigh(mat)
+    keep = vals > EIG_CUT * vals.max()
+    return (vecs[:, keep] * np.log2(vals[keep])) @ vecs[:, keep].conj().T
+
+
+@pytest.mark.parametrize("rank", [4, 2])
+@pytest.mark.parametrize("s", [0.3, -0.25])
+def test_power_frechet_map_matches_finite_differences(rank, s):
+    """Off the support the pseudo-power is differentiated along directions
+    that leave the kernel block at zero, so the kernel stays below the cut."""
+    x = _psd(rank, 5)
+    kernel = np.eye(4) - support_projector(x)
+    h = _hermitian(6)
+    h = h - kernel @ h @ kernel
+    t = 1e-6
+    fd = (herm_power(x + t * h, s) - herm_power(x - t * h, s)) / (2 * t)
+    got = _power_frechet_map(x, s)(h)
+    np.testing.assert_allclose(got, fd, atol=1e-6 * np.abs(fd).max())
+
+
+@pytest.mark.parametrize("rank", [4, 2])
+def test_log_frechet_map_matches_finite_differences(rank):
+    """The log map keeps only pairs inside the support: it is the derivative
+    along directions supported there."""
+    x = _psd(rank, 7)
+    proj = support_projector(x)
+    h = proj @ _hermitian(8) @ proj
+    t = 1e-6
+    fd = (_log2_on_support(x + t * h) - _log2_on_support(x - t * h)) / (2 * t)
+    got = _log_frechet_map(x)(h)
+    np.testing.assert_allclose(got, fd, atol=1e-6 * np.abs(fd).max())
