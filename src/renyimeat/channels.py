@@ -17,15 +17,12 @@ from .registers import RegisterSpace, State
 
 def _perm_matrix(space: RegisterSpace, new_order) -> np.ndarray:
     """Unitary permutation matrix sending ``space`` order to ``new_order``."""
-    dims = space.dims
     perm = [space.position(l) for l in new_order]
     d = space.dim
+    # entry t of the permuted index array is the source index of target t
+    src = np.arange(d).reshape(space.dims).transpose(perm).reshape(-1)
     P = np.zeros((d, d))
-    for idx in np.ndindex(*dims):
-        src = int(np.ravel_multi_index(idx, dims))
-        tgt_idx = tuple(idx[p] for p in perm)
-        tgt = int(np.ravel_multi_index(tgt_idx, [dims[p] for p in perm]))
-        P[tgt, src] = 1.0
+    P[np.arange(d), src] = 1.0
     return P
 
 

@@ -1,0 +1,280 @@
+"""Inputs with a pinned marginal, and the SDP pairs of the measured chain rule.
+
+A :class:`MarginalConstraint` pins the reduced state of a channel input on
+named registers; :class:`_MarginalSet` is the set of inputs that keep it,
+in restricted coordinates, and is the feasible set of every channel entropy
+program in :mod:`renyimeat.channel_entropy`.  Over the same set live the
+primal/dual SDP pairs behind the measured chain rule
+(:func:`build_sdp_individual`, :func:`build_sdp_joint`) and the check that
+tensored single-round dual optimizers stay feasible for the joint dual
+(:func:`product_feasibility_slack`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .channels import Channel, _perm_matrix, compose
+from .entropies import _support_isometry
+from .errors import InvalidRegister, InvalidState
+from .registers import (RegisterSpace, State, bipartite_partial_trace,
+                        embed_operator, herm_part)
+from .sdp import SdpProblem, hermitian_basis, solve_sdp
+
+
+class MarginalConstraint:
+    """Pin the reduced state of the optimized input on named registers.
+
+    ``register`` is a label or a sequence of labels; ``state`` must be a
+    normalized density operator carrying exactly those registers.  The state
+    is stored reordered to the ``register`` order given.
+    """
+
+    def __init__(self, register, state: State):
+        regs = (register,) if isinstance(register, str) else tuple(register)
+        if sorted(regs) != sorted(state.space.labels):
+            raise InvalidRegister(
+                f"constraint registers {regs} do not match the state's "
+                f"registers {state.space.labels}")
+        if tuple(state.space.labels) != regs:
+            state = state.reorder(regs)
+        if abs(state.trace() - 1.0) > 1e-9:
+            raise InvalidState("constraint state must have unit trace")
+        if float(np.linalg.eigvalsh(herm_part(state.matrix)).min()) < -1e-9:
+            raise InvalidState("constraint state must be positive")
+        self.registers = regs
+        self.state = state
+
+    def __repr__(self):
+        return f"<MarginalConstraint on {list(self.registers)}>"
+
+
+class _MarginalSet:
+    """Density operators on (constrained x free) input with a pinned marginal.
+
+    Works in restricted coordinates: the constrained registers are cut to the
+    support of the pinned state (this is lossless — any operator with that
+    marginal lives inside the support — and keeps interior points strictly
+    positive for the barrier solver).  Basis order is the constraint's
+    register order followed by the remaining input registers in channel
+    order; ``embed`` is the isometry back to the channel's own input basis.
+    """
+
+    def __init__(self, in_space: RegisterSpace, constraint, *, support=None):
+        self.in_space = in_space
+        self.constraint = constraint
+        if constraint is not None:
+            a_labels = constraint.registers
+            for l in a_labels:
+                if in_space.dim_of(l) != constraint.state.space.dim_of(l):
+                    raise InvalidRegister(
+                        f"constraint register {l!r} has the wrong dimension")
+            U = support if support is not None \
+                else _support_isometry(constraint.state.matrix)
+            self.psi_r = herm_part(U.conj().T @ constraint.state.matrix @ U)
+            self.rank_a = U.shape[1]
+        else:
+            a_labels = ()
+            U = np.eye(1)
+            self.psi_r = None
+            self.rank_a = 1
+        self.a_labels = tuple(a_labels)
+        self.a_space = RegisterSpace(
+            (l, in_space.dim_of(l)) for l in a_labels)
+        self.free_space = in_space.drop(a_labels)
+        self.ordered_space = self.a_space.tensor(self.free_space)
+        P = _perm_matrix(self.ordered_space, in_space.labels) \
+            if len(self.ordered_space) else np.eye(1)
+        self.embed = P @ np.kron(U, np.eye(self.free_space.dim))
+        self.dim = self.rank_a * self.free_space.dim
+
+    @property
+    def fixed(self) -> bool:
+        return self.constraint is not None and self.free_space.dim == 1
+
+    def start(self) -> np.ndarray:
+        d_f = self.free_space.dim
+        if self.constraint is None:
+            return np.eye(self.dim) / self.dim
+        return np.kron(self.psi_r, np.eye(d_f) / d_f)
+
+    def restrict_kraus(self, kraus):
+        return [K @ self.embed for K in kraus]
+
+    def equalities(self):
+        """(matrix-on-set, rhs) pairs pinning the marginal (or the trace)."""
+        d_f = self.free_space.dim
+        if self.constraint is None:
+            return [(np.eye(self.dim), 1.0)]
+        out = []
+        for E in hermitian_basis(self.rank_a):
+            out.append((np.kron(E, np.eye(d_f)),
+                        float(np.real(np.trace(E @ self.psi_r)))))
+        return out
+
+    def lmo(self, G: np.ndarray):
+        """Feasible point minimizing the linear functional tr[G rho], and how
+        far its value may sit above the minimum (the SDP duality gap when
+        one is solved, else 0)."""
+        if self.fixed:
+            return self.psi_r.copy(), 0.0
+        if self.constraint is None:
+            v = np.linalg.eigh(herm_part(G))[1][:, 0]
+            return np.outer(v, v.conj()), 0.0
+        prob = SdpProblem(sense="min")
+        prob.add_block("rho", self.dim)
+        prob.add_objective("rho", herm_part(G))
+        for M, rhs in self.equalities():
+            prob.add_eq_constraint({"rho": M}, rhs)
+        sol = solve_sdp(prob, start={"rho": self.start()},
+                        gap_tol=1e-9, gap_ceiling=1e-5)
+        return herm_part(sol.variables["rho"]), sol.gap
+
+    def unrestrict(self, rho_r: np.ndarray) -> np.ndarray:
+        """Map a set element back to the channel's input basis."""
+        return herm_part(self.embed @ rho_r @ self.embed.conj().T)
+
+
+# ------------------------------------------------------------ SDP pair forms
+
+@dataclass
+class SdpPair:
+    """A primal/dual SDP pair sharing one optimal value (both Slater-regular
+    by construction), plus the data needed to re-check dual feasibility of
+    externally supplied certificates."""
+    primal: SdpProblem
+    dual: SdpProblem
+    primal_start: dict
+    dual_start: dict
+    dual_rhs: np.ndarray
+    dual_space: RegisterSpace
+    marginal_labels: tuple
+
+
+def _pair_from_parts(mset: _MarginalSet, channel: Channel, gamma_op,
+                     gamma_labels) -> SdpPair:
+    out_sp = channel.out_space
+    for l in gamma_labels:
+        out_sp.position(l)
+    big = embed_operator(out_sp, list(gamma_labels), gamma_op)
+    ks = mset.restrict_kraus(channel.kraus)
+    G = np.zeros((mset.dim,) * 2, dtype=complex)
+    for K in ks:
+        G += K.conj().T @ big @ K
+    G = herm_part(G)
+
+    primal = SdpProblem(sense="max")
+    primal.add_block("rho", mset.dim)
+    primal.add_objective("rho", G)
+    for M, rhs in mset.equalities():
+        primal.add_eq_constraint({"rho": M}, rhs)
+    primal_start = {"rho": mset.start()}
+
+    # restricted coordinates: constraint labels with the support rank folded
+    # into the first one (the labels are bookkeeping; the ordering matters)
+    a_regs = [(l, 1) for l in mset.a_labels]
+    if a_regs:
+        a_regs[0] = (mset.a_labels[0], mset.rank_a)
+    dual_space = RegisterSpace(a_regs + list(mset.free_space))
+    lam_dim = mset.rank_a
+
+    dual = SdpProblem(sense="min")
+    dual.add_block("Lambda", lam_dim)
+    dual.add_objective("Lambda", mset.psi_r if mset.constraint is not None
+                       else np.eye(1))
+
+    d_f = mset.free_space.dim
+
+    def lam_adj(E):
+        return bipartite_partial_trace(
+            E.reshape(lam_dim * d_f, lam_dim * d_f), lam_dim, d_f, 0)
+
+    dual.add_operator_inequality([("Lambda", lam_adj)], G, slack="slack")
+    c = float(np.linalg.eigvalsh(G).max()) + 1.0
+    dual_start = {"Lambda": c * np.eye(lam_dim),
+                  "slack": c * np.eye(mset.dim) - G}
+    return SdpPair(primal=primal, dual=dual, primal_start=primal_start,
+                   dual_start=dual_start, dual_rhs=G, dual_space=dual_space,
+                   marginal_labels=tuple(mset.a_labels))
+
+
+def _as_gamma(gamma) -> tuple[np.ndarray, tuple]:
+    if not isinstance(gamma, State):
+        raise InvalidState("the test operator must be a labeled State")
+    mat = herm_part(gamma.matrix)
+    if float(np.linalg.eigvalsh(mat).min()) < -1e-9:
+        raise InvalidState("the test operator must be positive semidefinite")
+    return mat, tuple(gamma.space.labels)
+
+
+def build_sdp_individual(gamma, channel: Channel,
+                         marginal: MarginalConstraint) -> SdpPair:
+    """Primal/dual pair for one round of the measured chain rule.
+
+    Primal: maximize tr[rho . F^dag(Gamma (x) I_traced)] over rho >= 0 with
+    the pinned input marginal.  Dual: minimize tr[psi Lambda] over
+    Lambda (x) I >= F^dag(Gamma (x) I).  ``gamma`` is a labeled positive
+    operator on a slice of the channel output; the other output registers
+    are traced.
+    """
+    gmat, glabels = _as_gamma(gamma)
+    mset = _MarginalSet(channel.in_space, marginal)
+    return _pair_from_parts(mset, channel, gmat, glabels)
+
+
+def build_sdp_joint(gamma0, gamma1, channels, marginals, *,
+                    form: str = "composed") -> SdpPair:
+    """Two-round pair: ``form="composed"`` wires the second channel onto the
+    first (the chain-rule direction), ``form="tensor"`` runs them in parallel
+    (the additivity direction).  The joint marginal is the product of the
+    two pinned marginals."""
+    if form not in ("composed", "tensor"):
+        raise InvalidState("form must be 'composed' or 'tensor'")
+    g0, l0 = _as_gamma(gamma0)
+    g1, l1 = _as_gamma(gamma1)
+    ch0, ch1 = channels
+    c0, c1 = marginals
+    if form == "composed":
+        joint = compose(ch1, ch0)
+    else:
+        shared = set(ch0.in_space.labels + ch0.out_space.labels) \
+            & set(ch1.in_space.labels + ch1.out_space.labels)
+        if shared:
+            raise InvalidRegister(
+                f"tensor form needs disjoint registers (shared: {shared})")
+        joint = ch0.tensor(ch1)
+    overlap = set(l0) & set(l1)
+    if overlap:
+        raise InvalidRegister(f"test operators overlap on {overlap}")
+    cj = MarginalConstraint(c0.registers + c1.registers,
+                            c0.state.tensor(c1.state))
+    # restrict with the tensor of the single-round support isometries, so
+    # joint dual certificates live in the same coordinates as Lambda0 (x)
+    # Lambda1 from the individual pairs
+    sup = np.kron(_support_isometry(c0.state.matrix),
+                  _support_isometry(c1.state.matrix))
+    mset = _MarginalSet(joint.in_space, cj, support=sup)
+    gop = np.kron(g0, g1)
+    return _pair_from_parts(mset, joint, gop, l0 + l1)
+
+
+def product_feasibility_slack(pair: SdpPair, lam0: np.ndarray,
+                              lam1: np.ndarray) -> float:
+    """Minimum eigenvalue of (Lambda_0 (x) Lambda_1) (x) I - G for a joint
+    pair; nonnegative means the tensored individual dual optimizers are
+    feasible for the joint dual (the feasibility transfer behind the
+    measured chain rule)."""
+    op = np.kron(lam0, lam1)
+    lam_dim = op.shape[0]
+    d_f = pair.dual_rhs.shape[0] // lam_dim
+    big = np.kron(op, np.eye(d_f))
+    return float(np.linalg.eigvalsh(herm_part(big - pair.dual_rhs)).min())
+
+
+def solve_sdp_pair(pair: SdpPair, **kw):
+    """Solve both sides; returns (primal_solution, dual_solution)."""
+    p = solve_sdp(pair.primal, start=pair.primal_start, **kw)
+    d = solve_sdp(pair.dual, start=pair.dual_start, **kw)
+    return p, d

@@ -384,6 +384,15 @@ def support_projector(mat: np.ndarray) -> np.ndarray:
     return v @ v.conj().T
 
 
+def bipartite_partial_trace(mat: np.ndarray, d_first: int, d_second: int,
+                            keep: int) -> np.ndarray:
+    """Partial trace of a dense operator on a ``d_first x d_second`` product,
+    keeping factor ``keep`` (0 or 1) and tracing the other."""
+    traced = 1 - keep
+    return np.trace(mat.reshape(d_first, d_second, d_first, d_second),
+                    axis1=traced, axis2=traced + 2)
+
+
 def herm_part(mat: np.ndarray) -> np.ndarray:
     """The Hermitian part (M + M^dag)/2 of a square matrix."""
     return 0.5 * (mat + mat.conj().T)

@@ -34,6 +34,13 @@ Blocks here are small (<= ~20x20 after slack lowering), so everything is
 dense.  Strictly feasible starts are expected from the problem builders
 (every family used in this package has an explicit interior point); a
 least-squares fallback is attempted otherwise.
+
+BLAS threads: the KKT systems are too small for a BLAS thread pool to pay
+off.  With the default OpenBLAS pool on a 2-core machine, a solve burns
+about twice its wall time in CPU and gains no wall time (H^up_1/2 of a
+2x4 state: 1.74-2.08 s wall and 3.39-3.97 s CPU, against 1.89-1.90 s of
+both with ``OPENBLAS_NUM_THREADS=1``), so set that variable where cores
+are shared.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Channel conditional entropies at the endpoint orders: pinned inputs, SDP
-pairs, chain rule and additivity at alpha = 1/2, and the alpha = inf fidelity
-program, on seeded qubit instances."""
+"""Channel conditional entropies: pinned inputs, SDP pairs, chain rule and
+additivity, the alpha = 1/2 and alpha = inf programs, and the convex
+program at every other order, on seeded qubit instances and closed forms."""
 
 import math
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from renyimeat.channel_entropy import (
+    CHANNEL_GAP_TOL,
     ChannelEntropyProblem,
     MarginalConstraint,
     build_sdp_individual,
@@ -20,9 +21,11 @@ from renyimeat.channel_entropy import (
     solve_sdp_pair,
     verify_additivity,
     verify_chain_rule,
+    verify_weak_additivity,
 )
 from renyimeat.channels import Channel
-from renyimeat.entropies import cond_entropy_up
+from renyimeat.divergences import as_order
+from renyimeat.entropies import alpha_entropy, cond_entropy_up
 from renyimeat.errors import NonConvergence
 from renyimeat.registers import State, space
 from renyimeat.sampling import random_channel, random_density
@@ -50,18 +53,27 @@ def measured_rounds(seed):
     return (r0, r1), (pinned("A", seed + 4), pinned("B", seed + 5)), (g0, g1)
 
 
-def test_pinned_input_equals_entropy_of_the_purified_output():
+def check_pinned_input(alpha):
     ch = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)), seed=21,
                         kraus_rank=2)
     con = pinned("A", 22)
-    res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", HALF,
+    res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", alpha,
                                                      constraint=con))
     out = ch.apply(con.state.purified("R"))
-    want = cond_entropy_up(out, ["T"], ["Y", "R"], HALF)
-    assert res.method == "pinned-input"
+    want = cond_entropy_up(out, ["T"], ["Y", "R"], alpha)
+    assert res.method == "pinned-input" and res.gap <= CHANNEL_GAP_TOL
     # two purifications related by an isometry on R, each value certified
-    # by its own fidelity SDP (duality gap ~1e-8)
+    # by its own program (fidelity SDP or duality interval, ~1e-8)
     assert res.value == pytest.approx(want, abs=1e-7)
+
+
+def test_pinned_input_equals_entropy_of_the_purified_output():
+    check_pinned_input(HALF)
+
+
+@pytest.mark.parametrize("alpha", [0.8, 2.0])
+def test_pinned_input_at_generic_orders(alpha):
+    check_pinned_input(alpha)
 
 
 @pytest.mark.parametrize("seed", [30, 40])
@@ -135,7 +147,7 @@ def test_infinite_order_is_attained_by_its_witness(seed):
     ch = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)),
                         seed=seed, kraus_rank=2)
     res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", "inf"))
-    assert res.method == "fidelity-program" and res.converged
+    assert res.method == "fidelity-program" and res.gap <= CHANNEL_GAP_TOL
     # the witness is a feasible input: its entropy bounds the infimum from
     # above, and the duality gap of the program bounds it from below
     assert res.value == pytest.approx(
@@ -168,9 +180,158 @@ def test_infinite_order_certifies_rank_deficient_and_pinned_inputs(inst):
     con = None if inst["pin"] is None else pinned("A", inst["pin"])
     res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", "inf",
                                                      constraint=con))
-    assert res.method == "fidelity-program" and res.converged
+    assert res.method == "fidelity-program" and res.gap <= CHANNEL_GAP_TOL
     assert res.value == pytest.approx(
         entropy_at_witness(ch, "T", res.witness, "inf"), abs=1e-7)
     if con is not None:
         np.testing.assert_allclose(res.witness.marginal(["A"]).matrix,
                                    con.state.matrix, atol=1e-7)
+
+
+# ---------------------------------------------- generic orders: convex route
+
+ORDERS = [0.6, 0.75, 1.0, 1.1, 2.0, 10.0]
+
+
+@pytest.mark.parametrize("alpha", ORDERS)
+def test_identity_channel_closed_forms(alpha):
+    """The identity channel has a pure output and a trivial environment:
+    with A pinned to psi the value is -H_b(psi), 1/a + 1/b = 2; with no
+    constraint it is -log2 d_T."""
+    psi = random_density(space(("A", 2)), seed=5)
+    ident = Channel([np.eye(4)], space(("A", 2), ("F", 2)),
+                    space(("T", 2), ("Y", 2)))
+    res = channel_cond_entropy(ChannelEntropyProblem(
+        ident, "T", alpha, constraint=MarginalConstraint("A", psi)))
+    beta = as_order(alpha).conjugate()
+    assert res.method == "convex-program" and res.gap <= CHANNEL_GAP_TOL
+    assert res.value == pytest.approx(-alpha_entropy(psi.matrix, beta),
+                                      abs=1e-9)
+    free = Channel([np.eye(3)], space(("A", 3)), space(("T", 3)))
+    res = channel_cond_entropy(ChannelEntropyProblem(free, "T", alpha))
+    assert res.value == pytest.approx(-math.log2(3), abs=1e-9)
+
+
+def test_reference_channel_is_certified_and_monotone_in_the_order():
+    """CH4: values fall with the order and lie between the 1/2 and inf
+    programs; the values at 0.75 and 2 were reached independently by a
+    non-convex descent over input isometries."""
+    ch = random_channel(space(*CH4["inp"]), space(*CH4["out"]),
+                        seed=CH4["seed"], kraus_rank=CH4["kraus_rank"])
+    con = pinned("A", CH4["pin"])
+    orders = [HALF, 0.6, 0.75, 1.0, 2.0, "inf"]
+    results = [channel_cond_entropy(ChannelEntropyProblem(
+        ch, "T", a, constraint=con)) for a in orders]
+    values = [r.value for r in results]
+    assert all(r.gap <= CHANNEL_GAP_TOL for r in results)
+    assert all(hi >= lo - TOL for hi, lo in zip(values, values[1:]))
+    assert values[2] == pytest.approx(-0.6397997765, abs=1e-6)
+    assert values[4] == pytest.approx(-0.746947, abs=1e-6)
+    for res, a in zip(results[1:-1], orders[1:-1]):
+        # the witness is feasible, keeps the pinned marginal, and its own
+        # entropy lies in the certified interval
+        np.testing.assert_allclose(res.witness.marginal(["A"]).matrix,
+                                   con.state.matrix, atol=1e-9)
+        at = entropy_at_witness(ch, "T", res.witness, a)
+        assert res.value - res.gap - 1e-7 <= at <= res.value + 1e-7
+
+
+@pytest.mark.parametrize("kw, alpha, want", [
+    (dict(out=(("T", 2), ("Y", 2)), seed=3, kraus_rank=2), 0.75, -0.512201),
+    (dict(out=(("T", 2),), seed=3, kraus_rank=4), 2.0, 0.108036),
+], ids=["local-point-0.48788", "stationary-start-0.17708"])
+def test_instances_where_the_descent_stopped_early(kw, alpha, want):
+    """The isometry descent stopped at -0.48788 (one restart) and at
+    0.17708 (its identity start) on these channels; the convex program has
+    no stationary point other than the optimum."""
+    ch = random_channel(space(("A", 2)), space(*kw["out"]), seed=kw["seed"],
+                        kraus_rank=kw["kraus_rank"])
+    res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", alpha))
+    assert res.gap <= CHANNEL_GAP_TOL
+    assert res.value == pytest.approx(want, abs=1e-6)
+
+
+def test_unconverged_program_raises_with_its_interval(monkeypatch):
+    """A run cut after its first step carries a wide interval, and the front
+    door raises with the value and the width instead of returning it."""
+    from renyimeat import channel_entropy as ce
+    ch = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)), seed=3,
+                        kraus_rank=2)
+    problem = ChannelEntropyProblem(ch, "T", 2.0)
+    best = channel_cond_entropy(problem).value
+    real = ce._lbfgs
+    monkeypatch.setattr(ce, "_lbfgs", lambda *a, **kw: real(
+        *a, **dict(kw, max_iters=1)))
+    with pytest.raises(NonConvergence) as err:
+        channel_cond_entropy(problem)
+    assert err.value.gap > CHANNEL_GAP_TOL
+    # the interval of the early point still holds the optimum
+    assert err.value.value - err.value.gap <= best + 1e-7 <= \
+        err.value.value + 2e-7
+
+
+def test_conjugate_divergence_above_order_one_is_certified():
+    """alpha = 0.75 runs the divergence at b = 1.5 with the Frank-Wolfe gap
+    on Q_b; it agrees with the convex program within the two widths."""
+    ch = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)), seed=2,
+                        kraus_rank=2)
+    res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", 0.75))
+    conj = entropy_via_conjugate_divergence(ch, "T", None, 0.75)
+    assert abs(res.value - conj) <= res.gap + 1e-6 * max(1.0, abs(conj))
+
+
+@pytest.mark.parametrize("alpha", [HALF, 2.0])
+def test_weak_additivity_gap_vanishes(alpha):
+    e = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)), seed=12,
+                       kraus_rank=2)
+    psi = random_density(space(("A", 2)), seed=13)
+    per_copy, single, gap = verify_weak_additivity(e, psi, alpha, target="T")
+    assert abs(gap) <= TOL
+    assert per_copy - single == pytest.approx(gap, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [50, 60])
+def test_chain_rule_at_order_one(seed):
+    e1 = random_channel(space(("A", 2)), space(("T1", 2), ("X", 2)),
+                        seed=seed, kraus_rank=2)
+    e2 = random_channel(space(("X", 2), ("B", 2)), space(("T2", 2)),
+                        seed=seed + 1, kraus_rank=2)
+    psi = random_density(space(("A", 2)), seed=seed + 2)
+    phi = random_density(space(("B", 2)), seed=seed + 3)
+    slack = verify_chain_rule(e1, e2, psi, phi, 1.0, target1="T1",
+                              target2="T2")
+    assert slack >= -1e-7
+
+
+@pytest.mark.parametrize("pin", [None, 7])
+def test_input_chart_jacobian_and_gap_bound(pin):
+    """The closed-form pullback of the chart rho(G) matches central
+    differences, every chart point keeps the pinned marginal, and the
+    closed-form dual bound on the Frank-Wolfe gap is at least the gap the
+    SDP linear minimization oracle certifies."""
+    from renyimeat.channel_entropy import _InputChart
+    from renyimeat.marginals import _MarginalSet
+    con = None if pin is None else pinned("A", pin)
+    mset = _MarginalSet(space(("A", 2), ("F", 2)), con)
+    psi = np.eye(1) if con is None else mset.psi_r
+    chart = _InputChart(psi, mset.dim // psi.shape[0])
+    rng = np.random.default_rng(3)
+    n = mset.dim
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    grad = random_density(space(("X", n)), seed=4).matrix - np.eye(n) / 3
+    rho, parts = chart.point(G)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    if con is not None:
+        marg = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+        np.testing.assert_allclose(marg, mset.psi_r, atol=1e-12)
+    gam = chart.pullback(G, parts, grad)
+    for _ in range(3):
+        dG = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = 1e-6
+        f = [np.trace(grad @ chart.point(G + s * h * dG)[0]).real
+             for s in (1, -1)]
+        assert (f[0] - f[1]) / (2 * h) == pytest.approx(
+            2 * np.real(np.sum(gam.conj() * dG)), abs=1e-7)
+    vertex, slack = mset.lmo(grad)
+    lmo_gap = np.trace(grad @ (rho - vertex)).real
+    assert chart.gap_bound(rho, grad) >= lmo_gap - slack - 1e-9

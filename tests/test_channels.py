@@ -3,6 +3,7 @@ import pytest
 
 from renyimeat.channels import (
     Channel,
+    _perm_matrix,
     classical_function_channel,
     compose,
     identity_channel,
@@ -193,3 +194,23 @@ def test_prepare_channel_disturbs_coherences_only_via_reading():
     np.testing.assert_allclose(
         out.partial_trace(drop=["D"]).matrix, np.eye(2) / 2, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("dims, order", [
+    ((3,), (0,)),
+    ((2, 3), (1, 0)),
+    ((2, 3, 4), (2, 0, 1)),
+    ((3, 1, 2, 2), (3, 1, 0, 2)),
+])
+def test_perm_matrix_matches_the_index_loop(dims, order):
+    """The register permutation matrix, against P[tgt, src] = 1 built one
+    basis index at a time."""
+    sp = space(*[(f"R{i}", d) for i, d in enumerate(dims)])
+    new_order = [f"R{i}" for i in order]
+    want = np.zeros((sp.dim, sp.dim))
+    for idx in np.ndindex(*dims):
+        src = np.ravel_multi_index(idx, dims)
+        tgt = np.ravel_multi_index(tuple(idx[p] for p in order),
+                                   [dims[p] for p in order])
+        want[tgt, src] = 1.0
+    np.testing.assert_array_equal(_perm_matrix(sp, new_order), want)
