@@ -19,10 +19,12 @@ where D_b is jointly convex for b in [1/2, 1) (a > 1) and a monotone
 function of the jointly convex Q_b for b > 1 (a < 1) (Frank-Lieb).  Routes,
 by order:
 
-* ``alpha = 1/2`` and ``alpha = inf`` (b = inf and b = 1/2) are one
-  semidefinite program each, a max-divergence covering program resp. a
-  root-fidelity program in Watrous's block form, certified by the duality
-  gap;
+* ``alpha = 1/2`` (b = inf) is the covering program of the minimized
+  max-divergence, min tr[S] over 1_T (x) S >= omega(rho), which
+  :func:`minimized_channel_divergence` also solves at order inf
+  (:func:`_max_divergence_program`); ``alpha = inf`` (b = 1/2) is one
+  root-fidelity program in Watrous's block form.  Both are semidefinite
+  programs certified by their duality gap;
 * every other order runs L-BFGS over an unconstrained chart of the
   marginal set (:class:`_InputChart`), with the inner sigma from
   :func:`renyimeat.entropies.cond_entropy_up` at b and the gradient in rho
@@ -62,8 +64,8 @@ from .marginals import (MarginalConstraint, SdpPair,  # noqa: F401 (re-export)
 from .registers import (EIG_CUT, LOG2E, RegisterSpace, State,
                         bipartite_partial_trace, canonical_purification_vector,
                         divided_differences, herm_part, herm_power, ket_state,
-                        space)
-from .sdp import SdpProblem, hermitian_basis, solve_sdp
+                        kraus_apply, kraus_pullback, space)
+from .sdp import SdpProblem, solve_sdp
 
 #: widest certified interval (in bits of entropy) a channel entropy may
 #: carry; a wider one raises NonConvergence
@@ -165,16 +167,10 @@ class _ReducedDilation:
         self.d_env = nk
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.d_t * self.d_env,) * 2, dtype=complex)
-        for J in self.kraus:
-            out += J @ rho @ J.conj().T
-        return herm_part(out)
+        return kraus_apply(self.kraus, rho)
 
     def pullback(self, G: np.ndarray) -> np.ndarray:
-        acc = np.zeros((self.kraus[0].shape[1],) * 2, dtype=complex)
-        for J in self.kraus:
-            acc += J.conj().T @ G @ J
-        return herm_part(acc)
+        return kraus_pullback(self.kraus, G)
 
 
 def _solve_inf(problem: ChannelEntropyProblem,
@@ -191,9 +187,16 @@ def _solve_inf(problem: ChannelEntropyProblem,
     """
     red = _ReducedDilation(problem, mset)
     rho0 = mset.start()
-    omega0 = red.apply(rho0)
-    U = _support_isometry(omega0)
+    U = _support_isometry(red.apply(rho0))
     r = U.shape[1]
+    eye_t = np.eye(red.d_t)
+
+    def first(rho):
+        return U.conj().T @ red.apply(rho) @ U
+
+    def second(sigma):
+        return U.conj().T @ np.kron(eye_t, sigma) @ U
+
     prob = SdpProblem(sense="max")
     prob.add_block("rho", mset.dim)
     prob.add_block("sigma", red.d_env)
@@ -201,26 +204,17 @@ def _solve_inf(problem: ChannelEntropyProblem,
     C = np.zeros((2 * r, 2 * r), dtype=complex)
     C[:r, r:] = C[r:, :r] = 0.5 * np.eye(r)
     prob.add_objective("block", C)
-    for M, rhs in mset.equalities():
-        prob.add_eq_constraint({"rho": M}, rhs)
+    mset.pin(prob, "rho")
     prob.add_eq_constraint({"sigma": np.eye(red.d_env)}, 1.0)
-    for E in hermitian_basis(r):
-        lifted = U @ E @ U.conj().T
-        pin = np.zeros((2 * r, 2 * r), dtype=complex)
-        pin[:r, :r] = E
-        prob.add_eq_constraint({"block": pin, "rho": -red.pullback(lifted)},
-                               0.0)
-        link = np.zeros((2 * r, 2 * r), dtype=complex)
-        link[r:, r:] = E
-        prob.add_eq_constraint(
-            {"block": link,
-             "sigma": -bipartite_partial_trace(lifted, red.d_t, red.d_env, 1)},
-            0.0)
+    zero = np.zeros((r, r))
+    prob.add_operator_equality([("block", lambda V: V[:r, :r]),
+                                ("rho", lambda rho: -first(rho))], zero)
+    prob.add_operator_equality([("block", lambda V: V[r:, r:]),
+                                ("sigma", lambda sig: -second(sig))], zero)
     sigma0 = np.eye(red.d_env) / red.d_env
     block0 = np.zeros((2 * r, 2 * r), dtype=complex)
-    block0[:r, :r] = herm_part(U.conj().T @ omega0 @ U)
-    block0[r:, r:] = herm_part(U.conj().T @ np.kron(np.eye(red.d_t), sigma0)
-                               @ U)
+    block0[:r, :r] = first(rho0)
+    block0[r:, r:] = second(sigma0)
     sol = solve_sdp(prob, start={"rho": rho0, "sigma": sigma0,
                                  "block": block0})
     fid = max(sol.value, 1e-300)
@@ -230,37 +224,55 @@ def _solve_inf(problem: ChannelEntropyProblem,
                                 method="fidelity-program")
 
 
-def _solve_half(problem: ChannelEntropyProblem,
-                mset: _MarginalSet) -> ChannelEntropyResult:
-    """alpha = 1/2 is conjugate to a max-divergence program: minimize tr[S]
-    over I (x) S >= N[rho] and the marginal set; the entropy is log2 of the
-    optimum.  One SDP, certified by its duality gap."""
-    red = _ReducedDilation(problem, mset)
-    n = red.d_t * red.d_env
+def _max_divergence_program(mset: _MarginalSet, m_map, n_map,
+                            sset: _MarginalSet):
+    """min tr[S] over n_map(S) >= m_map(rho) with rho in ``mset`` and S >= 0
+    on the coordinates of ``sset``: 2^D_max(M[rho] || N[sigma]) minimized
+    over both inputs, since S = tr[S] sigma.  A constraint on ``sset`` pins
+    S up to scale by a 1 x 1 block t: Tr_F S = t psi and the objective is t.
+    Returns (log2 of the optimum, the rho optimizer, the width in bits of
+    the interval the duality gap certifies)."""
+    rho0, sig0 = mset.start(), sset.start()
+    tv = np.linalg.eigvalsh(herm_part(n_map(sig0)))
+    if tv.min() <= 1e-12:
+        raise InfeasibleSpec("the comparison map must have full-rank output "
+                             "at an interior input")
+    om0 = m_map(rho0)
+    c0 = float(np.linalg.eigvalsh(herm_part(om0)).max() / tv.min()) + 1.0
     prob = SdpProblem(sense="min")
     prob.add_block("rho", mset.dim)
-    prob.add_block("cover", red.d_env)
-    prob.add_objective("cover", np.eye(red.d_env))
-    for M, rhs in mset.equalities():
-        prob.add_eq_constraint({"rho": M}, rhs)
-
-    def cover_adj(E):
-        return bipartite_partial_trace(E, red.d_t, red.d_env, 1)
-
-    prob.add_operator_inequality(
-        [("cover", cover_adj), ("rho", lambda E: -red.pullback(E))],
-        np.zeros((n, n)), slack="slack")
-    rho0 = mset.start()
-    omega0 = red.apply(rho0)
-    c0 = float(np.linalg.eigvalsh(omega0).max()) + 0.5
-    start = {"rho": rho0, "cover": c0 * np.eye(red.d_env),
-             "slack": np.kron(np.eye(red.d_t), c0 * np.eye(red.d_env)) - omega0}
+    prob.add_block("S", sset.dim)
+    mset.pin(prob, "rho")
+    start = {"rho": rho0, "S": c0 * sig0}
+    if sset.constraint is None:
+        prob.add_objective("S", np.eye(sset.dim))
+    else:
+        prob.add_block("t", 1)
+        prob.add_objective("t", np.eye(1))
+        prob.add_operator_equality(
+            [("S", sset.marginal), ("t", lambda t: -t[0, 0] * sset.psi_r)],
+            np.zeros_like(sset.psi_r))
+        start["t"] = np.array([[c0]])
+    prob.add_operator_inequality([("S", n_map), ("rho", lambda r: -m_map(r))],
+                                 np.zeros_like(om0), slack="slack")
     sol = solve_sdp(prob, start=start)
     cover = max(sol.value, 1e-300)
-    witness = _purified_witness(problem, mset, _project_psd(sol.variables["rho"]))
-    gap = -math.log2(1.0 - sol.gap / cover) if sol.gap < cover else math.inf
-    return ChannelEntropyResult(value=math.log2(cover), witness=witness,
-                                gap=gap, method="covering-program")
+    width = -math.log2(1.0 - sol.gap / cover) if sol.gap < cover else math.inf
+    return math.log2(cover), sol.variables["rho"], width
+
+
+def _solve_half(problem: ChannelEntropyProblem,
+                mset: _MarginalSet) -> ChannelEntropyResult:
+    """alpha = 1/2 is conjugate to the max-divergence: the covering program
+    of omega(rho) against 1_T (x) S (:func:`_max_divergence_program`)."""
+    red = _ReducedDilation(problem, mset)
+    eye_t = np.eye(red.d_t)
+    value, rho, width = _max_divergence_program(
+        mset, red.apply, lambda S: np.kron(eye_t, S),
+        _MarginalSet(space(("Z", red.d_env)), None))
+    witness = _purified_witness(problem, mset, _project_psd(rho))
+    return ChannelEntropyResult(value=value, witness=witness, gap=width,
+                                method="covering-program")
 
 
 def _project_psd(mat: np.ndarray) -> np.ndarray:
@@ -441,8 +453,7 @@ def _solve_convex(problem: ChannelEntropyProblem,
     ``CHANNEL_GAP_TOL``.
     """
     red = _ReducedDilation(problem, mset)
-    psi = mset.psi_r if mset.constraint is not None else np.eye(1)
-    chart = _InputChart(psi, mset.dim // psi.shape[0])
+    chart = _InputChart(mset.psi_r, mset.dim // mset.rank_a)
     d_t, d_z, m = red.d_t, red.d_env, 2 * mset.dim ** 2
     one = problem.alpha.near_one
     beta = as_order(1.0) if one else problem.alpha.conjugate()
@@ -608,21 +619,14 @@ class _SecondArgument:
     def apply(self, sigma_r: np.ndarray) -> np.ndarray:
         if self.ident is not None:
             return self.ident.apply_matrix(self.mset.unrestrict(sigma_r))
-        out_dim = self.out_space.dim
-        out = np.zeros((out_dim, out_dim), dtype=complex)
-        for K in self.kraus:
-            out += K @ sigma_r @ K.conj().T
-        return herm_part(out)
+        return kraus_apply(self.kraus, sigma_r)
 
     def pullback(self, G: np.ndarray) -> np.ndarray:
         if self.ident is not None:
             full = self.ident.pullback(G)
             E = self.mset.embed
             return herm_part(E.conj().T @ full @ E)
-        acc = np.zeros((self.mset.dim,) * 2, dtype=complex)
-        for K in self.kraus:
-            acc += K.conj().T @ G @ K
-        return herm_part(acc)
+        return kraus_pullback(self.kraus, G)
 
 
 def _log_frechet_map(tau: np.ndarray):
@@ -677,11 +681,11 @@ def minimized_channel_divergence(m: Channel, n, constraints, alpha, *,
     :class:`MarginalConstraint` for the two inputs.  Orders from 1/2 up run
     a conditional-gradient method certified by its Frank-Wolfe gap, taken on
     D_alpha for alpha <= 1 (jointly convex) and on Q_alpha for alpha > 1
-    (jointly convex, converted to bits); ``alpha = inf`` is one SDP.
-    :class:`NonConvergence` is raised when the run ends without a finite
-    value and a gap below ``value_tol`` (e.g. when the outputs at the start
-    have orthogonal supports); orders below 1/2 raise
-    :class:`UnsupportedOrder`.
+    (jointly convex, converted to bits); ``alpha = inf`` is one covering
+    SDP, certified by its duality gap.  :class:`NonConvergence` is raised
+    when a run ends without a finite value and a width below ``value_tol``
+    (e.g. when the outputs at the start have orthogonal supports); orders
+    below 1/2 raise :class:`UnsupportedOrder`.
     """
     alpha = as_order(alpha)
     if sorted(m.out_space.labels) != sorted(n.out_space.labels):
@@ -694,22 +698,25 @@ def minimized_channel_divergence(m: Channel, n, constraints, alpha, *,
     nside = _SecondArgument(n, cn)
     P_out = _perm_matrix(n.out_space, m.out_space.labels)
 
+    def m_apply(rho_r):
+        return kraus_apply(m_kraus, rho_r)
+
+    def n_apply(sig_r):
+        return P_out @ nside.apply(sig_r) @ P_out.conj().T
+
     if alpha.is_infinite:
-        return _max_divergence_program(mside, m_kraus, nside, P_out, m)
+        value, _, width = _max_divergence_program(mside, m_apply, n_apply,
+                                                  nside.mset)
+        if not width <= value_tol * max(1.0, abs(value)):
+            raise NonConvergence("duality gap exceeds value_tol",
+                                 value=value, gap=width)
+        return value
     if alpha.value < 0.5 - 1e-12:
         raise UnsupportedOrder("the divergence is not jointly convex in "
                                "any form below order 1/2")
 
-    def m_apply(rho_r):
-        d = m.out_space.dim
-        out = np.zeros((d, d), dtype=complex)
-        for K in m_kraus:
-            out += K @ rho_r @ K.conj().T
-        return herm_part(out)
-
     def value_at(rho_r, sig_r):
-        tau = P_out @ nside.apply(sig_r) @ P_out.conj().T
-        return sandwiched_divergence(m_apply(rho_r), tau, alpha)
+        return sandwiched_divergence(m_apply(rho_r), n_apply(sig_r), alpha)
 
     rho, sig = mside.start(), nside.mset.start()
     best = value_at(rho, sig)
@@ -717,15 +724,11 @@ def minimized_channel_divergence(m: Channel, n, constraints, alpha, *,
     for _ in range(max_iters):
         if not np.isfinite(best):
             break
-        omega = m_apply(rho)
-        tau = P_out @ nside.apply(sig) @ P_out.conj().T
-        g_om, g_tau = _divergence_grads(omega, tau, alpha)
-        g_rho = np.zeros((mside.dim,) * 2, dtype=complex)
-        for K in m_kraus:
-            g_rho += K.conj().T @ g_om @ K
+        g_om, g_tau = _divergence_grads(m_apply(rho), n_apply(sig), alpha)
+        g_rho = kraus_pullback(m_kraus, g_om)
         g_sig = nside.pullback(P_out.conj().T @ g_tau @ P_out)
-        v_rho, slack_rho = mside.lmo(herm_part(g_rho))
-        v_sig, slack_sig = nside.mset.lmo(herm_part(g_sig))
+        v_rho, slack_rho = mside.lmo(g_rho)
+        v_sig, slack_sig = nside.mset.lmo(g_sig)
         lin = float(np.real(np.trace(g_rho @ (rho - v_rho)))
                     + np.real(np.trace(g_sig @ (sig - v_sig))))
         gap = _q_form_width(lin + slack_rho + slack_sig,
@@ -774,51 +777,6 @@ def entropy_via_conjugate_divergence(channel: Channel, target, constraint,
     ident = IdentityTensor(pad, m.out_space.drop(pad.labels))
     return minimized_channel_divergence(m, ident, (constraint, None), beta,
                                         **kw)
-
-
-def _max_divergence_program(mside, m_kraus, nside, P_out, m) -> float:
-    """alpha = inf: min log2 tr[S] over N[S] >= M[rho] with S carrying the
-    (scaled) sigma marginal — both sides are linear, so this is one SDP."""
-    d_out = m.out_space.dim
-    prob = SdpProblem(sense="min")
-    prob.add_block("rho", mside.dim)
-    prob.add_block("scaled", nside.mset.dim)
-    prob.add_objective("scaled", np.eye(nside.mset.dim))
-    for M, rhs in mside.equalities():
-        prob.add_eq_constraint({"rho": M}, rhs)
-    # the sigma marginal is pinned up to the overall scale t = tr[S]
-    for M, rhs in nside.mset.equalities():
-        if rhs == 1.0 and np.allclose(M, np.eye(nside.mset.dim)):
-            continue
-        prob.add_eq_constraint(
-            {"scaled": M - rhs * np.eye(nside.mset.dim)}, 0.0)
-
-    def n_adj(E):
-        return nside.pullback(P_out.conj().T @ E @ P_out)
-
-    def m_adj(E):
-        acc = np.zeros((mside.dim,) * 2, dtype=complex)
-        for K in m_kraus:
-            acc += K.conj().T @ E @ K
-        return -herm_part(acc)
-
-    prob.add_operator_inequality([("scaled", n_adj), ("rho", m_adj)],
-                                 np.zeros((d_out, d_out)), slack="slack")
-    rho0 = mside.start()
-    omega0 = np.zeros((d_out, d_out), dtype=complex)
-    for K in m_kraus:
-        omega0 += K @ rho0 @ K.conj().T
-    sig0 = nside.mset.start()
-    tau0 = P_out @ nside.apply(sig0) @ P_out.conj().T
-    tv = np.linalg.eigvalsh(herm_part(tau0))
-    if tv.min() <= 1e-12:
-        raise InfeasibleSpec("the comparison map must have full-rank output "
-                             "at an interior input")
-    c0 = float(np.linalg.eigvalsh(herm_part(omega0)).max() / tv.min()) + 1.0
-    start = {"rho": rho0, "scaled": c0 * sig0,
-             "slack": herm_part(c0 * tau0 - omega0)}
-    sol = solve_sdp(prob, start=start)
-    return float(math.log2(max(sol.value, 1e-300)))
 
 
 # ----------------------------------------------------- inequality checkers

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidRegister, InvalidState
-from .registers import RegisterSpace, State
+from .registers import RegisterSpace, State, kraus_apply
 
 
 def _perm_matrix(space: RegisterSpace, new_order) -> np.ndarray:
@@ -99,10 +99,7 @@ class Channel:
 
     def apply(self, state: State) -> State:
         ks, out_space = self.embedded_kraus(state.space)
-        out = np.zeros((out_space.dim, out_space.dim), dtype=complex)
-        for K in ks:
-            out += K @ state.matrix @ K.conj().T
-        return State(out, out_space, check=False)
+        return State(kraus_apply(ks, state.matrix), out_space, check=False)
 
     def __call__(self, state: State) -> State:
         return self.apply(state)

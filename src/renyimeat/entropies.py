@@ -33,7 +33,7 @@ from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      NotClassical, NotPure, UnsupportedOrder)
 from .registers import EIG_CUT, State, embed_operator
-from .sdp import SdpProblem, embed_adjoint, hermitian_basis, solve_sdp
+from .sdp import SdpProblem, solve_sdp
 from . import registers
 
 #: widest duality interval (in bits of entropy) an optimized "up" value may
@@ -458,7 +458,6 @@ def _t_max_half_sdp(branches, weights, d_q: int, d_b: int):
     Each P-block is compressed to supp(rho_i) so strictly feasible starts
     exist.  Returns (T_max, sigma).
     """
-    amb = registers.space(("q", d_q), ("p", d_b))
     prob = SdpProblem("max")
     prob.add_block("sigma", d_b)
     prob.add_eq_constraint({"sigma": np.eye(d_b)}, 1.0)
@@ -476,20 +475,19 @@ def _t_max_half_sdp(branches, weights, d_q: int, d_b: int):
         C[:r, r:] = 0.5 * w * np.eye(r)
         C[r:, :r] = 0.5 * w * np.eye(r)
         prob.add_objective(blk, C)
-        for E in hermitian_basis(r):
-            pin = np.zeros((2 * r, 2 * r), dtype=complex)
-            pin[:r, :r] = E
-            prob.add_eq_constraint(
-                {blk: pin}, float(np.real(np.trace(E.conj().T @ rho_r))))
-            link = np.zeros((2 * r, 2 * r), dtype=complex)
-            link[r:, r:] = E
-            lift = State(U @ E @ U.conj().T, amb, check=False) \
-                .partial_trace(keep=["p"]).matrix
-            prob.add_eq_constraint({blk: link, "sigma": -lift}, 0.0)
+
+        def lift(sigma):
+            return U.conj().T @ np.kron(np.eye(d_q), sigma) @ U
+
+        # [[rho_r, Z], [Z^dag, U^dag (I (x) sigma) U]]: pin and link the
+        # diagonal blocks
+        prob.add_operator_equality([(blk, lambda V: V[:r, :r])], rho_r)
+        prob.add_operator_equality([(blk, lambda V: V[r:, r:]),
+                                    ("sigma", lambda S: -lift(S))],
+                                   np.zeros((r, r)))
         V0 = np.zeros((2 * r, 2 * r), dtype=complex)
         V0[:r, :r] = rho_r
-        V0[r:, r:] = U.conj().T @ np.kron(np.eye(d_q),
-                                          start["sigma"]) @ U
+        V0[r:, r:] = lift(start["sigma"])
         start[blk] = V0
     sol = solve_sdp(prob, start=start)
     return float(sol.value), sol.variables["sigma"]
@@ -609,18 +607,14 @@ def _max_cover_sdp(branches, d_q: int, d_b: int):
     (substituting X = lambda sigma linearizes the max-divergence bounds
     M_i <= lambda id (x) sigma).
     """
-    amb = registers.space(("q", d_q), ("p", d_b))
     prob = SdpProblem("min")
     prob.add_block("X", d_b)
     prob.add_objective("X", np.eye(d_b))
     top = max(float(np.linalg.norm(m, 2)) for m in branches)
-    X0 = (top + 1.0) * np.eye(d_b)
-    start = {"X": X0}
     for i, m in enumerate(branches):
-        prob.add_operator_inequality([("X", embed_adjoint(amb, ["p"]))], m,
-                                     slack=f"S{i}")
-        start[f"S{i}"] = np.kron(np.eye(d_q), X0) - m
-    sol = solve_sdp(prob, start=start)
+        prob.add_operator_inequality(
+            [("X", lambda X: np.kron(np.eye(d_q), X))], m, slack=f"S{i}")
+    sol = solve_sdp(prob, start={"X": (top + 1.0) * np.eye(d_b)})
     return float(sol.value), sol.variables["X"]
 
 

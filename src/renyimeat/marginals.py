@@ -20,8 +20,8 @@ from .channels import Channel, _perm_matrix, compose
 from .entropies import _support_isometry
 from .errors import InvalidRegister, InvalidState
 from .registers import (RegisterSpace, State, bipartite_partial_trace,
-                        embed_operator, herm_part)
-from .sdp import SdpProblem, hermitian_basis, solve_sdp
+                        embed_operator, herm_part, kraus_pullback)
+from .sdp import SdpProblem, solve_sdp
 
 
 class MarginalConstraint:
@@ -60,6 +60,8 @@ class _MarginalSet:
     positive for the barrier solver).  Basis order is the constraint's
     register order followed by the remaining input registers in channel
     order; ``embed`` is the isometry back to the channel's own input basis.
+    ``psi_r`` is the pinned marginal in those coordinates, and the 1 x 1
+    unit without a constraint, where the pin Tr_F rho = psi_r is tr rho = 1.
     """
 
     def __init__(self, in_space: RegisterSpace, constraint, *, support=None):
@@ -78,7 +80,7 @@ class _MarginalSet:
         else:
             a_labels = ()
             U = np.eye(1)
-            self.psi_r = None
+            self.psi_r = np.eye(1)
             self.rank_a = 1
         self.a_labels = tuple(a_labels)
         self.a_space = RegisterSpace(
@@ -96,23 +98,19 @@ class _MarginalSet:
 
     def start(self) -> np.ndarray:
         d_f = self.free_space.dim
-        if self.constraint is None:
-            return np.eye(self.dim) / self.dim
         return np.kron(self.psi_r, np.eye(d_f) / d_f)
 
     def restrict_kraus(self, kraus):
         return [K @ self.embed for K in kraus]
 
-    def equalities(self):
-        """(matrix-on-set, rhs) pairs pinning the marginal (or the trace)."""
-        d_f = self.free_space.dim
-        if self.constraint is None:
-            return [(np.eye(self.dim), 1.0)]
-        out = []
-        for E in hermitian_basis(self.rank_a):
-            out.append((np.kron(E, np.eye(d_f)),
-                        float(np.real(np.trace(E @ self.psi_r)))))
-        return out
+    def marginal(self, rho: np.ndarray) -> np.ndarray:
+        """Tr_F rho (the trace, as a 1 x 1 matrix, without a constraint)."""
+        return bipartite_partial_trace(rho, self.rank_a, self.free_space.dim,
+                                       0)
+
+    def pin(self, prob: SdpProblem, block: str) -> None:
+        """Constrain ``block`` of ``prob`` to the set: Tr_F rho = psi_r."""
+        prob.add_operator_equality([(block, self.marginal)], self.psi_r)
 
     def lmo(self, G: np.ndarray):
         """Feasible point minimizing the linear functional tr[G rho], and how
@@ -126,8 +124,7 @@ class _MarginalSet:
         prob = SdpProblem(sense="min")
         prob.add_block("rho", self.dim)
         prob.add_objective("rho", herm_part(G))
-        for M, rhs in self.equalities():
-            prob.add_eq_constraint({"rho": M}, rhs)
+        self.pin(prob, "rho")
         sol = solve_sdp(prob, start={"rho": self.start()},
                         gap_tol=1e-9, gap_ceiling=1e-5)
         return herm_part(sol.variables["rho"]), sol.gap
@@ -159,17 +156,12 @@ def _pair_from_parts(mset: _MarginalSet, channel: Channel, gamma_op,
     for l in gamma_labels:
         out_sp.position(l)
     big = embed_operator(out_sp, list(gamma_labels), gamma_op)
-    ks = mset.restrict_kraus(channel.kraus)
-    G = np.zeros((mset.dim,) * 2, dtype=complex)
-    for K in ks:
-        G += K.conj().T @ big @ K
-    G = herm_part(G)
+    G = kraus_pullback(mset.restrict_kraus(channel.kraus), big)
 
     primal = SdpProblem(sense="max")
     primal.add_block("rho", mset.dim)
     primal.add_objective("rho", G)
-    for M, rhs in mset.equalities():
-        primal.add_eq_constraint({"rho": M}, rhs)
+    mset.pin(primal, "rho")
     primal_start = {"rho": mset.start()}
 
     # restricted coordinates: constraint labels with the support rank folded
@@ -182,19 +174,12 @@ def _pair_from_parts(mset: _MarginalSet, channel: Channel, gamma_op,
 
     dual = SdpProblem(sense="min")
     dual.add_block("Lambda", lam_dim)
-    dual.add_objective("Lambda", mset.psi_r if mset.constraint is not None
-                       else np.eye(1))
-
-    d_f = mset.free_space.dim
-
-    def lam_adj(E):
-        return bipartite_partial_trace(
-            E.reshape(lam_dim * d_f, lam_dim * d_f), lam_dim, d_f, 0)
-
-    dual.add_operator_inequality([("Lambda", lam_adj)], G, slack="slack")
+    dual.add_objective("Lambda", mset.psi_r)
+    eye_f = np.eye(mset.free_space.dim)
+    dual.add_operator_inequality([("Lambda", lambda L: np.kron(L, eye_f))],
+                                 G, slack="slack")
     c = float(np.linalg.eigvalsh(G).max()) + 1.0
-    dual_start = {"Lambda": c * np.eye(lam_dim),
-                  "slack": c * np.eye(mset.dim) - G}
+    dual_start = {"Lambda": c * np.eye(lam_dim)}
     return SdpPair(primal=primal, dual=dual, primal_start=primal_start,
                    dual_start=dual_start, dual_rhs=G, dual_space=dual_space,
                    marginal_labels=tuple(mset.a_labels))

@@ -393,6 +393,16 @@ def bipartite_partial_trace(mat: np.ndarray, d_first: int, d_second: int,
                     axis1=traced, axis2=traced + 2)
 
 
+def kraus_apply(kraus, X: np.ndarray) -> np.ndarray:
+    """The Hermitian part of sum_k K_k X K_k^dag."""
+    return herm_part(sum(K @ X @ K.conj().T for K in kraus))
+
+
+def kraus_pullback(kraus, G: np.ndarray) -> np.ndarray:
+    """The adjoint map: the Hermitian part of sum_k K_k^dag G K_k."""
+    return herm_part(sum(K.conj().T @ G @ K for K in kraus))
+
+
 def herm_part(mat: np.ndarray) -> np.ndarray:
     """The Hermitian part (M + M^dag)/2 of a square matrix."""
     return 0.5 * (mat + mat.conj().T)

@@ -5,8 +5,15 @@ equality constraints
 
     min/max  sum_b <C_b, X_b>   s.t.   sum_b <M_b^(k), X_b> = r_k,   X_b >= 0,
 
-where <A, B> = tr[A^dag B].  Operator inequalities ``sum_b L_b(X_b) >= G``
-are lowered to a slack block plus equalities via ``add_operator_inequality``.
+where <A, B> = tr[A^dag B].  Builders state operator constraints
+``sum_b L_b(X_b) = G`` and ``sum_b L_b(X_b) >= G`` by their forward maps
+L_b and never by adjoints or basis elements: one lowering
+(``SdpProblem.add_operator_equality``) probes each map on the Hermitian
+basis of its block, and the column of basis element F_j is hvec(L_b(F_j)),
+one row per coordinate of G.  An inequality is that equality plus a PSD
+slack block (``add_operator_inequality``); a start that leaves the slack
+out gets it derived as +-(sum_b L_b(X_b^0) - G), which must be positive
+definite like every other block of the start.
 
 The solver is a primal log-barrier interior-point method on the Hermitian
 real vectorization: Newton centering steps on t*<c,x> - sum_b logdet(X_b)
@@ -30,10 +37,10 @@ it to the Schur complement A H^{-1} A^T loses the precision the last
 barrier rungs need (the KKT conditioning grows like t^2), so centering
 breaks down earlier and the certified values move.
 
-Blocks here are small (<= ~20x20 after slack lowering), so everything is
-dense.  Strictly feasible starts are expected from the problem builders
-(every family used in this package has an explicit interior point); a
-least-squares fallback is attempted otherwise.
+Blocks here are small (slack blocks included, at most a few dozen rows),
+so everything is dense.  Strictly feasible starts are expected from the
+problem builders (every family used in this package has an explicit
+interior point); a least-squares fallback is attempted otherwise.
 
 BLAS threads: the KKT systems are too small for a BLAS thread pool to pay
 off.  With the default OpenBLAS pool on a 2-core machine, a solve burns
@@ -52,7 +59,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InfeasibleSpec, InvalidState, SolverFailure
-from .registers import RegisterSpace, State, herm_part
+from .registers import herm_part
 
 GAP_TOL = 1e-8
 MU_REDUCTION = 0.2
@@ -172,7 +179,10 @@ class SdpProblem:
         self.sense = sense
         self.blocks: dict[str, int] = {}
         self.objective: dict[str, np.ndarray] = {}
+        #: one (block name -> row in hvec coordinates, rhs) per scalar row
         self.constraints: list[tuple[dict[str, np.ndarray], float]] = []
+        #: slack block -> (terms, G, sign) of its operator inequality
+        self.slacks: dict[str, tuple] = {}
 
     def add_block(self, name: str, dim: int) -> None:
         if name in self.blocks:
@@ -189,101 +199,50 @@ class SdpProblem:
             self.objective[name] = C
 
     def add_eq_constraint(self, mats: dict, rhs: float) -> None:
-        clean = {}
+        row = {}
         for name, M in mats.items():
             if name not in self.blocks:
                 raise InvalidState(f"unknown block {name!r}")
-            clean[name] = _as_herm(M, self.blocks[name], f"constraint[{name}]")
-        self.constraints.append((clean, float(rhs)))
+            row[name] = hvec(_as_herm(M, self.blocks[name],
+                                      f"constraint[{name}]"))
+        self.constraints.append((row, float(rhs)))
 
-    def add_operator_inequality(self, terms, G, *, slack: str,
-                                sense: str = ">=") -> None:
-        """Lower ``sum_b L_b(X_b) >= G`` (or <=) to a PSD slack block.
+    def add_operator_equality(self, terms, G) -> None:
+        """Lower ``sum_b L_b(X_b) = G`` to one row per coordinate of ``G``.
 
-        ``terms`` is a list of ``(block_name, adjoint_fn)``; ``adjoint_fn(E)``
-        must return the matrix ``M`` with ``<E, L_b(X)> = <M, X>`` for every
-        Hermitian ``E`` on the slack space.
+        ``terms`` is a list of ``(block_name, L_b)`` with ``L_b`` a linear,
+        Hermiticity-preserving map from the block to the space of ``G``.
+        Row k is <E_k, sum_b L_b(X_b)> = <E_k, G> over the Hermitian basis
+        E_k of that space; its coefficient on basis element F_j of block b
+        is <E_k, L_b(F_j)>, so column j of the term is hvec(L_b(F_j)), and
+        each map is probed once on the basis of its block.
         """
         G = np.asarray(G, dtype=complex)
         n = G.shape[0]
-        G = _as_herm(G, n, "inequality rhs")
+        G = _as_herm(G, n, "operator constraint rhs")
+        cols = {}
+        for name, fwd in terms:
+            if name not in self.blocks:
+                raise InvalidState(f"unknown block {name!r}")
+            probed = np.stack([hvec(_as_herm(fwd(F), n, f"map of {name!r}"))
+                               for F in hermitian_basis(self.blocks[name])],
+                              axis=1)
+            cols[name] = cols[name] + probed if name in cols else probed
+        for k, rhs in enumerate(hvec(G)):
+            self.constraints.append(({name: c[k] for name, c in cols.items()},
+                                     float(rhs)))
+
+    def add_operator_inequality(self, terms, G, *, slack: str,
+                                sense: str = ">=") -> None:
+        """``sum_b L_b(X_b) >= G`` (or <=): the equality of
+        :meth:`add_operator_equality` with a PSD slack block ``slack``,
+        which :func:`solve_sdp` derives when the start leaves it out."""
+        G = np.asarray(G, dtype=complex)
         sign = 1.0 if sense == ">=" else -1.0
-        self.add_block(slack, n)
-        rhs = hvec(G)
-        for k, E in enumerate(hermitian_basis(n)):
-            mats = {slack: -sign * E}
-            for name, adj in terms:
-                M = adj(E)
-                if name in mats:
-                    mats[name] = mats[name] + M
-                else:
-                    mats[name] = M
-            self.add_eq_constraint(mats, float(rhs[k]))
-
-    # -- serialization (audit dumps) --------------------------------------
-
-    def to_jsonable(self) -> dict:
-        return {
-            "sense": self.sense,
-            "blocks": dict(self.blocks),
-            "objective": {k: _mat_to_jsonable(v) for k, v in self.objective.items()},
-            "constraints": [
-                {"mats": {k: _mat_to_jsonable(v) for k, v in mats.items()},
-                 "rhs": rhs}
-                for mats, rhs in self.constraints
-            ],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "SdpProblem":
-        p = cls(sense=data["sense"])
-        for name, dim in data["blocks"].items():
-            p.add_block(name, int(dim))
-        for name, m in data["objective"].items():
-            p.add_objective(name, _mat_from_jsonable(m))
-        for c in data["constraints"]:
-            p.add_eq_constraint({k: _mat_from_jsonable(v)
-                                 for k, v in c["mats"].items()}, c["rhs"])
-        return p
-
-
-def _mat_to_jsonable(mat: np.ndarray) -> dict:
-    m = np.asarray(mat)
-    return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
-
-
-def _mat_from_jsonable(data: dict) -> np.ndarray:
-    return np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-
-
-# ------------------------------------------------------- adjoint-map helpers
-
-def embed_adjoint(ambient: RegisterSpace, labels):
-    """Adjoint of X -> (X on `labels`) tensor identity, inside ``ambient``.
-
-    Returns a function mapping a Hermitian E on ``ambient`` to its partial
-    trace onto ``labels`` (legs ordered as given).
-    """
-    labels = list(labels)
-
-    def adj(E: np.ndarray) -> np.ndarray:
-        st = State(E, ambient, check=False)
-        red = st.partial_trace(keep=labels)
-        if list(red.space.labels) != labels:
-            red = red.reorder(labels)
-        return red.matrix
-
-    return adj
-
-
-def scale_adjoint(M0: np.ndarray):
-    """Adjoint of the map t (1x1 block) -> t * M0."""
-    M0 = np.asarray(M0, dtype=complex)
-
-    def adj(E: np.ndarray) -> np.ndarray:
-        return np.array([[np.real(np.trace(E.conj().T @ M0))]], dtype=complex)
-
-    return adj
+        self.add_block(slack, G.shape[0])
+        self.slacks[slack] = (list(terms), G, sign)
+        self.add_operator_equality(
+            list(terms) + [(slack, lambda S: -sign * S)], G)
 
 
 # ------------------------------------------------------------------- solution
@@ -298,19 +257,6 @@ class SdpSolution:
     y: np.ndarray = field(repr=False)
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
-
-    def to_jsonable(self) -> dict:
-        return {
-            "value": self.value,
-            "dual_value": self.dual_value,
-            "gap": self.gap,
-            "variables": {k: _mat_to_jsonable(v) for k, v in self.variables.items()},
-            "dual_slacks": {k: _mat_to_jsonable(v)
-                            for k, v in self.dual_slacks.items()},
-            "y": list(map(float, self.y)),
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "iterations": self.iterations,
-        }
 
 
 # --------------------------------------------------------------------- solver
@@ -329,11 +275,11 @@ def _assemble(problem: SdpProblem):
     m = len(problem.constraints)
     A = np.zeros((m, N))
     b = np.zeros(m)
-    for k, (mats, rhs) in enumerate(problem.constraints):
+    for k, (row, rhs) in enumerate(problem.constraints):
         b[k] = rhs
         for i, name in enumerate(names):
-            if name in mats:
-                A[k, offs[i]:offs[i + 1]] = hvec(mats[name])
+            if name in row:
+                A[k, offs[i]:offs[i + 1]] = row[name]
     return names, dims, offs, A, b, c, sgn
 
 
@@ -393,6 +339,13 @@ def _chol_logdet(mat: np.ndarray):
 
 def _starting_point(problem, names, dims, offs, A, b, start):
     if start is not None:
+        # a slack the start leaves out is +-(sum_b L_b(X_b) - G) at the start
+        start = dict(start)
+        for name, (terms, G, sign) in problem.slacks.items():
+            if name not in start and all(blk in start for blk, _ in terms):
+                start[name] = sign * (sum(
+                    fwd(np.asarray(start[blk], dtype=complex))
+                    for blk, fwd in terms) - G)
         xs = []
         for i, name in enumerate(names):
             if name not in start:

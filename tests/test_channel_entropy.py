@@ -24,7 +24,7 @@ from renyimeat.channel_entropy import (
     verify_weak_additivity,
 )
 from renyimeat.channels import Channel
-from renyimeat.divergences import as_order
+from renyimeat.divergences import as_order, sandwiched_divergence
 from renyimeat.entropies import alpha_entropy, cond_entropy_up
 from renyimeat.errors import NonConvergence
 from renyimeat.registers import State, space
@@ -335,3 +335,24 @@ def test_input_chart_jacobian_and_gap_bound(pin):
     vertex, slack = mset.lmo(grad)
     lmo_gap = np.trace(grad @ (rho - vertex)).real
     assert chart.gap_bound(rho, grad) >= lmo_gap - slack - 1e-9
+
+
+def test_max_divergence_with_a_pinned_second_argument():
+    """With sigma pinned on B, the scaled sigma of the alpha = inf program
+    carries its marginal through a scale block; the value lies between the
+    order-10 value (the divergence grows with the order) and D_max at the
+    start pair, the maximally mixed rho and psi_B (x) 1_G / 2."""
+    m = random_channel(space(("A", 2)), space(("T", 2)), seed=1, kraus_rank=2)
+    n = random_channel(space(("B", 2), ("G", 2)), space(("T", 2)), seed=2,
+                       kraus_rank=4)
+    psi = random_density(space(("B", 2)), seed=4)
+    cons = (None, MarginalConstraint("B", psi))
+    at_inf = minimized_channel_divergence(m, n, cons, "inf")
+    at_ten = minimized_channel_divergence(m, n, cons, 10.0)
+    rho0 = State(np.eye(2) / 2, space(("A", 2)))
+    sig0 = psi.tensor(State(np.eye(2) / 2, space(("G", 2))))
+    start = sandwiched_divergence(m.apply(rho0).matrix, n.apply(sig0).matrix,
+                                  "inf")
+    assert at_ten <= at_inf + 1e-6 <= start + 2e-6
+    assert at_inf == pytest.approx(0.268612927, abs=1e-7)
+    assert at_ten == pytest.approx(0.218048846, abs=2e-6)

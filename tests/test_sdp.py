@@ -9,7 +9,6 @@ from renyimeat.sampling import random_density, rng_from
 from renyimeat.sdp import (
     SdpProblem,
     barrier_hessian,
-    embed_adjoint,
     hermitian_basis,
     hunvec,
     hvec,
@@ -190,26 +189,49 @@ def test_start_validation():
         solve_sdp(p, start={"X": np.eye(2)})  # violates tr X = 1
 
 
-def test_embed_adjoint_is_the_partial_trace():
-    amb = space(("A", 2), ("B", 3))
-    adj = embed_adjoint(amb, ["B"])
-    rng = rng_from(5)
-    for _ in range(5):
-        E = random_hermitian(6, rng)
-        X = random_hermitian(3, rng)
-        lhs = np.real(np.trace(E.conj().T @ np.kron(np.eye(2), X)))
-        # embed acts as X on B tensor identity on A, with ambient order (A, B)
-        rhs = np.real(np.trace(adj(E).conj().T @ X))
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_problem_serialization_roundtrip():
-    p = SdpProblem(sense="max")
+def test_operator_constraint_rows_match_the_adjoint_formula():
+    """X -> 1_A (x) X with dim A = 2 maps 2x2 blocks to 4x4 operators and is
+    not self-adjoint; its adjoint is E -> Tr_A E, so the row of basis
+    element E_k must hold the coordinates of Tr_A E_k."""
+    B4, B2 = dense_basis(4), dense_basis(2)
+    G = random_hermitian(4, 6)
+    p = SdpProblem(sense="min")
     p.add_block("X", 2)
-    p.add_objective("X", np.array([[1.0, 1j], [-1j, 0.0]]))
-    p.add_eq_constraint({"X": np.eye(2)}, 1.0)
-    q = SdpProblem.from_jsonable(p.to_jsonable())
-    a = solve_sdp(p, start={"X": np.eye(2) / 2})
-    b = solve_sdp(q, start={"X": np.eye(2) / 2})
-    assert a.value == pytest.approx(b.value, abs=1e-10)
-    assert a.to_jsonable()["value"] == pytest.approx(b.value, abs=1e-10)
+    p.add_operator_equality([("X", lambda X: np.kron(np.eye(2), X))], G)
+    assert len(p.constraints) == 16
+    for k, (row, rhs) in enumerate(p.constraints):
+        E = B4[:, k].reshape(4, 4)
+        adj = np.trace(E.reshape(2, 2, 2, 2), axis1=0, axis2=2)
+        want = np.real(B2.conj().T @ adj.reshape(-1))
+        np.testing.assert_allclose(row["X"], want, rtol=0, atol=1e-14)
+        assert rhs == pytest.approx(np.real(np.vdot(E, G)), abs=1e-14)
+
+
+def test_operator_inequality_derives_its_slack():
+    """min tr X s.t. 1 (x) X >= Phi+ is 2^(-H_min(A|B)) = 2 on a maximally
+    entangled pair; a start without the slack block gets 1 (x) X0 - Phi+."""
+    phi = np.zeros(4)
+    phi[[0, 3]] = 1.0 / np.sqrt(2.0)
+    P = np.outer(phi, phi)
+
+    def problem():
+        p = SdpProblem(sense="min")
+        p.add_block("X", 2)
+        p.add_objective("X", np.eye(2))
+        p.add_operator_inequality([("X", lambda X: np.kron(np.eye(2), X))],
+                                  P, slack="S")
+        return p
+
+    X0 = 1.5 * np.eye(2)
+    derived = solve_sdp(problem(), start={"X": X0})
+    given = solve_sdp(problem(), start={"X": X0,
+                                        "S": np.kron(np.eye(2), X0) - P})
+    assert derived.value == pytest.approx(2.0, abs=1e-7)
+    assert derived.value == given.value
+    assert derived.iterations == given.iterations
+    np.testing.assert_allclose(
+        derived.variables["S"],
+        np.kron(np.eye(2), derived.variables["X"]) - P, atol=1e-9)
+    # at X0 = 1/2 the derived slack 1/2 - Phi+ is not positive definite
+    with pytest.raises(SolverFailure):
+        solve_sdp(problem(), start={"X": np.eye(2) / 2})
