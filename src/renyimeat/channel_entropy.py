@@ -29,8 +29,9 @@ by order:
   marginal set (:class:`_InputChart`), with the inner sigma from
   :func:`renyimeat.entropies.cond_entropy_up` at b and the gradient in rho
   by the envelope theorem; at ``alpha = 1`` the objective is -H(T|Z) and
-  needs no sigma.  The value is certified by the joint Frank-Wolfe gap,
-  taken on Q_b when b > 1;
+  needs no sigma.  A joint L-BFGS over (rho, sigma) polishes the result
+  when its width calls for it.  The value is certified by the joint
+  Frank-Wolfe gap, taken on Q_b when b > 1;
 * inputs that are completely pinned by the constraint skip the outer
   optimization entirely (all purifications are related by an isometry on
   the reference, which the entropy cannot see).
@@ -39,22 +40,27 @@ Each result carries the width of an interval that holds the infimum
 (:class:`ChannelEntropyResult`); a width above ``CHANNEL_GAP_TOL`` raises
 :class:`NonConvergence`.
 
-The module also hosts the optimized channel divergence that generalizes the
-entropy (:func:`minimized_channel_divergence`) and numerical checks of the
-chain rule and additivity statements.  The marginal constraint, its
-feasible set and the SDP pairs of the measured chain rule live in
-:mod:`renyimeat.marginals` and are re-exported here.
+The same program with a general second map, min over (rho, sigma) of
+D_b(M[rho] || N[sigma]) with both inputs in marginal sets, is the
+minimized channel divergence (:func:`minimized_channel_divergence`).  At
+finite orders it is the joint L-BFGS of the polish above
+(:class:`_JointDivergence`), with one chart per marginal set and no SDP;
+at order inf it is the covering program.  The module also hosts numerical
+checks of the chain rule and additivity statements.  The marginal
+constraint, its feasible set and the SDP pairs of the measured chain rule
+live in :mod:`renyimeat.marginals` and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .channels import Channel, _perm_matrix, compose, trace_out_channel
-from .divergences import LN2, as_order, sandwiched_divergence
+from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
 from .entropies import _power_frechet_map, _support_isometry, cond_entropy_up
 from .errors import (InfeasibleSpec, InvalidRegister, InvalidState,
                      NonConvergence, UnsupportedOrder)
@@ -369,7 +375,8 @@ def _lbfgs(fg, x, done, *, smooth: bool, max_iters: int = 500,
     """
     value, g, data = fg(x)
     if not np.isfinite(value):
-        raise NonConvergence("the objective is undefined at the start")
+        raise NonConvergence("the objective is undefined at the start",
+                             value=value, gap=math.inf)
     mem: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(max_iters):
         if done(data):
@@ -422,16 +429,91 @@ def _lbfgs(fg, x, done, *, smooth: bool, max_iters: int = 500,
     return value, x, data
 
 
-def _q_form_width(gap: float, beta: float) -> float:
+def _q_form_width(gap: float, beta: RenyiOrder) -> float:
     """Bits between a value and the minimum of D_b, from a Frank-Wolfe gap
     ``gap`` taken with the gradient of D_b.  For b <= 1, D_b is jointly
     convex and the gap bounds the distance itself.  For b > 1 only
     Q_b = 2^((b-1) D_b) is: its gap is (b-1) ln2 Q gap, and
     D - D* <= log2(Q / (Q - gap_Q)) / (b - 1)."""
-    if beta <= 1.0:
+    if beta.near_one or beta.value <= 1.0:
         return gap
-    u = (beta - 1.0) * LN2 * gap
-    return -math.log2(1.0 - u) / (beta - 1.0) if u < 1.0 else math.inf
+    b = beta.value
+    u = (b - 1.0) * LN2 * gap
+    return -math.log2(1.0 - u) / (b - 1.0) if u < 1.0 else math.inf
+
+
+def _flat(M: np.ndarray) -> np.ndarray:
+    return np.concatenate([M.real.ravel(), M.imag.ravel()])
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    d = math.isqrt(x.size // 2)
+    return (x[:d * d] + 1j * x[d * d:]).reshape(d, d)
+
+
+def _width_reached(data) -> bool:
+    """Stopping rule of every chart program: the width of the (rho, sigma,
+    width) data at a point is a hundredth of ``CHANNEL_GAP_TOL``."""
+    return data[2] <= 1e-2 * CHANNEL_GAP_TOL
+
+
+class _JointDivergence:
+    """D_b(M[rho] || N[sigma]) with rho and sigma in two marginal sets.
+
+    ``maps`` holds the (apply, pullback) pairs of M and N on the
+    coordinates of their sets (pullbacks return Hermitian matrices), and
+    ``charts`` the :class:`_InputChart` of each whole set, whose
+    :meth:`_InputChart.gap_bound` bounds that side's Frank-Wolfe gap.
+    """
+
+    def __init__(self, beta: RenyiOrder, maps, charts):
+        self.beta = beta
+        self.maps = maps
+        self.charts = charts
+
+    def at(self, rho: np.ndarray, sigma: np.ndarray):
+        """(D_b, grad_rho, grad_sigma, width) at a pair.  The width is the
+        joint Frank-Wolfe gap over both full sets, converted from Q_b for
+        b > 1 (:func:`_q_form_width`); where D_b is infinite the gradients
+        are None and the width is inf."""
+        (m_apply, m_pull), (n_apply, n_pull) = self.maps
+        omega, tau = m_apply(rho), n_apply(sigma)
+        value = sandwiched_divergence(omega, tau, self.beta)
+        if not np.isfinite(value):
+            return value, None, None, math.inf
+        g_om, g_tau = _divergence_grads(omega, tau, self.beta)
+        g_rho, g_sig = m_pull(g_om), n_pull(g_tau)
+        lin = self.charts[0].gap_bound(rho, g_rho) \
+            + self.charts[1].gap_bound(sigma, g_sig)
+        return value, g_rho, g_sig, max(_q_form_width(lin, self.beta), 0.0)
+
+    def minimize(self, G: np.ndarray, H: np.ndarray,
+                 sigma_chart: _InputChart, V: np.ndarray):
+        """Joint L-BFGS from the chart points (G, H): rho = rho(G) on the
+        first set and sigma = V sigma(H) V^dag on the second, with
+        ``sigma_chart`` a chart on the range of the isometry V (the whole
+        set's chart and V = 1, or a cut to a support that holds the
+        optimum).  The width stays the gap over the whole sets.  Returns
+        (value, (rho, sigma, width)) at the last accepted point."""
+        rho_chart = self.charts[0]
+        m = 2 * G.size
+
+        def fg(x):
+            G, H = _square(x[:m]), _square(x[m:])
+            rho, parts = rho_chart.point(G)
+            sig, sparts = sigma_chart.point(H)
+            sigma = V @ sig @ V.conj().T
+            value, g_rho, g_sig, width = self.at(rho, sigma)
+            if g_rho is None:
+                return value, None, None
+            grad = np.concatenate([
+                _flat(rho_chart.pullback(G, parts, g_rho)),
+                _flat(sigma_chart.pullback(H, sparts, V.conj().T @ g_sig @ V))])
+            return value, 2.0 * grad, (rho, sigma, width)
+
+        value, _, data = _lbfgs(fg, np.concatenate([_flat(G), _flat(H)]),
+                                _width_reached, smooth=True)
+        return value, data
 
 
 def _solve_convex(problem: ChannelEntropyProblem,
@@ -444,39 +526,33 @@ def _solve_convex(problem: ChannelEntropyProblem,
     where the objective is -H(T|Z); the gradient in rho is the pullback of
     grad_omega D_b at that sigma (envelope theorem).  The inner sigma is
     certified in value, but only to about 1e-6 in first order, which is the
-    floor of the sigma side of the Frank-Wolfe gap; a joint L-BFGS polish
-    of (rho, sigma) on the support of omega_Z follows when that floor
-    matters.  The returned value is D_b at the final (rho, sigma), and the
-    gap is the joint Frank-Wolfe gap there (:meth:`_InputChart.gap_bound`
-    on the rho side, the lowest eigenvector of grad_sigma on the sigma
-    side).  Each stage stops once the gap is a hundredth of
-    ``CHANNEL_GAP_TOL``.
+    floor of the sigma side of the Frank-Wolfe gap; the joint L-BFGS of
+    :meth:`_JointDivergence.minimize` polishes (rho, sigma), sigma charted
+    on the support of omega_Z, when that floor matters.  The returned value
+    is D_b at the final (rho, sigma), and the gap is the joint Frank-Wolfe
+    gap there (:meth:`_JointDivergence.at`).  Each stage stops once the gap
+    is a hundredth of ``CHANNEL_GAP_TOL``.
     """
     red = _ReducedDilation(problem, mset)
-    chart = _InputChart(mset.psi_r, mset.dim // mset.rank_a)
-    d_t, d_z, m = red.d_t, red.d_env, 2 * mset.dim ** 2
+    d_t, d_z = red.d_t, red.d_env
     one = problem.alpha.near_one
     beta = as_order(1.0) if one else problem.alpha.conjugate()
+    eye_t = np.eye(d_t)
+    div = _JointDivergence(
+        beta, ((red.apply, red.pullback),
+               (lambda sig: np.kron(eye_t, sig),
+                lambda g: herm_part(bipartite_partial_trace(g, d_t, d_z, 1)))),
+        (_InputChart(mset.psi_r, mset.dim // mset.rank_a),
+         _InputChart(np.eye(1), d_z)))
+    chart = div.charts[0]
 
-    def flat(M):
-        return np.concatenate([M.real.ravel(), M.imag.ravel()])
-
-    def square(x):
-        d = math.isqrt(x.size // 2)
-        return (x[:d * d] + 1j * x[d * d:]).reshape(d, d)
-
-    def fg(x, schart=None, V=None):
-        """D_b at (rho, sigma), its gradient, and (rho, sigma, width).  x
-        holds G, and sigma is the inner optimum; for the polish x also holds
-        H, and sigma = V sigma(H) V^dag."""
-        G = square(x[:m])
+    def fg(x):
+        """D_b at rho(G) and the inner sigma, its gradient in G, and
+        (rho, sigma, width)."""
+        G = _square(x)
         rho, parts = chart.point(G)
         omega = red.apply(rho)
-        if V is not None:
-            H = square(x[m:])
-            sig_r, sparts = schart.point(H)
-            sigma = V @ sig_r @ V.conj().T
-        elif one:
+        if one:
             sigma = bipartite_partial_trace(omega, d_t, d_z, 1)
         else:
             try:
@@ -485,35 +561,20 @@ def _solve_convex(problem: ChannelEntropyProblem,
                     ["t"], ["z"], beta, return_info=True)[1]["sigma"]
             except NonConvergence:
                 return math.inf, None, None
-        tau = np.kron(np.eye(d_t), sigma)
-        g_om, g_tau = _divergence_grads(omega, tau, beta)
-        g_rho = red.pullback(g_om)
-        g_sig = herm_part(bipartite_partial_trace(g_tau, d_t, d_z, 1))
-        lin = chart.gap_bound(rho, g_rho) \
-            + float(np.real(np.trace(g_sig @ sigma))) \
-            - float(np.linalg.eigvalsh(g_sig)[0])
-        grad = flat(chart.pullback(G, parts, g_rho))
-        if V is not None:
-            grad = np.concatenate([grad, flat(
-                schart.pullback(H, sparts, V.conj().T @ g_sig @ V))])
-        return (sandwiched_divergence(omega, tau, beta), 2.0 * grad,
-                (rho, sigma, max(_q_form_width(lin, beta.value), 0.0)))
+        value, g_rho, _, width = div.at(rho, sigma)
+        return (value, 2.0 * _flat(chart.pullback(G, parts, g_rho)),
+                (rho, sigma, width))
 
-    def done(data):
-        return data[2] <= 1e-2 * CHANNEL_GAP_TOL
-
-    value, x, data = _lbfgs(fg, flat(np.eye(mset.dim, dtype=complex)), done,
-                            smooth=one)
-    if not done(data):
+    value, x, data = _lbfgs(fg, _flat(np.eye(mset.dim, dtype=complex)),
+                            _width_reached, smooth=one)
+    if not _width_reached(data):
         V = _support_isometry(bipartite_partial_trace(red.apply(data[0]),
                                                       d_t, d_z, 1))
-        schart = _InputChart(np.eye(1), V.shape[1])
         h0 = herm_power(herm_part(V.conj().T @ data[1] @ V), 0.5)
-        polished = _lbfgs(lambda y: fg(y, schart, V),
-                          np.concatenate([x, flat(h0.astype(complex))]), done,
-                          smooth=True)
-        if polished[2][2] < data[2]:
-            value, _, data = polished
+        polished = div.minimize(_square(x), h0.astype(complex),
+                                _InputChart(np.eye(1), V.shape[1]), V)
+        if polished[1][2] < data[2]:
+            value, data = polished
     return ChannelEntropyResult(value=float(value),
                                 witness=_purified_witness(problem, mset, data[0]),
                                 gap=data[2], method="convex-program")
@@ -580,55 +641,6 @@ def entropy_at_witness(channel: Channel, target, witness: State,
 
 # --------------------------------------------- optimized channel divergence
 
-class IdentityTensor:
-    """Stands in for the map ``sigma -> I_pad (x) sigma`` as the second
-    argument of :func:`minimized_channel_divergence` (the comparison maps of
-    the entropy rewrites are of this shape).  Output registers are the pad
-    registers followed by the input registers."""
-
-    def __init__(self, pad_space: RegisterSpace, in_space: RegisterSpace):
-        for l in pad_space.labels:
-            if l in in_space.labels:
-                raise InvalidRegister(f"pad register {l!r} shadows an input")
-        self.pad_space = pad_space
-        self.in_space = in_space
-        self.out_space = pad_space.tensor(in_space)
-
-    def apply_matrix(self, sigma: np.ndarray) -> np.ndarray:
-        return np.kron(np.eye(self.pad_space.dim), sigma)
-
-    def pullback(self, G: np.ndarray) -> np.ndarray:
-        return bipartite_partial_trace(G, self.pad_space.dim,
-                                       self.in_space.dim, 1)
-
-
-class _SecondArgument:
-    """Uniform view of the sigma side: a Channel (possibly trace scaling) or
-    an :class:`IdentityTensor`, with its own marginal set."""
-
-    def __init__(self, n, constraint):
-        self.mset = _MarginalSet(n.in_space, constraint)
-        if isinstance(n, IdentityTensor):
-            self.kraus = None
-            self.ident = n
-        else:
-            self.kraus = self.mset.restrict_kraus(n.kraus)
-            self.ident = None
-        self.out_space = n.out_space
-
-    def apply(self, sigma_r: np.ndarray) -> np.ndarray:
-        if self.ident is not None:
-            return self.ident.apply_matrix(self.mset.unrestrict(sigma_r))
-        return kraus_apply(self.kraus, sigma_r)
-
-    def pullback(self, G: np.ndarray) -> np.ndarray:
-        if self.ident is not None:
-            full = self.ident.pullback(G)
-            E = self.mset.embed
-            return herm_part(E.conj().T @ full @ E)
-        return kraus_pullback(self.kraus, G)
-
-
 def _log_frechet_map(tau: np.ndarray):
     """Frechet derivative of log2 at tau (Daleckii-Krein kernel; spectrum
     below the support cut contributes nothing)."""
@@ -670,100 +682,74 @@ def _divergence_grads(omega, tau, alpha):
     return g_om, g_tau
 
 
-def minimized_channel_divergence(m: Channel, n, constraints, alpha, *,
-                                 value_tol: float = 1e-6,
-                                 max_iters: int = 3000) -> float:
+def minimized_channel_divergence(m: Channel, n: Channel, constraints,
+                                 alpha) -> float:
     """Infimum of D_alpha(M[rho] || N[sigma]) over marginal-constrained
     inputs on both sides.
 
-    ``n`` may be a :class:`Channel` (trace-scaling CP maps are allowed) or an
-    :class:`IdentityTensor`; ``constraints`` is a pair of optional
-    :class:`MarginalConstraint` for the two inputs.  Orders from 1/2 up run
-    a conditional-gradient method certified by its Frank-Wolfe gap, taken on
-    D_alpha for alpha <= 1 (jointly convex) and on Q_alpha for alpha > 1
-    (jointly convex, converted to bits); ``alpha = inf`` is one covering
-    SDP, certified by its duality gap.  :class:`NonConvergence` is raised
-    when a run ends without a finite value and a width below ``value_tol``
-    (e.g. when the outputs at the start have orthogonal supports); orders
-    below 1/2 raise :class:`UnsupportedOrder`.
+    ``m`` is a channel and ``n`` a completely positive map (trace scaling
+    ones such as sigma -> 1 (x) sigma are allowed) with the same output
+    registers; ``constraints`` is a pair of optional
+    :class:`MarginalConstraint` for the two inputs.  Every finite order from
+    1/2 up is one joint L-BFGS over a chart of each marginal set
+    (:meth:`_JointDivergence.minimize`, which also polishes the channel
+    entropy), certified by the joint Frank-Wolfe gap over both sets, taken
+    on D_alpha for alpha <= 1 (jointly convex) and on Q_alpha for
+    alpha > 1 (jointly convex, converted to bits); no SDP is solved there.
+    ``alpha = inf`` is one covering SDP, certified by its duality gap.  The
+    value is the divergence at the returned pair, and the infimum lies
+    within the width below it.  :class:`NonConvergence` (with the value and
+    the width) is raised when a run ends without a finite value and a width
+    below ``CHANNEL_GAP_TOL`` times max(1, |value|), e.g. when the outputs
+    at the start have orthogonal supports; orders below 1/2 raise
+    :class:`UnsupportedOrder`.
     """
     alpha = as_order(alpha)
     if sorted(m.out_space.labels) != sorted(n.out_space.labels):
         raise InvalidRegister("the two maps must share their output registers")
-    cm, cn = constraints
     if not m.is_trace_preserving:
         raise InvalidState("the first argument must be trace preserving")
-    mside = _MarginalSet(m.in_space, cm)
-    m_kraus = mside.restrict_kraus(m.kraus)
-    nside = _SecondArgument(n, cn)
-    P_out = _perm_matrix(n.out_space, m.out_space.labels)
-
-    def m_apply(rho_r):
-        return kraus_apply(m_kraus, rho_r)
-
-    def n_apply(sig_r):
-        return P_out @ nside.apply(sig_r) @ P_out.conj().T
-
-    if alpha.is_infinite:
-        value, _, width = _max_divergence_program(mside, m_apply, n_apply,
-                                                  nside.mset)
-        if not width <= value_tol * max(1.0, abs(value)):
-            raise NonConvergence("duality gap exceeds value_tol",
-                                 value=value, gap=width)
-        return value
     if alpha.value < 0.5 - 1e-12:
         raise UnsupportedOrder("the divergence is not jointly convex in "
                                "any form below order 1/2")
-
-    def value_at(rho_r, sig_r):
-        return sandwiched_divergence(m_apply(rho_r), n_apply(sig_r), alpha)
-
-    rho, sig = mside.start(), nside.mset.start()
-    best = value_at(rho, sig)
-    gap = math.inf
-    for _ in range(max_iters):
-        if not np.isfinite(best):
-            break
-        g_om, g_tau = _divergence_grads(m_apply(rho), n_apply(sig), alpha)
-        g_rho = kraus_pullback(m_kraus, g_om)
-        g_sig = nside.pullback(P_out.conj().T @ g_tau @ P_out)
-        v_rho, slack_rho = mside.lmo(g_rho)
-        v_sig, slack_sig = nside.mset.lmo(g_sig)
-        lin = float(np.real(np.trace(g_rho @ (rho - v_rho)))
-                    + np.real(np.trace(g_sig @ (sig - v_sig))))
-        gap = _q_form_width(lin + slack_rho + slack_sig,
-                            1.0 if alpha.near_one else alpha.value)
-        if gap <= value_tol * max(1.0, abs(best)):
-            break
-        t, moved = 1.0, False
-        for _bt in range(40):
-            rc = (1.0 - t) * rho + t * v_rho
-            sc = (1.0 - t) * sig + t * v_sig
-            vc = value_at(rc, sc)
-            if np.isfinite(vc) and vc <= best - 0.1 * t * lin:
-                rho, sig, best, moved = rc, sc, vc, True
-                break
-            t *= 0.5
-        if not moved:
-            break
-    if not (math.isfinite(best) and math.isfinite(gap)) \
-            or gap > value_tol * max(1.0, abs(best)):
-        raise NonConvergence("conditional gradient stalled before its "
-                             "certificate", value=best, gap=gap)
-    return float(best)
+    msets = [_MarginalSet(ch.in_space, c) for ch, c in zip((m, n), constraints)]
+    P_out = _perm_matrix(n.out_space, m.out_space.labels)
+    kraus = (msets[0].restrict_kraus(m.kraus),
+             [P_out @ K for K in msets[1].restrict_kraus(n.kraus)])
+    maps = [(partial(kraus_apply, ks), partial(kraus_pullback, ks))
+            for ks in kraus]
+    if alpha.is_infinite:
+        value, _, width = _max_divergence_program(msets[0], maps[0][0],
+                                                  maps[1][0], msets[1])
+    else:
+        div = _JointDivergence(alpha, maps, [
+            _InputChart(s.psi_r, s.dim // s.rank_a) for s in msets])
+        d_m, d_n = msets[0].dim, msets[1].dim
+        value, (_, _, width) = div.minimize(
+            np.eye(d_m, dtype=complex), np.eye(d_n, dtype=complex),
+            div.charts[1], np.eye(d_n))
+    if not (math.isfinite(value)
+            and width <= CHANNEL_GAP_TOL * max(1.0, abs(value))):
+        raise NonConvergence("certified interval exceeds CHANNEL_GAP_TOL "
+                             f"({width:.2e})", value=value, gap=width)
+    return float(value)
 
 
 def entropy_via_conjugate_divergence(channel: Channel, target, constraint,
-                                     alpha, **kw) -> float:
+                                     alpha) -> float:
     """Recompute the optimized channel entropy as a minimized divergence.
 
-    The entropy of the target given the rest equals the divergence — at the
-    conjugate order b = a/(2a-1) — between the conditioning-traced dilation
-    of the channel and ``I_target (x) id_env``, minimized over the same
-    constrained inputs.  That program is convex in Q_b for every a >= 1/2,
-    so this is an independent *certified* route to
-    :func:`channel_cond_entropy`; keyword arguments pass through to
-    :func:`minimized_channel_divergence`.
+    The entropy of the target given the rest equals the divergence, at the
+    conjugate order b = a/(2a-1), between the conditioning-traced dilation
+    of the channel and sigma -> 1_target (x) sigma, minimized over the same
+    constrained inputs.  The problem is built here apart from
+    :func:`channel_cond_entropy`: the dilation comes from the Stinespring
+    isometry through :func:`compose` and :func:`trace_out_channel`, the
+    second map is a channel with Kraus operators e_k (x) 1, and no inner
+    :func:`cond_entropy_up` runs.  The optimizer is shared with the entropy
+    route: :func:`minimized_channel_divergence` runs the joint L-BFGS that
+    polishes the entropy (or, at b = inf, the covering program of order
+    1/2).  It serves as a test oracle.
     """
     target = (target,) if isinstance(target, str) else tuple(target)
     beta = as_order(alpha).conjugate()
@@ -774,9 +760,11 @@ def entropy_via_conjugate_divergence(channel: Channel, target, constraint,
     cond = [l for l in channel.out_space.labels if l not in target]
     m = compose(trace_out_channel(iso.out_space, cond), dil)
     pad = channel.out_space.keep(target)
-    ident = IdentityTensor(pad, m.out_space.drop(pad.labels))
-    return minimized_channel_divergence(m, ident, (constraint, None), beta,
-                                        **kw)
+    rest = m.out_space.drop(pad.labels)
+    eye = np.eye(rest.dim)
+    tensor = Channel([np.kron(e.reshape(-1, 1), eye) for e in np.eye(pad.dim)],
+                     rest, pad.tensor(rest), require_tp=False)
+    return minimized_channel_divergence(m, tensor, (constraint, None), beta)
 
 
 # ----------------------------------------------------- inequality checkers

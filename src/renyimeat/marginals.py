@@ -112,23 +112,6 @@ class _MarginalSet:
         """Constrain ``block`` of ``prob`` to the set: Tr_F rho = psi_r."""
         prob.add_operator_equality([(block, self.marginal)], self.psi_r)
 
-    def lmo(self, G: np.ndarray):
-        """Feasible point minimizing the linear functional tr[G rho], and how
-        far its value may sit above the minimum (the SDP duality gap when
-        one is solved, else 0)."""
-        if self.fixed:
-            return self.psi_r.copy(), 0.0
-        if self.constraint is None:
-            v = np.linalg.eigh(herm_part(G))[1][:, 0]
-            return np.outer(v, v.conj()), 0.0
-        prob = SdpProblem(sense="min")
-        prob.add_block("rho", self.dim)
-        prob.add_objective("rho", herm_part(G))
-        self.pin(prob, "rho")
-        sol = solve_sdp(prob, start={"rho": self.start()},
-                        gap_tol=1e-9, gap_ceiling=1e-5)
-        return herm_part(sol.variables["rho"]), sol.gap
-
     def unrestrict(self, rho_r: np.ndarray) -> np.ndarray:
         """Map a set element back to the channel's input basis."""
         return herm_part(self.embed @ rho_r @ self.embed.conj().T)
@@ -258,8 +241,7 @@ def product_feasibility_slack(pair: SdpPair, lam0: np.ndarray,
     return float(np.linalg.eigvalsh(herm_part(big - pair.dual_rhs)).min())
 
 
-def solve_sdp_pair(pair: SdpPair, **kw):
+def solve_sdp_pair(pair: SdpPair):
     """Solve both sides; returns (primal_solution, dual_solution)."""
-    p = solve_sdp(pair.primal, start=pair.primal_start, **kw)
-    d = solve_sdp(pair.dual, start=pair.dual_start, **kw)
-    return p, d
+    return (solve_sdp(pair.primal, start=pair.primal_start),
+            solve_sdp(pair.dual, start=pair.dual_start))

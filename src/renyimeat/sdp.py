@@ -19,7 +19,7 @@ The solver is a primal log-barrier interior-point method on the Hermitian
 real vectorization: Newton centering steps on t*<c,x> - sum_b logdet(X_b)
 with equality constraints kept by a KKT system, mu-reduction factor 0.2,
 stopping once the barrier duality gap sum_b dim(X_b)/t drops below
-``gap_tol`` times the value scale.  Dual variables come for free at a
+``GAP_TOL`` times the value scale.  Dual variables come for free at a
 centered point: y = -nu/t from the KKT multipliers and S_b = X_b^{-1}/t,
 which certifies the value through weak duality.
 
@@ -61,7 +61,13 @@ import scipy.linalg
 from .errors import InfeasibleSpec, InvalidState, SolverFailure
 from .registers import herm_part
 
+#: target duality gap, relative to the value scale
 GAP_TOL = 1e-8
+#: widest gap accepted when centering breaks down before ``GAP_TOL``
+GAP_CEILING = 1e-6
+#: barrier rungs, and Newton steps per rung
+MAX_OUTER = 80
+MAX_INNER = 60
 MU_REDUCTION = 0.2
 
 
@@ -370,7 +376,7 @@ def _starting_point(problem, names, dims, offs, A, b, start):
     return x0
 
 
-def _center(t, x, names, dims, offs, A, b, c, max_inner, kkt):
+def _center(t, x, names, dims, offs, A, b, c, kkt):
     """Newton-center the barrier objective at weight ``t``.
 
     ``kkt`` is the solve's KKT matrix [[H, A^T], [A, 0]]; the diagonal H
@@ -384,7 +390,7 @@ def _center(t, x, names, dims, offs, A, b, c, max_inner, kkt):
     y_center = np.zeros(m)
     prev_lam2 = np.inf
     steps = 0
-    for _inner in range(max_inner):
+    for _inner in range(MAX_INNER):
         steps += 1
         invs = []
         grad = t * c.copy()
@@ -439,16 +445,14 @@ def _center(t, x, names, dims, offs, A, b, c, max_inner, kkt):
                         diagnostics={"t": t})
 
 
-def solve_sdp(problem: SdpProblem, *, start: dict | None = None,
-              gap_tol: float = GAP_TOL, gap_ceiling: float = 1e-6,
-              max_outer: int = 80, max_inner: int = 60) -> SdpSolution:
-    """Solve to a certified duality gap of ``gap_tol`` times the value scale.
+def solve_sdp(problem: SdpProblem, *, start: dict | None = None) -> SdpSolution:
+    """Solve to a certified duality gap of ``GAP_TOL`` times the value scale.
 
     ``start`` maps block names to strictly feasible Hermitian PD matrices.
     The barrier path is pushed until the gap target is met; if centering
     breaks down first (the KKT systems carry condition ~t^2, so for some
     geometries double precision runs out a little before 1e-8), the last
-    centered point is returned as long as its gap is below ``gap_ceiling``
+    centered point is returned as long as its gap is below ``GAP_CEILING``
     times the value scale — the achieved gap is always reported in the
     solution.  Raises :class:`InfeasibleSpec` when the equalities are
     inconsistent and :class:`SolverFailure` when no acceptably centered
@@ -468,10 +472,10 @@ def solve_sdp(problem: SdpProblem, *, start: dict | None = None,
     total_newton = 0
     good = None  # (x, invs, y_center, t) at the last centered rung
 
-    for _outer in range(max_outer):
+    for _outer in range(MAX_OUTER):
         try:
             x_c, invs, y_center, steps = _center(t, x, names, dims, offs,
-                                                 A, b, c, max_inner, kkt)
+                                                 A, b, c, kkt)
         except SolverFailure:
             if good is None:
                 raise
@@ -481,14 +485,14 @@ def solve_sdp(problem: SdpProblem, *, start: dict | None = None,
         x = x_c
         good = (x, invs, y_center, t)
         scale = max(1.0, abs(float(c @ x)))
-        if n_total / t <= gap_tol * scale:
+        if n_total / t <= GAP_TOL * scale:
             break
         t = t / MU_REDUCTION
     else:
         x, invs, y_center, t = good
 
     scale = max(1.0, abs(float(c @ x)))
-    if n_total / t > gap_ceiling * scale:
+    if n_total / t > GAP_CEILING * scale:
         raise SolverFailure("could not reach an acceptable duality gap",
                             diagnostics={"gap": n_total / t, "t": t})
 

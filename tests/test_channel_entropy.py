@@ -29,6 +29,7 @@ from renyimeat.entropies import alpha_entropy, cond_entropy_up
 from renyimeat.errors import NonConvergence
 from renyimeat.registers import State, space
 from renyimeat.sampling import random_channel, random_density
+from renyimeat.sdp import SdpProblem, solve_sdp
 
 HALF = 0.5
 TOL = 1e-6
@@ -155,7 +156,7 @@ def test_infinite_order_is_attained_by_its_witness(seed):
     half = channel_cond_entropy(ChannelEntropyProblem(ch, "T", HALF))
     assert res.value <= half.value + TOL
     # independent route: the minimized order-1/2 divergence of the dilation,
-    # certified by its conditional-gradient gap (1e-6)
+    # certified by its joint Frank-Wolfe gap (1e-6)
     conj = entropy_via_conjugate_divergence(ch, "T", None, "inf")
     assert res.value == pytest.approx(conj, abs=1e-6)
 
@@ -332,9 +333,24 @@ def test_input_chart_jacobian_and_gap_bound(pin):
              for s in (1, -1)]
         assert (f[0] - f[1]) / (2 * h) == pytest.approx(
             2 * np.real(np.sum(gam.conj() * dG)), abs=1e-7)
-    vertex, slack = mset.lmo(grad)
+    # the linear minimization oracle: min tr[grad v] over the marginal set
+    lmo = SdpProblem(sense="min")
+    lmo.add_block("rho", n)
+    lmo.add_objective("rho", grad)
+    mset.pin(lmo, "rho")
+    sol = solve_sdp(lmo, start={"rho": mset.start()})
+    vertex, slack = sol.variables["rho"], sol.gap
     lmo_gap = np.trace(grad @ (rho - vertex)).real
     assert chart.gap_bound(rho, grad) >= lmo_gap - slack - 1e-9
+
+
+def pinned_second_argument():
+    """M and N on qubit and two-qubit inputs, sigma pinned on B."""
+    m = random_channel(space(("A", 2)), space(("T", 2)), seed=1, kraus_rank=2)
+    n = random_channel(space(("B", 2), ("G", 2)), space(("T", 2)), seed=2,
+                       kraus_rank=4)
+    psi = random_density(space(("B", 2)), seed=4)
+    return m, n, psi, (None, MarginalConstraint("B", psi))
 
 
 def test_max_divergence_with_a_pinned_second_argument():
@@ -342,13 +358,9 @@ def test_max_divergence_with_a_pinned_second_argument():
     carries its marginal through a scale block; the value lies between the
     order-10 value (the divergence grows with the order) and D_max at the
     start pair, the maximally mixed rho and psi_B (x) 1_G / 2."""
-    m = random_channel(space(("A", 2)), space(("T", 2)), seed=1, kraus_rank=2)
-    n = random_channel(space(("B", 2), ("G", 2)), space(("T", 2)), seed=2,
-                       kraus_rank=4)
-    psi = random_density(space(("B", 2)), seed=4)
-    cons = (None, MarginalConstraint("B", psi))
-    at_inf = minimized_channel_divergence(m, n, cons, "inf")
-    at_ten = minimized_channel_divergence(m, n, cons, 10.0)
+    m, n, psi, cons = pinned_second_argument()
+    at_two, at_five, at_ten, at_inf = (minimized_channel_divergence(
+        m, n, cons, a) for a in (2.0, 5.0, 10.0, "inf"))
     rho0 = State(np.eye(2) / 2, space(("A", 2)))
     sig0 = psi.tensor(State(np.eye(2) / 2, space(("G", 2))))
     start = sandwiched_divergence(m.apply(rho0).matrix, n.apply(sig0).matrix,
@@ -356,3 +368,31 @@ def test_max_divergence_with_a_pinned_second_argument():
     assert at_ten <= at_inf + 1e-6 <= start + 2e-6
     assert at_inf == pytest.approx(0.268612927, abs=1e-7)
     assert at_ten == pytest.approx(0.218048846, abs=2e-6)
+    assert at_two <= at_five + 1e-6 and at_five <= at_ten + 1e-6
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 2.0])
+def test_divergence_of_a_channel_to_itself_vanishes(alpha):
+    """M = N with the first input pinned and the second free: sigma = rho
+    attains 0, and the divergence of two states is not negative, so the
+    value, which lies within its width above the infimum 0, is in
+    [0, CHANNEL_GAP_TOL]."""
+    ch = random_channel(space(("A", 2), ("F", 2)), space(("T", 2)), seed=8,
+                        kraus_rank=2)
+    value = minimized_channel_divergence(ch, ch, (pinned("A", 9), None), alpha)
+    assert -1e-12 <= value <= CHANNEL_GAP_TOL
+
+
+def test_unconverged_divergence_raises_with_its_interval(monkeypatch):
+    """The joint program cut after its first step raises with the value and
+    a width whose interval still holds the optimum."""
+    from renyimeat import channel_entropy as ce
+    m, n, _, cons = pinned_second_argument()
+    best = minimized_channel_divergence(m, n, cons, 2.0)
+    real = ce._lbfgs
+    monkeypatch.setattr(ce, "_lbfgs", lambda *a, **kw: real(
+        *a, **dict(kw, max_iters=1)))
+    with pytest.raises(NonConvergence) as err:
+        minimized_channel_divergence(m, n, cons, 2.0)
+    assert err.value.gap > CHANNEL_GAP_TOL
+    assert err.value.value - err.value.gap <= best <= err.value.value
