@@ -562,6 +562,8 @@ def _solve_convex(problem: ChannelEntropyProblem,
             except NonConvergence:
                 return math.inf, None, None
         value, g_rho, _, width = div.at(rho, sigma)
+        if g_rho is None:
+            return value, None, None
         return (value, 2.0 * _flat(chart.pullback(G, parts, g_rho)),
                 (rho, sigma, width))
 

@@ -29,6 +29,7 @@ from renyimeat.entropies import alpha_entropy, cond_entropy_up
 from renyimeat.errors import NonConvergence
 from renyimeat.registers import State, space
 from renyimeat.sampling import random_channel, random_density
+from renyimeat import sdp
 from renyimeat.sdp import SdpProblem, solve_sdp
 
 HALF = 0.5
@@ -305,7 +306,7 @@ def test_chain_rule_at_order_one(seed):
 
 
 @pytest.mark.parametrize("pin", [None, 7])
-def test_input_chart_jacobian_and_gap_bound(pin):
+def test_input_chart_jacobian_and_gap_bound(pin, monkeypatch):
     """The closed-form pullback of the chart rho(G) matches central
     differences, every chart point keeps the pinned marginal, and the
     closed-form dual bound on the Frank-Wolfe gap is at least the gap the
@@ -333,13 +334,21 @@ def test_input_chart_jacobian_and_gap_bound(pin):
              for s in (1, -1)]
         assert (f[0] - f[1]) / (2 * h) == pytest.approx(
             2 * np.real(np.sum(gam.conj() * dG)), abs=1e-7)
-    # the linear minimization oracle: min tr[grad v] over the marginal set
-    lmo = SdpProblem(sense="min")
-    lmo.add_block("rho", n)
-    lmo.add_objective("rho", grad)
-    mset.pin(lmo, "rho")
-    sol = solve_sdp(lmo, start={"rho": mset.start()})
-    vertex, slack = sol.variables["rho"], sol.gap
+    # the linear minimization oracle: min tr[grad v] over the marginal set,
+    # exact (the lowest eigenvector) without a constraint, else the SDP
+    # solved to a 1e-9 duality gap
+    if con is None:
+        v = np.linalg.eigh(grad)[1][:, 0]
+        vertex, slack = np.outer(v, v.conj()), 0.0
+    else:
+        monkeypatch.setattr(sdp, "GAP_TOL", 1e-9)
+        monkeypatch.setattr(sdp, "GAP_CEILING", 1e-5)
+        lmo = SdpProblem(sense="min")
+        lmo.add_block("rho", n)
+        lmo.add_objective("rho", grad)
+        mset.pin(lmo, "rho")
+        sol = solve_sdp(lmo, start={"rho": mset.start()})
+        vertex, slack = sol.variables["rho"], sol.gap
     lmo_gap = np.trace(grad @ (rho - vertex)).real
     assert chart.gap_bound(rho, grad) >= lmo_gap - slack - 1e-9
 
