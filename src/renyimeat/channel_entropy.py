@@ -61,7 +61,7 @@ import numpy as np
 
 from .channels import Channel, _perm_matrix, compose, trace_out_channel
 from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
-from .entropies import _power_frechet_map, _support_isometry, cond_entropy_up
+from .entropies import _power_frechet_map, cond_entropy_up
 from .errors import (InfeasibleSpec, InvalidRegister, InvalidState,
                      NonConvergence, UnsupportedOrder)
 from .marginals import (MarginalConstraint, SdpPair,  # noqa: F401 (re-export)
@@ -70,7 +70,7 @@ from .marginals import (MarginalConstraint, SdpPair,  # noqa: F401 (re-export)
 from .registers import (EIG_CUT, LOG2E, RegisterSpace, State,
                         bipartite_partial_trace, canonical_purification_vector,
                         divided_differences, herm_part, herm_power, ket_state,
-                        kraus_apply, kraus_pullback, space)
+                        kraus_apply, kraus_pullback, space, support_isometry)
 from .sdp import SdpProblem, solve_sdp
 
 #: widest certified interval (in bits of entropy) a channel entropy may
@@ -193,7 +193,7 @@ def _solve_inf(problem: ChannelEntropyProblem,
     """
     red = _ReducedDilation(problem, mset)
     rho0 = mset.start()
-    U = _support_isometry(red.apply(rho0))
+    U = support_isometry(red.apply(rho0))
     r = U.shape[1]
     eye_t = np.eye(red.d_t)
 
@@ -570,8 +570,8 @@ def _solve_convex(problem: ChannelEntropyProblem,
     value, x, data = _lbfgs(fg, _flat(np.eye(mset.dim, dtype=complex)),
                             _width_reached, smooth=one)
     if not _width_reached(data):
-        V = _support_isometry(bipartite_partial_trace(red.apply(data[0]),
-                                                      d_t, d_z, 1))
+        V = support_isometry(bipartite_partial_trace(red.apply(data[0]),
+                                                     d_t, d_z, 1))
         h0 = herm_power(herm_part(V.conj().T @ data[1] @ V), 0.5)
         polished = div.minimize(_square(x), h0.astype(complex),
                                 _InputChart(np.eye(1), V.shape[1]), V)

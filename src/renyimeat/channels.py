@@ -14,6 +14,14 @@ import numpy as np
 from .errors import InvalidRegister, InvalidState
 from .registers import RegisterSpace, State, kraus_apply
 
+#: Frobenius-norm defect of sum_k K_k^dag K_k = 1 (or V^dag V = 1) up to
+#: which a map counts as trace preserving (an isometry)
+TP_TOL = 1e-9
+
+#: eigenvalues of a prepared state up to which it contributes no Kraus
+#: operator
+PREPARE_CUT = 1e-12
+
 
 def _perm_matrix(space: RegisterSpace, new_order) -> np.ndarray:
     """Unitary permutation matrix sending ``space`` order to ``new_order``."""
@@ -35,7 +43,7 @@ class Channel:
     """
 
     def __init__(self, kraus, in_space: RegisterSpace, out_space: RegisterSpace,
-                 *, require_tp: bool = True, tol: float = 1e-9):
+                 *, require_tp: bool = True):
         kraus = [np.asarray(K, dtype=complex) for K in kraus]
         if not kraus:
             raise InvalidState("a channel needs at least one Kraus operator")
@@ -46,7 +54,7 @@ class Channel:
                     f"Kraus shape {K.shape} != ({dout}, {din})")
         acc = sum(K.conj().T @ K for K in kraus)
         self.completeness_defect = float(np.linalg.norm(acc - np.eye(din)))
-        if require_tp and self.completeness_defect > tol:
+        if require_tp and self.completeness_defect > TP_TOL:
             raise InvalidState(
                 f"Kraus operators not trace preserving (defect "
                 f"{self.completeness_defect:.2e})")
@@ -56,7 +64,7 @@ class Channel:
 
     @property
     def is_trace_preserving(self) -> bool:
-        return self.completeness_defect <= 1e-9
+        return self.completeness_defect <= TP_TOL
 
     def __repr__(self):
         return (f"<Channel {list(self.in_space.labels)} -> "
@@ -135,12 +143,12 @@ class Isometry:
     """Isometry between register spaces; ``matrix`` is (out_dim x in_dim)."""
 
     def __init__(self, matrix, in_space: RegisterSpace, out_space: RegisterSpace,
-                 *, require_isometry: bool = True, tol: float = 1e-9):
+                 *, require_isometry: bool = True):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (out_space.dim, in_space.dim):
             raise InvalidState(f"isometry shape {matrix.shape} mismatched")
         defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(in_space.dim))
-        if require_isometry and defect > tol:
+        if require_isometry and defect > TP_TOL:
             raise InvalidState(f"not an isometry (V*V - I = {defect:.2e})")
         self.matrix = matrix
         self.in_space = in_space
@@ -256,8 +264,8 @@ def classical_function_channel(in_space: RegisterSpace, out_space: RegisterSpace
     return Channel(ks, in_space, out_space)
 
 
-def prepare_channel(reader_space: RegisterSpace, states, out_space: RegisterSpace,
-                    *, tol: float = 1e-12) -> Channel:
+def prepare_channel(reader_space: RegisterSpace, states,
+                    out_space: RegisterSpace) -> Channel:
     """Read-and-prepare: keep the (classical) reader registers and append a
     state on ``out_space`` chosen by the basis value read.
 
@@ -272,7 +280,7 @@ def prepare_channel(reader_space: RegisterSpace, states, out_space: RegisterSpac
         tau = np.asarray(states[idx], dtype=complex)
         vals, vecs = np.linalg.eigh(tau)
         for lam, v in zip(vals, vecs.T):
-            if lam <= tol:
+            if lam <= PREPARE_CUT:
                 continue
             K = np.zeros((din * dD, din), dtype=complex)
             col = np.zeros(din)

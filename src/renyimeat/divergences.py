@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import InvalidState, UnsupportedOrder
-from .registers import EIG_CUT, State, herm_power, support_projector
+from .registers import EIG_CUT, State, herm_power, support_isometry
 
 LN2 = math.log(2.0)
 
@@ -36,6 +36,10 @@ HALF_WINDOW = 1e-12
 
 #: relative cutoff of the operator-orthogonality predicate
 ORTHO_CUT = 1e-12
+
+#: weight of rho outside supp(sigma), relative to tr rho, up to which
+#: supp(rho) counts as contained in supp(sigma)
+SUPPORT_TOL = 1e-12
 
 
 class RenyiOrder:
@@ -157,13 +161,13 @@ def orthogonal(rho, sigma) -> bool:
     return np.linalg.norm(r @ s, 2) <= ORTHO_CUT * nr * ns
 
 
-def support_contained(rho, sigma, rel_tol: float = 1e-12) -> bool:
+def support_contained(rho, sigma) -> bool:
     """supp(rho) <= supp(sigma), decided by the weight of rho outside."""
     r, s = _as_matrix(rho), _as_matrix(sigma)
-    P = support_projector(s)
-    comp = np.eye(P.shape[0]) - P
+    U = support_isometry(s)
+    comp = np.eye(U.shape[0]) - U @ U.conj().T
     outside = float(np.real(np.trace(comp @ r @ comp)))
-    return outside <= rel_tol * max(float(np.real(np.trace(r))), 1e-300)
+    return outside <= SUPPORT_TOL * max(float(np.real(np.trace(r))), 1e-300)
 
 
 def _trace(mat) -> float:

@@ -5,21 +5,35 @@ Conventions: for a normalized rho on registers A (target) and B (conditioning),
     H_a(A|B)     = -D_a(rho_AB || id_A (x) rho_B)            ("down")
     H^up_a(A|B)  = sup_sigma -D_a(rho_AB || id_A (x) sigma_B) ("up")
 
-with D_a the base-2 sandwiched divergence.  The "up" optimizer iterates the
-first-order condition sigma <- normalize(Tr_A[G(sigma)^a]) with
-G(sigma) = (id (x) sigma^s) rho (id (x) sigma^s), s = (1-a)/(2a), falling back
-to projected gradient on the density-matrix simplex when the iteration does
-not settle.  It runs once, from the mean of the conditioning marginals:
-sigma -> tr[G(sigma)^a] is convex for a > 1 and concave for a in [1/2, 1)
-(Frank-Lieb), so a stationary point is the optimum.  The result is
-certified by a duality interval: the value at sigma bounds H^up from below,
-and -H^up_b(A|C) = H^up_a(A|B) on a purification (1/a + 1/b = 2) turns a
-closed-form dual point into a bound from above.  a = 1/2 and a = infinity
-are exact semidefinite programs (a fidelity and a max-divergence covering
-program), a = 1 is evaluated spectrally.
+with D_a the base-2 sandwiched divergence.  "Down" values are spectral; on
+a state classical on C inside the conditioning, block diagonality makes
+-D_a(rho || id (x) rho_CB) the per-branch mixture :func:`classmix_down`.
 
-All branch sums are carried in log space so that mixtures with extreme
-weights (or very large finite orders) stay finite.
+Every optimized entropy of a state at an order other than 1 runs
+:func:`_two_sided_mix`: branches of classical registers in the target and
+in the conditioning, each tilted by a real score, give one extremum over
+sigma per conditioning outcome, and the value is a quasi-arithmetic mean
+of those.  :func:`cond_entropy_up` has no classical registers,
+:func:`classmix_up` has them all in the conditioning, and the f-weighted
+entropies of :mod:`renyimeat.fweighted` add the tilt.  Each extremum is
+solved on the support of its conditioning marginal:
+
+- generic orders: the first-order condition sigma <- normalize(Tr_A[G^a])
+  with G(sigma) = (id (x) sigma^s) rho (id (x) sigma^s), s = (1-a)/(2a),
+  then projected gradient, once from the mean of the conditioning
+  marginals: sigma -> tr[G(sigma)^a] is convex for a > 1 and concave for
+  a in [1/2, 1) (Frank-Lieb), so a stationary point is the optimum.  The
+  value at sigma bounds H^up from below, and -H^up_b(A|C) = H^up_a(A|B) on
+  a purification (1/a + 1/b = 2) turns a closed-form dual point into a
+  bound from above;
+- a = 1/2 and a = infinity: a fidelity and a max-divergence covering
+  semidefinite program, whose duality gaps give the width;
+- a conditioning support of rank one, or the "down" variant: sigma is
+  pinned and the value is a closed form.
+
+A width above ``UP_GAP_TOL`` raises :class:`NonConvergence`.  a = 1 is
+spectral.  Branch sums are carried in log space so that extreme weights
+(or very large finite orders) stay finite.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from scipy.special import logsumexp
 from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      NotClassical, NotPure, UnsupportedOrder)
-from .registers import EIG_CUT, State, embed_operator
+from .registers import EIG_CUT, State, embed_operator, support_isometry
 from .sdp import SdpProblem, solve_sdp
 from . import registers
 
@@ -112,14 +126,6 @@ def _marginal_pair(state: State, target, conditioning) -> State:
     if len(labels) == len(state.space.labels):
         return state
     return state.marginal(labels)
-
-
-def _support_isometry(mat: np.ndarray) -> np.ndarray:
-    """Columns span supp(mat); shape (d, rank)."""
-    vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=complex))
-    top = vals.max(initial=0.0)
-    keep = vals > EIG_CUT * max(top, 1e-300)
-    return vecs[:, keep]
 
 
 # --------------------------------------------------------------- H_a ("down")
@@ -389,10 +395,6 @@ def _polish_sigma(branches, log2_weights, d_q, d_qp, alpha, sigma, sigma0):
     return phi, sigma, resid <= 1e-6
 
 
-def _hup_value_from_log2T(log2_T: float, alpha: float) -> float:
-    return -log2_T / (alpha - 1.0)
-
-
 def _duality_gap(branches, log2_probs, d_q, sigma, alpha, log2_T) -> float:
     """Width of an interval that holds H^up_a(I Q | Q') of the normalized
     block state omega = (+)_i w_i rho_i, w_i proportional to
@@ -456,7 +458,7 @@ def _t_max_half_sdp(branches, weights, d_q: int, d_b: int):
     a = 1/2 objective is therefore a single SDP (the generic fixed-point
     iteration crawls here because the maximizer may sit on the boundary).
     Each P-block is compressed to supp(rho_i) so strictly feasible starts
-    exist.  Returns (T_max, sigma).
+    exist.  Returns (T_max, duality gap, sigma).
     """
     prob = SdpProblem("max")
     prob.add_block("sigma", d_b)
@@ -465,7 +467,7 @@ def _t_max_half_sdp(branches, weights, d_q: int, d_b: int):
     for i, (rho, w) in enumerate(zip(branches, weights)):
         if w <= 0.0:
             continue
-        U = _support_isometry(rho)
+        U = support_isometry(rho)
         r = U.shape[1]
         rho_r = U.conj().T @ rho @ U
         rho_r = 0.5 * (rho_r + rho_r.conj().T)
@@ -490,7 +492,7 @@ def _t_max_half_sdp(branches, weights, d_q: int, d_b: int):
         V0[r:, r:] = lift(start["sigma"])
         start[blk] = V0
     sol = solve_sdp(prob, start=start)
-    return float(sol.value), sol.variables["sigma"]
+    return float(sol.value), float(sol.gap), sol.variables["sigma"]
 
 
 def _alpha_ladder(alpha: float):
@@ -505,16 +507,18 @@ def _alpha_ladder(alpha: float):
 def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
     """Extremized log2 T from one warm start; returns (log2_T, sigma, gap).
 
-    The start is the normalized mean of the branch marginals.  ``gap`` is
-    the width of the duality interval (:func:`_duality_gap`) in entropy
-    units of the normalized block state; the a = 1/2 program is exact and
-    reports 0.  ``log2_probs`` are per-branch log2 weights *before* raising
-    to the power alpha; each ladder rung a uses weights a * log2_probs, so
-    the mixture tracks the order during continuation.
+    ``gap`` is the width of an interval holding the optimum, in entropy
+    units of the normalized block state.  At a = 1/2 the fidelity program
+    solves it: the optimum lies below T_sdp + (duality gap), so the width is
+    2 log2((T_sdp + gap) / T).  Otherwise the start is the normalized mean
+    of the branch marginals and the width is the duality interval of
+    :func:`_duality_gap`.  ``log2_probs`` are per-branch log2 weights
+    *before* raising to the power alpha; each ladder rung a uses weights
+    a * log2_probs, so the mixture tracks the order during continuation.
     """
     if as_order(alpha).is_half:
         weights = [2.0 ** (0.5 * lp) for lp in log2_probs]
-        T, sigma = _t_max_half_sdp(branches, weights, d_q, d_qp)
+        T, sdp_gap, sigma = _t_max_half_sdp(branches, weights, d_q, d_qp)
         log2_T = float(np.log2(max(T, 1e-300)))
         # the spectral evaluation at the optimizer is an equally valid lower
         # bound on the sup; keep whichever is larger
@@ -522,7 +526,8 @@ def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
                                   d_q, sigma, 0.5)
         if np.isfinite(direct):
             log2_T = max(log2_T, direct)
-        return log2_T, sigma, 0.0
+        width = 2.0 * (math.log2(max(T + sdp_gap, 1e-300)) - log2_T)
+        return log2_T, sigma, max(width, 0.0)
 
     marg_space = registers.space(("q", d_q), ("p", d_qp))
     mean = sum(State(r, marg_space, check=False).partial_trace(keep=["p"])
@@ -539,73 +544,15 @@ def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
                                        alpha, log2_T)
 
 
-# ---------------------------------------------------------------- H^up ("up")
-
-def cond_entropy_up(state: State, target, conditioning, alpha, *,
-                    return_info: bool = False):
-    """H^up_a(target | conditioning): optimized conditional Renyi entropy.
-
-    With ``return_info=True`` returns ``(value, info)`` where ``info`` holds
-    the optimal conditioning state (on the support of the marginal), the
-    width of the certified interval around the value ("gap": the duality
-    interval at generic orders, 0 where the route is exact), and the method
-    used.  Raises :class:`NonConvergence` when that width exceeds
-    ``UP_GAP_TOL``.
-    """
-    a = as_order(alpha)
-    rho = _marginal_pair(state, target, conditioning)
-    target = list(target)
-    rest = [l for l in rho.space.labels if l not in target]
-    rho = rho.reorder(target + rest)
-    cond_dim = int(np.prod([rho.space.dim_of(l) for l in rest])) if rest else 1
-    d_q = rho.space.dim // cond_dim
-
-    if cond_dim == 1:
-        mat = rho.partial_trace(keep=target).matrix if rest else rho.matrix
-        value = alpha_entropy(mat, a)
-        info = {"sigma": np.ones((1, 1)), "gap": 0.0, "method": "unconditioned"}
-        return (value, info) if return_info else value
-
-    if a.near_one:
-        h_ab = von_neumann_entropy(rho.matrix)
-        sig_b = rho.partial_trace(keep=rest)
-        value = h_ab - von_neumann_entropy(sig_b.matrix)
-        info = {"sigma": sig_b.matrix, "gap": 0.0, "method": "spectral"}
-        return (value, info) if return_info else value
-
-    # reduce the conditioning side to the support of its marginal
-    sig_b = rho.partial_trace(keep=rest)
-    V = _support_isometry(sig_b.matrix)
-    W = np.kron(np.eye(d_q), V)
-    reduced = W.conj().T @ rho.matrix @ W
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    r = V.shape[1]
-
-    if a.is_infinite:
-        t, X = _max_cover_sdp([reduced], d_q, r)
-        value = -float(np.log2(t))
-        info = {"sigma": V @ (X / max(float(np.real(np.trace(X))), 1e-300))
-                          @ V.conj().T,
-                "gap": 0.0, "method": "sdp"}
-        return (value, info) if return_info else value
-
-    log2_T, sigma, gap = _sup_sigma([reduced], [0.0], d_q, r, a.value)
-    value = _hup_value_from_log2T(log2_T, a.value)
-    if not gap <= UP_GAP_TOL:
-        raise NonConvergence("duality interval exceeds the certification "
-                             f"threshold ({gap:.2e})", value=value, gap=gap)
-    method = "sdp-fidelity" if a.is_half else "fixed-point"
-    info = {"sigma": V @ sigma @ V.conj().T, "gap": gap, "method": method}
-    return (value, info) if return_info else value
-
-
 def _max_cover_sdp(branches, d_q: int, d_b: int):
-    """min{tr X : id_Q (x) X >= M_i for every i, X >= 0} and its optimizer.
+    """min{tr X : id_Q (x) X >= M_i for every i, X >= 0}.
 
     With one branch rho this is 2^(-H^up_inf(Q|B)); with the weighted
     branches of a classical mixture it is the a = infinity inner extremum
     (substituting X = lambda sigma linearizes the max-divergence bounds
-    M_i <= lambda id (x) sigma).
+    M_i <= lambda id (x) sigma).  Returns (t, X, width): the optimum lies in
+    [t - gap, t] for the duality gap, so -log2 of it lies in an interval of
+    width log2(t / (t - gap)).
     """
     prob = SdpProblem("min")
     prob.add_block("X", d_b)
@@ -615,7 +562,162 @@ def _max_cover_sdp(branches, d_q: int, d_b: int):
         prob.add_operator_inequality(
             [("X", lambda X: np.kron(np.eye(d_q), X))], m, slack=f"S{i}")
     sol = solve_sdp(prob, start={"X": (top + 1.0) * np.eye(d_b)})
-    return float(sol.value), sol.variables["X"]
+    t = float(sol.value)
+    width = -math.log2(1.0 - sol.gap / t) if sol.gap < t else math.inf
+    return t, sol.variables["X"], width
+
+
+# ------------------------------------------------ the two-sided mixture
+
+def _two_sided_split(state: State, target, conditioning, classical_target,
+                     classical_cond):
+    """Validate the register split of a two-sided mixture; returns the
+    marginal on target + conditioning and the label lists
+    (Q, Q', classical target, classical conditioning)."""
+    target = list(target)
+    conditioning = list(conditioning)
+    classical_target = list(classical_target)
+    classical_cond = list(classical_cond)
+    if not set(classical_target) <= set(target):
+        raise InvalidRegister("classical_target must sit inside target")
+    if not set(classical_cond) <= set(conditioning):
+        raise InvalidRegister("classical_cond must sit inside conditioning")
+    rho = _marginal_pair(state, target, conditioning)
+    classical = classical_target + classical_cond
+    if not rho.is_classical_on(classical):
+        raise NotClassical(f"state is not classical on registers {classical}")
+    q_labels = [l for l in target if l not in classical_target]
+    qp_labels = [l for l in conditioning if l not in classical_cond]
+    return rho, q_labels, qp_labels, classical_target, classical_cond
+
+
+def _no_tilt(inner, outer) -> float:
+    return 0.0
+
+
+def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
+                   classical_cond, a: RenyiOrder, tilt, *, variant: str):
+    """The two-sided classical mixture with tilted branches.
+
+    Branch (cs, cp) enters the inner extremum of its public outcome cp with
+    log2 weight log2 p(cs|cp) + ((a-1)/a) tilt(cs, cp), where (a-1)/a -> 1
+    at a = infinity.  Per public outcome the extremum over sigma is solved
+    by :func:`_sup_sigma` at finite orders and by the covering program
+    :func:`_max_cover_sdp` at a = infinity (the max-divergence form
+    -log2 sum_cp p(cp) min{tr X : id (x) X >= p(cs|cp) 2^tilt rho_cs,cp}).
+    The value is a quasi-arithmetic mean of the per-outcome entropies, so it
+    moves by at most the widest per-outcome interval; a width above
+    ``UP_GAP_TOL`` raises :class:`NonConvergence`.
+    ``variant="down"`` pins sigma to the conditional marginal of Q' instead;
+    at a = infinity that is the closed form
+    -log2 sum_cp p(cp) max_cs p(cs|cp) 2^tilt
+        lambda_max((id (x) sigma)^(-1/2) rho_cs,cp (id (x) sigma)^(-1/2)).
+
+    Returns (value, width, {cp: sigma on Q'}).
+    """
+    d_q = int(np.prod([rho.space.dim_of(l) for l in q_labels])) \
+        if q_labels else 1
+    # {cp: [(cs, joint weight, rho_QQ' with Q legs first), ...]}
+    groups: dict = {}
+    legs = list(q_labels) + list(qp_labels)
+    n_cp = len(classical_cond)
+    for outcome, w, branch in rho.branches(classical_cond + classical_target):
+        if branch is None:
+            continue
+        mat = branch.reorder(legs).matrix if legs \
+            else np.ones((1, 1), dtype=complex)
+        groups.setdefault(outcome[:n_cp], []).append((outcome[n_cp:], w, mat))
+    theta = 1.0 if a.is_infinite else (a.value - 1.0) / a.value
+    outer_logs, widths, sigmas = [], [], {}
+    for outer, entries in groups.items():
+        p_outer = sum(w for _, w, _ in entries)
+        log2_p = [math.log2(w / p_outer) + theta * tilt(inner, outer)
+                  for inner, w, _ in entries]
+        branches = [m for _, _, m in entries]
+        # reduce Q' to the union of the branch supports
+        marg_space = registers.space(("q", d_q),
+                                     ("p", branches[0].shape[0] // d_q))
+        margs = [State(m, marg_space, check=False).partial_trace(keep=["p"])
+                 .matrix for m in branches]
+        V = support_isometry(sum(margs))
+        W = np.kron(np.eye(d_q), V)
+        red = [registers.herm_part(W.conj().T @ m @ W) for m in branches]
+        r = V.shape[1]
+        width = 0.0
+        if variant == "down" or r == 1:
+            # sigma pinned to the conditional marginal of this group; its
+            # support covers every branch, so the pseudo-powers lose nothing
+            sig = sum(w / p_outer * (V.conj().T @ m @ V)
+                      for (_, w, _), m in zip(entries, margs))
+            sig = registers.herm_part(sig) / float(np.real(np.trace(sig)))
+            if a.is_infinite:
+                log2_t = max(lw + math.log2(_branch_eigs(m, d_q, sig, -0.5)
+                                            [0].max())
+                             for m, lw in zip(red, log2_p))
+            else:
+                log2_t = _log2_T_and_update(
+                    red, [a.value * lp for lp in log2_p], d_q, sig, a.value,
+                    False)[0] / a.value
+        elif a.is_infinite:
+            t, X, width = _max_cover_sdp([2.0 ** lw * m for m, lw in
+                                          zip(red, log2_p)], d_q, r)
+            log2_t = math.log2(t)
+            sig = X / max(float(np.real(np.trace(X))), 1e-300)
+        else:
+            log2_T, sig, width = _sup_sigma(red, log2_p, d_q, r, a.value)
+            log2_t = log2_T / a.value
+        widths.append(width)
+        sigmas[outer] = V @ sig @ V.conj().T
+        outer_logs.append(math.log2(p_outer) + log2_t)
+    L = max(outer_logs)
+    total = L + math.log2(sum(2.0 ** (lg - L) for lg in outer_logs))
+    value = -total if a.is_infinite else a.value / (1.0 - a.value) * total
+    gap = float(np.max(widths, initial=0.0))
+    if not gap <= UP_GAP_TOL:
+        raise NonConvergence("duality interval exceeds the certification "
+                             f"threshold ({gap:.2e})", value=value, gap=gap)
+    return value, gap, sigmas
+
+
+# ---------------------------------------------------------------- H^up ("up")
+
+def cond_entropy_up(state: State, target, conditioning, alpha, *,
+                    return_info: bool = False):
+    """H^up_a(target | conditioning): optimized conditional Renyi entropy.
+
+    With ``return_info=True`` returns ``(value, info)`` where ``info`` holds
+    the optimal conditioning state (on the conditioning registers), the
+    width of the certified interval around the value ("gap"), and the
+    method that ran: "unconditioned" and "spectral" (a = 1) are exact, and
+    every other order is :func:`_two_sided_mix` without classical registers,
+    whose inner program is "sdp-fidelity" at a = 1/2, "sdp" (the covering
+    program) at a = infinity and "fixed-point" otherwise (a conditioning
+    marginal of rank one pins sigma, and that closed form runs under the
+    same names).  Raises :class:`NonConvergence` when the width exceeds
+    ``UP_GAP_TOL``.
+    """
+    a = as_order(alpha)
+    rho = _marginal_pair(state, target, conditioning)
+    target = list(target)
+    rest = [l for l in rho.space.labels if l not in target]
+    cond_dim = int(np.prod([rho.space.dim_of(l) for l in rest])) if rest else 1
+
+    if cond_dim == 1:
+        mat = rho.partial_trace(keep=target).matrix if rest else rho.matrix
+        value = alpha_entropy(mat, a)
+        info = {"sigma": np.ones((1, 1)), "gap": 0.0, "method": "unconditioned"}
+    elif a.near_one:
+        h_ab = von_neumann_entropy(rho.matrix)
+        sig_b = rho.partial_trace(keep=rest)
+        value = h_ab - von_neumann_entropy(sig_b.matrix)
+        info = {"sigma": sig_b.matrix, "gap": 0.0, "method": "spectral"}
+    else:
+        value, gap, sigmas = _two_sided_mix(rho, target, rest, [], [], a,
+                                            _no_tilt, variant="up")
+        method = "sdp" if a.is_infinite else \
+            "sdp-fidelity" if a.is_half else "fixed-point"
+        info = {"sigma": sigmas[()], "gap": gap, "method": method}
+    return (value, info) if return_info else value
 
 
 # ------------------------------------------------------------------- duality
@@ -638,144 +740,23 @@ def check_duality(state: State, alpha, *, target: str = "A",
 
 # ------------------------------------------------------- classical mixtures
 
-def _verify_classical(state: State, labels):
-    if not state.is_classical_on(labels):
-        raise NotClassical(f"state is not classical on registers {list(labels)}")
-
-
-def _classmix(state, target, conditioning, classical, alpha, variant,
-              branch_entropy) -> float:
-    """Per-branch entropies over a classical register in the conditioning,
-    combined by :func:`renyi_branch_mix`."""
-    classical = list(classical)
-    conditioning = list(conditioning)
-    if not set(classical) <= set(conditioning):
-        raise InvalidRegister("classical registers must sit in the conditioning")
-    rho = _marginal_pair(state, target, conditioning)
-    _verify_classical(rho, classical)
-    rest = [l for l in conditioning if l not in classical]
-    probs, values = [], []
-    for _outcome, w, branch in rho.branches(classical):
-        if branch is None:
-            continue
-        probs.append(w)
-        values.append(branch_entropy(branch, list(target), rest, alpha))
-    return renyi_branch_mix(probs, values, alpha, variant=variant)
-
-
 def classmix_up(state: State, target, conditioning, classical,
                 alpha) -> float:
-    """H^up over a classical register in the conditioning, branch by branch."""
-    return _classmix(state, target, conditioning, classical, alpha, "up",
-                     cond_entropy_up)
+    """H^up over a classical register in the conditioning: the two-sided
+    mixture with every classical register on the conditioning side, i.e.
+    the "up" :func:`renyi_branch_mix` of the per-branch H^up values."""
+    return two_sided_classmix(state, target=target,
+                              conditioning=conditioning, classical_target=[],
+                              classical_cond=classical, alpha=alpha)
 
 
 def classmix_down(state: State, target, conditioning, classical, alpha) -> float:
-    """H_a over a classical register in the conditioning, branch by branch."""
-    return _classmix(state, target, conditioning, classical, alpha, "down",
-                     cond_entropy_down)
-
-
-# --------------------------------------------- two-sided classical mixture
-
-def _two_sided_split(state: State, target, conditioning, classical_target,
-                     classical_cond):
-    """Validate the register split of a two-sided mixture; returns the
-    marginal on target + conditioning and the label lists
-    (Q, Q', classical target, classical conditioning)."""
-    target = list(target)
-    conditioning = list(conditioning)
-    classical_target = list(classical_target)
-    classical_cond = list(classical_cond)
-    if not set(classical_target) <= set(target):
-        raise InvalidRegister("classical_target must sit inside target")
-    if not set(classical_cond) <= set(conditioning):
-        raise InvalidRegister("classical_cond must sit inside conditioning")
-    rho = _marginal_pair(state, target, conditioning)
-    _verify_classical(rho, classical_target + classical_cond)
-    q_labels = [l for l in target if l not in classical_target]
-    qp_labels = [l for l in conditioning if l not in classical_cond]
-    return rho, q_labels, qp_labels, classical_target, classical_cond
-
-
-def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
-                   classical_cond, a: RenyiOrder, tilt, *,
-                   variant: str) -> float:
-    """The two-sided classical mixture with tilted branches.
-
-    Branch (cs, cp) enters the inner extremum of its public outcome cp with
-    log2 weight log2 p(cs|cp) + ((a-1)/a) tilt(cs, cp), where (a-1)/a -> 1
-    at a = infinity.  Per public outcome the extremum over sigma is solved
-    by :func:`_sup_sigma` at finite orders and by the covering program
-    :func:`_max_cover_sdp` at a = infinity (the max-divergence form
-    -log2 sum_cp p(cp) min{tr X : id (x) X >= p(cs|cp) 2^tilt rho_cs,cp}).
-    The value is a quasi-arithmetic mean of the per-outcome entropies, so it
-    moves by at most the widest per-outcome duality interval; a width above
-    ``UP_GAP_TOL`` raises :class:`NonConvergence`.
-    ``variant="down"`` pins sigma to the conditional marginal of Q' instead;
-    at a = infinity that is the closed form
-    -log2 sum_cp p(cp) max_cs p(cs|cp) 2^tilt
-        lambda_max((id (x) sigma)^(-1/2) rho_cs,cp (id (x) sigma)^(-1/2)).
-    """
-    d_q = int(np.prod([rho.space.dim_of(l) for l in q_labels])) \
-        if q_labels else 1
-    # {cp: [(cs, joint weight, rho_QQ' with Q legs first), ...]}
-    groups: dict = {}
-    legs = list(q_labels) + list(qp_labels)
-    n_cp = len(classical_cond)
-    for outcome, w, branch in rho.branches(classical_cond + classical_target):
-        if branch is None:
-            continue
-        mat = branch.reorder(legs).matrix if legs \
-            else np.ones((1, 1), dtype=complex)
-        groups.setdefault(outcome[:n_cp], []).append((outcome[n_cp:], w, mat))
-    theta = 1.0 if a.is_infinite else (a.value - 1.0) / a.value
-    outer_logs, widths = [], []
-    for outer, entries in groups.items():
-        p_outer = sum(w for _, w, _ in entries)
-        log2_p = [math.log2(w / p_outer) + theta * tilt(inner, outer)
-                  for inner, w, _ in entries]
-        branches = [m for _, _, m in entries]
-        # reduce Q' to the union of the branch supports
-        marg_space = registers.space(("q", d_q),
-                                     ("p", branches[0].shape[0] // d_q))
-        margs = [State(m, marg_space, check=False).partial_trace(keep=["p"])
-                 .matrix for m in branches]
-        V = _support_isometry(sum(margs))
-        W = np.kron(np.eye(d_q), V)
-        red = [registers.herm_part(W.conj().T @ m @ W) for m in branches]
-        r = V.shape[1]
-        if variant == "down" or r == 1:
-            # sigma pinned to the conditional marginal of this group; its
-            # support covers every branch, so the pseudo-powers lose nothing
-            sig = sum(w / p_outer * (V.conj().T @ m @ V)
-                      for (_, w, _), m in zip(entries, margs))
-            sig = registers.herm_part(sig) / float(np.real(np.trace(sig)))
-            if a.is_infinite:
-                log2_t = max(lw + math.log2(_branch_eigs(m, d_q, sig, -0.5)
-                                            [0].max())
-                             for m, lw in zip(red, log2_p))
-            else:
-                log2_t = _log2_T_and_update(
-                    red, [a.value * lp for lp in log2_p], d_q, sig, a.value,
-                    False)[0] / a.value
-        elif a.is_infinite:
-            t, _X = _max_cover_sdp([2.0 ** lw * m for m, lw in
-                                    zip(red, log2_p)], d_q, r)
-            log2_t = math.log2(t)
-        else:
-            log2_T, _sigma, width = _sup_sigma(red, log2_p, d_q, r, a.value)
-            log2_t = log2_T / a.value
-            widths.append(width)
-        outer_logs.append(math.log(p_outer) + log2_t * LN2)
-    total = float(logsumexp(outer_logs) / LN2)
-    value = -total if a.is_infinite else a.value / (1.0 - a.value) * total
-    gap = float(np.max(widths, initial=0.0))
-    if not gap <= UP_GAP_TOL:
-        raise NonConvergence("duality interval of a public outcome exceeds "
-                             f"the certification threshold ({gap:.2e})",
-                             value=value, gap=gap)
-    return value
+    """H_a over a classical register in the conditioning, i.e. the "down"
+    :func:`renyi_branch_mix` of the per-branch H_a values.  Block
+    diagonality in the classical registers makes that -D_a(rho ||
+    id (x) rho_cond) of the whole state, which is what is evaluated."""
+    rho, *_ = _two_sided_split(state, target, conditioning, [], classical)
+    return cond_entropy_down(rho, target, conditioning, alpha)
 
 
 def two_sided_classmix(state: State, *, target, conditioning,
@@ -798,5 +779,4 @@ def two_sided_classmix(state: State, *, target, conditioning,
     if a.near_one:
         return cond_entropy_down(rho, target, conditioning, 1.0)
     return _two_sided_mix(rho, q_labels, qp_labels, classical_target,
-                          classical_cond, a, lambda cs, cp: 0.0,
-                          variant="up")
+                          classical_cond, a, _no_tilt, variant="up")[0]

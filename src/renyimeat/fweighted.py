@@ -7,6 +7,12 @@ every classical branch of H^up_a by 2^{(a-1) f} before the per-public-outcome
 optimization, which is exactly what makes entropy-accumulation statements
 composable round by round.
 
+Both weighted entropies are the one two-sided mixture of
+:mod:`renyimeat.entropies` (``_two_sided_mix``) with f as its tilt:
+:func:`fweighted_entropy` with the secret register in the target, and
+:func:`fweighted_cs_conditioned` with both registers in the conditioning,
+so every branch is its own public outcome.
+
 The weighted value can always be traded for an unweighted one by appending a
 register D whose own entropy encodes f: H^up_a(D Q Cs | Cp Q') = M + H^{up,f}
 for a suitable read-and-prepare channel (:func:`build_d_channel`).  Both the
@@ -23,8 +29,7 @@ from scipy.special import logsumexp
 
 from .channels import Channel, prepare_channel
 from .divergences import as_order, classical_renyi_entropy
-from .entropies import (_two_sided_mix, _two_sided_split, cond_entropy_up,
-                        renyi_branch_mix, two_sided_classmix)
+from .entropies import _two_sided_mix, _two_sided_split, two_sided_classmix
 from .errors import (DomainMismatch, InfeasibleSpec, InvalidRegister,
                      InvalidState, UnsupportedOrder)
 from .registers import LOG2E, RegisterSpace, State, space
@@ -171,7 +176,7 @@ def fweighted_entropy(state: State, f: TradeoffFunction, alpha, *,
         _two_sided_split(state, target, conditioning, classical_target,
                          classical_cond)
     return _two_sided_mix(rho, q_labels, qp_labels, classical_target,
-                          classical_cond, a, f.value, variant=variant)
+                          classical_cond, a, f.value, variant=variant)[0]
 
 
 def fweighted_cs_conditioned(state: State, f: TradeoffFunction, alpha, *,
@@ -184,24 +189,21 @@ def fweighted_cs_conditioned(state: State, f: TradeoffFunction, alpha, *,
                 2^{((1-a)/a)(H^up_a(Q|Q')_{rho|cs cp} - f(cs,cp))}
 
     i.e. an lme at base 2^((1-a)/a) of the shifted per-branch entropies over
-    the joint outcome distribution.
+    the joint outcome distribution: the two-sided mixture with both
+    classical registers in the conditioning and tilt f(cs, cp).
     """
     a = _check_order(alpha)
     rho, q_labels, qp_labels, classical_target, classical_cond = \
         _two_sided_split(state, target, conditioning, classical_target,
                          classical_cond)
-    probs, values = [], []
-    for outcome, w, branch in rho.branches(classical_target + classical_cond):
-        if branch is None:
-            continue
-        n_cs = len(classical_target)
-        cs, cp = outcome[:n_cs], outcome[n_cs:]
-        h = cond_entropy_up(branch, q_labels, qp_labels,
-                            "inf" if a.is_infinite else a.value)
-        probs.append(w)
-        values.append(h - f.value(cs, cp))
-    return renyi_branch_mix(probs, values,
-                            "inf" if a.is_infinite else a.value, variant="up")
+    n_cs = len(classical_target)
+
+    def tilt(_inner, outer):
+        return f.value(outer[:n_cs], outer[n_cs:])
+
+    return _two_sided_mix(rho, q_labels, qp_labels, [],
+                          classical_target + classical_cond, a, tilt,
+                          variant="up")[0]
 
 
 # ------------------------------------------------- the D-register construction
@@ -257,8 +259,8 @@ def _mixture_weight(h: float, d: int, order) -> float:
 
 
 def build_d_channel(spec: DRegisterSpec, reader_space: RegisterSpace, *,
-                    secret=(), public=(), alpha=None, out_label: str = "D",
-                    dim_cap: int = D_DIM_CAP) -> Channel:
+                    secret=(), public=(), alpha=None,
+                    out_label: str = "D") -> Channel:
     """Read-and-prepare channel appending a classical register with the
     entropies prescribed by ``spec``.
 
@@ -273,24 +275,19 @@ def build_d_channel(spec: DRegisterSpec, reader_space: RegisterSpace, *,
                               "registers")
     table = spec.entropy_table
     hmax = float(table.max())
-    if hmax > math.log2(dim_cap) + 1e-12:
+    if hmax > math.log2(D_DIM_CAP) + 1e-12:
         raise InfeasibleSpec(f"entropy target {hmax:.3f} needs a register "
-                             f"beyond the dimension cap {dim_cap}")
+                             f"beyond the dimension cap {D_DIM_CAP}")
     if spec.mode == "exact":
         if alpha is None:
             raise UnsupportedOrder("exact mode pins the entropy at one "
                                    "order; pass alpha")
         order = as_order(alpha)
-        d = int(math.ceil(2.0 ** hmax))
-        if d > dim_cap:
-            raise InfeasibleSpec(f"register dimension {d} exceeds the cap "
-                                 f"{dim_cap}")
-    else:
-        sizes = np.ceil(2.0 ** table).astype(int)
-        d = int(sizes.max())
-        if d > dim_cap:
-            raise InfeasibleSpec(f"register dimension {d} exceeds the cap "
-                                 f"{dim_cap}")
+    # both modes need ceil(2^(M - f)) points for the largest target
+    d = int(math.ceil(2.0 ** hmax))
+    if d > D_DIM_CAP:
+        raise InfeasibleSpec(f"register dimension {d} exceeds the cap "
+                             f"{D_DIM_CAP}")
 
     pos = {l: i for i, l in enumerate(reader_space.labels)}
     states = {}
@@ -312,8 +309,7 @@ def build_d_channel(spec: DRegisterSpec, reader_space: RegisterSpace, *,
 
 def verify_createD(state: State, f: TradeoffFunction, alpha, *, mode: str,
                    target, conditioning, classical_target, classical_cond,
-                   offset: float | None = None, out_label: str = "D",
-                   dim_cap: int = D_DIM_CAP):
+                   offset: float | None = None, out_label: str = "D"):
     """Check the entropy-encoding identity on an actual state.
 
     Appends the D register and compares H^up_a(D Q Cs | Cp Q') against
@@ -329,7 +325,7 @@ def verify_createD(state: State, f: TradeoffFunction, alpha, *, mode: str,
     chan = build_d_channel(spec, reader, secret=classical_target,
                            public=classical_cond,
                            alpha=(alpha if mode == "exact" else None),
-                           out_label=out_label, dim_cap=dim_cap)
+                           out_label=out_label)
     extended = chan.apply(state)
     lhs = two_sided_classmix(extended, target=[out_label] + list(target),
                              conditioning=list(conditioning),

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, _perm_matrix, compose
-from .entropies import _support_isometry
 from .errors import InvalidRegister, InvalidState
 from .registers import (RegisterSpace, State, bipartite_partial_trace,
-                        embed_operator, herm_part, kraus_pullback)
+                        embed_operator, herm_part, kraus_pullback,
+                        support_isometry)
 from .sdp import SdpProblem, solve_sdp
 
 
@@ -74,7 +74,7 @@ class _MarginalSet:
                     raise InvalidRegister(
                         f"constraint register {l!r} has the wrong dimension")
             U = support if support is not None \
-                else _support_isometry(constraint.state.matrix)
+                else support_isometry(constraint.state.matrix)
             self.psi_r = herm_part(U.conj().T @ constraint.state.matrix @ U)
             self.rank_a = U.shape[1]
         else:
@@ -221,8 +221,8 @@ def build_sdp_joint(gamma0, gamma1, channels, marginals, *,
     # restrict with the tensor of the single-round support isometries, so
     # joint dual certificates live in the same coordinates as Lambda0 (x)
     # Lambda1 from the individual pairs
-    sup = np.kron(_support_isometry(c0.state.matrix),
-                  _support_isometry(c1.state.matrix))
+    sup = np.kron(support_isometry(c0.state.matrix),
+                  support_isometry(c1.state.matrix))
     mset = _MarginalSet(joint.in_space, cj, support=sup)
     gop = np.kron(g0, g1)
     return _pair_from_parts(mset, joint, gop, l0 + l1)

@@ -18,8 +18,13 @@ import numpy as np
 from .errors import InvalidRegister, InvalidState
 
 #: eigenvalues below EIG_CUT * (largest eigenvalue) count as zero everywhere
-#: support projectors, ranks and pseudo-inverses are decided.
+#: supports, ranks and pseudo-inverses are decided.
 EIG_CUT = 1e-12
+
+#: Frobenius norm of the off-diagonal blocks, relative to the state's, up
+#: to which a state counts as classical on a register; also the relative
+#: weight below which a classical branch carries no mass
+CLASSICAL_TOL = 1e-10
 
 #: log2(e), the factor between natural and base-2 logarithms
 LOG2E = math.log2(math.e)
@@ -228,11 +233,11 @@ class State:
 
     # ------------------------------------------------------------- classical
 
-    def is_classical_on(self, labels: Sequence[str], tol: float = 1e-10) -> bool:
+    def is_classical_on(self, labels: Sequence[str]) -> bool:
         """True when the operator is block diagonal in the computational basis
-        of the named registers (up to ``tol`` in Frobenius norm)."""
+        of the named registers (up to ``CLASSICAL_TOL`` in Frobenius norm)."""
         off = self._off_block_norm(labels)
-        return off <= tol * max(1.0, np.linalg.norm(self.matrix))
+        return off <= CLASSICAL_TOL * max(1.0, np.linalg.norm(self.matrix))
 
     def _off_block_norm(self, labels) -> float:
         # pinching zeroes exactly the off-diagonal blocks, so the difference
@@ -255,7 +260,7 @@ class State:
         return State(ten.reshape(self.space.dim, self.space.dim),
                      self.space, check=False)
 
-    def branches(self, labels: Sequence[str], *, tol: float = 1e-10):
+    def branches(self, labels: Sequence[str]):
         """Decompose a state classical on ``labels`` into branches.
 
         Returns a list of ``(outcome, weight, conditional)`` triples where
@@ -264,7 +269,7 @@ class State:
         the remaining registers (``None`` when the weight is ~0; such branches
         carry no mass and are skipped by every classical-mixture formula).
         """
-        if not self.is_classical_on(labels, tol=tol):
+        if not self.is_classical_on(labels):
             raise InvalidState(f"state is not classical on {list(labels)}")
         pos = [self.space.position(l) for l in labels]
         dims = self.space.dims
@@ -284,7 +289,7 @@ class State:
             # surviving axes are ordered (bra..., ket...) already
             block = block.reshape(d, d)
             w = float(np.real(np.trace(block)))
-            if w <= tol * max(total, 1e-300):
+            if w <= CLASSICAL_TOL * max(total, 1e-300):
                 out.append((idx, 0.0, None))
             else:
                 out.append((idx, w, State(block / w, newspace, check=False)))
@@ -375,13 +380,12 @@ def classical_state(probs, space: RegisterSpace) -> State:
     return State(np.diag(p.astype(complex)), space, check=False)
 
 
-def support_projector(mat: np.ndarray) -> np.ndarray:
-    """Projector onto the eigenspaces with eigenvalue > EIG_CUT * max."""
-    vals, vecs = np.linalg.eigh(mat)
-    top = max(vals.max(), 0.0)
-    keep = vals > EIG_CUT * max(top, 1e-300)
-    v = vecs[:, keep]
-    return v @ v.conj().T
+def support_isometry(mat: np.ndarray) -> np.ndarray:
+    """Columns span the eigenspaces with eigenvalue > EIG_CUT * max;
+    shape (d, rank)."""
+    vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=complex))
+    keep = vals > EIG_CUT * max(vals.max(initial=0.0), 1e-300)
+    return vecs[:, keep]
 
 
 def bipartite_partial_trace(mat: np.ndarray, d_first: int, d_second: int,
@@ -408,13 +412,13 @@ def herm_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def herm_power(mat: np.ndarray, p: float, *, pseudo: bool = True) -> np.ndarray:
+def herm_power(mat: np.ndarray, p: float) -> np.ndarray:
     """``mat**p`` through the eigendecomposition of a PSD matrix.
 
     Negative/zero eigenvalues below the support cut are treated as exact
     zeros; for negative powers the Moore-Penrose convention applies (zero
-    stays zero) when ``pseudo``.  Genuinely negative spectrum combined with
-    a non-integer power is rejected rather than silently clipped.
+    stays zero).  Genuinely negative spectrum combined with a non-integer
+    power is rejected rather than silently clipped.
     """
     vals, vecs = np.linalg.eigh(mat)
     top = max(vals.max(), 0.0)
@@ -426,8 +430,6 @@ def herm_power(mat: np.ndarray, p: float, *, pseudo: bool = True) -> np.ndarray:
     out = np.zeros_like(vals)
     pos = vals > cut
     out[pos] = vals[pos] ** p
-    if not pseudo and not pos.all():
-        raise InvalidState("matrix is singular and pseudo=False")
     return (vecs * out) @ vecs.conj().T
 
 

@@ -9,11 +9,12 @@ better than 1e-12.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from renyimeat import entropies
+from renyimeat import entropies, fweighted
 from renyimeat.entropies import (
     UP_GAP_TOL,
     alpha_entropy,
@@ -28,6 +29,8 @@ from renyimeat.entropies import (
 )
 from renyimeat.errors import (InvalidRegister, NonConvergence, NotClassical,
                               NotPure, UnsupportedOrder)
+from renyimeat.fweighted import (TradeoffFunction, fweighted_cs_conditioned,
+                                 fweighted_entropy, lme)
 from renyimeat.registers import State, ket_state, space
 from renyimeat.sampling import (random_cq_state, random_density,
                                 random_isometry, random_pure)
@@ -395,14 +398,143 @@ def test_classmix_down_frozen(alpha, want):
 
 
 def test_classmix_agrees_with_direct_evaluation():
+    """classmix_up against the optimizer blind to C; classmix_down (which
+    evaluates the whole state) against its per-branch decomposition."""
     rho = random_cq_state(space(("C", 3)), space(("A", 2), ("B", 2)), seed=55)
     for alpha in [0.6, 2.0]:
         via_mix = classmix_up(rho, ["A"], ["C", "B"], ["C"], alpha)
         direct = cond_entropy_up(rho, ["A"], ["C", "B"], alpha)
         assert via_mix == pytest.approx(direct, abs=1e-7)
         via_mix = classmix_down(rho, ["A"], ["C", "B"], ["C"], alpha)
-        direct = cond_entropy_down(rho, ["A"], ["C", "B"], alpha)
-        assert via_mix == pytest.approx(direct, abs=1e-9)
+        probs, values = _branch_values(rho, cond_entropy_down, alpha)
+        per_branch = renyi_branch_mix(probs, values, alpha, variant="down")
+        assert via_mix == pytest.approx(per_branch, abs=1e-9)
+
+
+def _branch_values(rho, entropy, alpha):
+    """Branch weights of the C-classical state on (C, A, B) and the values
+    entropy(branch, A | B, alpha)."""
+    probs, values = [], []
+    for _outcome, w, branch in rho.branches(["C"]):
+        probs.append(w)
+        values.append(entropy(branch, ["A"], ["B"], alpha))
+    return probs, values
+
+
+@pytest.fixture
+def mix_runs(monkeypatch):
+    """Every result (value, width, sigmas) of the two-sided mixture, from
+    whichever module calls it."""
+    runs = []
+    mix = entropies._two_sided_mix
+
+    def spy(*args, **kw):
+        runs.append(mix(*args, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(entropies, "_two_sided_mix", spy)
+    monkeypatch.setattr(fweighted, "_two_sided_mix", spy)
+    return runs
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 2.0, "inf"])
+def test_classmix_matches_its_branch_decomposition(alpha, mix_runs):
+    """Per-branch H^up (H_a) combined by the "up" ("down") branch mix, each
+    within the widths of both routes."""
+    rho = random_cq_state(space(("C", 3)), space(("A", 2), ("B", 2)), seed=55)
+    probs, ups = _branch_values(
+        rho, lambda *a: cond_entropy_up(*a, return_info=True), alpha)
+    mix_runs.clear()
+    want = renyi_branch_mix(probs, [h for h, _ in ups], alpha, variant="up")
+    got = classmix_up(rho, ["A"], ["C", "B"], ["C"], alpha)
+    (_, width, _), = mix_runs
+    assert abs(got - want) <= width + max(i["gap"] for _, i in ups) + 1e-12
+    probs, values = _branch_values(rho, cond_entropy_down, alpha)
+    want = renyi_branch_mix(probs, values, alpha, variant="down")
+    assert classmix_down(rho, ["A"], ["C", "B"], ["C"], alpha) \
+        == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 2.0, "inf"])
+def test_cs_conditioned_matches_its_branch_decomposition(alpha, mix_runs):
+    """The lme at base 2^((1-a)/a) of H^up_a(Q|Qp) - f over the joint
+    outcomes, within the widths of both routes."""
+    rho = four_register_state()
+    f = TradeoffFunction([0, 1], [0, 1], [[0.2, -0.4], [0.7, 0.1]])
+    probs, values, widths = [], [], []
+    for (cb, ch), w, branch in rho.branches(["Cb", "Ch"]):
+        h, info = cond_entropy_up(branch, ["Q"], ["Qp"], alpha,
+                                  return_info=True)
+        probs.append(w)
+        values.append(h - f.value(cb, ch))
+        widths.append(info["gap"])
+    mix_runs.clear()
+    want = lme(probs, values,
+               0.5 if alpha == "inf" else 2.0 ** ((1 - alpha) / alpha))
+    got = fweighted_cs_conditioned(rho, f, alpha, target=["Q", "Cb"],
+                                   conditioning=["Ch", "Qp"],
+                                   classical_target=["Cb"],
+                                   classical_cond=["Ch"])
+    (_, width, _), = mix_runs
+    assert abs(got - want) <= width + max(widths) + 1e-12
+
+
+def test_every_optimized_entropy_runs_the_two_sided_mixture(monkeypatch,
+                                                            mix_runs):
+    """One call of the mixture per public call, and the inner programs run
+    only inside it."""
+    callers = []
+    for name in ("_sup_sigma", "_max_cover_sdp"):
+        def inner(*args, _fn=getattr(entropies, name)):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _fn(*args)
+        monkeypatch.setattr(entropies, name, inner)
+    cab = cab_state()
+    rho = four_register_state()
+    f = TradeoffFunction([0, 1], [0, 1], [[0.2, -0.4], [0.7, 0.1]])
+    kw = dict(target=["Q", "Cb"], conditioning=["Ch", "Qp"],
+              classical_target=["Cb"], classical_cond=["Ch"])
+    calls = [
+        lambda a: cond_entropy_up(cab, ["A"], ["B"], a),
+        lambda a: classmix_up(cab, ["A"], ["C", "B"], ["C"], a),
+        lambda a: two_sided_classmix(rho, alpha=a, **kw),
+        lambda a: fweighted_entropy(rho, f, a, **kw),
+        lambda a: fweighted_cs_conditioned(rho, f, a, **kw),
+    ]
+    for alpha in [0.5, 2.0, "inf"]:
+        for call in calls:
+            mix_runs.clear()
+            call(alpha)
+            assert len(mix_runs) == 1
+    assert set(callers) == {"_two_sided_mix"}
+
+
+def test_endpoint_programs_report_their_widths():
+    """At 1/2 and infinity the width comes from the programs' duality gaps:
+    positive, and on a pure state H^up_1/2(A|B) + H^up_inf(A|C) = 0 holds
+    within the sum of the two."""
+    for seed in range(3):
+        psi = random_pure(space(("A", 2), ("B", 2), ("C", 2)), seed=seed)
+        half, i_half = cond_entropy_up(psi, ["A"], ["B"], 0.5,
+                                       return_info=True)
+        inf, i_inf = cond_entropy_up(psi, ["A"], ["C"], "inf",
+                                     return_info=True)
+        assert 0.0 < i_half["gap"] <= UP_GAP_TOL
+        assert 0.0 < i_inf["gap"] <= UP_GAP_TOL
+        assert abs(half + inf) <= i_half["gap"] + i_inf["gap"]
+
+
+def test_orders_above_the_ladder_threshold():
+    """Above 64 the order is reached by continuation; the value at 1000 is
+    certified and lies between those at 64 and infinity."""
+    rho = random_density(space(("A", 2), ("B", 2)), seed=77)
+    assert len(entropies._alpha_ladder(1000.0)) > 1
+    at = {a: cond_entropy_up(rho, ["A"], ["B"], a, return_info=True)
+          for a in (64.0, 1000.0, "inf")}
+    assert at[1000.0][1]["gap"] <= UP_GAP_TOL
+    assert at[64.0][0] + at[64.0][1]["gap"] >= at[1000.0][0]
+    assert at[1000.0][0] + at[1000.0][1]["gap"] >= at["inf"][0]
+    assert at[1000.0][0] > at["inf"][0] + at["inf"][1]["gap"]
 
 
 def test_classmix_requires_classical_register():

@@ -18,7 +18,7 @@ from renyimeat.registers import (
     ket_state,
     maximally_mixed,
     space,
-    support_projector,
+    support_isometry,
 )
 from renyimeat.sampling import random_density, random_pure
 
@@ -260,10 +260,18 @@ def test_herm_power_rejects_indefinite_with_fractional_power():
         herm_power(np.diag([1.0, -1.0]), 0.5)
 
 
-def test_support_projector_threshold():
+def _support_projector(mat):
+    U = support_isometry(mat)
+    return U @ U.conj().T
+
+
+def test_support_isometry_threshold():
     M = np.diag([1.0, 0.5, 1e-15])
-    P = support_projector(M)
-    np.testing.assert_allclose(P, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    U = support_isometry(M)
+    assert U.shape == (3, 2)
+    np.testing.assert_allclose(U.conj().T @ U, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(U @ U.conj().T, np.diag([1.0, 1.0, 0.0]),
+                               atol=1e-12)
     assert State(M, space(("A", 3)), check=False).rank() == 2
     assert EIG_CUT == 1e-12
 
@@ -312,7 +320,7 @@ def test_power_frechet_map_matches_finite_differences(rank, s):
     """Off the support the pseudo-power is differentiated along directions
     that leave the kernel block at zero, so the kernel stays below the cut."""
     x = _psd(rank, 5)
-    kernel = np.eye(4) - support_projector(x)
+    kernel = np.eye(4) - _support_projector(x)
     h = _hermitian(6)
     h = h - kernel @ h @ kernel
     t = 1e-6
@@ -326,7 +334,7 @@ def test_log_frechet_map_matches_finite_differences(rank):
     """The log map keeps only pairs inside the support: it is the derivative
     along directions supported there."""
     x = _psd(rank, 7)
-    proj = support_projector(x)
+    proj = _support_projector(x)
     h = proj @ _hermitian(8) @ proj
     t = 1e-6
     fd = (_log2_on_support(x + t * h) - _log2_on_support(x - t * h)) / (2 * t)
