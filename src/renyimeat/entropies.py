@@ -34,6 +34,13 @@ solved on the support of its conditioning marginal:
 A width above ``UP_GAP_TOL`` raises :class:`NonConvergence`.  a = 1 is
 spectral.  Branch sums are carried in log space so that extreme weights
 (or very large finite orders) stay finite.
+
+Very large finite orders: above 64 the order is reached by continuation
+along a geometric ladder, and the dual bound loosens as the order grows.
+On ``random_density(space(("A", 2), ("B", 3)), seed=4)`` H^up certifies at
+a = 1e3 (width 5.4e-11) and raises at 1e4 and 1e5 (widths 1.3e-7 and
+2.9e-7); orders up to about 1e3 certify, and a = infinity, one covering
+program, certifies at every size.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ class _MarginalSet:
     Works in restricted coordinates: the constrained registers are cut to the
     support of the pinned state (this is lossless — any operator with that
     marginal lives inside the support — and keeps interior points strictly
-    positive for the barrier solver).  Basis order is the constraint's
+    positive for the interior-point solver).  Basis order is the constraint's
     register order followed by the remaining input registers in channel
     order; ``embed`` is the isometry back to the channel's own input basis.
     ``psi_r`` is the pinned marginal in those coordinates, and the 1 x 1

@@ -1,7 +1,8 @@
-"""Test-session settings that must precede the first numpy import.
+"""Test-session settings that must precede the first numpy import, and the
+``sdp_solves`` fixture.
 
-The SDP route gains no wall time from a BLAS thread pool on its small KKT
-systems and burns about twice its wall time in CPU with one (see the
+The SDP route gains little wall time from a BLAS thread pool on its small
+step systems and burns about twice its wall time in CPU with one (see the
 ``renyimeat.sdp`` docstring), so the suite runs single-threaded BLAS
 unless ``OPENBLAS_NUM_THREADS`` is already set; a value set by the caller
 wins.  The pool size is read when numpy loads, and pytest loads this file
@@ -11,3 +12,24 @@ before any test module imports numpy.
 import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
+
+
+@pytest.fixture
+def sdp_solves(monkeypatch):
+    """The (problem, solution) pairs of every ``solve_sdp`` call the
+    package's entropy, channel and measured-chain-rule builders make
+    during the test, in call order."""
+    from renyimeat import channel_entropy, entropies, marginals, sdp
+
+    seen = []
+
+    def recording(problem, *, start=None):
+        sol = sdp.solve_sdp(problem, start=start)
+        seen.append((problem, sol))
+        return sol
+
+    for module in (entropies, marginals, channel_entropy):
+        monkeypatch.setattr(module, "solve_sdp", recording)
+    return seen

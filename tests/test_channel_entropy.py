@@ -238,6 +238,36 @@ def test_reference_channel_is_certified_and_monotone_in_the_order():
         assert res.value - res.gap - 1e-7 <= at <= res.value + 1e-7
 
 
+@pytest.mark.parametrize("alpha, want",
+                         [(HALF, -0.494707), ("inf", -0.792461)])
+def test_reference_channel_endpoints_certify_within_the_iteration_budget(
+        alpha, want, sdp_solves):
+    """CH4 at 1/2 and infinity: each program certifies to the solver's
+    target gap in at most 40 primal-dual iterations, at the frozen value."""
+    ch = random_channel(space(*CH4["inp"]), space(*CH4["out"]),
+                        seed=CH4["seed"], kraus_rank=CH4["kraus_rank"])
+    res = channel_cond_entropy(ChannelEntropyProblem(
+        ch, "T", alpha, constraint=pinned("A", CH4["pin"])))
+    assert res.value == pytest.approx(want, abs=TOL)
+    assert sdp_solves
+    for _, sol in sdp_solves:
+        assert sol.iterations <= 40
+        assert sol.gap <= sdp.GAP_TOL * max(1.0, abs(sol.value))
+
+
+def test_boundary_optimum_certifies_to_the_target_gap(sdp_solves):
+    """A qubit-input channel whose fidelity program has its optimum on the
+    boundary: the program certifies to the target gap itself, not to the
+    wider ``GAP_CEILING`` accepted when the iterates lose precision."""
+    ch = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)), seed=3,
+                        kraus_rank=2)
+    res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", "inf"))
+    assert res.method == "fidelity-program"
+    ((_, sol),) = sdp_solves
+    assert sol.gap <= sdp.GAP_TOL * max(1.0, abs(sol.value))
+    assert sol.residuals["min_eig_S"] >= 0.0
+
+
 @pytest.mark.parametrize("kw, alpha, want", [
     (dict(out=(("T", 2), ("Y", 2)), seed=3, kraus_rank=2), 0.75, -0.512201),
     (dict(out=(("T", 2),), seed=3, kraus_rank=4), 2.0, 0.108036),

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from renyimeat import entropies, fweighted
+from renyimeat import entropies, fweighted, sdp
 from renyimeat.entropies import (
     UP_GAP_TOL,
     alpha_entropy,
@@ -537,6 +537,33 @@ def test_orders_above_the_ladder_threshold():
     assert at[1000.0][0] > at["inf"][0] + at["inf"][1]["gap"]
 
 
+def test_very_large_order_certifies():
+    """The sigma solve with the order ladder certifies up to order 1e3 on
+    this 2x3 state (and raises at 1e4 and 1e5, see the module docstring of
+    ``renyimeat.entropies``)."""
+    rho = random_density(space(("A", 2), ("B", 3)), seed=4)
+    _, info = cond_entropy_up(rho, ["A"], ["B"], 1e3, return_info=True)
+    assert info["gap"] <= UP_GAP_TOL
+
+
+@pytest.mark.parametrize("case", ["half-2x4", "inf-rho4"])
+def test_state_endpoint_programs_certify_within_the_iteration_budget(
+        case, sdp_solves):
+    """Every program under H^up_1/2 of the largest state of the endpoint
+    workload and H^up_inf of the four-register cq state certifies to the
+    solver's target gap in at most 40 primal-dual iterations."""
+    if case == "half-2x4":
+        rho = random_density(space(("A", 2), ("B", 4)), seed=9)
+        cond_entropy_up(rho, ["A"], ["B"], 0.5)
+    else:
+        cond_entropy_up(four_register_state(), ["Q", "Cb"], ["Ch", "Qp"],
+                        "inf")
+    assert sdp_solves
+    for _, sol in sdp_solves:
+        assert sol.iterations <= 40
+        assert sol.gap <= sdp.GAP_TOL * max(1.0, abs(sol.value))
+
+
 def test_classmix_requires_classical_register():
     psi = bell().tensor(random_density(space(("C", 2)), seed=2))
     with pytest.raises(NotClassical):
@@ -610,6 +637,6 @@ def test_two_sided_infinite_order_cross_check():
     kw = dict(target=["Q", "Cb"], conditioning=["Ch", "Qp"],
               classical_target=["Cb"], classical_cond=["Ch"])
     structured = two_sided_classmix(rho, alpha="inf", **kw)
-    assert structured == pytest.approx(0.664498824743, abs=1e-9)
+    assert structured == pytest.approx(0.664498827364, abs=1e-9)
     unstructured = cond_entropy_up(rho, ["Q", "Cb"], ["Ch", "Qp"], "inf")
     assert structured == pytest.approx(unstructured, abs=1e-7)

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+from renyimeat import sdp
 from renyimeat.errors import InfeasibleSpec, InvalidState, SolverFailure
 from renyimeat.registers import space
 from renyimeat.sampling import random_density, rng_from
 from renyimeat.sdp import (
     SdpProblem,
-    barrier_hessian,
     hermitian_basis,
     hunvec,
     hvec,
+    schur_factor,
     solve_sdp,
 )
 
@@ -58,10 +59,18 @@ def test_index_kernels_match_the_dense_basis(n):
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(hunvec(v, n), (B @ v).reshape(n, n),
                                rtol=0, atol=1e-12)
+    rows = rng.standard_normal((3, n * n))
+    mats = hunvec(rows, n)
+    for k in range(3):
+        np.testing.assert_allclose(mats[k], (B @ rows[k]).reshape(n, n),
+                                   rtol=0, atol=1e-12)
+    # the Schur complement's square-root factor for X != Z: F F^T must be
+    # A Re B^dag (X (x) conj Z) B A^T
     X = G @ G.conj().T + 0.1 * np.eye(n)
-    Xi = np.linalg.inv(X)
-    want = np.real(B.conj().T @ np.kron(Xi, Xi.conj()) @ B)
-    np.testing.assert_allclose(barrier_hessian(Xi), want, rtol=0, atol=1e-12)
+    Z = np.linalg.inv(M @ M + 0.1 * np.eye(n))
+    F = schur_factor(np.linalg.cholesky(X), np.linalg.cholesky(Z), mats)
+    K = np.real(B.conj().T @ np.kron(X, Z.conj()) @ B)
+    np.testing.assert_allclose(F @ F.T, rows @ K @ rows.T, rtol=0, atol=1e-12)
 
 
 def test_hermitian_basis_is_orthonormal():
@@ -135,9 +144,11 @@ def test_leq_inequality_lowering():
     assert sol.value == pytest.approx(2.0, abs=1e-7)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_random_instances_certify_small_gaps(seed):
-    """Paired primal/dual residuals on random dominance programs."""
+def dominance_program(seed):
+    """min tr[psi L] s.t. L >= G, L >= 0 for random psi > 0 and G, with its
+    interior start and its optimum: L' = psi^{1/2} L psi^{1/2} turns it
+    into min tr L' s.t. L' >= psi^{1/2} G psi^{1/2}, L' >= 0, whose optimum
+    is the sum of the positive eigenvalues of psi^{1/2} G psi^{1/2}."""
     rng = rng_from(100 + seed)
     n = int(rng.integers(2, 5))
     G = random_hermitian(n, rng)
@@ -148,7 +159,17 @@ def test_random_instances_certify_small_gaps(seed):
     p.add_objective("L", psi)
     p.add_operator_inequality([("L", lambda E: E)], G, slack="S")
     lam0 = (abs(np.linalg.eigvalsh(G)).max() + 1.0) * np.eye(n)
-    sol = solve_sdp(p, start={"L": lam0, "S": lam0 - G})
+    w, v = np.linalg.eigh(psi)
+    root = (v * np.sqrt(w)) @ v.conj().T
+    h = np.linalg.eigvalsh(root @ G @ root)
+    return p, {"L": lam0, "S": lam0 - G}, float(np.sum(h[h > 0]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_instances_certify_small_gaps(seed):
+    """Paired primal/dual residuals on random dominance programs."""
+    p, start, _ = dominance_program(seed)
+    sol = solve_sdp(p, start=start)
     scale = max(1.0, abs(sol.value))
     assert sol.gap <= 1e-6 * scale
     assert sol.residuals["primal_eq"] <= 1e-8
@@ -156,6 +177,87 @@ def test_random_instances_certify_small_gaps(seed):
     assert sol.residuals["min_eig_S"] >= -1e-12
     # weak duality for the recovered pair (min problem: dual <= primal)
     assert sol.dual_value <= sol.value + 1e-7 * scale
+
+
+def phi_plus():
+    phi = np.zeros(4)
+    phi[[0, 3]] = 1.0 / np.sqrt(2.0)
+    return np.outer(phi, phi)
+
+
+def hmin_program():
+    """min tr X s.t. 1 (x) X >= Phi+ is 2^(-H_min(A|B)) = 2 on a maximally
+    entangled pair."""
+    p = SdpProblem(sense="min")
+    p.add_block("X", 2)
+    p.add_objective("X", np.eye(2))
+    p.add_operator_inequality([("X", lambda X: np.kron(np.eye(2), X))],
+                              phi_plus(), slack="S")
+    return p
+
+
+def rebuilt_dual_slack_min_eig(problem, y):
+    """Lowest eigenvalue over the blocks of C_b - sum_k y_k M_b^(k), rebuilt
+    from the problem's objective and rows through the dense basis oracle
+    (min sense, so C_b is the objective as stated)."""
+    low = np.inf
+    for name, n in problem.blocks.items():
+        B = dense_basis(n)
+        S = problem.objective.get(name, np.zeros((n, n))).astype(complex)
+        for (row, _), yk in zip(problem.constraints, y):
+            if name in row:
+                S = S - yk * (B @ row[name]).reshape(n, n)
+        low = min(low, float(np.linalg.eigvalsh(0.5 * (S + S.conj().T))[0]))
+    return low
+
+
+@pytest.mark.parametrize("case",
+                         ["hmin"] + [f"dominance-{s}" for s in range(10)])
+def test_returned_dual_point_is_checked(case):
+    """The returned y is dual feasible up to rounding when S = C - A^T y is
+    rebuilt outside the solver, and the reported dual value and value
+    bracket the closed-form optimum."""
+    if case == "hmin":
+        p, start, opt = hmin_program(), {"X": 1.5 * np.eye(2)}, 2.0
+    else:
+        p, start, opt = dominance_program(int(case.split("-")[1]))
+    sol = solve_sdp(p, start=start)
+    scale = max(1.0, abs(sol.value))
+    assert rebuilt_dual_slack_min_eig(p, sol.y) >= -1e-12 * scale
+    assert sol.dual_value <= opt + 1e-12 * scale
+    assert opt <= sol.value + 1e-12 * scale
+    assert sol.gap == pytest.approx(sol.value - sol.dual_value, abs=1e-15)
+    assert sol.gap <= sdp.GAP_TOL * scale
+
+
+def test_dependent_rows_are_dropped():
+    """A row repeated at twice its scale leaves the program unchanged: one
+    of the two is dropped, its multiplier reported as zero, and the dual
+    point stays checked."""
+    H = random_hermitian(3, 7)
+    p = SdpProblem(sense="max")
+    p.add_block("X", 3)
+    p.add_objective("X", H)
+    p.add_eq_constraint({"X": np.eye(3)}, 1.0)
+    p.add_eq_constraint({"X": 2.0 * np.eye(3)}, 2.0)
+    sol = solve_sdp(p, start={"X": np.eye(3) / 3})
+    assert sol.value == pytest.approx(np.linalg.eigvalsh(H)[-1], abs=1e-8)
+    assert len(sol.y) == 2 and np.count_nonzero(sol.y) == 1
+    assert sol.gap <= sdp.GAP_TOL * max(1.0, abs(sol.value))
+
+
+def test_unbounded_program_raises_with_diagnostics():
+    """max tr X s.t. X_11 - X_22 + s = 1 is unbounded (X_22 grows freely):
+    no dual point exists, so no certificate does, and the solve raises."""
+    p = SdpProblem(sense="max")
+    p.add_block("X", 2)
+    p.add_block("s", 1)
+    p.add_objective("X", np.eye(2))
+    p.add_eq_constraint({"X": np.diag([1.0, -1.0]), "s": np.eye(1)}, 1.0)
+    with pytest.raises(SolverFailure) as err:
+        solve_sdp(p, start={"X": np.eye(2), "s": np.eye(1)})
+    assert err.value.diagnostics["checked_min_eig_S"] is None
+    assert err.value.diagnostics["iterations"] >= 1
 
 
 def test_infeasible_equalities_detected():
@@ -208,24 +310,13 @@ def test_operator_constraint_rows_match_the_adjoint_formula():
 
 
 def test_operator_inequality_derives_its_slack():
-    """min tr X s.t. 1 (x) X >= Phi+ is 2^(-H_min(A|B)) = 2 on a maximally
-    entangled pair; a start without the slack block gets 1 (x) X0 - Phi+."""
-    phi = np.zeros(4)
-    phi[[0, 3]] = 1.0 / np.sqrt(2.0)
-    P = np.outer(phi, phi)
-
-    def problem():
-        p = SdpProblem(sense="min")
-        p.add_block("X", 2)
-        p.add_objective("X", np.eye(2))
-        p.add_operator_inequality([("X", lambda X: np.kron(np.eye(2), X))],
-                                  P, slack="S")
-        return p
-
+    """The H_min program of ``hmin_program``: a start without the slack
+    block gets 1 (x) X0 - Phi+."""
+    P = phi_plus()
     X0 = 1.5 * np.eye(2)
-    derived = solve_sdp(problem(), start={"X": X0})
-    given = solve_sdp(problem(), start={"X": X0,
-                                        "S": np.kron(np.eye(2), X0) - P})
+    derived = solve_sdp(hmin_program(), start={"X": X0})
+    given = solve_sdp(hmin_program(), start={"X": X0,
+                                             "S": np.kron(np.eye(2), X0) - P})
     assert derived.value == pytest.approx(2.0, abs=1e-7)
     assert derived.value == given.value
     assert derived.iterations == given.iterations
@@ -234,4 +325,4 @@ def test_operator_inequality_derives_its_slack():
         np.kron(np.eye(2), derived.variables["X"]) - P, atol=1e-9)
     # at X0 = 1/2 the derived slack 1/2 - Phi+ is not positive definite
     with pytest.raises(SolverFailure):
-        solve_sdp(problem(), start={"X": np.eye(2) / 2})
+        solve_sdp(hmin_program(), start={"X": np.eye(2) / 2})
