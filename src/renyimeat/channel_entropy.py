@@ -21,10 +21,11 @@ by order:
 
 * ``alpha = 1/2`` (b = inf) is the covering program of the minimized
   max-divergence, min tr[S] over 1_T (x) S >= omega(rho), which
-  :func:`minimized_channel_divergence` also solves at order inf
-  (:func:`_max_divergence_program`); ``alpha = inf`` (b = 1/2) is one
-  root-fidelity program in Watrous's block form.  Both are semidefinite
-  programs certified by their duality gap;
+  :func:`minimized_channel_divergence` also solves at order inf;
+  ``alpha = inf`` (b = 1/2) is the root-fidelity program in Watrous's
+  block form.  Both are the semidefinite programs of
+  :mod:`renyimeat.marginals` (:func:`_covering_program`,
+  :func:`_fidelity_program`), certified by their duality gaps;
 * every other order runs L-BFGS over an unconstrained chart of the
   marginal set (:class:`_InputChart`), with the inner sigma from
   :func:`renyimeat.entropies.cond_entropy_up` at b and the gradient in rho
@@ -47,8 +48,9 @@ finite orders it is the joint L-BFGS of the polish above
 (:class:`_JointDivergence`), with one chart per marginal set and no SDP;
 at order inf it is the covering program.  The module also hosts numerical
 checks of the chain rule and additivity statements.  The marginal
-constraint, its feasible set and the SDP pairs of the measured chain rule
-live in :mod:`renyimeat.marginals` and are re-exported here.
+constraint, its feasible set, the two SDP builders and the SDP pairs of
+the measured chain rule live in :mod:`renyimeat.marginals`; the public
+ones are re-exported here.
 """
 
 from __future__ import annotations
@@ -62,16 +64,16 @@ import numpy as np
 from .channels import Channel, _perm_matrix, compose, trace_out_channel
 from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
 from .entropies import _power_frechet_map, cond_entropy_up
-from .errors import (InfeasibleSpec, InvalidRegister, InvalidState,
-                     NonConvergence, UnsupportedOrder)
+from .errors import (InvalidRegister, InvalidState, NonConvergence,
+                     UnsupportedOrder)
 from .marginals import (MarginalConstraint, SdpPair,  # noqa: F401 (re-export)
-                        _MarginalSet, build_sdp_individual, build_sdp_joint,
+                        _covering_program, _fidelity_program, _MarginalSet,
+                        build_sdp_individual, build_sdp_joint,
                         product_feasibility_slack, solve_sdp_pair)
 from .registers import (EIG_CUT, LOG2E, RegisterSpace, State,
                         bipartite_partial_trace, canonical_purification_vector,
                         divided_differences, herm_part, herm_power, ket_state,
                         kraus_apply, kraus_pullback, space, support_isometry)
-from .sdp import SdpProblem, solve_sdp
 
 #: widest certified interval (in bits of entropy) a channel entropy may
 #: carry; a wider one raises NonConvergence
@@ -179,106 +181,27 @@ class _ReducedDilation:
         return kraus_pullback(self.kraus, G)
 
 
-def _solve_inf(problem: ChannelEntropyProblem,
-               mset: _MarginalSet) -> ChannelEntropyResult:
-    """alpha = inf is conjugate to the root fidelity: maximize Re tr[Z] over
-    [[N[rho], Z], [Z^dag, I (x) sigma]] >= 0 with rho in the marginal set and
-    tr[sigma] = 1 (Watrous's block form); the entropy is -2 log2 of the
-    optimum.  One SDP, certified by its duality gap.
-
-    Both diagonal blocks are compressed to the range of N at the interior
-    start, which holds N[rho] for every feasible rho; the fidelity is
-    unchanged, and the compressed start is strictly feasible even when the
-    output is rank-deficient.
-    """
-    red = _ReducedDilation(problem, mset)
-    rho0 = mset.start()
-    U = support_isometry(red.apply(rho0))
-    r = U.shape[1]
-    eye_t = np.eye(red.d_t)
-
-    def first(rho):
-        return U.conj().T @ red.apply(rho) @ U
-
-    def second(sigma):
-        return U.conj().T @ np.kron(eye_t, sigma) @ U
-
-    prob = SdpProblem(sense="max")
-    prob.add_block("rho", mset.dim)
-    prob.add_block("sigma", red.d_env)
-    prob.add_block("block", 2 * r)
-    C = np.zeros((2 * r, 2 * r), dtype=complex)
-    C[:r, r:] = C[r:, :r] = 0.5 * np.eye(r)
-    prob.add_objective("block", C)
-    mset.pin(prob, "rho")
-    prob.add_eq_constraint({"sigma": np.eye(red.d_env)}, 1.0)
-    zero = np.zeros((r, r))
-    prob.add_operator_equality([("block", lambda V: V[:r, :r]),
-                                ("rho", lambda rho: -first(rho))], zero)
-    prob.add_operator_equality([("block", lambda V: V[r:, r:]),
-                                ("sigma", lambda sig: -second(sig))], zero)
-    sigma0 = np.eye(red.d_env) / red.d_env
-    block0 = np.zeros((2 * r, 2 * r), dtype=complex)
-    block0[:r, :r] = first(rho0)
-    block0[r:, r:] = second(sigma0)
-    sol = solve_sdp(prob, start={"rho": rho0, "sigma": sigma0,
-                                 "block": block0})
-    fid = max(sol.value, 1e-300)
-    witness = _purified_witness(problem, mset, _project_psd(sol.variables["rho"]))
-    return ChannelEntropyResult(value=-2.0 * math.log2(fid), witness=witness,
-                                gap=2.0 * math.log2(1.0 + sol.gap / fid),
-                                method="fidelity-program")
-
-
-def _max_divergence_program(mset: _MarginalSet, m_map, n_map,
-                            sset: _MarginalSet):
-    """min tr[S] over n_map(S) >= m_map(rho) with rho in ``mset`` and S >= 0
-    on the coordinates of ``sset``: 2^D_max(M[rho] || N[sigma]) minimized
-    over both inputs, since S = tr[S] sigma.  A constraint on ``sset`` pins
-    S up to scale by a 1 x 1 block t: Tr_F S = t psi and the objective is t.
-    Returns (log2 of the optimum, the rho optimizer, the width in bits of
-    the interval the duality gap certifies)."""
-    rho0, sig0 = mset.start(), sset.start()
-    tv = np.linalg.eigvalsh(herm_part(n_map(sig0)))
-    if tv.min() <= 1e-12:
-        raise InfeasibleSpec("the comparison map must have full-rank output "
-                             "at an interior input")
-    om0 = m_map(rho0)
-    c0 = float(np.linalg.eigvalsh(herm_part(om0)).max() / tv.min()) + 1.0
-    prob = SdpProblem(sense="min")
-    prob.add_block("rho", mset.dim)
-    prob.add_block("S", sset.dim)
-    mset.pin(prob, "rho")
-    start = {"rho": rho0, "S": c0 * sig0}
-    if sset.constraint is None:
-        prob.add_objective("S", np.eye(sset.dim))
-    else:
-        prob.add_block("t", 1)
-        prob.add_objective("t", np.eye(1))
-        prob.add_operator_equality(
-            [("S", sset.marginal), ("t", lambda t: -t[0, 0] * sset.psi_r)],
-            np.zeros_like(sset.psi_r))
-        start["t"] = np.array([[c0]])
-    prob.add_operator_inequality([("S", n_map), ("rho", lambda r: -m_map(r))],
-                                 np.zeros_like(om0), slack="slack")
-    sol = solve_sdp(prob, start=start)
-    cover = max(sol.value, 1e-300)
-    width = -math.log2(1.0 - sol.gap / cover) if sol.gap < cover else math.inf
-    return math.log2(cover), sol.variables["rho"], width
-
-
-def _solve_half(problem: ChannelEntropyProblem,
-                mset: _MarginalSet) -> ChannelEntropyResult:
+def _solve_endpoint(problem: ChannelEntropyProblem,
+                    mset: _MarginalSet) -> ChannelEntropyResult:
     """alpha = 1/2 is conjugate to the max-divergence: the covering program
-    of omega(rho) against 1_T (x) S (:func:`_max_divergence_program`)."""
+    of omega(rho) against 1_T (x) S (:func:`_covering_program`).  alpha =
+    inf is conjugate to the root fidelity: F(omega(rho), 1_T (x) sigma)
+    maximized over rho and density operators sigma on Z
+    (:func:`_fidelity_program`), and the entropy is -2 log2 of it."""
     red = _ReducedDilation(problem, mset)
     eye_t = np.eye(red.d_t)
-    value, rho, width = _max_divergence_program(
-        mset, red.apply, lambda S: np.kron(eye_t, S),
-        _MarginalSet(space(("Z", red.d_env)), None))
+    args = (mset, [red.apply], lambda S: np.kron(eye_t, S),
+            _MarginalSet(space(("Z", red.d_env)), None))
+    if problem.alpha.is_half:
+        value, width, rho, _ = _covering_program(*args)
+        method = "covering-program"
+    else:
+        log2_fid, width, rho, _ = _fidelity_program(*args, [1.0])
+        value, width = -2.0 * log2_fid, 2.0 * width
+        method = "fidelity-program"
     witness = _purified_witness(problem, mset, _project_psd(rho))
     return ChannelEntropyResult(value=value, witness=witness, gap=width,
-                                method="covering-program")
+                                method=method)
 
 
 def _project_psd(mat: np.ndarray) -> np.ndarray:
@@ -600,10 +523,8 @@ def channel_cond_entropy(problem: ChannelEntropyProblem) -> ChannelEntropyResult
     if mset.fixed:
         # the input is pinned: every purification gives the same entropy
         res = _pinned_input_entropy(problem, mset)
-    elif alpha.is_infinite:
-        res = _solve_inf(problem, mset)
-    elif alpha.is_half:
-        res = _solve_half(problem, mset)
+    elif alpha.is_infinite or alpha.is_half:
+        res = _solve_endpoint(problem, mset)
     else:
         res = _solve_convex(problem, mset)
     if not res.gap <= CHANNEL_GAP_TOL:
@@ -721,8 +642,8 @@ def minimized_channel_divergence(m: Channel, n: Channel, constraints,
     maps = [(partial(kraus_apply, ks), partial(kraus_pullback, ks))
             for ks in kraus]
     if alpha.is_infinite:
-        value, _, width = _max_divergence_program(msets[0], maps[0][0],
-                                                  maps[1][0], msets[1])
+        value, width, _, _ = _covering_program(msets[0], [maps[0][0]],
+                                               maps[1][0], msets[1])
     else:
         div = _JointDivergence(alpha, maps, [
             _InputChart(s.psi_r, s.dim // s.rank_a) for s in msets])

@@ -26,8 +26,10 @@ solved on the support of its conditioning marginal:
   value at sigma bounds H^up from below, and -H^up_b(A|C) = H^up_a(A|B) on
   a purification (1/a + 1/b = 2) turns a closed-form dual point into a
   bound from above;
-- a = 1/2 and a = infinity: a fidelity and a max-divergence covering
-  semidefinite program, whose duality gaps give the width;
+- a = 1/2 and a = infinity: the root-fidelity and the max-divergence
+  covering programs of :mod:`renyimeat.marginals`, with each branch
+  operator entering as the image t -> t M_i of the one-point set; their
+  duality gaps give the width;
 - a conditioning support of rank one, or the "down" variant: sigma is
   pinned and the value is a closed form.
 
@@ -53,8 +55,8 @@ from scipy.special import logsumexp
 from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      NotClassical, NotPure, UnsupportedOrder)
+from .marginals import _covering_program, _fidelity_program, _MarginalSet
 from .registers import EIG_CUT, State, embed_operator, support_isometry
-from .sdp import SdpProblem, solve_sdp
 from . import registers
 
 #: widest duality interval (in bits of entropy) an optimized "up" value may
@@ -456,50 +458,16 @@ def _duality_gap(branches, log2_probs, d_q, sigma, alpha, log2_T) -> float:
     return max(up - lo, 0.0)
 
 
-def _t_max_half_sdp(branches, weights, d_q: int, d_b: int):
-    """max_sigma sum_i w_i tr[G_i(sigma)^{1/2}] at a = 1/2, exactly.
-
-    tr[((I (x) sqrt(sigma)) rho (I (x) sqrt(sigma)))^{1/2}] is the fidelity
-    F(rho, I (x) sigma), which has the semidefinite representation
-    F(P, Q) = max (1/2) tr[Z + Z^dag] over [[P, Z], [Z^dag, Q]] >= 0; the
-    a = 1/2 objective is therefore a single SDP (the generic fixed-point
-    iteration crawls here because the maximizer may sit on the boundary).
-    Each P-block is compressed to supp(rho_i) so strictly feasible starts
-    exist.  Returns (T_max, duality gap, sigma).
-    """
-    prob = SdpProblem("max")
-    prob.add_block("sigma", d_b)
-    prob.add_eq_constraint({"sigma": np.eye(d_b)}, 1.0)
-    start = {"sigma": np.eye(d_b) / d_b}
-    for i, (rho, w) in enumerate(zip(branches, weights)):
-        if w <= 0.0:
-            continue
-        U = support_isometry(rho)
-        r = U.shape[1]
-        rho_r = U.conj().T @ rho @ U
-        rho_r = 0.5 * (rho_r + rho_r.conj().T)
-        blk = f"V{i}"
-        prob.add_block(blk, 2 * r)
-        C = np.zeros((2 * r, 2 * r), dtype=complex)
-        C[:r, r:] = 0.5 * w * np.eye(r)
-        C[r:, :r] = 0.5 * w * np.eye(r)
-        prob.add_objective(blk, C)
-
-        def lift(sigma):
-            return U.conj().T @ np.kron(np.eye(d_q), sigma) @ U
-
-        # [[rho_r, Z], [Z^dag, U^dag (I (x) sigma) U]]: pin and link the
-        # diagonal blocks
-        prob.add_operator_equality([(blk, lambda V: V[:r, :r])], rho_r)
-        prob.add_operator_equality([(blk, lambda V: V[r:, r:]),
-                                    ("sigma", lambda S: -lift(S))],
-                                   np.zeros((r, r)))
-        V0 = np.zeros((2 * r, 2 * r), dtype=complex)
-        V0[:r, :r] = rho_r
-        V0[r:, r:] = lift(start["sigma"])
-        start[blk] = V0
-    sol = solve_sdp(prob, start=start)
-    return float(sol.value), float(sol.gap), sol.variables["sigma"]
+def _branch_programs(mats, d_q: int, d_b: int):
+    """Fixed branch operators M_i on Q Q' in the terms of the SDP builders
+    of :mod:`renyimeat.marginals`: the one-point set {1} (a 1 x 1 block t
+    pinned to tr t = 1), the maps t -> t M_i, the map X -> 1_Q (x) X, and
+    the density operators on Q'."""
+    eye_q = np.eye(d_q)
+    return (_MarginalSet(registers.space(("_", 1)), None),
+            [lambda t, m=m: t[0, 0] * m for m in mats],
+            lambda X: np.kron(eye_q, X),
+            _MarginalSet(registers.space(("_", d_b)), None))
 
 
 def _alpha_ladder(alpha: float):
@@ -515,9 +483,12 @@ def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
     """Extremized log2 T from one warm start; returns (log2_T, sigma, gap).
 
     ``gap`` is the width of an interval holding the optimum, in entropy
-    units of the normalized block state.  At a = 1/2 the fidelity program
-    solves it: the optimum lies below T_sdp + (duality gap), so the width is
-    2 log2((T_sdp + gap) / T).  Otherwise the start is the normalized mean
+    units of the normalized block state.  At a = 1/2, T(sigma) is
+    sum_i w_i F(rho_i, id (x) sigma) with w_i = p_i^(1/2) and F the root
+    fidelity, and :func:`_fidelity_program` solves it: the optimum lies
+    below T_sdp + (duality gap), so the width is 2 log2((T_sdp + gap) / T)
+    for the larger T of the program and the spectral evaluation at its
+    sigma.  Otherwise the start is the normalized mean
     of the branch marginals and the width is the duality interval of
     :func:`_duality_gap`.  ``log2_probs`` are per-branch log2 weights
     *before* raising to the power alpha; each ladder rung a uses weights
@@ -525,16 +496,16 @@ def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
     """
     if as_order(alpha).is_half:
         weights = [2.0 ** (0.5 * lp) for lp in log2_probs]
-        T, sdp_gap, sigma = _t_max_half_sdp(branches, weights, d_q, d_qp)
-        log2_T = float(np.log2(max(T, 1e-300)))
+        log2_T, width, _, sigma = _fidelity_program(
+            *_branch_programs(branches, d_q, d_qp), weights)
+        upper = log2_T + width
         # the spectral evaluation at the optimizer is an equally valid lower
         # bound on the sup; keep whichever is larger
         direct = _evaluate_log2_T(branches, [0.5 * lp for lp in log2_probs],
                                   d_q, sigma, 0.5)
         if np.isfinite(direct):
             log2_T = max(log2_T, direct)
-        width = 2.0 * (math.log2(max(T + sdp_gap, 1e-300)) - log2_T)
-        return log2_T, sigma, max(width, 0.0)
+        return log2_T, sigma, max(2.0 * (upper - log2_T), 0.0)
 
     marg_space = registers.space(("q", d_q), ("p", d_qp))
     mean = sum(State(r, marg_space, check=False).partial_trace(keep=["p"])
@@ -549,29 +520,6 @@ def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
         raise NonConvergence("the sigma solve produced no finite value")
     return log2_T, sigma, _duality_gap(branches, log2_probs, d_q, sigma,
                                        alpha, log2_T)
-
-
-def _max_cover_sdp(branches, d_q: int, d_b: int):
-    """min{tr X : id_Q (x) X >= M_i for every i, X >= 0}.
-
-    With one branch rho this is 2^(-H^up_inf(Q|B)); with the weighted
-    branches of a classical mixture it is the a = infinity inner extremum
-    (substituting X = lambda sigma linearizes the max-divergence bounds
-    M_i <= lambda id (x) sigma).  Returns (t, X, width): the optimum lies in
-    [t - gap, t] for the duality gap, so -log2 of it lies in an interval of
-    width log2(t / (t - gap)).
-    """
-    prob = SdpProblem("min")
-    prob.add_block("X", d_b)
-    prob.add_objective("X", np.eye(d_b))
-    top = max(float(np.linalg.norm(m, 2)) for m in branches)
-    for i, m in enumerate(branches):
-        prob.add_operator_inequality(
-            [("X", lambda X: np.kron(np.eye(d_q), X))], m, slack=f"S{i}")
-    sol = solve_sdp(prob, start={"X": (top + 1.0) * np.eye(d_b)})
-    t = float(sol.value)
-    width = -math.log2(1.0 - sol.gap / t) if sol.gap < t else math.inf
-    return t, sol.variables["X"], width
 
 
 # ------------------------------------------------ the two-sided mixture
@@ -610,7 +558,7 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
     log2 weight log2 p(cs|cp) + ((a-1)/a) tilt(cs, cp), where (a-1)/a -> 1
     at a = infinity.  Per public outcome the extremum over sigma is solved
     by :func:`_sup_sigma` at finite orders and by the covering program
-    :func:`_max_cover_sdp` at a = infinity (the max-divergence form
+    :func:`_covering_program` at a = infinity (the max-divergence form
     -log2 sum_cp p(cp) min{tr X : id (x) X >= p(cs|cp) 2^tilt rho_cs,cp}).
     The value is a quasi-arithmetic mean of the per-outcome entropies, so it
     moves by at most the widest per-outcome interval; a width above
@@ -666,10 +614,8 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
                     red, [a.value * lp for lp in log2_p], d_q, sig, a.value,
                     False)[0] / a.value
         elif a.is_infinite:
-            t, X, width = _max_cover_sdp([2.0 ** lw * m for m, lw in
-                                          zip(red, log2_p)], d_q, r)
-            log2_t = math.log2(t)
-            sig = X / max(float(np.real(np.trace(X))), 1e-300)
+            log2_t, width, _, sig = _covering_program(*_branch_programs(
+                [2.0 ** lw * m for m, lw in zip(red, log2_p)], d_q, r))
         else:
             log2_T, sig, width = _sup_sigma(red, log2_p, d_q, r, a.value)
             log2_t = log2_T / a.value

@@ -1,23 +1,34 @@
-"""Inputs with a pinned marginal, and the SDP pairs of the measured chain rule.
+"""Inputs with a pinned marginal, and every semidefinite program over them.
 
 A :class:`MarginalConstraint` pins the reduced state of a channel input on
 named registers; :class:`_MarginalSet` is the set of inputs that keep it,
 in restricted coordinates, and is the feasible set of every channel entropy
-program in :mod:`renyimeat.channel_entropy`.  Over the same set live the
-primal/dual SDP pairs behind the measured chain rule
-(:func:`build_sdp_individual`, :func:`build_sdp_joint`) and the check that
-tensored single-round dual optimizers stay feasible for the joint dual
-(:func:`product_feasibility_slack`).
+program in :mod:`renyimeat.channel_entropy`.
+
+Every entropy SDP of the package is one of two builders over such sets:
+the max-divergence covering program (:func:`_covering_program`: H^up_inf
+of a state, the channel entropy at order 1/2, the minimized divergence at
+order inf) and the root-fidelity program in Watrous's block form
+(:func:`_fidelity_program`: H^up_1/2 of a state, the channel entropy at
+order inf).  A state's fixed branch operators M_i enter either builder as
+the images t -> t M_i of the one-point set ``_MarginalSet(space(("_", 1)),
+None)``, whose 1 x 1 block is pinned to tr t = 1.
+
+Over the same sets live the primal/dual SDP pairs behind the measured
+chain rule (:func:`build_sdp_individual`, :func:`build_sdp_joint`) and the
+check that tensored single-round dual optimizers stay feasible for the
+joint dual (:func:`product_feasibility_slack`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import Channel, _perm_matrix, compose
-from .errors import InvalidRegister, InvalidState
+from .errors import InfeasibleSpec, InvalidRegister, InvalidState
 from .registers import (RegisterSpace, State, bipartite_partial_trace,
                         embed_operator, herm_part, kraus_pullback,
                         support_isometry)
@@ -115,6 +126,102 @@ class _MarginalSet:
     def unrestrict(self, rho_r: np.ndarray) -> np.ndarray:
         """Map a set element back to the channel's input basis."""
         return herm_part(self.embed @ rho_r @ self.embed.conj().T)
+
+
+# ---------------------------------------------------- the two SDP families
+
+def _covering_program(mset: _MarginalSet, m_maps, n_map, sset: _MarginalSet):
+    """min tr[S] over n_map(S) >= m_i(rho) for every i, with rho in ``mset``
+    and S >= 0 on the coordinates of ``sset``; the inequalities share S.
+    With one map M this is 2^D_max(M[rho] || N[sigma]) minimized over both
+    inputs, since S = tr[S] sigma.  A constraint on ``sset`` pins S up to
+    scale by a 1 x 1 block t: Tr_F S = t psi, and the objective is t.
+    Returns (log2 of the optimum, the width in bits of the interval the
+    duality gap certifies, the rho optimizer, sigma = S / tr[S])."""
+    rho0, sig0 = mset.start(), sset.start()
+    tv = np.linalg.eigvalsh(herm_part(n_map(sig0)))
+    if tv.min() <= 1e-12:
+        raise InfeasibleSpec("the comparison map must have full-rank output "
+                             "at an interior input")
+    oms = [m_map(rho0) for m_map in m_maps]
+    top = max(np.linalg.eigvalsh(herm_part(om)).max() for om in oms)
+    c0 = float(top / tv.min()) + 1.0
+    prob = SdpProblem(sense="min")
+    prob.add_block("rho", mset.dim)
+    prob.add_block("S", sset.dim)
+    mset.pin(prob, "rho")
+    start = {"rho": rho0, "S": c0 * sig0}
+    if sset.constraint is None:
+        prob.add_objective("S", np.eye(sset.dim))
+    else:
+        prob.add_block("t", 1)
+        prob.add_objective("t", np.eye(1))
+        prob.add_operator_equality(
+            [("S", sset.marginal), ("t", lambda t: -t[0, 0] * sset.psi_r)],
+            np.zeros_like(sset.psi_r))
+        start["t"] = np.array([[c0]])
+    for i, (m_map, om) in enumerate(zip(m_maps, oms)):
+        prob.add_operator_inequality(
+            [("S", n_map), ("rho", lambda r, m_map=m_map: -m_map(r))],
+            np.zeros_like(om), slack=f"slack{i}")
+    sol = solve_sdp(prob, start=start)
+    cover = max(sol.value, 1e-300)
+    width = -math.log2(1.0 - sol.gap / cover) if sol.gap < cover else math.inf
+    S = sol.variables["S"]
+    return (math.log2(cover), width, sol.variables["rho"],
+            S / max(float(np.real(np.trace(S))), 1e-300))
+
+
+def _fidelity_program(mset: _MarginalSet, p_maps, q_map, sset: _MarginalSet,
+                      weights):
+    """max sum_i w_i Re tr[Z_i] over [[P_i(rho), Z_i], [Z_i^dag, Q(sigma)]]
+    >= 0 with rho in ``mset`` and sigma in ``sset``: the weighted root
+    fidelities sum_i w_i F(P_i(rho), Q(sigma)) maximized over both inputs
+    (Watrous's block form).
+
+    Block i is compressed on both diagonals to the support of P_i at the
+    interior start rho^0, which holds P_i(rho) for every rho of the set;
+    the fidelity is unchanged, and the compressed start is strictly
+    feasible even when P_i or Q is rank-deficient.  Returns (log2 of the
+    optimum, the width in bits of the interval the duality gap certifies,
+    the rho optimizer, the sigma optimizer)."""
+    rho0, sig0 = mset.start(), sset.start()
+    prob = SdpProblem(sense="max")
+    prob.add_block("rho", mset.dim)
+    prob.add_block("sigma", sset.dim)
+    mset.pin(prob, "rho")
+    sset.pin(prob, "sigma")
+    start = {"rho": rho0, "sigma": sig0}
+    for i, (p_map, w) in enumerate(zip(p_maps, weights)):
+        U = support_isometry(p_map(rho0))
+        r = U.shape[1]
+
+        def first(rho, p_map=p_map, U=U):
+            return U.conj().T @ p_map(rho) @ U
+
+        def second(sigma, U=U):
+            return U.conj().T @ q_map(sigma) @ U
+
+        blk = f"block{i}"
+        prob.add_block(blk, 2 * r)
+        C = np.zeros((2 * r, 2 * r), dtype=complex)
+        C[:r, r:] = C[r:, :r] = 0.5 * w * np.eye(r)
+        prob.add_objective(blk, C)
+        zero = np.zeros((r, r))
+        prob.add_operator_equality([(blk, lambda V, r=r: V[:r, :r]),
+                                    ("rho", lambda rho, f=first: -f(rho))],
+                                   zero)
+        prob.add_operator_equality([(blk, lambda V, r=r: V[r:, r:]),
+                                    ("sigma", lambda sig, f=second: -f(sig))],
+                                   zero)
+        V0 = np.zeros((2 * r, 2 * r), dtype=complex)
+        V0[:r, :r] = first(rho0)
+        V0[r:, r:] = second(sig0)
+        start[blk] = V0
+    sol = solve_sdp(prob, start=start)
+    fid = max(sol.value, 1e-300)
+    return (math.log2(fid), math.log2(1.0 + sol.gap / fid),
+            sol.variables["rho"], sol.variables["sigma"])
 
 
 # ------------------------------------------------------------ SDP pair forms

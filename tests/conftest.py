@@ -19,9 +19,9 @@ import pytest  # noqa: E402
 @pytest.fixture
 def sdp_solves(monkeypatch):
     """The (problem, solution) pairs of every ``solve_sdp`` call the
-    package's entropy, channel and measured-chain-rule builders make
-    during the test, in call order."""
-    from renyimeat import channel_entropy, entropies, marginals, sdp
+    package's SDP builders (all in ``renyimeat.marginals``) make during the
+    test, in call order."""
+    from renyimeat import marginals, sdp
 
     seen = []
 
@@ -30,6 +30,5 @@ def sdp_solves(monkeypatch):
         seen.append((problem, sol))
         return sol
 
-    for module in (entropies, marginals, channel_entropy):
-        monkeypatch.setattr(module, "solve_sdp", recording)
+    monkeypatch.setattr(marginals, "solve_sdp", recording)
     return seen

@@ -249,8 +249,8 @@ def test_near_half_order_takes_the_sdp_route(monkeypatch):
     rho = random_density(space(("A", 2), ("B", 2)), seed=3)
     at_half = cond_entropy_up(rho, ["A"], ["B"], 0.5)
     calls = []
-    sdp = entropies._t_max_half_sdp
-    monkeypatch.setattr(entropies, "_t_max_half_sdp",
+    sdp = entropies._fidelity_program
+    monkeypatch.setattr(entropies, "_fidelity_program",
                         lambda *a: calls.append(a) or sdp(*a))
     near, info = cond_entropy_up(rho, ["A"], ["B"], 0.5 + 1e-13,
                                  return_info=True)
@@ -484,7 +484,7 @@ def test_every_optimized_entropy_runs_the_two_sided_mixture(monkeypatch,
     """One call of the mixture per public call, and the inner programs run
     only inside it."""
     callers = []
-    for name in ("_sup_sigma", "_max_cover_sdp"):
+    for name in ("_sup_sigma", "_covering_program"):
         def inner(*args, _fn=getattr(entropies, name)):
             callers.append(sys._getframe(1).f_code.co_name)
             return _fn(*args)
@@ -522,6 +522,18 @@ def test_endpoint_programs_report_their_widths():
         assert 0.0 < i_half["gap"] <= UP_GAP_TOL
         assert 0.0 < i_inf["gap"] <= UP_GAP_TOL
         assert abs(half + inf) <= i_half["gap"] + i_inf["gap"]
+
+
+@pytest.mark.parametrize("seed", [9, 10])
+def test_the_two_sdp_families_cross_check_on_a_purification(seed):
+    """H^up_1/2(A|B) is a fidelity program and H^up_inf(A|C) a covering
+    program on the purifying register C (of dimension 8); on a pure state
+    they sum to zero within the two returned widths."""
+    rho = random_density(space(("A", 2), ("B", 4)), seed=seed)
+    half, i_half = cond_entropy_up(rho, ["A"], ["B"], 0.5, return_info=True)
+    inf, i_inf = cond_entropy_up(rho.purified("C"), ["A"], ["C"], "inf",
+                                 return_info=True)
+    assert abs(half + inf) <= i_half["gap"] + i_inf["gap"]
 
 
 def test_orders_above_the_ladder_threshold():
