@@ -18,14 +18,17 @@ of those.  :func:`cond_entropy_up` has no classical registers,
 entropies of :mod:`renyimeat.fweighted` add the tilt.  Each extremum is
 solved on the support of its conditioning marginal:
 
-- generic orders: the first-order condition sigma <- normalize(Tr_A[G^a])
-  with G(sigma) = (id (x) sigma^s) rho (id (x) sigma^s), s = (1-a)/(2a),
-  then projected gradient, once from the mean of the conditioning
-  marginals: sigma -> tr[G(sigma)^a] is convex for a > 1 and concave for
-  a in [1/2, 1) (Frank-Lieb), so a stationary point is the optimum.  The
-  value at sigma bounds H^up from below, and -H^up_b(A|C) = H^up_a(A|B) on
-  a purification (1/a + 1/b = 2) turns a closed-form dual point into a
-  bound from above;
+- generic orders: a short damped fixed point of the first-order condition
+  sigma <- normalize(Tr_A[G^a]) with G(sigma) = (id (x) sigma^s) rho
+  (id (x) sigma^s), s = (1-a)/(2a), started at the mean of the
+  conditioning marginals, then L-BFGS on the chart sigma(H) = H H^dag /
+  tr[H H^dag] (the chart and the L-BFGS of :mod:`renyimeat.marginals`):
+  sigma -> tr[G(sigma)^a] is convex for a > 1 and concave for a in
+  [1/2, 1) (Frank-Lieb), so a stationary point is the optimum.  The value
+  at sigma bounds H^up from below, and -H^up_b(A|C) = H^up_a(A|B) on a
+  purification (1/a + 1/b = 2) turns a closed-form dual point into a bound
+  from above; the L-BFGS stops once the two are a hundredth of
+  ``UP_GAP_TOL`` apart;
 - a = 1/2 and a = infinity: the root-fidelity and the max-divergence
   covering programs of :mod:`renyimeat.marginals`, with each branch
   operator entering as the image t -> t M_i of the one-point set; their
@@ -37,12 +40,10 @@ A width above ``UP_GAP_TOL`` raises :class:`NonConvergence`.  a = 1 is
 spectral.  Branch sums are carried in log space so that extreme weights
 (or very large finite orders) stay finite.
 
-Very large finite orders: above 64 the order is reached by continuation
-along a geometric ladder, and the dual bound loosens as the order grows.
-On ``random_density(space(("A", 2), ("B", 3)), seed=4)`` H^up certifies at
-a = 1e3 (width 5.4e-11) and raises at 1e4 and 1e5 (widths 1.3e-7 and
-2.9e-7); orders up to about 1e3 certify, and a = infinity, one covering
-program, certifies at every size.
+Very large finite orders run the same solve.  On
+``random_density(space(("A", 2), ("B", 3)), seed=s)`` for s = 4 and 5,
+H^up certifies at a = 1e3, 1e4 and 1e5 with widths below 1e-9, and
+a = infinity, one covering program, certifies at every size.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ from scipy.special import logsumexp
 from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      NotClassical, NotPure, UnsupportedOrder)
-from .marginals import _covering_program, _fidelity_program, _MarginalSet
+from .marginals import (_covering_program, _fidelity_program, _flat,
+                        _InputChart, _lbfgs, _MarginalSet, _square)
 from .registers import EIG_CUT, State, embed_operator, support_isometry
 from . import registers
 
@@ -63,7 +65,7 @@ from . import registers
 #: carry; a wider one raises NonConvergence
 UP_GAP_TOL = 1e-7
 
-_FP_MAX_ITERS = 1000
+_FP_MAX_ITERS = 20
 _FP_VALUE_TOL = 1e-12
 
 
@@ -225,39 +227,6 @@ def _evaluate_log2_T(branches, log2_weights, d_q, sigma, alpha) -> float:
     return val
 
 
-def _project_density(mat: np.ndarray) -> np.ndarray:
-    """Frobenius projection onto {sigma >= 0, tr sigma = 1}."""
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    # project the eigenvalue vector onto the probability simplex
-    u = np.sort(vals)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(u) + 1)
-    rho_idx = np.nonzero(u - css / idx > 0)[0][-1]
-    tau = css[rho_idx] / (rho_idx + 1.0)
-    w = np.clip(vals - tau, 0.0, None)
-    return (vecs * w) @ vecs.conj().T
-
-
-def _power_frechet_map(sigma: np.ndarray, s: float):
-    """The Frechet derivative of x -> x^s at sigma as a callable on Hermitian
-    matrices (Daleckii-Krein: entrywise kernel in sigma's eigenbasis, with
-    the pseudo-power convention 0^s = 0 on the cut part of the spectrum)."""
-    lam, V = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
-    lam = np.clip(lam, 0.0, None)
-    keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
-    base = np.where(keep, lam, 1.0)
-    Phi = registers.divided_differences(
-        lam, np.where(keep, base ** s, 0.0),
-        np.where(keep, s * base ** (s - 1.0), 0.0),
-        keep[:, None] | keep[None, :])
-
-    def apply(X: np.ndarray) -> np.ndarray:
-        Y = V.conj().T @ X @ V
-        return V @ (Phi * Y) @ V.conj().T
-
-    return apply
-
-
 def _grad_neg_entropy(branches, log2_weights, d_q, sigma, alpha):
     """Gradient of phi(sigma) = log2 T(sigma) / (a - 1) = -H(sigma).
 
@@ -266,7 +235,7 @@ def _grad_neg_entropy(branches, log2_weights, d_q, sigma, alpha):
     turns the directional derivative into an explicit Hermitian gradient.
     """
     s = (1.0 - alpha) / (2.0 * alpha)
-    d_sig_s = _power_frechet_map(sigma, s)
+    d_sig_s = registers._power_frechet_map(sigma, s)
     lam, V = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
     lam = np.clip(lam, 0.0, None)
     keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
@@ -317,16 +286,20 @@ def _neg_entropy_at(branches, log2_weights, d_q, sigma, alpha) -> float:
 
 
 def _optimize_sigma(branches, log2_weights, d_q: int, d_qp: int, alpha: float,
-                    sigma0: np.ndarray, *, polish: bool = True):
-    """Extremize log2 T over sigma (min for a > 1, max for a < 1).
+                    sigma0: np.ndarray):
+    """Extremize log2 T over sigma (min for a > 1, max for a < 1); returns
+    (log2_T, sigma).
 
-    Returns (log2_T, sigma, converged).  Both regimes minimize the same
-    merit phi = log2 T / (a - 1) = -H.  The fast path is the damped
-    fixed-point map sigma <- (1-theta) sigma + theta normalize(update) (the
-    undamped map overshoots for a > 1), accepting steps only when phi drops;
-    a projected-gradient polish with the analytic gradient then runs to
-    certified first-order stationarity — the fixed-point value criterion
-    alone can flag convergence prematurely when theta has collapsed.
+    Both regimes minimize the same merit phi = log2 T / (a - 1) = -H.  A
+    short damped fixed point sigma <- (1-theta) sigma + theta
+    normalize(update) (the undamped map overshoots for a > 1), accepting
+    steps only when phi drops, warm-starts L-BFGS on the chart
+    sigma(H) = H H^dag / tr[H H^dag] of the density operators
+    (:class:`renyimeat.marginals._InputChart` without a pin) from
+    H = sigma^(1/2), with the gradient of :func:`_grad_neg_entropy` pulled
+    back through the chart.  The run stops once the duality interval of
+    :func:`_duality_gap` is a hundredth of ``UP_GAP_TOL``, or when the line
+    search finds no decrease.
     """
     denom = alpha - 1.0
     sigma = sigma0.copy()
@@ -354,54 +327,29 @@ def _optimize_sigma(branches, log2_weights, d_q: int, d_qp: int, alpha: float,
             theta *= 0.5
         if not accepted or moved < _FP_VALUE_TOL:
             break
-    if not polish:
-        value = _evaluate_log2_T(branches, log2_weights, d_q, sigma, alpha)
-        return value, sigma, False
-    phi, sigma, converged = _polish_sigma(branches, log2_weights, d_q, d_qp,
-                                          alpha, sigma, sigma0)
-    return phi * denom, sigma, converged
+    log2_probs = [lw / alpha for lw in log2_weights]
+    chart = _InputChart(np.eye(1), d_qp)
 
-
-def _polish_sigma(branches, log2_weights, d_q, d_qp, alpha, sigma, sigma0):
-    """Projected gradient on the density simplex with the analytic gradient.
-
-    Minimizes phi = -H; returns (phi, sigma, converged) where convergence
-    means the projected-gradient residual ||P(sigma - tau grad) - sigma||/tau
-    dropped below 1e-6 (this also certifies boundary optima, where the raw
-    gradient need not vanish).
-    """
-    sigma = _project_density(sigma)
-    phi = _neg_entropy_at(branches, log2_weights, d_q, sigma, alpha)
-    if not np.isfinite(phi):
-        sigma = _project_density(sigma0)
-        phi = _neg_entropy_at(branches, log2_weights, d_q, sigma, alpha)
-    if not np.isfinite(phi):
-        return phi, sigma, False
-
-    step = 1.0
-    resid = math.inf
-    for _ in range(500):
-        grad = _grad_neg_entropy(branches, log2_weights, d_q, sigma, alpha)
+    def fg(x):
+        """phi at sigma(H), its gradient in H, and (sigma, log2_T)."""
+        H = _square(x)
+        sig, parts = chart.point(H)
+        phi = _neg_entropy_at(branches, log2_weights, d_q, sig, alpha)
+        grad = _grad_neg_entropy(branches, log2_weights, d_q, sig, alpha) \
+            if np.isfinite(phi) else None
         if grad is None:
-            break
-        tau = 1e-7
-        resid = np.linalg.norm(_project_density(sigma - tau * grad) - sigma) / tau
-        if resid <= 1e-6:
-            break
-        improved = False
-        stp = step
-        for _bt in range(50):
-            cand = _project_density(sigma - stp * grad)
-            pc = _neg_entropy_at(branches, log2_weights, d_q, cand, alpha)
-            if pc < phi - 1e-15:
-                sigma, phi = cand, pc
-                step = min(stp * 2.0, 1e4)
-                improved = True
-                break
-            stp *= 0.5
-        if not improved:
-            break
-    return phi, sigma, resid <= 1e-6
+            return math.inf, None, None
+        return phi, 2.0 * _flat(chart.pullback(H, parts, grad)), \
+            (sig, phi * denom)
+
+    def done(data) -> bool:
+        return _duality_gap(branches, log2_probs, d_q, data[0], alpha,
+                            data[1]) <= 1e-2 * UP_GAP_TOL
+
+    _, _, (sigma, log2_T) = _lbfgs(
+        fg, _flat(registers.herm_power(sigma, 0.5).astype(complex)), done,
+        smooth=True)
+    return log2_T, sigma
 
 
 def _duality_gap(branches, log2_probs, d_q, sigma, alpha, log2_T) -> float:
@@ -470,15 +418,6 @@ def _branch_programs(mats, d_q: int, d_b: int):
             _MarginalSet(registers.space(("_", d_b)), None))
 
 
-def _alpha_ladder(alpha: float):
-    """Continuation rungs: large orders are reached by warm-starting along a
-    geometric ladder (a cold start at a very large order is too stiff)."""
-    if alpha <= 64.0:
-        return [alpha]
-    n = int(math.ceil(math.log(alpha / 8.0) / math.log(8.0)))
-    return list(np.geomspace(8.0, alpha, n + 1))
-
-
 def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
     """Extremized log2 T from one warm start; returns (log2_T, sigma, gap).
 
@@ -488,11 +427,12 @@ def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
     fidelity, and :func:`_fidelity_program` solves it: the optimum lies
     below T_sdp + (duality gap), so the width is 2 log2((T_sdp + gap) / T)
     for the larger T of the program and the spectral evaluation at its
-    sigma.  Otherwise the start is the normalized mean
-    of the branch marginals and the width is the duality interval of
-    :func:`_duality_gap`.  ``log2_probs`` are per-branch log2 weights
-    *before* raising to the power alpha; each ladder rung a uses weights
-    a * log2_probs, so the mixture tracks the order during continuation.
+    sigma.  Otherwise :func:`_optimize_sigma` (fixed point, then L-BFGS on
+    the chart of the density operators) runs from the normalized mean of
+    the branch marginals, and the width is the duality interval of
+    :func:`_duality_gap` at the sigma it returns.
+    ``log2_probs`` are per-branch log2 weights *before* raising to the
+    power alpha; the solve sees alpha * log2_probs.
     """
     if as_order(alpha).is_half:
         weights = [2.0 ** (0.5 * lp) for lp in log2_probs]
@@ -511,13 +451,9 @@ def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
     mean = sum(State(r, marg_space, check=False).partial_trace(keep=["p"])
                .matrix for r in branches)
     sigma = mean / max(float(np.real(np.trace(mean))), 1e-300)
-    rungs = _alpha_ladder(alpha)
-    for i, a in enumerate(rungs):
-        log2_T, sigma, _ = _optimize_sigma(
-            branches, [a * lp for lp in log2_probs], d_q, d_qp, a, sigma,
-            polish=(i == len(rungs) - 1))
-    if not np.isfinite(log2_T):
-        raise NonConvergence("the sigma solve produced no finite value")
+    log2_T, sigma = _optimize_sigma(branches,
+                                    [alpha * lp for lp in log2_probs],
+                                    d_q, d_qp, alpha, sigma)
     return log2_T, sigma, _duality_gap(branches, log2_probs, d_q, sigma,
                                        alpha, log2_T)
 
@@ -644,10 +580,11 @@ def cond_entropy_up(state: State, target, conditioning, alpha, *,
     method that ran: "unconditioned" and "spectral" (a = 1) are exact, and
     every other order is :func:`_two_sided_mix` without classical registers,
     whose inner program is "sdp-fidelity" at a = 1/2, "sdp" (the covering
-    program) at a = infinity and "fixed-point" otherwise (a conditioning
-    marginal of rank one pins sigma, and that closed form runs under the
-    same names).  Raises :class:`NonConvergence` when the width exceeds
-    ``UP_GAP_TOL``.
+    program) at a = infinity and "fixed-point" otherwise, where a short
+    fixed point warm-starts L-BFGS on the chart of the density operators
+    (:func:`_optimize_sigma`); a conditioning marginal of rank one pins
+    sigma, and that closed form runs under the same names.  Raises
+    :class:`NonConvergence` when the width exceeds ``UP_GAP_TOL``.
     """
     a = as_order(alpha)
     rho = _marginal_pair(state, target, conditioning)

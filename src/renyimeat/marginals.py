@@ -1,4 +1,5 @@
-"""Inputs with a pinned marginal, and every semidefinite program over them.
+"""Inputs with a pinned marginal, their chart and L-BFGS, and every SDP over
+them.
 
 A :class:`MarginalConstraint` pins the reduced state of a channel input on
 named registers; :class:`_MarginalSet` is the set of inputs that keep it,
@@ -14,6 +15,13 @@ order inf).  A state's fixed branch operators M_i enter either builder as
 the images t -> t M_i of the one-point set ``_MarginalSet(space(("_", 1)),
 None)``, whose 1 x 1 block is pinned to tr t = 1.
 
+Every smooth program over such a set runs :func:`_lbfgs` on its chart
+:class:`_InputChart`, a map of square matrices G onto the set: the channel
+entropy and the minimized divergence of :mod:`renyimeat.channel_entropy`
+at generic orders, and the conditioning state sigma of H^up_a in
+:mod:`renyimeat.entropies` (the chart of the unpinned set, sigma = G G^dag
+/ tr[G G^dag]).
+
 Over the same sets live the primal/dual SDP pairs behind the measured
 chain rule (:func:`build_sdp_individual`, :func:`build_sdp_joint`) and the
 check that tensored single-round dual optimizers stay feasible for the
@@ -28,10 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, _perm_matrix, compose
-from .errors import InfeasibleSpec, InvalidRegister, InvalidState
-from .registers import (RegisterSpace, State, bipartite_partial_trace,
-                        embed_operator, herm_part, kraus_pullback,
-                        support_isometry)
+from .errors import (InfeasibleSpec, InvalidRegister, InvalidState,
+                     NonConvergence)
+from .registers import (RegisterSpace, State, _power_frechet_map,
+                        bipartite_partial_trace, embed_operator, herm_part,
+                        herm_power, kraus_pullback, support_isometry)
 from .sdp import SdpProblem, solve_sdp
 
 
@@ -126,6 +135,141 @@ class _MarginalSet:
     def unrestrict(self, rho_r: np.ndarray) -> np.ndarray:
         """Map a set element back to the channel's input basis."""
         return herm_part(self.embed @ rho_r @ self.embed.conj().T)
+
+
+# ------------------------------------------- the chart and L-BFGS on it
+
+class _InputChart:
+    """Smooth map of square matrices G onto a :class:`_MarginalSet`,
+
+        rho(G) = S N X N S,  X = G G^dag,  N = (Tr_F X)^(-1/2) (x) 1,
+        S = psi^(1/2) (x) 1,
+
+    with psi the pinned marginal on A and F the free factor of dimension
+    ``d_f`` (psi is 1x1 without a constraint, and then rho = X / tr X).  Any
+    rho with marginal psi is reached, at G = (psi^(-1/2) (x) 1) rho^(1/2),
+    and G = 1 gives psi (x) 1/d_f.
+    """
+
+    def __init__(self, psi: np.ndarray, d_f: int):
+        self.d_a = psi.shape[0]
+        self.d_f = d_f
+        self.S = np.kron(herm_power(psi, 0.5), np.eye(self.d_f))
+        self.psi_inv = np.linalg.inv(psi)
+
+    def point(self, G: np.ndarray):
+        """rho(G), and the intermediates :meth:`pullback` needs."""
+        X = G @ G.conj().T
+        K = bipartite_partial_trace(X, self.d_a, self.d_f, 0)
+        N = np.kron(herm_power(K, -0.5), np.eye(self.d_f))
+        return herm_part(self.S @ N @ X @ N @ self.S), (X, K, N)
+
+    def pullback(self, G: np.ndarray, parts, grad_rho: np.ndarray):
+        """The gradient Gamma of f(rho(G)) in the convention
+        df = 2 Re tr[Gamma^dag dG], given the Hermitian gradient of f in rho.
+
+        tr[grad_rho d rho] = tr[Xi dX] with Xi = N S grad S N + L[h] (x) 1,
+        where L is the Frechet derivative of K -> K^(-1/2) and
+        h = Tr_F[X N S grad S + S grad S N X]; dX = dG G^dag + G dG^dag.
+        """
+        X, K, N = parts
+        Gt = self.S @ grad_rho @ self.S
+        H = X @ N @ Gt
+        h = bipartite_partial_trace(H + H.conj().T, self.d_a, self.d_f, 0)
+        Xi = N @ Gt @ N + np.kron(_power_frechet_map(K, -0.5)(h),
+                                  np.eye(self.d_f))
+        return Xi @ G
+
+    def gap_bound(self, rho: np.ndarray, grad: np.ndarray) -> float:
+        """Upper bound on the Frank-Wolfe gap tr[grad rho] - min_v tr[grad v]
+        over the marginal set, by weak duality: min_v tr[grad v] >= tr[psi L]
+        for every L with L (x) 1 <= grad.  The point L = h + lambda_min(grad -
+        h (x) 1), h = Herm(Tr_F[grad rho] psi^-1), is dual optimal when rho
+        is optimal (then grad rho = (L (x) 1) rho), and tr[psi h] =
+        tr[grad rho] leaves -lambda_min(grad - h (x) 1)."""
+        h = herm_part(bipartite_partial_trace(grad @ rho, self.d_a, self.d_f, 0)
+                      @ self.psi_inv)
+        return -float(np.linalg.eigvalsh(
+            herm_part(grad) - np.kron(h, np.eye(self.d_f)))[0])
+
+
+def _lbfgs(fg, x, done, *, smooth: bool, max_iters: int = 500,
+           memory: int = 8):
+    """Minimize over flat real vectors: L-BFGS two-loop directions with
+    Armijo backtracking on the true objective.
+
+    ``fg(x)`` returns (value, gradient, data), with value inf where the
+    objective is undefined.  With ``smooth`` the value is exact to rounding,
+    and a step that keeps it within rounding while shrinking the gradient
+    counts as progress; otherwise the value carries an inner solver's
+    noise, and the run stops at the first step that gains less than 1e-13
+    (relative).  Stops once ``done(data)`` holds at an accepted point, or
+    when the line search finds no decrease.  Returns (value, x, data) at the
+    last accepted point.
+    """
+    value, g, data = fg(x)
+    if not np.isfinite(value):
+        raise NonConvergence("the objective is undefined at the start",
+                             value=value, gap=math.inf)
+    mem: list[tuple[np.ndarray, np.ndarray]] = []
+    for _ in range(max_iters):
+        if done(data):
+            break
+        q = g
+        coeffs = []
+        for s_v, y_v in reversed(mem):
+            rho_i = 1.0 / float(s_v @ y_v)
+            a_i = rho_i * float(s_v @ q)
+            coeffs.append((rho_i, a_i, s_v, y_v))
+            q = q - a_i * y_v
+        gnorm = float(np.linalg.norm(g))
+        if mem:
+            s_l, y_l = mem[-1]
+            q = q * (float(s_l @ y_l) / float(y_l @ y_l))
+        else:
+            q = q / max(gnorm, 1.0)
+        for rho_i, a_i, s_v, y_v in reversed(coeffs):
+            b_i = rho_i * float(y_v @ q)
+            q = q + (a_i - b_i) * s_v
+        d = -q
+        slope = float(g @ d)
+        if slope >= 0.0:
+            d = -g / max(gnorm, 1.0)
+            slope = float(g @ d)
+            mem.clear()
+        t = 1.0
+        for _bt in range(30):
+            xc = x + t * d
+            vc, gc, dc = fg(xc)
+            if vc <= value + 1e-4 * t * slope:
+                break
+            # at rounding level the value cannot show a decrease; a smaller
+            # gradient then marks progress
+            if smooth and vc <= value + 1e-14 * max(1.0, abs(value)) \
+                    and np.linalg.norm(gc) < gnorm:
+                break
+            t *= 0.5
+        else:
+            break
+        s_v, y_v = xc - x, gc - g
+        if float(s_v @ y_v) > 1e-12 * np.linalg.norm(s_v) * np.linalg.norm(y_v):
+            mem.append((s_v, y_v))
+            if len(mem) > memory:
+                mem.pop(0)
+        stalled = not smooth and value - vc <= 1e-13 * max(1.0, abs(value))
+        x, value, g, data = xc, vc, gc, dc
+        if stalled:
+            break
+    return value, x, data
+
+
+def _flat(M: np.ndarray) -> np.ndarray:
+    return np.concatenate([M.real.ravel(), M.imag.ravel()])
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    d = math.isqrt(x.size // 2)
+    return (x[:d * d] + 1j * x[d * d:]).reshape(d, d)
 
 
 # ---------------------------------------------------- the two SDP families

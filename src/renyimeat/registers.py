@@ -450,3 +450,23 @@ def divided_differences(lam: np.ndarray, f: np.ndarray, df: np.ndarray,
     tangent = np.where(a >= b, df[:, None], df[None, :])
     secant = (f[:, None] - f[None, :]) / np.where(close, 1.0, diff)
     return np.where(keep, np.where(close, tangent, secant), 0.0)
+
+
+def _power_frechet_map(sigma: np.ndarray, s: float):
+    """The Frechet derivative of x -> x^s at sigma as a callable on Hermitian
+    matrices (Daleckii-Krein: entrywise kernel in sigma's eigenbasis, with
+    the pseudo-power convention 0^s = 0 on the cut part of the spectrum)."""
+    lam, V = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
+    lam = np.clip(lam, 0.0, None)
+    keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
+    base = np.where(keep, lam, 1.0)
+    Phi = divided_differences(
+        lam, np.where(keep, base ** s, 0.0),
+        np.where(keep, s * base ** (s - 1.0), 0.0),
+        keep[:, None] | keep[None, :])
+
+    def apply(X: np.ndarray) -> np.ndarray:
+        Y = V.conj().T @ X @ V
+        return V @ (Phi * Y) @ V.conj().T
+
+    return apply

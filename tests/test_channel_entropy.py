@@ -341,8 +341,7 @@ def test_input_chart_jacobian_and_gap_bound(pin, monkeypatch):
     differences, every chart point keeps the pinned marginal, and the
     closed-form dual bound on the Frank-Wolfe gap is at least the gap the
     SDP linear minimization oracle certifies."""
-    from renyimeat.channel_entropy import _InputChart
-    from renyimeat.marginals import _MarginalSet
+    from renyimeat.marginals import _InputChart, _MarginalSet
     con = None if pin is None else pinned("A", pin)
     mset = _MarginalSet(space(("A", 2), ("F", 2)), con)
     psi = np.eye(1) if con is None else mset.psi_r

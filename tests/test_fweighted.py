@@ -142,10 +142,9 @@ def test_fweighted_frozen(alpha, want):
 
 
 def test_unsolved_sigma_raises_with_its_duality_gap(monkeypatch):
-    def stop_at_start(branches, log2_weights, d_q, d_qp, alpha, sigma0, *,
-                      polish=True):
+    def stop_at_start(branches, log2_weights, d_q, d_qp, alpha, sigma0):
         return (entropies._evaluate_log2_T(branches, log2_weights, d_q,
-                                           sigma0, alpha), sigma0, False)
+                                           sigma0, alpha), sigma0)
 
     monkeypatch.setattr(entropies, "_optimize_sigma", stop_at_start)
     with pytest.raises(NonConvergence) as err:

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renyimeat.channel_entropy import _log_frechet_map
-from renyimeat.entropies import _power_frechet_map
 from renyimeat.errors import InvalidRegister, InvalidState
 from renyimeat.registers import (
     EIG_CUT,
     RegisterSpace,
     State,
+    _power_frechet_map,
     basis_ket,
     classical_state,
     embed_operator,
