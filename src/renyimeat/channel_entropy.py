@@ -462,7 +462,7 @@ def _divergence_grads(omega, tau, alpha):
         return g_om, g_tau
     a = alpha.value
     s = (1.0 - a) / (2.0 * a)
-    tau_s = herm_power(tau, s)
+    tau_s, d_tau_s = _power_frechet_map(tau, s)
     G = herm_part(tau_s @ omega @ tau_s)
     gv, gU = np.linalg.eigh(G)
     gv = np.clip(gv, 0.0, None)
@@ -473,7 +473,7 @@ def _divergence_grads(omega, tau, alpha):
     c = a / ((a - 1.0) * LN2 * max(t_tot, 1e-300))
     g_om = c * herm_part(tau_s @ Gm1 @ tau_s)
     Mx = omega @ tau_s @ Gm1
-    g_tau = c * _power_frechet_map(tau, s)(Mx + Mx.conj().T)
+    g_tau = c * d_tau_s(Mx + Mx.conj().T)
     return g_om, g_tau
 
 

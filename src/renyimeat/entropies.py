@@ -27,8 +27,11 @@ solved on the support of its conditioning marginal:
   [1/2, 1) (Frank-Lieb), so a stationary point is the optimum.  The value
   at sigma bounds H^up from below, and -H^up_b(A|C) = H^up_a(A|B) on a
   purification (1/a + 1/b = 2) turns a closed-form dual point into a bound
-  from above; the L-BFGS stops once the two are a hundredth of
-  ``UP_GAP_TOL`` apart;
+  from above; the solve stops once the two are a hundredth of
+  ``UP_GAP_TOL`` apart, at the fixed point already if they are there.
+  One evaluator per extremum (:class:`_SigmaEvaluator`) gives value,
+  fixed-point update, gradient and width, and a sigma point costs one
+  ``eigh`` of sigma and one per branch;
 - a = 1/2 and a = infinity: the root-fidelity and the max-divergence
   covering programs of :mod:`renyimeat.marginals`, with each branch
   operator entering as the image t -> t M_i of the one-point set; their
@@ -58,7 +61,8 @@ from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      NotClassical, NotPure, UnsupportedOrder)
 from .marginals import (_covering_program, _fidelity_program, _flat,
                         _InputChart, _lbfgs, _MarginalSet, _square)
-from .registers import EIG_CUT, State, embed_operator, support_isometry
+from .registers import (EIG_CUT, State, bipartite_partial_trace,
+                        embed_operator, herm_part, support_isometry)
 from . import registers
 
 #: widest duality interval (in bits of entropy) an optimized "up" value may
@@ -154,159 +158,195 @@ def cond_entropy_down(state: State, target, conditioning, alpha) -> float:
 
 # ------------------------------------------------- log-scaled branch machine
 
-def _branch_eigs(rho: np.ndarray, d_q: int, sigma: np.ndarray, s: float):
-    """Eigen-data of G = (id_Q (x) sigma^s) rho (id_Q (x) sigma^s)."""
-    W = np.kron(np.eye(d_q), registers.herm_power(sigma, s))
-    G = W @ rho @ W
-    G = 0.5 * (G + G.conj().T)
-    vals, vecs = np.linalg.eigh(G)
-    return np.clip(vals, 0.0, None), vecs
+class _SigmaEvaluator:
+    """The objective of one extremum over sigma, built once per extremum.
 
+    For branches rho_i on Q Q' (Q legs first) with log2 weights
+    log2 w_i = a log2 p_i, T(sigma) = sum_i w_i tr[G_i^a] with
+    G_i = (id_Q (x) sigma^s) rho_i (id_Q (x) sigma^s), s = (1-a)/(2a).
+    Branches of weight zero are dropped, and each rho_i is held by its
+    purification M_i = V_i Lambda_i^(1/2), shaped (Q, Q', K_i), and its
+    trace.  With phi_i = (id (x) sigma^s) M_i, G_i = phi_i phi_i^dag, the
+    K_i x K_i Gram matrix Gamma_i = phi_i^dag phi_i carries the nonzero
+    spectrum of G_i, and G_i^a = phi_i Gamma_i^(a-1) phi_i^dag.
 
-def _log2_T_and_update(branches, log2_weights, d_q: int, sigma: np.ndarray,
-                       alpha: float, want_update: bool):
-    """log2 of T(sigma) = sum_i w_i tr[G_i(sigma)^a], and the (unnormalized)
-    fixed-point update sum_i w_i Tr_Q[G_i^a], in branch-scaled arithmetic.
-
-    Weights enter as log2(w_i) so that very large orders (where
-    w_i = p_i^a underflows) stay representable.
+    A sigma point costs one eigendecomposition of sigma (sigma^s, the
+    support test for a > 1 and the Daleckii-Krein kernel of the gradient)
+    and one of each Gamma_i; the value, the fixed-point update, the
+    gradient and the duality interval at that sigma share them.
+    Eigenvalues of G_i at or below EIG_CUT times its largest count as zero
+    (modes at rounding level would add (1e-17)^a to T for a < 1).  Branch
+    sums are carried in log2 with a max shift, so that very large orders,
+    where w_i = p_i^a underflows, stay representable.  At a = infinity
+    the value is max_i log2 p_i + log2 lambda_max(G_i) at s = -1/2, the
+    limit of log2 T / a.
     """
-    s = (1.0 - alpha) / (2.0 * alpha)
-    d_qp = sigma.shape[0]
-    logs = []
-    mats = []
-    for rho, lw in zip(branches, log2_weights):
-        vals, vecs = _branch_eigs(rho, d_q, sigma, s)
-        top = vals.max(initial=0.0)
-        if top <= 0.0 or lw == -math.inf:
-            continue
-        # modes at rounding level would add (1e-17)^a to T for a < 1
-        keep = vals > EIG_CUT * top
-        scaled = (vals[keep] / top) ** alpha
-        N = (vecs[:, keep] * scaled) @ vecs[:, keep].conj().T
-        logs.append(alpha * np.log2(top) + lw)
-        mats.append(N)
-    if not logs:
-        return -math.inf, None
-    logs = np.array(logs)
-    L = logs.max()
-    traces = np.array([float(np.real(np.trace(N))) for N in mats])
-    total = float(np.dot(2.0 ** (logs - L), traces))
-    log2_T = L + np.log2(total)
-    if not want_update:
-        return log2_T, None
-    acc = np.zeros((d_qp, d_qp), dtype=complex)
-    for lg, N in zip(logs, mats):
-        red = State(N, registers.space(("q", d_q), ("p", d_qp)),
-                    check=False).partial_trace(keep=["p"]).matrix
-        acc += (2.0 ** (lg - L)) * red
-    acc = 0.5 * (acc + acc.conj().T)
-    return log2_T, acc
+
+    def __init__(self, branches, log2_probs, d_q: int, alpha: float):
+        self.alpha = alpha
+        self.s = -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
+        self.d_qp = branches[0].shape[0] // d_q
+        self.M, self.log2_probs, self.traces = [], [], []
+        for rho, lp in zip(branches, log2_probs):
+            if lp == -math.inf:
+                continue
+            vals, vecs = np.linalg.eigh(rho)
+            keep = vals > EIG_CUT * max(vals.max(initial=0.0), 1e-300)
+            self.M.append((vecs[:, keep] * np.sqrt(vals[keep]))
+                          .reshape(d_q, self.d_qp, -1))
+            self.log2_probs.append(lp)
+            self.traces.append(float(np.sum(vals[keep])))
+        self._last = None
+
+    def _point(self, sigma):
+        """Eigen-data of sigma and, per branch, (log2 p_i, log2 of the top
+        eigenvalue of Gamma_i, the kept eigenvalues over it, M_i U_i and
+        phi_i U_i on the kept modes), or None where sigma^s annihilates the
+        branch; kept for the last sigma seen."""
+        if self._last is not None and self._last[0] is sigma:
+            return self._last[1]
+        lam, V = np.linalg.eigh(herm_part(sigma))
+        lam = np.clip(lam, 0.0, None)
+        keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
+        pows = np.where(keep, np.where(keep, lam, 1.0) ** self.s, 0.0)
+        sig_s = (V * pows) @ V.conj().T
+        parts = []
+        for M, lp in zip(self.M, self.log2_probs):
+            phi = sig_s @ M
+            flat = phi.reshape(-1, phi.shape[2])
+            # eigh reads one triangle, so the Gram matrix needs no symmetrizing
+            mu, U = np.linalg.eigh(flat.conj().T @ flat)
+            top = mu.max(initial=0.0)
+            if top <= 0.0:
+                parts.append(None)
+                continue
+            mk = mu > EIG_CUT * top
+            parts.append((lp, math.log2(top), mu[mk] / top, M @ U[:, mk],
+                          phi @ U[:, mk]))
+        point = (lam, V, keep, pows, parts)
+        self._last = (sigma, point)
+        return point
+
+    def at(self, sigma, *, update: bool = False, grad: bool = False):
+        """(log2 T, update, gradient) at sigma.  The update is the
+        unnormalized fixed-point map sum_i w_i Tr_Q[G_i^a] and the gradient
+        the Hermitian gradient of log2 T / (a - 1) = -H; each is None
+        unless asked for, and both are None when the value is not finite.
+
+        For a > 1 the value is +inf when sigma misses support that a branch
+        needs: the pseudo-powers would project that weight away and
+        underestimate T (overestimating the entropy)."""
+        a = self.alpha
+        lam, V, keep, pows, parts = self._point(sigma)
+        if a > 1.0 and not keep.all():
+            cut = V[:, ~keep].conj().T
+            for M, tr in zip(self.M, self.traces):
+                if np.linalg.norm(cut @ M) ** 2 > 1e-10 * max(tr, 1e-300):
+                    return math.inf, None, None
+        live = [p for p in parts if p is not None]
+        if not live:
+            return -math.inf, None, None
+        if math.isinf(a):
+            return max(lp + lt for lp, lt, *_ in live), None, None
+        logs = [a * (lp + lt) for lp, lt, *_ in live]
+        L = max(logs)
+        total = sum(2.0 ** (lg - L) * float(np.sum(r ** a))
+                    for lg, (_, _, r, _, _) in zip(logs, live))
+        log2_T = L + math.log2(total)
+        upd = g = None
+        if update or grad:
+            # 2^-L w_i G_i^a = coeff_i (phi_i U_i) r_i^(a-1) (phi_i U_i)^dag
+            coeffs = [2.0 ** (lg - L - lt)
+                      for lg, (_, lt, *_) in zip(logs, live)]
+        if update:
+            upd = herm_part(sum(
+                c * np.einsum("qak,qbk->ab", Y * r ** (a - 1.0), Y.conj())
+                for c, (_, _, r, _, Y) in zip(coeffs, live)))
+        if grad:
+            # with W = id (x) sigma^s, d tr[G_i^a] =
+            # 2a tr[Tr_Q[rho_i W G_i^(a-1)] d sigma^s], and
+            # rho_i W G_i^(a-1) = M_i Gamma_i^(a-1) phi_i^dag
+            g = herm_part(sum(
+                c * np.einsum("qak,qbk->ab", Z * r ** (a - 1.0), Y.conj())
+                for c, (_, _, r, Z, Y) in zip(coeffs, live)))
+            kernel = registers.divided_differences(
+                lam, pows, self.s * pows / np.where(keep, lam, 1.0),
+                keep[:, None] | keep[None, :])
+            g = V @ (kernel * (V.conj().T @ g @ V)) @ V.conj().T
+            g *= 2.0 * a / LN2 / (a - 1.0) / total
+        return log2_T, upd, g
+
+    def width(self, sigma, log2_T) -> float:
+        """Width of an interval that holds H^up_a(I Q | Q') of the
+        normalized block state omega = (+)_i w_i rho_i, w_i proportional to
+        p_i, where ``log2_T`` is :meth:`at`'s value at ``sigma``.
+
+        The lower end is that value, -D_a(omega || id (x) sigma).  The upper
+        end is dual: H^up_a(A|B) = -H^up_b(A|C) on a purification psi_ABC
+        with 1/a + 1/b = 2, so D_b(psi_AC || id (x) tau) is an upper bound
+        for every density tau on C.  With P_i = phi_i^T conj(phi_i) (the
+        conjugate of Gamma_i), the point tau = (+)_i (w_i P_i)^a / z closes
+        the interval at the optimal sigma.  By the Gram identity
+        tr[(Y Y^dag)^b] = tr[(Y^dag Y)^b] the bound is
+        log2 z + (a/(1-a)) log2 ||X||_b with X = sum_i w_i^a Tr_Q[M_i
+        Gamma_i^(a-1) M_i^dag] on Q' (up to conjugation, which keeps the
+        spectrum), so no matrix exceeds one branch.  Spectra are cut at
+        EIG_CUT like the objective; cutting X lowers ||X||_b, which raises
+        the upper end for a > 1 and moves it by less than EIG_CUT^b for
+        a < 1.
+        """
+        a = self.alpha
+        beta = a / (2.0 * a - 1.0)
+        parts = self._point(sigma)[4]
+        if any(p is None for p in parts):
+            return math.inf     # sigma misses a branch entirely
+        logs_c = [lp + math.log2(tr)
+                  for lp, tr in zip(self.log2_probs, self.traces)]
+        log2_c = _log2_sum(logs_c)
+        logs_z = [a * (lp - log2_c + lt) + math.log2(np.sum(r ** a))
+                  for lp, lt, r, _, _ in parts]
+        logs_x = [a * (lp - log2_c) + (a - 1.0) * lt
+                  for lp, lt, _, _, _ in parts]
+        L = max(logs_x)
+        X = sum(2.0 ** (lx - L)
+                * np.einsum("qak,qbk->ab", Z * r ** (a - 1.0), Z.conj())
+                for lx, (_, _, r, Z, _) in zip(logs_x, parts))
+        xv = np.linalg.eigvalsh(herm_part(X))
+        xtop = xv.max()
+        xv = xv[xv > EIG_CUT * xtop] / xtop
+        log2_norm = L + math.log2(xtop) + math.log2(np.sum(xv ** beta)) / beta
+        up = _log2_sum(logs_z) + a / (1.0 - a) * log2_norm
+        lo = -(log2_T - a * log2_c) / (a - 1.0)
+        return max(up - lo, 0.0)
 
 
-def _evaluate_log2_T(branches, log2_weights, d_q, sigma, alpha) -> float:
-    """Sound evaluation of log2 T at a given sigma.
-
-    For a > 1 the objective is +inf whenever sigma misses support that some
-    branch needs; the pseudo-powers inside the trace would silently project
-    that weight away and *under*estimate T (overestimating the entropy), so
-    the support violation is detected explicitly first.
-    """
-    if alpha > 1.0:
-        vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
-        cut = vecs[:, vals <= EIG_CUT * max(vals.max(initial=0.0), 1e-300)]
-        if cut.shape[1] > 0:
-            proj = np.kron(np.eye(d_q), cut @ cut.conj().T)
-            for rho, lw in zip(branches, log2_weights):
-                if lw == -math.inf:
-                    continue
-                outside = float(np.real(np.trace(rho @ proj)))
-                if outside > 1e-10 * max(float(np.real(np.trace(rho))), 1e-300):
-                    return math.inf
-    val, _ = _log2_T_and_update(branches, log2_weights, d_q, sigma, alpha, False)
-    return val
+def _log2_sum(logs) -> float:
+    """log2 sum_i 2^logs[i], shifted by the largest term."""
+    L = max(logs)
+    return L + math.log2(sum(2.0 ** (lg - L) for lg in logs))
 
 
-def _grad_neg_entropy(branches, log2_weights, d_q, sigma, alpha):
-    """Gradient of phi(sigma) = log2 T(sigma) / (a - 1) = -H(sigma).
-
-    Same branch-scaled arithmetic as :func:`_log2_T_and_update`; the
-    d(x^s) Frechet derivative is self-adjoint under the trace pairing, which
-    turns the directional derivative into an explicit Hermitian gradient.
-    """
-    s = (1.0 - alpha) / (2.0 * alpha)
-    d_sig_s = registers._power_frechet_map(sigma, s)
-    lam, V = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
-    lam = np.clip(lam, 0.0, None)
-    keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
-    pows = np.where(keep, np.power(np.where(keep, lam, 1.0), s), 0.0)
-    Sig_s = (V * pows) @ V.conj().T
-    W = np.kron(np.eye(d_q), Sig_s)
-    d_qp = sigma.shape[0]
-    marg_space = registers.space(("q", d_q), ("p", d_qp))
-    logs_T, traces = [], []
-    logs_K, Ks = [], []
-    for rho, lw in zip(branches, log2_weights):
-        if lw == -math.inf:
-            continue
-        G = W @ rho @ W
-        G = 0.5 * (G + G.conj().T)
-        gvals, gvecs = np.linalg.eigh(G)
-        gvals = np.clip(gvals, 0.0, None)
-        gtop = gvals.max(initial=0.0)
-        if gtop <= 0.0:
-            continue
-        ratio = gvals / gtop
-        # pseudo-power: modes cut from the evaluation contribute nothing
-        gkeep = ratio > EIG_CUT
-        Na = np.sum(ratio[gkeep] ** alpha)
-        rpow = np.zeros_like(ratio)
-        rpow[gkeep] = ratio[gkeep] ** (alpha - 1.0)
-        Gm1 = (gvecs * rpow) @ gvecs.conj().T
-        K = State(rho @ W @ Gm1, marg_space, check=False) \
-            .partial_trace(keep=["p"]).matrix
-        logs_T.append(alpha * np.log2(gtop) + lw)
-        traces.append(float(np.real(Na)))
-        logs_K.append((alpha - 1.0) * np.log2(gtop) + lw)
-        Ks.append(0.5 * (K + K.conj().T))
-    if not logs_T:
-        return None
-    L = max(logs_T)
-    denom = float(np.dot(2.0 ** (np.array(logs_T) - L), traces))
-    acc = np.zeros((d_qp, d_qp), dtype=complex)
-    for lk, K in zip(logs_K, Ks):
-        acc += (2.0 ** (lk - L)) * K
-    grad_f = (2.0 * alpha / LN2) * d_sig_s(acc) / denom
-    return grad_f / (alpha - 1.0)
-
-
-def _neg_entropy_at(branches, log2_weights, d_q, sigma, alpha) -> float:
-    v = _evaluate_log2_T(branches, log2_weights, d_q, sigma, alpha)
-    return v / (alpha - 1.0) if np.isfinite(v) else math.inf
-
-
-def _optimize_sigma(branches, log2_weights, d_q: int, d_qp: int, alpha: float,
-                    sigma0: np.ndarray):
+def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
     """Extremize log2 T over sigma (min for a > 1, max for a < 1); returns
-    (log2_T, sigma).
+    (log2_T, sigma, width), the width being :meth:`_SigmaEvaluator.width`
+    at the returned sigma.
 
     Both regimes minimize the same merit phi = log2 T / (a - 1) = -H.  A
     short damped fixed point sigma <- (1-theta) sigma + theta
     normalize(update) (the undamped map overshoots for a > 1), accepting
-    steps only when phi drops, warm-starts L-BFGS on the chart
-    sigma(H) = H H^dag / tr[H H^dag] of the density operators
-    (:class:`renyimeat.marginals._InputChart` without a pin) from
-    H = sigma^(1/2), with the gradient of :func:`_grad_neg_entropy` pulled
-    back through the chart.  The run stops once the duality interval of
-    :func:`_duality_gap` is a hundredth of ``UP_GAP_TOL``, or when the line
+    steps only when phi drops, runs first; if its duality interval is
+    already a hundredth of ``UP_GAP_TOL`` the solve stops there.  Otherwise
+    it warm-starts L-BFGS on the chart sigma(H) = H H^dag / tr[H H^dag] of
+    the density operators (:class:`renyimeat.marginals._InputChart` without
+    a pin) from H = sigma^(1/2), with the evaluator's gradient pulled back
+    through the chart, which stops at the same interval or when the line
     search finds no decrease.
     """
-    denom = alpha - 1.0
+    denom = ev.alpha - 1.0
     sigma = sigma0.copy()
-    v, update = _log2_T_and_update(branches, log2_weights, d_q, sigma, alpha,
-                                   True)
+    v, update, _ = ev.at(sigma, update=True)
     for _ in range(_FP_MAX_ITERS):
-        if update is None or not np.isfinite(v):
+        if update is None:
             break
         tr = float(np.real(np.trace(update)))
         if tr <= 0.0:
@@ -317,9 +357,8 @@ def _optimize_sigma(branches, log2_weights, d_q: int, d_qp: int, alpha: float,
         moved = math.inf
         while theta >= 1e-8:
             cand = (1.0 - theta) * sigma + theta * target
-            vc, upc = _log2_T_and_update(branches, log2_weights, d_q, cand,
-                                         alpha, True)
-            if upc is not None and np.isfinite(vc) and vc / denom < v / denom:
+            vc, upc, _ = ev.at(cand, update=True)
+            if upc is not None and vc / denom < v / denom:
                 moved = abs(vc - v) / abs(denom)
                 sigma, v, update = cand, vc, upc
                 accepted = True
@@ -327,83 +366,30 @@ def _optimize_sigma(branches, log2_weights, d_q: int, d_qp: int, alpha: float,
             theta *= 0.5
         if not accepted or moved < _FP_VALUE_TOL:
             break
-    log2_probs = [lw / alpha for lw in log2_weights]
-    chart = _InputChart(np.eye(1), d_qp)
+    width = ev.width(sigma, v)
+    if width <= 1e-2 * UP_GAP_TOL:
+        return v, sigma, width
+    chart = _InputChart(np.eye(1), ev.d_qp)
+    last = [None, math.inf]
 
     def fg(x):
         """phi at sigma(H), its gradient in H, and (sigma, log2_T)."""
         H = _square(x)
         sig, parts = chart.point(H)
-        phi = _neg_entropy_at(branches, log2_weights, d_q, sig, alpha)
-        grad = _grad_neg_entropy(branches, log2_weights, d_q, sig, alpha) \
-            if np.isfinite(phi) else None
+        log2_T, _, grad = ev.at(sig, grad=True)
         if grad is None:
             return math.inf, None, None
-        return phi, 2.0 * _flat(chart.pullback(H, parts, grad)), \
-            (sig, phi * denom)
+        return log2_T / denom, 2.0 * _flat(chart.pullback(H, parts, grad)), \
+            (sig, log2_T)
 
     def done(data) -> bool:
-        return _duality_gap(branches, log2_probs, d_q, data[0], alpha,
-                            data[1]) <= 1e-2 * UP_GAP_TOL
+        last[:] = [data, ev.width(*data)]
+        return last[1] <= 1e-2 * UP_GAP_TOL
 
-    _, _, (sigma, log2_T) = _lbfgs(
+    _, _, data = _lbfgs(
         fg, _flat(registers.herm_power(sigma, 0.5).astype(complex)), done,
         smooth=True)
-    return log2_T, sigma
-
-
-def _duality_gap(branches, log2_probs, d_q, sigma, alpha, log2_T) -> float:
-    """Width of an interval that holds H^up_a(I Q | Q') of the normalized
-    block state omega = (+)_i w_i rho_i, w_i proportional to
-    2^log2_probs[i], where ``log2_T`` is the solver's value at ``sigma``.
-
-    The lower end is that value, -D_a(omega || id (x) sigma).  The upper
-    end is dual: H^up_a(A|B) = -H^up_b(A|C) on a purification psi_ABC with
-    1/a + 1/b = 2, so D_b(psi_AC || id (x) tau) is an upper bound for every
-    density tau on C.  With M_i = V_i Lambda_i^(1/2) purifying rho_i,
-    phi_i = (id_Q (x) sigma^s) M_i and P_i = phi_i^T conj(phi_i), the point
-    tau = (+)_i (w_i P_i)^a / z closes the interval at the optimal sigma.
-    By the Gram identity tr[(Y Y^dag)^b] = tr[(Y^dag Y)^b] the bound is
-    log2 z + (a/(1-a)) log2 ||X||_b with X = sum_i w_i^a N_i^dag
-    (id_Q (x) P_i^(a-1)) N_i on Q', N_i being M_i reshaped to (Q K_i) x Q',
-    so no matrix exceeds one branch.  Spectra are cut at EIG_CUT like the
-    objective; cutting X lowers ||X||_b, which raises the upper end for
-    a > 1 and moves it by less than EIG_CUT^b for a < 1.
-    """
-    s = (1.0 - alpha) / (2.0 * alpha)
-    beta = alpha / (2.0 * alpha - 1.0)
-    d_qp = sigma.shape[0]
-    sig_s = registers.herm_power(sigma, s)
-    log2_c = float(logsumexp([lp * LN2 + math.log(np.real(np.trace(rho)))
-                              for rho, lp in zip(branches, log2_probs)]) / LN2)
-    logs_z, logs_x, xs = [], [], []
-    for rho, lp in zip(branches, log2_probs):
-        lw = lp - log2_c
-        vals, vecs = np.linalg.eigh(rho)
-        keep = vals > EIG_CUT * max(vals.max(initial=0.0), 1e-300)
-        M = (vecs[:, keep] * np.sqrt(vals[keep])).reshape(d_q, d_qp, -1)
-        phi = np.einsum("ab,qbk->qak", sig_s, M).reshape(d_q * d_qp, -1)
-        mu, U = np.linalg.eigh(registers.herm_part(phi.T @ phi.conj()))
-        top = mu.max(initial=0.0)
-        if top <= 0.0:
-            return math.inf     # sigma misses this branch entirely
-        mk = mu > EIG_CUT * top
-        ratio = mu[mk] / top
-        logs_z.append(alpha * (lw + math.log2(top))
-                      + math.log2(np.sum(ratio ** alpha)))
-        T = (U[:, mk] * ratio ** (alpha - 1.0)) @ U[:, mk].conj().T
-        xs.append(np.einsum("qak,kl,qbl->ab", M.conj(), T, M))
-        logs_x.append(alpha * lw + (alpha - 1.0) * math.log2(top))
-    log2_z = float(logsumexp(np.array(logs_z) * LN2) / LN2)
-    L = max(logs_x)
-    X = sum(2.0 ** (lx - L) * x for lx, x in zip(logs_x, xs))
-    xv = np.linalg.eigvalsh(registers.herm_part(X))
-    xtop = xv.max()
-    xv = xv[xv > EIG_CUT * xtop] / xtop
-    log2_norm = L + math.log2(xtop) + math.log2(np.sum(xv ** beta)) / beta
-    up = log2_z + alpha / (1.0 - alpha) * log2_norm
-    lo = -(log2_T - alpha * log2_c) / (alpha - 1.0)
-    return max(up - lo, 0.0)
+    return data[1], data[0], last[1] if last[0] is data else ev.width(*data)
 
 
 def _branch_programs(mats, d_q: int, d_b: int):
@@ -429,11 +415,11 @@ def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
     for the larger T of the program and the spectral evaluation at its
     sigma.  Otherwise :func:`_optimize_sigma` (fixed point, then L-BFGS on
     the chart of the density operators) runs from the normalized mean of
-    the branch marginals, and the width is the duality interval of
-    :func:`_duality_gap` at the sigma it returns.
+    the branch marginals and returns the duality interval at its sigma.
     ``log2_probs`` are per-branch log2 weights *before* raising to the
     power alpha; the solve sees alpha * log2_probs.
     """
+    ev = _SigmaEvaluator(branches, log2_probs, d_q, alpha)
     if as_order(alpha).is_half:
         weights = [2.0 ** (0.5 * lp) for lp in log2_probs]
         log2_T, width, _, sigma = _fidelity_program(
@@ -441,21 +427,14 @@ def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
         upper = log2_T + width
         # the spectral evaluation at the optimizer is an equally valid lower
         # bound on the sup; keep whichever is larger
-        direct = _evaluate_log2_T(branches, [0.5 * lp for lp in log2_probs],
-                                  d_q, sigma, 0.5)
+        direct = ev.at(sigma)[0]
         if np.isfinite(direct):
             log2_T = max(log2_T, direct)
         return log2_T, sigma, max(2.0 * (upper - log2_T), 0.0)
 
-    marg_space = registers.space(("q", d_q), ("p", d_qp))
-    mean = sum(State(r, marg_space, check=False).partial_trace(keep=["p"])
-               .matrix for r in branches)
-    sigma = mean / max(float(np.real(np.trace(mean))), 1e-300)
-    log2_T, sigma = _optimize_sigma(branches,
-                                    [alpha * lp for lp in log2_probs],
-                                    d_q, d_qp, alpha, sigma)
-    return log2_T, sigma, _duality_gap(branches, log2_probs, d_q, sigma,
-                                       alpha, log2_T)
+    mean = sum(bipartite_partial_trace(r, d_q, d_qp, 1) for r in branches)
+    return _optimize_sigma(
+        ev, mean / max(float(np.real(np.trace(mean))), 1e-300))
 
 
 # ------------------------------------------------ the two-sided mixture
@@ -526,13 +505,11 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
                   for inner, w, _ in entries]
         branches = [m for _, _, m in entries]
         # reduce Q' to the union of the branch supports
-        marg_space = registers.space(("q", d_q),
-                                     ("p", branches[0].shape[0] // d_q))
-        margs = [State(m, marg_space, check=False).partial_trace(keep=["p"])
-                 .matrix for m in branches]
+        d_p = branches[0].shape[0] // d_q
+        margs = [bipartite_partial_trace(m, d_q, d_p, 1) for m in branches]
         V = support_isometry(sum(margs))
         W = np.kron(np.eye(d_q), V)
-        red = [registers.herm_part(W.conj().T @ m @ W) for m in branches]
+        red = [herm_part(W.conj().T @ m @ W) for m in branches]
         r = V.shape[1]
         width = 0.0
         if variant == "down" or r == 1:
@@ -540,15 +517,10 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
             # support covers every branch, so the pseudo-powers lose nothing
             sig = sum(w / p_outer * (V.conj().T @ m @ V)
                       for (_, w, _), m in zip(entries, margs))
-            sig = registers.herm_part(sig) / float(np.real(np.trace(sig)))
-            if a.is_infinite:
-                log2_t = max(lw + math.log2(_branch_eigs(m, d_q, sig, -0.5)
-                                            [0].max())
-                             for m, lw in zip(red, log2_p))
-            else:
-                log2_t = _log2_T_and_update(
-                    red, [a.value * lp for lp in log2_p], d_q, sig, a.value,
-                    False)[0] / a.value
+            sig = herm_part(sig) / float(np.real(np.trace(sig)))
+            log2_t = _SigmaEvaluator(red, log2_p, d_q, a.value).at(sig)[0]
+            if not a.is_infinite:
+                log2_t /= a.value
         elif a.is_infinite:
             log2_t, width, _, sig = _covering_program(*_branch_programs(
                 [2.0 ** lw * m for m, lw in zip(red, log2_p)], d_q, r))
@@ -558,8 +530,7 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
         widths.append(width)
         sigmas[outer] = V @ sig @ V.conj().T
         outer_logs.append(math.log2(p_outer) + log2_t)
-    L = max(outer_logs)
-    total = L + math.log2(sum(2.0 ** (lg - L) for lg in outer_logs))
+    total = _log2_sum(outer_logs)
     value = -total if a.is_infinite else a.value / (1.0 - a.value) * total
     gap = float(np.max(widths, initial=0.0))
     if not gap <= UP_GAP_TOL:

@@ -160,9 +160,10 @@ class _InputChart:
     def point(self, G: np.ndarray):
         """rho(G), and the intermediates :meth:`pullback` needs."""
         X = G @ G.conj().T
-        K = bipartite_partial_trace(X, self.d_a, self.d_f, 0)
-        N = np.kron(herm_power(K, -0.5), np.eye(self.d_f))
-        return herm_part(self.S @ N @ X @ N @ self.S), (X, K, N)
+        K_pow, dK_pow = _power_frechet_map(
+            bipartite_partial_trace(X, self.d_a, self.d_f, 0), -0.5)
+        N = np.kron(K_pow, np.eye(self.d_f))
+        return herm_part(self.S @ N @ X @ N @ self.S), (X, N, dK_pow)
 
     def pullback(self, G: np.ndarray, parts, grad_rho: np.ndarray):
         """The gradient Gamma of f(rho(G)) in the convention
@@ -172,12 +173,11 @@ class _InputChart:
         where L is the Frechet derivative of K -> K^(-1/2) and
         h = Tr_F[X N S grad S + S grad S N X]; dX = dG G^dag + G dG^dag.
         """
-        X, K, N = parts
+        X, N, dK_pow = parts
         Gt = self.S @ grad_rho @ self.S
         H = X @ N @ Gt
         h = bipartite_partial_trace(H + H.conj().T, self.d_a, self.d_f, 0)
-        Xi = N @ Gt @ N + np.kron(_power_frechet_map(K, -0.5)(h),
-                                  np.eye(self.d_f))
+        Xi = N @ Gt @ N + np.kron(dK_pow(h), np.eye(self.d_f))
         return Xi @ G
 
     def gap_bound(self, rho: np.ndarray, grad: np.ndarray) -> float:

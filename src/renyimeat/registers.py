@@ -453,20 +453,21 @@ def divided_differences(lam: np.ndarray, f: np.ndarray, df: np.ndarray,
 
 
 def _power_frechet_map(sigma: np.ndarray, s: float):
-    """The Frechet derivative of x -> x^s at sigma as a callable on Hermitian
-    matrices (Daleckii-Krein: entrywise kernel in sigma's eigenbasis, with
-    the pseudo-power convention 0^s = 0 on the cut part of the spectrum)."""
+    """sigma^s and the Frechet derivative of x -> x^s at sigma as a callable
+    on Hermitian matrices, from one eigendecomposition (Daleckii-Krein:
+    entrywise kernel in sigma's eigenbasis, with the pseudo-power convention
+    0^s = 0 on the cut part of the spectrum)."""
     lam, V = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
     lam = np.clip(lam, 0.0, None)
     keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
     base = np.where(keep, lam, 1.0)
+    pows = np.where(keep, base ** s, 0.0)
     Phi = divided_differences(
-        lam, np.where(keep, base ** s, 0.0),
-        np.where(keep, s * base ** (s - 1.0), 0.0),
+        lam, pows, np.where(keep, s * base ** (s - 1.0), 0.0),
         keep[:, None] | keep[None, :])
 
     def apply(X: np.ndarray) -> np.ndarray:
         Y = V.conj().T @ X @ V
         return V @ (Phi * Y) @ V.conj().T
 
-    return apply
+    return (V * pows) @ V.conj().T, apply

@@ -31,7 +31,9 @@ from renyimeat.errors import (InvalidRegister, NonConvergence, NotClassical,
                               NotPure, UnsupportedOrder)
 from renyimeat.fweighted import (TradeoffFunction, fweighted_cs_conditioned,
                                  fweighted_entropy, lme)
-from renyimeat.registers import State, ket_state, space
+from renyimeat.divergences import sandwiched_divergence
+from renyimeat.registers import (State, bipartite_partial_trace, herm_power,
+                                 ket_state, space)
 from renyimeat.sampling import (random_cq_state, random_density,
                                 random_isometry, random_pure)
 
@@ -225,10 +227,10 @@ def test_rank_deficient_input_is_invariant_under_local_unitaries(alpha):
             cond_entropy_up(rho, ["A"], ["B"], alpha), abs=1e-11)
 
 
-def _stop_at_start(branches, log2_weights, d_q, d_qp, alpha, sigma0):
-    """A sigma solve that returns its start unmoved."""
-    return (entropies._evaluate_log2_T(branches, log2_weights, d_q, sigma0,
-                                       alpha), sigma0)
+def _stop_at_start(ev, sigma0):
+    """A sigma solve that returns its start unmoved, with its honest width."""
+    log2_T = ev.at(sigma0)[0]
+    return log2_T, sigma0, ev.width(sigma0, log2_T)
 
 
 def test_unsolved_sigma_raises_with_its_duality_gap(monkeypatch):
@@ -571,19 +573,109 @@ def test_sigma_gradient_matches_central_differences(alpha):
     sp = space(("Q", 2), ("P", 3))
     branches = [random_density(sp, seed=31).matrix,
                 2.0 ** (50.0 / alpha) * random_density(sp, seed=32).matrix]
-    log2_w = [0.0, -50.0]
+    ev = entropies._SigmaEvaluator(branches, [0.0, -50.0 / alpha], 2, alpha)
     sigma = random_density(space(("P", 3)), seed=33).matrix
-    grad = entropies._grad_neg_entropy(branches, log2_w, 2, sigma, alpha)
+    grad = ev.at(sigma, grad=True)[2]
     rng = np.random.default_rng(34)
     t = 1e-7
     for _ in range(3):
         X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         H = X + X.conj().T
-        fd = (entropies._neg_entropy_at(branches, log2_w, 2, sigma + t * H,
-                                        alpha)
-              - entropies._neg_entropy_at(branches, log2_w, 2, sigma - t * H,
-                                          alpha)) / (2.0 * t)
+        fd = (ev.at(sigma + t * H)[0] - ev.at(sigma - t * H)[0]) \
+            / (2.0 * t * (alpha - 1.0))
         assert np.real(np.trace(grad @ H)) == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 2.0, 1e4])
+def test_sigma_evaluator_matches_a_direct_construction(alpha):
+    """At a random full-rank sigma the evaluator's value is
+    -D_a(omega || id (x) sigma) of the normalized block state
+    omega = (+)_i p_i rho_i, and its update is sum_i Tr_Q[(p_i G_i)^a],
+    with G_i = (id (x) sigma^s) rho_i (id (x) sigma^s) formed by kron and
+    powered through its own eigendecomposition (both scaled by the largest
+    eigenvalue, so that 1e4 stays representable)."""
+    sp = space(("Q", 2), ("P", 3))
+    p = np.array([0.3, 0.7])
+    branches = [random_density(sp, seed=41).matrix,
+                random_density(sp, seed=42).matrix]
+    sigma = random_density(space(("P", 3)), seed=43).matrix
+    ev = entropies._SigmaEvaluator(branches, list(np.log2(p)), 2, alpha)
+    log2_T, update, _ = ev.at(sigma, update=True)
+
+    omega = np.zeros((12, 12), dtype=complex)
+    omega[:6, :6], omega[6:, 6:] = p[0] * branches[0], p[1] * branches[1]
+    ref = np.kron(np.eye(2), np.kron(np.eye(2), sigma))
+    want = -sandwiched_divergence(omega, ref, alpha)
+    assert -log2_T / (alpha - 1.0) == pytest.approx(want, abs=1e-12)
+
+    W = np.kron(np.eye(2), herm_power(sigma, (1.0 - alpha) / (2.0 * alpha)))
+    spectra = [np.linalg.eigh(W @ (w * rho) @ W)
+               for w, rho in zip(p, branches)]
+    top = max(vals.max() for vals, _ in spectra)
+    direct = sum(bipartite_partial_trace(
+        (vecs * (np.clip(vals, 0.0, None) / top) ** alpha) @ vecs.conj().T,
+        2, 3, 1) for vals, vecs in spectra)
+    np.testing.assert_allclose(update / np.trace(update),
+                               direct / np.trace(direct), atol=1e-12)
+
+
+def test_sigma_evaluator_detects_a_missed_support():
+    """For a > 1 a sigma that misses part of a branch's support gives +inf:
+    the pseudo-powers alone would drop that weight and report a finite
+    value."""
+    rho = random_density(space(("Q", 2), ("P", 3)), seed=44).matrix
+    ev = entropies._SigmaEvaluator([rho], [0.0], 2, 2.0)
+    assert ev.at(np.diag([0.5, 0.5, 0.0]).astype(complex))[0] == math.inf
+    assert np.isfinite(ev.at(np.diag([0.4, 0.3, 0.3]).astype(complex))[0])
+
+
+def _width_at(rho, alpha, sigma):
+    """The duality interval of H^up_a(A|B) at a conditioning state sigma,
+    recomputed on the unreduced state."""
+    ev = entropies._SigmaEvaluator([rho.matrix], [0.0], rho.space.dim_of("A"),
+                                   alpha)
+    return ev.width(sigma, ev.at(sigma)[0])
+
+
+@pytest.mark.parametrize("alpha", [0.7, 2.0])
+def test_fixed_point_stop_returns_the_width_at_its_sigma(alpha, monkeypatch):
+    """At ordinary orders the fixed point already meets the stop, so the
+    L-BFGS never runs, and the reported width is the interval at the
+    returned sigma."""
+    def no_lbfgs(*args, **kwargs):
+        raise AssertionError("the L-BFGS ran")
+
+    monkeypatch.setattr(entropies, "_lbfgs", no_lbfgs)
+    rho = random_density(space(("A", 2), ("B", 3)), seed=4)
+    _, info = cond_entropy_up(rho, ["A"], ["B"], alpha, return_info=True)
+    assert info["gap"] <= 1e-2 * UP_GAP_TOL
+    assert info["gap"] == pytest.approx(_width_at(rho, alpha, info["sigma"]),
+                                        abs=1e-13)
+
+
+def test_lbfgs_returns_the_width_at_its_sigma():
+    """At 1e4 the two ends of the interval are sums of terms of size
+    a log2(.), so each carries rounding near 1e-12; the widths of the
+    points before the last one differ from its width by 1e-9 or more."""
+    rho = random_density(space(("A", 2), ("B", 3)), seed=4)
+    _, info = cond_entropy_up(rho, ["A"], ["B"], 1e4, return_info=True)
+    assert info["gap"] == pytest.approx(_width_at(rho, 1e4, info["sigma"]),
+                                        abs=1e-11)
+
+
+@pytest.mark.parametrize("alpha,most", [(1e4, 765), (2.0, 34)])
+def test_sigma_solve_eigendecomposition_budget(alpha, most, monkeypatch):
+    """A deterministic cost guard: one eigendecomposition of sigma and one
+    per branch per sigma point.  The limits are half of the 1,529 calls of
+    the solve at 1e4 that decomposed sigma four times and each branch twice
+    per point, and fewer than its 35 at 2."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    rho = random_density(space(("A", 2), ("B", 3)), seed=4)
+    cond_entropy_up(rho, ["A"], ["B"], alpha)
+    assert len(calls) <= most
 
 
 @pytest.mark.parametrize("case", ["half-2x4", "inf-rho4"])

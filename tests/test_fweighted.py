@@ -142,9 +142,9 @@ def test_fweighted_frozen(alpha, want):
 
 
 def test_unsolved_sigma_raises_with_its_duality_gap(monkeypatch):
-    def stop_at_start(branches, log2_weights, d_q, d_qp, alpha, sigma0):
-        return (entropies._evaluate_log2_T(branches, log2_weights, d_q,
-                                           sigma0, alpha), sigma0)
+    def stop_at_start(ev, sigma0):
+        log2_T = ev.at(sigma0)[0]
+        return log2_T, sigma0, ev.width(sigma0, log2_T)
 
     monkeypatch.setattr(entropies, "_optimize_sigma", stop_at_start)
     with pytest.raises(NonConvergence) as err:

@@ -325,8 +325,9 @@ def test_power_frechet_map_matches_finite_differences(rank, s):
     h = h - kernel @ h @ kernel
     t = 1e-6
     fd = (herm_power(x + t * h, s) - herm_power(x - t * h, s)) / (2 * t)
-    got = _power_frechet_map(x, s)(h)
-    np.testing.assert_allclose(got, fd, atol=1e-6 * np.abs(fd).max())
+    power, frechet = _power_frechet_map(x, s)
+    np.testing.assert_allclose(power, herm_power(x, s), atol=1e-12)
+    np.testing.assert_allclose(frechet(h), fd, atol=1e-6 * np.abs(fd).max())
 
 
 @pytest.mark.parametrize("rank", [4, 2])
