@@ -48,10 +48,16 @@ stalls it at a relative gap of 9.4e-10 with its primal step blocked;
 Cholesky of the formed Gram matrix F F^T fails outright on it (and on the
 H^up_inf covering program of a 16-dimensional cq state); the augmented
 system [[K, K A^T], [A K, 0]] by LU with refinement stalls at 4.4e-9;
-the QR factor certifies it at 4.8e-10.  That is this formulation's floor
-in double precision: the step equations are then solved only to about
-2e-8, and iterative refinement against the unreduced residual does not
-lower it.
+the QR factor certified it at 4.8e-10 (all four with the per-block
+kernels), and with the block stack below it certifies at 6.6e-10 in the
+same 10 iterations.  That is this formulation's floor in double
+precision: the step equations are then solved only to about 2e-8, and
+iterative refinement against the unreduced residual does not lower it.
+Rounding variants of the stack kernels (the factors inverted per block
+by trtri, symmetrized step matrices, the Schur factor as two products,
+coordinates read as s a + s b instead of s (a + b)) certify it between
+5.8e-10 and 9.2e-10 in 10-12 iterations: where it lands below
+``GAP_TOL`` follows the rounding, not the formulation.
 Each primal step is projected back onto A dX = r_p with A A^T's Cholesky
 factor, which keeps the primal residual at rounding level (without it
 that program's residual grows to 1.6e-9).  Linearly dependent rows
@@ -60,25 +66,42 @@ satisfies them, and their multipliers are reported as zero.
 
 Every element of the orthonormal Hermitian basis has at most two nonzero
 entries, (i, j) and (j, i).  The basis is therefore kept in index form
-(:func:`hermitian_index`: two positions and two coefficients per element),
-and never as a dense n^2 x n^2 matrix: ``hvec``/``hunvec`` are O(n^2)
-gathers and scatters, K is applied as sym(X V S^{-1}) and never formed,
-and the square-root factor costs O(m n^3) per block.
+(:func:`hermitian_index`: two positions per element, whose coefficients
+follow from its place in the order), and never as a dense n^2 x n^2
+matrix: ``hvec``/``hunvec`` are O(n^2) gathers and scatters without
+repeated positions (:class:`BlockStack`), K is applied as
+sym(X V S^{-1}) and never formed, and the square-root factor costs
+O(m n^3) per block.
 
-Blocks here are small (slack blocks included, at most a few dozen rows),
-so everything is dense.  Strictly feasible starts are expected from the
-problem builders (every family used in this package has an explicit
-interior point); a least-squares fallback is attempted otherwise.
+Blocks here are small: 1x1 to 16x16, one to four per program, slack
+blocks included.  At that size a numpy call costs more than its
+arithmetic, so the iterate is held as one :class:`BlockStack`, a
+(k, n_max, n_max) array with each block top-left, padded with the
+identity in X and S and with zeros in every direction.  One iteration
+then makes one batched Cholesky of X and S, one batched inverse of the
+factors, one batched product per application of K and one ``eigvalsh``
+of the stack per step length, whatever the number of blocks.  What
+keeps exact block sizes: the Schur square-root factor, built per block
+from the unpadded rows (padded rows would widen it from m x 2N to
+m x 2 k n_max^2), and the certificate.  On the 2x2 state of the endpoint
+workload (seed 2004), ``solve_sdp`` under H^up_1/2 takes 10.1-12.2 ms
+median (9 iterations) against 16.4-20.5 ms with one kernel call per
+block, and under H^up_inf 9.4-10.6 ms against 16.1-24.6 ms (12
+iterations); single-thread BLAS, three runs of 40 calls each.
+
+Strictly feasible starts are expected from the problem builders (every
+family used in this package has an explicit interior point); a
+least-squares fallback is attempted otherwise.
 
 BLAS threads: the step systems are too small for a BLAS thread pool to
 pay off.  With the default OpenBLAS pool on a 2-core machine, H^up_1/2 of
-the 2x4 state of the endpoint workload takes 0.049-0.063 s wall and
-0.094-0.124 s CPU per call, against 0.057-0.069 s of both with
-``OPENBLAS_NUM_THREADS=1`` (four runs of 20 calls each), so set that
+the 2x4 state of the endpoint workload takes 0.039-0.044 s wall and
+0.077-0.086 s CPU per call, against 0.042-0.049 s of both with
+``OPENBLAS_NUM_THREADS=1`` (three runs of 20 calls each), so set that
 variable where cores are shared.  Small triangular solves and QR with the
 default blocking are the worst cases (up to 30 times slower threaded), so
-the solver inverts its small triangular factors with trtri and factors F^T
-with narrow-panel dgeqrt.
+the solver factors F^T with narrow-panel dgeqrt and calls LAPACK's trtrs
+directly for its triangular solves.
 """
 
 from __future__ import annotations
@@ -91,6 +114,8 @@ import scipy.linalg
 
 from .errors import InfeasibleSpec, InvalidState, SolverFailure
 from .registers import herm_part
+
+_dtrtrs = scipy.linalg.lapack.dtrtrs
 
 #: target duality gap, relative to the value scale
 GAP_TOL = 1e-9
@@ -112,23 +137,19 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 @lru_cache(maxsize=None)
 def hermitian_index(n: int):
-    """Index form ``(r1, r2, c1, c2)`` of the orthonormal Hermitian basis.
+    """Index form ``(r1, r2)`` of the orthonormal Hermitian basis.
 
-    Basis element k has row-major vec with ``c1[k]`` at position ``r1[k]``,
-    ``c2[k]`` at ``r2[k]`` and zeros elsewhere; ``r2[k]`` is the transposed
-    position of ``r1[k]`` (on the diagonal the two coincide and
-    ``c2[k] = 0``).  Order: n diagonal units, then for each i<j the real
-    pair (E_ij+E_ji)/sqrt2 followed by the imaginary pair i(E_ij-E_ji)/sqrt2.
+    Basis element k is zero outside the row-major positions ``r1[k]`` and
+    ``r2[k]``, the transposed position.  Order: n diagonal units E_ii
+    (``r1 = r2``), then for each i<j, with ``r1`` at (i, j) and ``r2`` at
+    (j, i), the real pair (E_ij+E_ji)/sqrt2 followed by the imaginary pair
+    i(E_ij-E_ji)/sqrt2.
     """
     d = np.arange(n)
     iu, ju = np.triu_indices(n, 1)
-    pairs = len(iu)
     r1 = np.concatenate([d * n + d, np.repeat(iu * n + ju, 2)])
     r2 = np.concatenate([d * n + d, np.repeat(ju * n + iu, 2)])
-    re_im = np.array([_INV_SQRT2, 1j * _INV_SQRT2])
-    c1 = np.concatenate([np.ones(n), np.tile(re_im, pairs)])
-    c2 = np.concatenate([np.zeros(n), np.tile(re_im.conj(), pairs)])
-    return _frozen(r1, r2, c1, c2)
+    return _frozen(r1, r2)
 
 
 def _frozen(*arrays):
@@ -138,39 +159,101 @@ def _frozen(*arrays):
     return arrays
 
 
+class BlockStack:
+    """Hermitian blocks of sizes ``dims`` held as one padded stack.
+
+    The stack has shape (k, n, n) with n = max(dims); block b sits top-left
+    in ``stack[b]``.  Its coordinates are those of :func:`hvec`, block after
+    block.  By :func:`hermitian_index`, each block's basis touches a
+    diagonal entry through one coordinate and each pair of entries (i, j),
+    (j, i), i < j, through one real and one imaginary coordinate.  On the
+    stack's real and imaginary parts, read as one real array, :meth:`unvec`
+    is therefore one scaled gather from the coordinates and one scatter to
+    positions that never repeat, and :meth:`vec` two gathers, a sum and a
+    scaling.  Both take any leading axes.
+    """
+
+    def __init__(self, dims):
+        self.dims = tuple(int(d) for d in dims)
+        k, n = len(self.dims), max(self.dims)
+        self.shape = (k, n, n)
+        s = _INV_SQRT2
+        parts = []
+        off = 0
+        for b, d in enumerate(self.dims):
+            r1, r2 = hermitian_index(d)
+            j = np.arange(d * d)
+            diag, im = j < d, (j >= d) & ((j - d) % 2 == 1)
+            # each coordinate's entries r1 (diagonal or upper) and r2
+            # (diagonal or lower) as positions in the stack read as reals:
+            # real parts, imaginary parts for the imaginary coordinates
+            up = 2 * (b * n * n + (r1 // d) * n + r1 % d) + im
+            lo = 2 * (b * n * n + (r2 // d) * n + r2 % d) + im
+            sgn = np.where(im, -1.0, 1.0)
+            parts.append((
+                # vec: coordinate j is (stack[up_j] +- stack[lo_j]) times
+                # 1/2 on the diagonal (read twice) and 1/sqrt2 off it
+                up, lo, sgn, np.where(diag, 0.5, s),
+                # unvec: stack[up_j] = x_j (s x_j off the diagonal), and
+                # stack[lo_j] = +-s x_j off the diagonal
+                np.concatenate([up, lo[~diag]]),
+                off + np.concatenate([j, j[~diag]]),
+                np.concatenate([np.where(diag, 1.0, s), s * sgn[~diag]]),
+                2 * (b * n * n + (n + 1) * np.arange(d, n))))
+            off += d * d
+        self.size = off
+        (self._pa, self._pb, self._sgn, self._scale, self._to, self._from,
+         self._coef, self._pad) = _frozen(
+             *(np.concatenate(col) for col in zip(*parts)))
+
+    def unvec(self, x, *, pad: bool = False) -> np.ndarray:
+        """The stack with coordinates ``x``, shape (..., size) -> (..., k,
+        n, n); the padding is zero, or the identity with ``pad``."""
+        x = np.asarray(x, dtype=float)
+        lead = x.shape[:-1]
+        k, n, _ = self.shape
+        out = np.zeros(lead + (2 * k * n * n,))
+        out[..., self._to] = x.take(self._from, axis=-1) * self._coef
+        if pad:
+            out[..., self._pad] = 1.0
+        return out.view(complex).reshape(lead + self.shape)
+
+    def vec(self, stack) -> np.ndarray:
+        """Coordinates Re(B^dag vec M_b) of every block, (..., k, n, n) ->
+        (..., size): for a non-Hermitian block those of its Hermitian
+        part; the padding is not read."""
+        m = np.ascontiguousarray(stack, dtype=complex)
+        m = m.reshape(m.shape[:-3] + (-1,)).view(float)
+        return (m.take(self._pa, axis=-1)
+                + m.take(self._pb, axis=-1) * self._sgn) * self._scale
+
+
+@lru_cache(maxsize=None)
+def block_stack(dims: tuple) -> BlockStack:
+    """The cached :class:`BlockStack` of blocks of sizes ``dims``."""
+    return BlockStack(dims)
+
+
 def hvec(mat: np.ndarray) -> np.ndarray:
     """Real coordinates Re(B^dag vec M) in the orthonormal basis.
 
     For Hermitian ``mat`` these are its exact coordinates; for any other
-    square matrix they are those of its Hermitian part.
+    square matrix they are those of its Hermitian part.  A stack of
+    matrices, shape (m, n, n), gives the stack of m coordinate rows.
     """
-    n = mat.shape[0]
-    r1, r2, c1, c2 = hermitian_index(n)
-    m = np.asarray(mat, dtype=complex).reshape(-1)
-    return np.real(c1.conj() * m[r1] + c2.conj() * m[r2])
+    m = np.asarray(mat)
+    return block_stack((m.shape[-1],)).vec(m[..., None, :, :])
 
 
 def hunvec(v: np.ndarray, n: int) -> np.ndarray:
     """The Hermitian matrix B v with real coordinates ``v``; a stack of
     coordinate rows, shape (m, n^2), gives the stack of m matrices."""
-    r1, r2, c1, c2 = hermitian_index(n)
-    v = np.asarray(v, dtype=float)
-    lead = v.shape[:-1]
-    vt = v.reshape(-1, n * n).T
-    out = np.zeros((n * n, vt.shape[1]), dtype=complex)
-    np.add.at(out, r1, c1[:, None] * vt)
-    np.add.at(out, r2, c2[:, None] * vt)
-    return out.T.reshape(lead + (n, n))
+    return block_stack((n,)).unvec(v)[..., 0, :, :]
 
 
 def hermitian_basis(n: int):
     """Iterate the basis elements as n x n matrices, in coordinate order."""
-    r1, r2, c1, c2 = hermitian_index(n)
-    for k in range(n * n):
-        E = np.zeros(n * n, dtype=complex)
-        E[r1[k]] += c1[k]
-        E[r2[k]] += c2[k]
-        yield E.reshape(n, n)
+    yield from hunvec(np.eye(n * n), n)
 
 
 def schur_factor(LX: np.ndarray, LZ: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -242,7 +325,8 @@ class SdpProblem:
         Row k is <E_k, sum_b L_b(X_b)> = <E_k, G> over the Hermitian basis
         E_k of that space; its coefficient on basis element F_j of block b
         is <E_k, L_b(F_j)>, so column j of the term is hvec(L_b(F_j)), and
-        each map is probed once on the basis of its block.
+        each map is probed once on the basis of its block.  A term's probes
+        are checked and vectorized as one stack.
         """
         G = np.asarray(G, dtype=complex)
         n = G.shape[0]
@@ -251,9 +335,17 @@ class SdpProblem:
         for name, fwd in terms:
             if name not in self.blocks:
                 raise InvalidState(f"unknown block {name!r}")
-            probed = np.stack([hvec(_as_herm(fwd(F), n, f"map of {name!r}"))
-                               for F in hermitian_basis(self.blocks[name])],
-                              axis=1)
+            probes = [np.asarray(fwd(F), dtype=complex)
+                      for F in hermitian_basis(self.blocks[name])]
+            if any(p.shape != (n, n) for p in probes):
+                raise InvalidState(f"map of {name!r}: expected shape "
+                                   f"{(n, n)}, got {probes[0].shape}")
+            out = np.stack(probes)
+            asym = np.linalg.norm(out - out.conj().swapaxes(1, 2), axis=(1, 2))
+            if np.any(asym > 1e-9 * np.maximum(
+                    1.0, np.linalg.norm(out, axis=(1, 2)))):
+                raise InvalidState(f"map of {name!r}: matrix is not Hermitian")
+            probed = hvec(out).T
             cols[name] = cols[name] + probed if name in cols else probed
         for k, rhs in enumerate(hvec(G)):
             self.constraints.append(({name: c[k] for name, c in cols.items()},
@@ -385,30 +477,27 @@ def _row_basis(A: np.ndarray):
 
 
 def _tri_solve(T: np.ndarray, v: np.ndarray, *, upper: bool) -> np.ndarray:
-    """(T^T T)^{-1} v for upper-triangular T, (T T^T)^{-1} v for lower."""
-    first, second = ("T", "N") if upper else ("N", "T")
-    v = scipy.linalg.solve_triangular(T, v, trans=first, lower=not upper,
-                                      check_finite=False)
-    return scipy.linalg.solve_triangular(T, v, trans=second, lower=not upper,
-                                         check_finite=False)
+    """(T^T T)^{-1} v for upper-triangular T, (T T^T)^{-1} v for lower.
 
-
-def _tri_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular factor.
-
-    LAPACK's trtri rather than a triangular solve: on the small blocks here
-    OpenBLAS threads its triangular solves, which then cost up to 30 times
-    their single-threaded time (module docstring).  The factors come from
-    Cholesky, so their diagonals are positive and trtri cannot fail.
+    LAPACK's trtrs on the Fortran-ordered transpose of the C-ordered factor,
+    which is what ``scipy.linalg.solve_triangular`` calls, without its
+    wrapper.  The factors come from QR and Cholesky with nonzero diagonals,
+    so trtrs cannot fail.
     """
-    trtri, = scipy.linalg.lapack.get_lapack_funcs(("trtri",), (L,))
-    return trtri(L, lower=1)[0]
+    Tt = T.T
+    for trans in ((0, 1) if upper else (1, 0)):
+        v = _dtrtrs(Tt, v, lower=int(upper), trans=trans)[0]
+    return v
 
 
 def _max_step(Li: np.ndarray, dM: np.ndarray) -> float:
-    """Largest a with M + a dM >= 0 for M = L L^dag and ``Li`` = L^{-1}
-    (inf when dM >= 0)."""
-    low = _min_eig(Li @ dM @ Li.conj().T)
+    """Largest a with M + a dM >= 0 in every block, for stacks M = L L^dag
+    and ``Li`` = L^{-1} (inf when dM >= 0).
+
+    One ``eigvalsh`` of the stack Li dM Li^dag.  Zero-padded dM gives zero
+    eigenvalues in the padding, which cannot change -1/low for low < 0.
+    """
+    low = float(np.linalg.eigvalsh(Li @ dM @ Li.conj().swapaxes(-1, -2)).min())
     return -1.0 / low if low < 0.0 else np.inf
 
 
@@ -421,34 +510,38 @@ class _HkmSystem:
     A^T dy + dS = R_d and dX + K dS = R_c lose dS = R_d - A^T dy and
     dX = R_c - K dS, which leaves (A K A^T) dy = r_p + A (K R_d - R_c).
 
+    X and S are held as :class:`BlockStack` stacks padded with the
+    identity, so one batched Cholesky factors both, one batched inverse
+    inverts the factors (block-diagonal, so the padding stays the identity
+    and each block's factor is its own), and K, the corrector target and
+    the step lengths are each one batched product or ``eigvalsh`` per call.
+
     A K A^T is never formed: it is F F^T for the blocks' factors
-    (:func:`schur_factor`) stacked side by side, and a QR factorization of
-    F^T gives its Cholesky factor R directly.  R carries the conditioning
-    of F, the square root of that of A K A^T (module docstring).  It
-    serves the predictor and the corrector; K itself is only ever applied,
-    as sym(X V Z), never formed.
+    (:func:`schur_factor`, per block on the unpadded rows) stacked side by
+    side, and a QR factorization of F^T gives its Cholesky factor R
+    directly.  R carries the conditioning of F, the square root of that of
+    A K A^T (module docstring).  It serves the predictor and the
+    corrector; K itself is only ever applied, as sym(X V Z), never formed.
     """
 
-    def __init__(self, x, s, dims, slices, A, row_mats, LA):
-        self.dims, self.slices, self.A, self.LA = dims, slices, A, LA
-        self.X, self.LXi, self.LSi, self.Z = [], [], [], []
+    def __init__(self, x, s, stack, A, row_mats, LA):
+        self.stack, self.A, self.LA = stack, A, LA
         self.R = None
-        factors = []
-        for d, sl, mats in zip(dims, slices, row_mats):
-            X, S = hunvec(x[sl], d), hunvec(s[sl], d)
-            LX, LS = _cholesky(X), _cholesky(S)
-            if LX is None or LS is None:
-                return
-            LSi = _tri_inverse(LS)
-            self.X.append(X)
-            self.LXi.append(_tri_inverse(LX))
-            self.LSi.append(LSi)
-            self.Z.append(LSi.conj().T @ LSi)
-            factors.append(schur_factor(LX, LSi.conj().T, mats))
+        XS = stack.unvec(np.stack([x, s]), pad=True)
+        try:
+            L = np.linalg.cholesky(XS)
+        except np.linalg.LinAlgError:
+            return
+        self.X = XS[0]
+        self.LXi, self.LSi = np.linalg.inv(L)
+        self.Z = self.LSi.conj().swapaxes(1, 2) @ self.LSi
         if not len(A):
             self.R = np.zeros((0, 0))
             return
-        F = np.concatenate(factors, axis=1)
+        F = np.concatenate([
+            schur_factor(LX[:d, :d], LSi[:d, :d].conj().T, mats)
+            for LX, LSi, d, mats in zip(L[0], self.LSi, stack.dims, row_mats)],
+            axis=1)
         # compact-WY QR with narrow panels: at these sizes 2-3 times faster
         # than the default blocking single-threaded, 5-40 times under a
         # BLAS thread pool
@@ -459,10 +552,8 @@ class _HkmSystem:
             self.R = R
 
     def apply_K(self, v):
-        """K v blockwise, as hvec(sym(X_b V_b Z_b))."""
-        return np.concatenate([
-            hvec(X @ hunvec(v[sl], d) @ Z)
-            for X, Z, d, sl in zip(self.X, self.Z, self.dims, self.slices)])
+        """K v for the whole stack, as hvec(sym(X V Z))."""
+        return self.stack.vec(self.X @ self.stack.unvec(v) @ self.Z)
 
     def direction(self, Rc, rp, Rd):
         """(dx, dy, dS) for the complementarity target ``Rc``."""
@@ -479,17 +570,13 @@ class _HkmSystem:
 
     def max_steps(self, dx, dS):
         """Largest primal and dual step lengths that keep X and S >= 0."""
-        ap = ad = np.inf
-        for i, (d, sl) in enumerate(zip(self.dims, self.slices)):
-            ap = min(ap, _max_step(self.LXi[i], hunvec(dx[sl], d)))
-            ad = min(ad, _max_step(self.LSi[i], hunvec(dS[sl], d)))
-        return ap, ad
+        dX, dSm = self.stack.unvec(np.stack([dx, dS]))
+        return _max_step(self.LXi, dX), _max_step(self.LSi, dSm)
 
     def corrector_target(self, x, mu, sigma, dx, dS):
         """R_c = sigma mu S^{-1} - X - sym(dX dS S^{-1}) (Mehrotra)."""
-        return np.concatenate([
-            hvec(sigma * mu * Z - hunvec(dx[sl], d) @ hunvec(dS[sl], d) @ Z)
-            for Z, d, sl in zip(self.Z, self.dims, self.slices)]) - x
+        dX, dSm = self.stack.unvec(np.stack([dx, dS]))
+        return self.stack.vec(sigma * mu * self.Z - dX @ dSm @ self.Z) - x
 
 
 def _certificate(x, y, A, b, c, dims, slices):
@@ -538,6 +625,7 @@ def solve_sdp(problem: SdpProblem, *, start: dict | None = None) -> SdpSolution:
     A, b = A_all[rows], b_all[rows]
     n_total = float(sum(dims))
     slices = [slice(offs[i], offs[i + 1]) for i in range(len(dims))]
+    stack = block_stack(tuple(dims))
     # the rows of A as Hermitian matrices, block by block
     row_mats = [hunvec(A[:, sl], d) for d, sl in zip(dims, slices)]
     # y = 0 and S = xi I, with xi weighing the objective against the start
@@ -573,7 +661,7 @@ def solve_sdp(problem: SdpProblem, *, start: dict | None = None) -> SdpSolution:
             stalled += 1
         if it >= MAX_ITER or stalled >= STALL_ITER:
             break
-        hkm = _HkmSystem(x, s, dims, slices, A, row_mats, LA)
+        hkm = _HkmSystem(x, s, stack, A, row_mats, LA)
         if hkm.R is None:
             break
         it += 1

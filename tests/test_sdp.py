@@ -9,6 +9,7 @@ from renyimeat.registers import space
 from renyimeat.sampling import random_density, rng_from
 from renyimeat.sdp import (
     SdpProblem,
+    block_stack,
     hermitian_basis,
     hunvec,
     hvec,
@@ -71,6 +72,81 @@ def test_index_kernels_match_the_dense_basis(n):
     F = schur_factor(np.linalg.cholesky(X), np.linalg.cholesky(Z), mats)
     K = np.real(B.conj().T @ np.kron(X, Z.conj()) @ B)
     np.testing.assert_allclose(F @ F.T, rows @ K @ rows.T, rtol=0, atol=1e-12)
+
+
+MIXED_DIMS = (1, 2, 3, 5)
+
+
+def test_block_stack_matches_the_blocks_one_by_one():
+    """The padded stack of blocks 1, 2, 3, 5: each block's slice of
+    ``unvec`` is ``hunvec`` of its coordinates (and the dense basis), its
+    padding is zero or exactly the identity, and ``vec`` reads each block
+    as ``hvec`` does, whatever the padding holds."""
+    st = block_stack(MIXED_DIMS)
+    offs = np.cumsum((0,) + tuple(d * d for d in MIXED_DIMS))
+    rng = rng_from(60)
+    v = rng.standard_normal(st.size)
+    assert st.shape == (4, 5, 5) and st.size == offs[-1]
+    np.testing.assert_allclose(st.vec(st.unvec(v)), v, rtol=0, atol=1e-15)
+    stack, padded = st.unvec(v), st.unvec(v, pad=True)
+    junk = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+    outside = np.ones((4, 5, 5), dtype=bool)
+    for b, d in enumerate(MIXED_DIMS):
+        outside[b, :d, :d] = False
+    assert not np.any(stack[outside])
+    eyes = np.broadcast_to(np.eye(5), (4, 5, 5))
+    np.testing.assert_array_equal(padded[outside], eyes[outside])
+    for b, d in enumerate(MIXED_DIMS):
+        block = stack[b, :d, :d]
+        np.testing.assert_array_equal(block, hunvec(v[offs[b]:offs[b + 1]], d))
+        np.testing.assert_allclose(
+            block, (dense_basis(d) @ v[offs[b]:offs[b + 1]]).reshape(d, d),
+            rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(padded[b, :d, :d], block)
+        # a non-Hermitian block is read as its Hermitian part
+        junk_block = junk[b, :d, :d]
+        np.testing.assert_array_equal(
+            st.vec(junk)[offs[b]:offs[b + 1]], hvec(junk_block))
+    # the padding is not read
+    np.testing.assert_array_equal(st.vec(np.where(outside, junk, stack)),
+                                  st.vec(stack))
+    # leading axes: one row per coordinate vector
+    rows = rng.standard_normal((3, st.size))
+    np.testing.assert_array_equal(st.unvec(rows)[1], st.unvec(rows[1]))
+    np.testing.assert_array_equal(st.vec(st.unvec(rows))[2],
+                                  st.vec(st.unvec(rows[2])))
+
+
+def per_block_max_step(Li, dM):
+    """Oracle: the largest a with M + a dM >= 0 for one block, from
+    Li = L^{-1}, M = L L^dag."""
+    low = np.linalg.eigvalsh(Li @ dM @ Li.conj().T).min()
+    return -1.0 / low if low < 0.0 else np.inf
+
+
+@pytest.mark.parametrize("shift", [0.0, 10.0], ids=["blocked", "unblocked"])
+def test_batched_step_length_is_the_least_block_step(shift):
+    """``_max_step`` on the identity-padded factors and the zero-padded
+    directions of blocks 1, 2, 3, 5 equals the least per-block step; with
+    every direction positive definite (shift 10) both are inf."""
+    st = block_stack(MIXED_DIMS)
+    rng = rng_from(61)
+    Ms, dMs = [], []
+    for d in MIXED_DIMS:
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        Ms.append(G @ G.conj().T + 0.1 * np.eye(d))
+        dMs.append(random_hermitian(d, rng) + shift * np.eye(d))
+    Lis = [np.linalg.inv(np.linalg.cholesky(M)) for M in Ms]
+    want = min(per_block_max_step(Li, dM) for Li, dM in zip(Lis, dMs))
+    x = np.concatenate([hvec(M) for M in Ms])
+    dx = np.concatenate([hvec(dM) for dM in dMs])
+    Li = np.linalg.inv(np.linalg.cholesky(st.unvec(x, pad=True)))
+    got = sdp._max_step(Li, st.unvec(dx))
+    if shift:
+        assert want == got == np.inf
+    else:
+        assert np.isfinite(want)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_hermitian_basis_is_orthonormal():
@@ -326,3 +402,68 @@ def test_operator_inequality_derives_its_slack():
     # at X0 = 1/2 the derived slack 1/2 - Phi+ is not positive definite
     with pytest.raises(SolverFailure):
         solve_sdp(hmin_program(), start={"X": np.eye(2) / 2})
+
+
+def test_operator_equality_rejects_a_non_hermitian_map():
+    p = SdpProblem(sense="min")
+    p.add_block("X", 2)
+    shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(InvalidState, match="not Hermitian"):
+        p.add_operator_equality([("X", lambda X: X + X[0, 0] * shift)],
+                                np.eye(2))
+    assert not p.constraints
+
+
+def test_operator_equality_rejects_a_map_of_the_wrong_shape():
+    p = SdpProblem(sense="min")
+    p.add_block("X", 2)
+    with pytest.raises(InvalidState, match="expected shape"):
+        p.add_operator_equality([("X", lambda X: np.kron(np.eye(2), X))],
+                                np.eye(2))
+    assert not p.constraints
+
+
+def covering_program():
+    """A covering program with a 1x1 scale block and a slack block:
+    min t over tr rho = 1, tr S = t and 1_2 (x) S >= V rho V^dag, with
+    blocks rho (2x2), S (2x2), t (1x1) and the 4x4 slack; and its start."""
+    V = np.linalg.qr(random_hermitian(4, 12)[:, :2])[0]
+    p = SdpProblem(sense="min")
+    for name, dim in (("rho", 2), ("S", 2), ("t", 1)):
+        p.add_block(name, dim)
+    p.add_objective("t", np.eye(1))
+    p.add_eq_constraint({"rho": np.eye(2)}, 1.0)
+    p.add_eq_constraint({"S": np.eye(2), "t": -np.eye(1)}, 0.0)
+    p.add_operator_inequality([("S", lambda S: np.kron(np.eye(2), S)),
+                               ("rho", lambda r: -V @ r @ V.conj().T)],
+                              np.zeros((4, 4)), slack="slack")
+    return p, {"rho": np.eye(2) / 2, "S": np.eye(2), "t": 2.0 * np.eye(1)}
+
+
+def test_solver_calls_per_iteration_do_not_grow_with_the_blocks(monkeypatch):
+    """One iteration factors and steps the whole block stack at once: at
+    most 2 Cholesky and 4 ``eigvalsh`` calls per iteration on the 4 blocks
+    of the covering program.  Per solve come the start's check of each
+    block and A A^T's factor (Cholesky), and one lowest eigenvalue per
+    block in each certificate and in the returned residuals (eigvalsh)."""
+    p, start = covering_program()
+    counts = dict.fromkeys(("cholesky", "eigvalsh", "certificates"), 0)
+
+    def counted(fn, key):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        counted(np.linalg.cholesky, "cholesky"))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted(np.linalg.eigvalsh, "eigvalsh"))
+    monkeypatch.setattr(sdp, "_certificate",
+                        counted(sdp._certificate, "certificates"))
+    sol = solve_sdp(p, start=start)
+    k, it = len(p.blocks), sol.iterations
+    assert k == 4 and it >= 5
+    assert sol.gap <= sdp.GAP_TOL * max(1.0, abs(sol.value))
+    assert counts["cholesky"] <= 2 * it + k + 1
+    assert counts["eigvalsh"] <= 4 * it + k * (counts["certificates"] + 1)
