@@ -21,10 +21,10 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidState, UnsupportedOrder
-from .registers import EIG_CUT, State, herm_power, support_isometry
+from .registers import (EIG_CUT, State, herm_power, log_sum_exp,
+                        support_isometry)
 
 LN2 = math.log(2.0)
 
@@ -148,7 +148,7 @@ def log2_trace_power(mat: np.ndarray, alpha: float) -> float:
     keep = vals > EIG_CUT * max(top, 1e-300)
     if not keep.any():
         return -math.inf
-    return float(logsumexp(alpha * np.log(vals[keep])) / LN2)
+    return float(log_sum_exp(alpha * np.log(vals[keep])) / LN2)
 
 
 def orthogonal(rho, sigma) -> bool:
@@ -280,7 +280,7 @@ def classical_renyi_divergence(p, q, alpha) -> float:
         if not both.any():
             return math.inf
         terms = av * np.log(p[both]) + (1.0 - av) * np.log(q[both])
-    return float((logsumexp(terms) / LN2 - np.log2(tp)) / (av - 1.0))
+    return float((log_sum_exp(terms) / LN2 - np.log2(tp)) / (av - 1.0))
 
 
 def frequency(symbols, alphabet=None):
@@ -316,7 +316,7 @@ def classical_renyi_entropy(p, alpha) -> float:
     if a.near_one:
         return float(-np.sum(p[sup] * np.log2(p[sup])))
     av = a.value
-    return float(logsumexp(av * np.log(p[sup])) / LN2 / (1.0 - av))
+    return float(log_sum_exp(av * np.log(p[sup])) / LN2 / (1.0 - av))
 
 
 def measured_divergence_bound(rho, sigma, povm, alpha) -> float:

@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
@@ -62,7 +61,8 @@ from .errors import (InvalidRegister, InvalidState, NonConvergence,
 from .marginals import (_covering_program, _fidelity_program, _flat,
                         _InputChart, _lbfgs, _MarginalSet, _square)
 from .registers import (EIG_CUT, State, bipartite_partial_trace,
-                        embed_operator, herm_part, support_isometry)
+                        embed_operator, herm_part, log_sum_exp,
+                        support_isometry)
 from . import registers
 
 #: widest duality interval (in bits of entropy) an optimized "up" value may
@@ -94,7 +94,7 @@ def alpha_entropy(mat, alpha) -> float:
     if a.near_one:
         return float(-np.sum(vals * np.log2(vals)))
     av = a.value
-    return float(logsumexp(av * np.log(vals)) / LN2 / (1.0 - av))
+    return float(log_sum_exp(av * np.log(vals)) / LN2 / (1.0 - av))
 
 
 def renyi_branch_mix(probs, values, alpha, *, variant: str) -> float:
@@ -121,13 +121,13 @@ def renyi_branch_mix(probs, values, alpha, *, variant: str) -> float:
     if a.is_infinite:
         if variant == "down":
             return float(values.min())
-        return float(-logsumexp(np.log(probs) - values * LN2) / LN2)
+        return float(-log_sum_exp(np.log(probs) - values * LN2) / LN2)
     av = a.value
     if variant == "up":
         coeff, pref = (1.0 - av) / av, av / (1.0 - av)
     else:
         coeff, pref = 1.0 - av, 1.0 / (1.0 - av)
-    return float(pref * logsumexp(np.log(probs) + coeff * values * LN2) / LN2)
+    return float(pref * log_sum_exp(np.log(probs) + coeff * values * LN2) / LN2)
 
 
 def _marginal_pair(state: State, target, conditioning) -> State:

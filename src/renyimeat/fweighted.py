@@ -24,15 +24,13 @@ on an actual state.
 import math
 
 import numpy as np
-from scipy.optimize import bisect
-from scipy.special import logsumexp
 
 from .channels import Channel, prepare_channel
 from .divergences import as_order, classical_renyi_entropy
 from .entropies import _two_sided_mix, _two_sided_split, two_sided_classmix
 from .errors import (DomainMismatch, InfeasibleSpec, InvalidRegister,
                      InvalidState, UnsupportedOrder)
-from .registers import LOG2E, RegisterSpace, State, space
+from .registers import LOG2E, RegisterSpace, State, log_sum_exp, space
 
 #: Largest dimension build_d_channel will give the appended register.
 D_DIM_CAP = 2 ** 16
@@ -132,7 +130,7 @@ def lme(probs, values, base) -> float:
         raise InvalidState("lme needs a normalized distribution")
     keep = p > 0.0
     lnb = math.log(b)
-    return float(logsumexp(np.log(p[keep]) + g[keep] * lnb) / lnb)
+    return float(log_sum_exp(np.log(p[keep]) + g[keep] * lnb) / lnb)
 
 
 # ------------------------------------------------------- the weighted entropy
@@ -255,7 +253,17 @@ def _mixture_weight(h: float, d: int, order) -> float:
         raise InfeasibleSpec(f"entropy target {h} exceeds log2({d})")
     if top <= 1e-13:
         return 0.0
-    return float(bisect(gap, 0.0, 1.0, xtol=1e-12))
+    # H_a falls as w grows, from gap(0) > 0 to gap(1) = -h < 0: halve the
+    # bracket [lo, lo + step] until the step is below 1e-12
+    lo, step = 0.0, 1.0
+    while True:
+        step *= 0.5
+        mid = lo + step
+        value = gap(mid)
+        if value >= 0.0:
+            lo = mid
+        if value == 0.0 or step < 1e-12:
+            return mid
 
 
 def build_d_channel(spec: DRegisterSpec, reader_space: RegisterSpace, *,

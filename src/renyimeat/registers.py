@@ -407,6 +407,25 @@ def kraus_pullback(kraus, G: np.ndarray) -> np.ndarray:
     return herm_part(sum(K.conj().T @ G @ K for K in kraus))
 
 
+def log_sum_exp(x) -> float:
+    """Natural log of sum_i exp(x_i), shifted by the largest entry so that
+    no term overflows.
+
+    The m entries equal to the largest contribute log(m), and the others
+    log1p of their shifted sum over m, so a dominant term loses no digits.
+    Entries of -inf add nothing; all of them (or none) give -inf,
+    and a +inf or nan entry is returned as it is.
+    """
+    x = np.asarray(x, dtype=float)
+    top = x.max(initial=-np.inf)
+    if not np.isfinite(top):
+        return float(top)
+    at_top = x == top
+    m = float(np.count_nonzero(at_top))
+    rest = np.exp(np.where(at_top, -np.inf, x - top)).sum() / m
+    return float(np.log1p(rest) + np.log(m) + top)
+
+
 def herm_part(mat: np.ndarray) -> np.ndarray:
     """The Hermitian part (M + M^dag)/2 of a square matrix."""
     return 0.5 * (mat + mat.conj().T)

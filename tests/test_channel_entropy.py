@@ -25,9 +25,10 @@ from renyimeat.channel_entropy import (
 )
 from renyimeat.channels import Channel
 from renyimeat.divergences import as_order, sandwiched_divergence
-from renyimeat.entropies import alpha_entropy, cond_entropy_up
+from renyimeat.entropies import (alpha_entropy, cond_entropy_up,
+                                 von_neumann_entropy)
 from renyimeat.errors import NonConvergence
-from renyimeat.registers import State, space
+from renyimeat.registers import RegisterSpace, State, space
 from renyimeat.sampling import random_channel, random_density
 from renyimeat import sdp
 from renyimeat.sdp import SdpProblem, solve_sdp
@@ -320,6 +321,46 @@ def test_weak_additivity_gap_vanishes(alpha):
     per_copy, single, gap = verify_weak_additivity(e, psi, alpha, target="T")
     assert abs(gap) <= TOL
     assert per_copy - single == pytest.approx(gap, abs=1e-12)
+
+
+def _indexed(st: State, i: int) -> State:
+    sp = RegisterSpace((f"{l}_{i}", d) for l, d in st.space)
+    return State(st.matrix, sp, check=False)
+
+
+def test_free_register_breaks_weak_additivity_at_half():
+    """Two copies of a channel whose input register F is free: at order 1/2
+    the joint optimum beats every product input, and the solver is not at
+    fault.  Its witness meets the product marginal, the product of the
+    single witnesses attains twice the single value, and the joint optimal
+    input is correlated across the copies."""
+    e = random_channel(space(("A", 2), ("F", 2)), space(("T", 2)), seed=12,
+                       kraus_rank=2)
+    psi = random_density(space(("A", 2)), seed=13)
+    copies = [e.renamed({l: f"{l}_{i}" for l in ("A", "F", "T")})
+              for i in range(2)]
+    both = copies[0].tensor(copies[1])
+    joint = channel_cond_entropy(ChannelEntropyProblem(
+        both, ("T_0", "T_1"), HALF,
+        constraint=MarginalConstraint(
+            ("A_0", "A_1"), _indexed(psi, 0).tensor(_indexed(psi, 1)))))
+    single = channel_cond_entropy(ChannelEntropyProblem(
+        e, "T", HALF, constraint=MarginalConstraint("A", psi)))
+    assert joint.value / 2 - single.value < -5e-4
+
+    w = joint.witness
+    np.testing.assert_allclose(w.marginal(["A_0", "A_1"]).matrix,
+                               np.kron(psi.matrix, psi.matrix), atol=1e-8)
+
+    product = _indexed(single.witness, 0).tensor(_indexed(single.witness, 1))
+    at_product = entropy_at_witness(both, ("T_0", "T_1"), product, HALF)
+    assert at_product == pytest.approx(2 * single.value, abs=1e-8)
+
+    rho = w.marginal(["A_0", "F_0", "A_1", "F_1"])
+    mutual = (von_neumann_entropy(rho.marginal(["A_0", "F_0"]).matrix)
+              + von_neumann_entropy(rho.marginal(["A_1", "F_1"]).matrix)
+              - von_neumann_entropy(rho.matrix))
+    assert mutual > 0.05
 
 
 @pytest.mark.parametrize("seed", [50, 60])

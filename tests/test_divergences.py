@@ -13,6 +13,7 @@ from renyimeat.divergences import (
     classical_renyi_divergence,
     classical_renyi_entropy,
     frequency,
+    log2_trace_power,
     max_divergence,
     measured_divergence_bound,
     sandwiched_divergence,
@@ -218,6 +219,38 @@ def test_classical_conditioning_decomposition():
 
 
 LN2 = math.log(2.0)
+
+
+# ------------------------------------------------------------ trace powers
+
+
+def rotated(diag, seed):
+    """U diag(diag) U^dag for a random unitary U."""
+    U = random_isometry(len(diag), len(diag), seed=seed)
+    return U @ np.diag(diag) @ U.conj().T
+
+
+def test_log2_trace_power_rank_deficient():
+    M = rotated([0.5, 0.25, 0.0, 0.0], seed=3)
+    assert log2_trace_power(M, 2.0) == pytest.approx(math.log2(0.3125),
+                                                     abs=1e-13)
+    assert log2_trace_power(M, 0.5) == pytest.approx(
+        math.log2(math.sqrt(0.5) + 0.5), abs=1e-13)
+
+
+def test_log2_trace_power_at_a_very_large_order():
+    # tr[(P/2)^a] = 2^(1-a) for a rank-2 projector P; 0.5^1e4 underflows
+    M = rotated([0.5, 0.5, 0.0], seed=4)
+    assert log2_trace_power(M, 1e4) == pytest.approx(1.0 - 1e4, rel=1e-12)
+    # the largest eigenvalue dominates: log2 tr = a log2 0.6 + O(2^-5849)
+    M = rotated([0.6, 0.4, 0.0], seed=5)
+    assert log2_trace_power(M, 1e4) == pytest.approx(1e4 * math.log2(0.6),
+                                                     rel=1e-12)
+
+
+def test_log2_trace_power_of_zero_is_minus_infinity():
+    assert log2_trace_power(np.zeros((3, 3)), 2.0) == -math.inf
+    assert log2_trace_power(np.zeros((2, 2)), 0.5) == -math.inf
 
 
 # --------------------------------------------------------------- classical

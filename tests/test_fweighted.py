@@ -13,16 +13,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import bisect
 
 from renyimeat import entropies
 from renyimeat.channels import Isometry
+from renyimeat.divergences import classical_renyi_entropy
 from renyimeat.entropies import cond_entropy_up, two_sided_classmix
 from renyimeat.errors import (DomainMismatch, InfeasibleSpec, InvalidRegister,
                               InvalidState, NonConvergence, NotClassical,
                               UnsupportedOrder)
 from renyimeat.fweighted import (DRegisterSpec, TradeoffFunction,
-                                 build_d_channel, fweighted_cs_conditioned,
-                                 fweighted_entropy, lme, verify_createD)
+                                 _mixture_weight, build_d_channel,
+                                 fweighted_cs_conditioned, fweighted_entropy,
+                                 lme, verify_createD)
 from renyimeat.registers import State, classical_state, space
 from renyimeat.sampling import random_channel, random_cq_state, random_density
 
@@ -329,6 +332,35 @@ def test_exact_half_gap_mixing_weight():
     w = math.sqrt(math.sqrt(2.0) - 1.0)
     want = np.diag([(1.0 + w) / 2.0, (1.0 - w) / 2.0])
     np.testing.assert_allclose(taus[(0,)], want, atol=1e-11)
+
+
+def _mixed_with_pure(w, d):
+    probs = np.full(d, (1.0 - w) / d)
+    probs[0] += w
+    return probs
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, "inf"])
+@pytest.mark.parametrize("d", [2, 4, 7])
+def test_mixture_weight_hits_its_target(alpha, d):
+    """Targets from 1/2 to just below log2(d), the two ends of the bracket.
+
+    At order 1/2 the slope of H in w is unbounded at w = 1, so far smaller
+    targets than 1/2 lose digits to the 1e-12 step in w.
+    """
+    for h in (0.5, 1.0, math.log2(d) - 1e-3, math.log2(d) - 1e-9):
+        w = _mixture_weight(h, d, alpha)
+        assert 0.0 <= w < 1.0
+        got = classical_renyi_entropy(_mixed_with_pure(w, d), alpha)
+        assert abs(got - h) <= 1e-10
+
+        def gap(v):
+            return classical_renyi_entropy(_mixed_with_pure(v, d), alpha) - h
+
+        assert w == pytest.approx(bisect(gap, 0.0, 1.0, xtol=1e-12), abs=1e-11)
+    assert _mixture_weight(math.log2(d), d, alpha) == 0.0
+    with pytest.raises(InfeasibleSpec):
+        _mixture_weight(math.log2(d) + 1e-9, d, alpha)
 
 
 def test_dyadic_support_size():

@@ -1,8 +1,12 @@
 """Registers, partial traces, purification and Hermitian matrix functions."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from renyimeat.channel_entropy import _log_frechet_map
 from renyimeat.errors import InvalidRegister, InvalidState
@@ -16,6 +20,7 @@ from renyimeat.registers import (
     embed_operator,
     herm_power,
     ket_state,
+    log_sum_exp,
     maximally_mixed,
     space,
     support_isometry,
@@ -258,6 +263,33 @@ def test_herm_power_composes(a, b):
 def test_herm_power_rejects_indefinite_with_fractional_power():
     with pytest.raises(InvalidState):
         herm_power(np.diag([1.0, -1.0]), 0.5)
+
+
+@pytest.mark.parametrize("x", [
+    [0.3, -1.2, 2.5, 0.0],
+    [-np.inf, 1.5, -np.inf, -0.5],
+    [-np.inf, -np.inf],
+    [700.0, 699.0, -700.0],
+    [2.0, 2.0, 2.0, -1.0],
+    [-700.0, -701.0, -750.0],
+    [3.0],
+])
+def test_log_sum_exp_matches_scipy(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_sum_exp(np.array(x))
+        want = float(logsumexp(np.array(x)))
+    assert isinstance(got, float)
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
+def test_log_sum_exp_empty_and_nonfinite():
+    assert log_sum_exp(np.array([])) == -math.inf
+    assert log_sum_exp([1.0, math.inf]) == math.inf
+    assert math.isnan(log_sum_exp([1.0, math.nan]))
 
 
 def _support_projector(mat):
