@@ -49,7 +49,7 @@ finite orders it is the joint L-BFGS of the polish above
 at order inf it is the covering program.  The module also hosts numerical
 checks of the chain rule and additivity statements.  The marginal
 constraint, its feasible set with its chart and the L-BFGS, the two SDP
-builders and the SDP pairs of the measured chain rule live in
+builders and the one SDP per round of the measured chain rule live in
 :mod:`renyimeat.marginals`; the public ones are re-exported here.
 """
 
@@ -594,6 +594,11 @@ def verify_chain_rule(e1: Channel, e2: Channel, psi: State, phi: State,
 
     ``psi`` and ``phi`` pin the marginals of the two rounds on the registers
     their spaces name; ``target2`` must survive the composition.
+
+    Measured on two all-pinned instances (seeded qubit A -> T1 X, then
+    X B -> T2, Kraus rank 2): the slack is 0.74-1.68 bits at orders 1/2,
+    0.75, 1, 2 and inf, at 0.03-1.2 s per call.  No instance with a free
+    input register has been measured.
     """
     target1 = (target1,) if isinstance(target1, str) else tuple(target1)
     target2 = (target2,) if isinstance(target2, str) else tuple(target2)

@@ -242,28 +242,34 @@ class DRegisterSpec:
         return self.offset - self.tradeoff.values
 
 
+def _pure_plus_mixed(u: float, d: int) -> np.ndarray:
+    """(1 - u) |0><0| + u id/d as a distribution, formed from u itself."""
+    probs = np.full(d, u / d)
+    probs[0] = 1.0 - u * (d - 1) / d
+    return probs
+
+
 def _mixture_weight(h: float, d: int, order) -> float:
-    """Weight w with H_a( w |0><0| + (1-w) id/d ) = h, bisected to 1e-12."""
-    def gap(w):
-        probs = np.full(d, (1.0 - w) / d)
-        probs[0] += w
-        return classical_renyi_entropy(probs, order) - h
+    """Weight u of id/d with H_a((1 - u) |0><0| + u id/d) = h.  Below order
+    1 the slope of H_a is unbounded at u = 0, so the bisection runs on
+    log u, over every positive double, to a relative step below 1e-15."""
+    def gap(log_u):
+        return classical_renyi_entropy(_pure_plus_mixed(math.exp(log_u), d),
+                                       order) - h
     top = gap(0.0)
     if top < -1e-12:
         raise InfeasibleSpec(f"entropy target {h} exceeds log2({d})")
     if top <= 1e-13:
-        return 0.0
-    # H_a falls as w grows, from gap(0) > 0 to gap(1) = -h < 0: halve the
-    # bracket [lo, lo + step] until the step is below 1e-12
-    lo, step = 0.0, 1.0
-    while True:
-        step *= 0.5
-        mid = lo + step
-        value = gap(mid)
-        if value >= 0.0:
+        return 1.0
+    # gap(lo) <= 0 at u = 5e-324, the smallest positive double
+    lo, hi = -745.0, 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) >= 0.0:
+            hi = mid
+        else:
             lo = mid
-        if value == 0.0 or step < 1e-12:
-            return mid
+    return math.exp(0.5 * (lo + hi))
 
 
 def build_d_channel(spec: DRegisterSpec, reader_space: RegisterSpace, *,
@@ -303,13 +309,11 @@ def build_d_channel(spec: DRegisterSpec, reader_space: RegisterSpace, *,
         cs = tuple(idx[pos[l]] for l in secret)
         cp = tuple(idx[pos[l]] for l in public)
         h = spec.offset - spec.tradeoff.value(cs, cp)
-        tau = np.zeros(d)
         if spec.mode == "exact":
-            w = _mixture_weight(h, d, order)
-            tau[:] = (1.0 - w) / d
-            tau[0] += w
+            tau = _pure_plus_mixed(_mixture_weight(h, d, order), d)
         else:
             k = int(math.ceil(2.0 ** h))
+            tau = np.zeros(d)
             tau[:k] = 1.0 / k
         states[idx] = np.diag(tau)
     return prepare_channel(reader_space, states, space((out_label, d)))

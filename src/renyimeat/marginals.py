@@ -22,16 +22,17 @@ at generic orders, and the conditioning state sigma of H^up_a in
 :mod:`renyimeat.entropies` (the chart of the unpinned set, sigma = G G^dag
 / tr[G G^dag]).
 
-Over the same sets live the primal/dual SDP pairs behind the measured
-chain rule (:func:`build_sdp_individual`, :func:`build_sdp_joint`) and the
-check that tensored single-round dual optimizers stay feasible for the
-joint dual (:func:`product_feasibility_slack`).
+Over the same sets lives the measured chain rule's program, max tr[rho G]
+over a pinned marginal (:func:`build_sdp_individual`, :func:`build_sdp_joint`);
+one solve also gives its dual operator, Lambda (x) 1 >= G, in the pin's
+multipliers (:func:`solve_sdp_pair`), and :func:`product_feasibility_slack`
+checks that tensored single-round Lambdas stay feasible for the joint dual.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .errors import (InfeasibleSpec, InvalidRegister, InvalidState,
 from .registers import (RegisterSpace, State, _power_frechet_map,
                         bipartite_partial_trace, embed_operator, herm_part,
                         herm_power, kraus_pullback, support_isometry)
-from .sdp import SdpProblem, solve_sdp
+from .sdp import SdpProblem, hunvec, solve_sdp
 
 
 class MarginalConstraint:
@@ -128,9 +129,10 @@ class _MarginalSet:
         return bipartite_partial_trace(rho, self.rank_a, self.free_space.dim,
                                        0)
 
-    def pin(self, prob: SdpProblem, block: str) -> None:
-        """Constrain ``block`` of ``prob`` to the set: Tr_F rho = psi_r."""
-        prob.add_operator_equality([(block, self.marginal)], self.psi_r)
+    def pin(self, prob: SdpProblem, block: str) -> slice:
+        """Constrain ``block`` of ``prob`` to the set: Tr_F rho = psi_r.
+        Returns the slice of the pin's rows in ``prob.constraints``."""
+        return prob.add_operator_equality([(block, self.marginal)], self.psi_r)
 
     def unrestrict(self, rho_r: np.ndarray) -> np.ndarray:
         """Map a set element back to the channel's input basis."""
@@ -368,55 +370,31 @@ def _fidelity_program(mset: _MarginalSet, p_maps, q_map, sset: _MarginalSet,
             sol.variables["rho"], sol.variables["sigma"])
 
 
-# ------------------------------------------------------------ SDP pair forms
+# ------------------------------------------- the measured chain rule's SDP
 
 @dataclass
 class SdpPair:
-    """A primal/dual SDP pair sharing one optimal value (both Slater-regular
-    by construction), plus the data needed to re-check dual feasibility of
-    externally supplied certificates."""
+    """The program of one round (or of two joined) of the measured chain
+    rule: ``primal`` maximizes tr[rho G] over the marginal set from
+    ``primal_start``, G = ``dual_rhs``.  Its dual, min tr[psi Lambda] over
+    Lambda (x) 1 >= G, is read off the same solve: Lambda is -hunvec of
+    the multipliers of the marginal pin's rows, ``pin``."""
     primal: SdpProblem
-    dual: SdpProblem
     primal_start: dict
-    dual_start: dict
     dual_rhs: np.ndarray
-    dual_space: RegisterSpace
-    marginal_labels: tuple
+    pin: slice
 
 
 def _pair_from_parts(mset: _MarginalSet, channel: Channel, gamma_op,
                      gamma_labels) -> SdpPair:
-    out_sp = channel.out_space
-    for l in gamma_labels:
-        out_sp.position(l)
-    big = embed_operator(out_sp, list(gamma_labels), gamma_op)
+    big = embed_operator(channel.out_space, list(gamma_labels), gamma_op)
     G = kraus_pullback(mset.restrict_kraus(channel.kraus), big)
-
     primal = SdpProblem(sense="max")
     primal.add_block("rho", mset.dim)
     primal.add_objective("rho", G)
-    mset.pin(primal, "rho")
-    primal_start = {"rho": mset.start()}
-
-    # restricted coordinates: constraint labels with the support rank folded
-    # into the first one (the labels are bookkeeping; the ordering matters)
-    a_regs = [(l, 1) for l in mset.a_labels]
-    if a_regs:
-        a_regs[0] = (mset.a_labels[0], mset.rank_a)
-    dual_space = RegisterSpace(a_regs + list(mset.free_space))
-    lam_dim = mset.rank_a
-
-    dual = SdpProblem(sense="min")
-    dual.add_block("Lambda", lam_dim)
-    dual.add_objective("Lambda", mset.psi_r)
-    eye_f = np.eye(mset.free_space.dim)
-    dual.add_operator_inequality([("Lambda", lambda L: np.kron(L, eye_f))],
-                                 G, slack="slack")
-    c = float(np.linalg.eigvalsh(G).max()) + 1.0
-    dual_start = {"Lambda": c * np.eye(lam_dim)}
-    return SdpPair(primal=primal, dual=dual, primal_start=primal_start,
-                   dual_start=dual_start, dual_rhs=G, dual_space=dual_space,
-                   marginal_labels=tuple(mset.a_labels))
+    pin = mset.pin(primal, "rho")
+    return SdpPair(primal=primal, primal_start={"rho": mset.start()},
+                   dual_rhs=G, pin=pin)
 
 
 def _as_gamma(gamma) -> tuple[np.ndarray, tuple]:
@@ -430,13 +408,13 @@ def _as_gamma(gamma) -> tuple[np.ndarray, tuple]:
 
 def build_sdp_individual(gamma, channel: Channel,
                          marginal: MarginalConstraint) -> SdpPair:
-    """Primal/dual pair for one round of the measured chain rule.
+    """The program of one round of the measured chain rule.
 
-    Primal: maximize tr[rho . F^dag(Gamma (x) I_traced)] over rho >= 0 with
-    the pinned input marginal.  Dual: minimize tr[psi Lambda] over
-    Lambda (x) I >= F^dag(Gamma (x) I).  ``gamma`` is a labeled positive
-    operator on a slice of the channel output; the other output registers
-    are traced.
+    Maximize tr[rho . F^dag(Gamma (x) I_traced)] over rho >= 0 with the
+    pinned input marginal; its dual, minimize tr[psi Lambda] over
+    Lambda (x) I >= F^dag(Gamma (x) I), comes from the same solve
+    (:func:`solve_sdp_pair`).  ``gamma`` is a labeled positive operator on
+    a slice of the channel output; the other output registers are traced.
     """
     gmat, glabels = _as_gamma(gamma)
     mset = _MarginalSet(channel.in_space, marginal)
@@ -445,10 +423,10 @@ def build_sdp_individual(gamma, channel: Channel,
 
 def build_sdp_joint(gamma0, gamma1, channels, marginals, *,
                     form: str = "composed") -> SdpPair:
-    """Two-round pair: ``form="composed"`` wires the second channel onto the
-    first (the chain-rule direction), ``form="tensor"`` runs them in parallel
-    (the additivity direction).  The joint marginal is the product of the
-    two pinned marginals."""
+    """The program of two rounds joined: ``form="composed"`` wires the
+    second channel onto the first (the chain-rule direction),
+    ``form="tensor"`` runs them in parallel (the additivity direction).  The
+    joint marginal is the product of the two pinned marginals."""
     if form not in ("composed", "tensor"):
         raise InvalidState("form must be 'composed' or 'tensor'")
     g0, l0 = _as_gamma(gamma0)
@@ -482,7 +460,7 @@ def build_sdp_joint(gamma0, gamma1, channels, marginals, *,
 def product_feasibility_slack(pair: SdpPair, lam0: np.ndarray,
                               lam1: np.ndarray) -> float:
     """Minimum eigenvalue of (Lambda_0 (x) Lambda_1) (x) I - G for a joint
-    pair; nonnegative means the tensored individual dual optimizers are
+    program; nonnegative means the tensored individual dual optimizers are
     feasible for the joint dual (the feasibility transfer behind the
     measured chain rule)."""
     op = np.kron(lam0, lam1)
@@ -493,6 +471,9 @@ def product_feasibility_slack(pair: SdpPair, lam0: np.ndarray,
 
 
 def solve_sdp_pair(pair: SdpPair):
-    """Solve both sides; returns (primal_solution, dual_solution)."""
-    return (solve_sdp(pair.primal, start=pair.primal_start),
-            solve_sdp(pair.dual, start=pair.dual_start))
+    """Solve the primal once; returns (primal_solution, dual_solution), the
+    second the same solve read as the dual: value tr[psi Lambda], the checked
+    dual value, and variables {"Lambda": -hunvec(y) on the pin's rows}."""
+    sol = solve_sdp(pair.primal, start=pair.primal_start)
+    lam = -hunvec(sol.y[pair.pin], math.isqrt(pair.pin.stop - pair.pin.start))
+    return sol, replace(sol, value=sol.dual_value, variables={"Lambda": lam})

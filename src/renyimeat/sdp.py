@@ -317,8 +317,9 @@ class SdpProblem:
                                       f"constraint[{name}]"))
         self.constraints.append((row, float(rhs)))
 
-    def add_operator_equality(self, terms, G) -> None:
-        """Lower ``sum_b L_b(X_b) = G`` to one row per coordinate of ``G``.
+    def add_operator_equality(self, terms, G) -> slice:
+        """Lower ``sum_b L_b(X_b) = G`` to one row per coordinate of ``G``,
+        and return the slice of ``constraints`` that holds those rows.
 
         ``terms`` is a list of ``(block_name, L_b)`` with ``L_b`` a linear,
         Hermiticity-preserving map from the block to the space of ``G``.
@@ -347,9 +348,11 @@ class SdpProblem:
                 raise InvalidState(f"map of {name!r}: matrix is not Hermitian")
             probed = hvec(out).T
             cols[name] = cols[name] + probed if name in cols else probed
+        first = len(self.constraints)
         for k, rhs in enumerate(hvec(G)):
             self.constraints.append(({name: c[k] for name, c in cols.items()},
                                      float(rhs)))
+        return slice(first, len(self.constraints))
 
     def add_operator_inequality(self, terms, G, *, slack: str,
                                 sense: str = ">=") -> None:
@@ -368,11 +371,15 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
+    """``value`` at the returned ``variables``, the ``dual_value`` certified
+    from ``y``, and their ``gap``.  ``y`` holds one multiplier per row of
+    ``constraints`` in the min-sense form, min c.x with c = +-C: on the rows
+    of an operator equality, hunvec(y[rows]) is the dual operator of a
+    ``"min"`` problem and -hunvec(y[rows]) that of a ``"max"`` one."""
     value: float
     dual_value: float
     gap: float
     variables: dict = field(repr=False)
-    dual_slacks: dict = field(repr=False)
     y: np.ndarray = field(repr=False)
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
@@ -588,18 +595,16 @@ def _certificate(x, y, A, b, c, dims, slices):
     bounds the optimum from below, with tr X_b of the returned point
     standing in for tr X_b at the optimum (the two differ by O(gap), and
     the correction is only taken for lam_b at rounding level).  Returns
-    (bound, correction, lowest eigenvalue, the S_b).
+    (bound, correction, lowest eigenvalue).
     """
     s_chk = c - A.T @ y
-    slacks, lam, corr = [], np.inf, 0.0
+    lam, corr = np.inf, 0.0
     for d, sl in zip(dims, slices):
-        S = hunvec(s_chk[sl], d)
-        low = _min_eig(S)
-        slacks.append(S)
+        low = _min_eig(hunvec(s_chk[sl], d))
         lam = min(lam, low)
         if low < 0.0:
             corr -= low * float(np.sum(x[sl][:d]))  # the first d are diag X
-    return float(b @ y) - corr, corr, lam, slacks
+    return float(b @ y) - corr, corr, lam
 
 
 def solve_sdp(problem: SdpProblem, *, start: dict | None = None) -> SdpSolution:
@@ -688,7 +693,7 @@ def solve_sdp(problem: SdpProblem, *, start: dict | None = None) -> SdpSolution:
             diagnostics={"iterations": it, "gap": abs(pval - dval),
                          "primal_eq": rp_norm, "mu": mu,
                          "checked_min_eig_S": checked_low})
-    _, gap, x, y_rows, (bound, corr, lam, dual_slacks) = best
+    _, gap, x, y_rows, (bound, corr, lam) = best
     y = np.zeros(len(b_all))
     y[rows] = y_rows
     variables = _split(x, names, dims, offs)
@@ -706,7 +711,6 @@ def solve_sdp(problem: SdpProblem, *, start: dict | None = None) -> SdpSolution:
         dual_value=sgn * bound,
         gap=float(gap),
         variables=variables,
-        dual_slacks=dict(zip(names, dual_slacks)),
         y=y,
         residuals=residuals,
         iterations=it,

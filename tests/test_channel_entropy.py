@@ -95,15 +95,43 @@ def test_measured_chain_rule_pairs(seed):
     assert slack >= -TOL
 
 
-@pytest.mark.parametrize("seed", [50, 60])
-def test_chain_rule_slack_is_nonnegative(seed):
+@pytest.mark.parametrize("seed", [7, 8, 9, 30])
+def test_measured_dual_is_read_from_the_pin(seed, sdp_solves):
+    """One solve per program; its pin multipliers give a Lambda that is
+    feasible for the dual and attains the reported dual value, and the
+    rounds' Lambdas tensor into a feasible joint dual point."""
+    (r0, r1), (m0, m1), (g0, g1) = measured_rounds(seed)
+    pairs = [build_sdp_individual(g0, r0, m0),
+             build_sdp_individual(g1, r1, m1),
+             build_sdp_joint(g0, g1, (r0, r1), (m0, m1), form="composed")]
+    lams = []
+    for pair in pairs:
+        del sdp_solves[:]
+        primal, dual = solve_sdp_pair(pair)
+        assert len(sdp_solves) == 1
+        lam = dual.variables["Lambda"]
+        k, n = lam.shape[0], pair.dual_rhs.shape[0]
+        lifted = np.kron(lam, np.eye(n // k))
+        assert np.linalg.eigvalsh(lifted - pair.dual_rhs).min() >= -1e-9
+        psi = sdp.hunvec(np.array(
+            [rhs for _, rhs in pair.primal.constraints[pair.pin]]), k)
+        assert abs(np.trace(psi @ lam).real - dual.value) <= primal.gap
+        lams.append(lam)
+    assert product_feasibility_slack(pairs[2], lams[0], lams[1]) >= 0.0
+
+
+# order 1/2 keeps the bare seed as its id
+@pytest.mark.parametrize("seed, alpha", [
+    pytest.param(s, a, id=str(s) if a == HALF else f"{s}-{a}")
+    for a in (HALF, 0.75, 2.0, "inf") for s in (50, 60)])
+def test_chain_rule_slack_is_nonnegative(seed, alpha):
     e1 = random_channel(space(("A", 2)), space(("T1", 2), ("X", 2)),
                         seed=seed, kraus_rank=2)
     e2 = random_channel(space(("X", 2), ("B", 2)), space(("T2", 2)),
                         seed=seed + 1, kraus_rank=2)
     psi = random_density(space(("A", 2)), seed=seed + 2)
     phi = random_density(space(("B", 2)), seed=seed + 3)
-    slack = verify_chain_rule(e1, e2, psi, phi, HALF, target1="T1",
+    slack = verify_chain_rule(e1, e2, psi, phi, alpha, target1="T1",
                               target2="T2")
     assert slack >= -TOL
 

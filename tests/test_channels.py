@@ -9,6 +9,7 @@ from renyimeat.channels import (
     identity_channel,
     measure_channel,
     prepare_channel,
+    trace_out_channel,
 )
 from renyimeat.errors import InvalidRegister, InvalidState
 from renyimeat.registers import State, ket_state, maximally_mixed, space
@@ -112,6 +113,15 @@ def test_complementary_channel_matches_environment_marginal():
     env = ch.stinespring("Z").apply(rho).partial_trace(keep=["Z"])
     comp = ch.complementary("Z").apply(rho)
     np.testing.assert_allclose(comp.matrix, env.matrix, atol=1e-9)
+
+
+@pytest.mark.parametrize("drop", [["B"], ["A", "C"], ["C"]])
+def test_trace_out_channel_is_the_partial_trace(drop):
+    rho = random_density(space(("A", 2), ("B", 3), ("C", 2)), seed=4)
+    got = trace_out_channel(rho.space, drop).apply(rho)
+    want = rho.partial_trace(drop=drop)
+    assert got.space.labels == want.space.labels
+    np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-13)
 
 
 def test_compose_agrees_with_sequential_application():

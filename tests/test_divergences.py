@@ -17,7 +17,9 @@ from renyimeat.divergences import (
     max_divergence,
     measured_divergence_bound,
     sandwiched_divergence,
+    support_contained,
     umegaki_divergence,
+    SUPPORT_TOL,
 )
 from renyimeat.errors import InvalidState, UnsupportedOrder
 from renyimeat.registers import space, State
@@ -119,6 +121,17 @@ def test_support_violation_gives_infinity():
     assert math.isfinite(sandwiched_divergence(rho, sig, 0.5))
     assert sandwiched_divergence(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.5) \
         == math.inf
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_support_contained_at_its_tolerance(scale):
+    # rho puts the weight eps (relative to its trace) outside supp(sigma);
+    # both rotated by one unitary
+    U = random_isometry(3, 3, seed=2)
+    sig = U @ np.diag([0.4, 0.6, 0.0]) @ U.conj().T
+    for eps, inside in ((0.9 * SUPPORT_TOL, True), (1.1 * SUPPORT_TOL, False)):
+        rho = scale * U @ np.diag([0.5, 0.5 - eps, eps]) @ U.conj().T
+        assert support_contained(rho, sig) is inside
 
 
 def test_zero_trace_rejected():

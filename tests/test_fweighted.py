@@ -334,31 +334,29 @@ def test_exact_half_gap_mixing_weight():
     np.testing.assert_allclose(taus[(0,)], want, atol=1e-11)
 
 
-def _mixed_with_pure(w, d):
-    probs = np.full(d, (1.0 - w) / d)
-    probs[0] += w
+def _mixed_with_pure(u, d):
+    probs = np.full(d, u / d)
+    probs[0] = 1.0 - u * (d - 1) / d
     return probs
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0, "inf"])
 @pytest.mark.parametrize("d", [2, 4, 7])
 def test_mixture_weight_hits_its_target(alpha, d):
-    """Targets from 1/2 to just below log2(d), the two ends of the bracket.
-
-    At order 1/2 the slope of H in w is unbounded at w = 1, so far smaller
-    targets than 1/2 lose digits to the 1e-12 step in w.
-    """
-    for h in (0.5, 1.0, math.log2(d) - 1e-3, math.log2(d) - 1e-9):
-        w = _mixture_weight(h, d, alpha)
-        assert 0.0 <= w < 1.0
-        got = classical_renyi_entropy(_mixed_with_pure(w, d), alpha)
-        assert abs(got - h) <= 1e-10
+    """Targets from 1e-6 to just below log2(d), the two ends of the
+    bracket, each met to 1e-9 of itself and to 1e-10."""
+    for h in (1e-6, 1e-3, 0.05, 0.5, 1.0, math.log2(d) - 1e-3,
+              math.log2(d) - 1e-9):
+        u = _mixture_weight(h, d, alpha)
+        assert 0.0 < u <= 1.0
+        got = classical_renyi_entropy(_mixed_with_pure(u, d), alpha)
+        assert abs(got - h) <= min(1e-10, 1e-9 * h)
 
         def gap(v):
             return classical_renyi_entropy(_mixed_with_pure(v, d), alpha) - h
 
-        assert w == pytest.approx(bisect(gap, 0.0, 1.0, xtol=1e-12), abs=1e-11)
-    assert _mixture_weight(math.log2(d), d, alpha) == 0.0
+        assert u == pytest.approx(bisect(gap, 0.0, 1.0, xtol=1e-12), abs=1e-11)
+    assert _mixture_weight(math.log2(d), d, alpha) == 1.0
     with pytest.raises(InfeasibleSpec):
         _mixture_weight(math.log2(d) + 1e-9, d, alpha)
 

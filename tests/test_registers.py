@@ -17,15 +17,19 @@ from renyimeat.registers import (
     _power_frechet_map,
     basis_ket,
     classical_state,
+    divided_differences,
     embed_operator,
     herm_power,
     ket_state,
+    kraus_apply,
+    kraus_pullback,
     log_sum_exp,
     maximally_mixed,
     space,
     support_isometry,
 )
-from renyimeat.sampling import random_density, random_pure
+from renyimeat.sampling import (random_channel, random_density,
+                                random_isometry, random_pure)
 
 
 def bell_state():
@@ -325,6 +329,20 @@ def test_basis_ket_indexing():
     assert v[5] == 1.0 and np.count_nonzero(v) == 1
 
 
+def test_kraus_pullback_is_the_adjoint_of_kraus_apply():
+    # tr[G K(X)] = tr[K^dag(G) X] for Hermitian G on the output and X on
+    # the input of a 2 -> 3 map
+    kraus = random_channel(space(("A", 2)), space(("B", 3)), seed=5,
+                           kraus_rank=3).kraus
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        G, X = g + g.conj().T, x + x.conj().T
+        assert np.trace(G @ kraus_apply(kraus, X)).real == pytest.approx(
+            np.trace(kraus_pullback(kraus, G) @ X).real, abs=1e-12)
+
+
 # ------------------------------------------------------ Frechet derivatives
 
 
@@ -373,3 +391,29 @@ def test_log_frechet_map_matches_finite_differences(rank):
     fd = (_log2_on_support(x + t * h) - _log2_on_support(x - t * h)) / (2 * t)
     got = _log_frechet_map(x)(h)
     np.testing.assert_allclose(got, fd, atol=1e-6 * np.abs(fd).max())
+
+
+def _eigen_function(mat, fn):
+    vals, vecs = np.linalg.eigh(mat)
+    return (vecs * fn(vals)) @ vecs.conj().T
+
+
+@pytest.mark.parametrize("fn, dfn", [
+    (lambda x: x ** 0.3, lambda x: 0.3 * x ** -0.7),
+    (lambda x: x ** 2.5, lambda x: 2.5 * x ** 1.5),
+    (np.log, lambda x: 1.0 / x)])
+def test_divided_differences_give_the_frechet_derivative(fn, dfn):
+    """V (kernel o V^dag H V) V^dag against a central difference of the
+    spectral function, at a PD matrix with a repeated eigenvalue."""
+    U = random_isometry(4, 4, seed=9)
+    lam = np.array([0.2, 0.5, 0.5, 1.3])
+    x = (U * lam) @ U.conj().T
+    vals, vecs = np.linalg.eigh(x)
+    kernel = divided_differences(vals, fn(vals), dfn(vals),
+                                 np.ones((4, 4), dtype=bool))
+    h = _hermitian(10)
+    got = vecs @ (kernel * (vecs.conj().T @ h @ vecs)) @ vecs.conj().T
+    t = 1e-6
+    fd = (_eigen_function(x + t * h, fn)
+          - _eigen_function(x - t * h, fn)) / (2 * t)
+    np.testing.assert_allclose(got, fd, atol=1e-7 * np.abs(fd).max())
