@@ -72,7 +72,7 @@ from .marginals import (MarginalConstraint, SdpPair,  # noqa: F401 (re-export)
                         build_sdp_individual, build_sdp_joint,
                         product_feasibility_slack, solve_sdp_pair)
 from .registers import (EIG_CUT, LOG2E, RegisterSpace, State,
-                        _power_frechet_map, bipartite_partial_trace,
+                        _power_frechet_map, as_labels, bipartite_partial_trace,
                         canonical_purification_vector, divided_differences,
                         herm_part, herm_power, ket_state, kraus_apply,
                         kraus_pullback, space, support_isometry)
@@ -102,7 +102,7 @@ class ChannelEntropyProblem:
 
     def __init__(self, channel: Channel, target, alpha, *,
                  constraint: MarginalConstraint | None = None):
-        target = (target,) if isinstance(target, str) else tuple(target)
+        target = as_labels(target)
         if not target:
             raise InvalidRegister("at least one target register is required")
         for l in target:
@@ -428,7 +428,7 @@ def entropy_at_witness(channel: Channel, target, witness: State,
     input; they join the conditioning side.  This evaluates the objective at
     a feasible point, so it upper-bounds the optimized channel entropy.
     """
-    target = (target,) if isinstance(target, str) else tuple(target)
+    target = as_labels(target)
     out = channel.apply(witness)
     cond = [l for l in out.space.labels if l not in target]
     return float(cond_entropy_up(out, list(target), cond, alpha))
@@ -546,7 +546,7 @@ def entropy_via_conjugate_divergence(channel: Channel, target, constraint,
     polishes the entropy (or, at b = inf, the covering program of order
     1/2).  It serves as a test oracle.
     """
-    target = (target,) if isinstance(target, str) else tuple(target)
+    target = as_labels(target)
     beta = as_order(alpha).conjugate()
     taken = set(channel.in_space.labels) | set(channel.out_space.labels)
     env = _fresh_label("Z", taken)
@@ -600,8 +600,8 @@ def verify_chain_rule(e1: Channel, e2: Channel, psi: State, phi: State,
     0.75, 1, 2 and inf, at 0.03-1.2 s per call.  No instance with a free
     input register has been measured.
     """
-    target1 = (target1,) if isinstance(target1, str) else tuple(target1)
-    target2 = (target2,) if isinstance(target2, str) else tuple(target2)
+    target1 = as_labels(target1)
+    target2 = as_labels(target2)
     comp = compose(e2, e1)
     for l in target1 + target2:
         comp.out_space.position(l)
@@ -626,8 +626,8 @@ def verify_additivity(e1: Channel, e2: Channel, psi: State, phi: State,
     the two channels; see :func:`verify_weak_additivity`.  The range of
     orders over which the gap vanishes for partly pinned inputs is open.
     """
-    target1 = (target1,) if isinstance(target1, str) else tuple(target1)
-    target2 = (target2,) if isinstance(target2, str) else tuple(target2)
+    target1 = as_labels(target1)
+    target2 = as_labels(target2)
     e2d, phid, mapping = _disjoin(e1, e2, phi)
     target2d = tuple(mapping.get(l, l) for l in target2)
     ej = e1.tensor(e2d)
@@ -655,7 +655,7 @@ def verify_weak_additivity(e: Channel, psi: State, alpha, *, target,
     0.65, 0.75, 2 and inf.  The range of orders over which the gap
     vanishes is open.
     """
-    target = (target,) if isinstance(target, str) else tuple(target)
+    target = as_labels(target)
     if copies < 2:
         raise InvalidState("weak additivity needs at least two copies")
     labels = e.in_space.labels + e.out_space.labels

@@ -39,7 +39,7 @@ import numpy as np
 from .channels import Channel, _perm_matrix, compose
 from .errors import (InfeasibleSpec, InvalidRegister, InvalidState,
                      NonConvergence)
-from .registers import (RegisterSpace, State, _power_frechet_map,
+from .registers import (RegisterSpace, State, _power_frechet_map, as_labels,
                         bipartite_partial_trace, embed_operator, herm_part,
                         herm_power, kraus_pullback, support_isometry)
 from .sdp import SdpProblem, hunvec, solve_sdp
@@ -54,7 +54,7 @@ class MarginalConstraint:
     """
 
     def __init__(self, register, state: State):
-        regs = (register,) if isinstance(register, str) else tuple(register)
+        regs = as_labels(register)
         if sorted(regs) != sorted(state.space.labels):
             raise InvalidRegister(
                 f"constraint registers {regs} do not match the state's "
@@ -195,8 +195,13 @@ class _InputChart:
             herm_part(grad) - np.kron(h, np.eye(self.d_f)))[0])
 
 
-def _lbfgs(fg, x, done, *, smooth: bool, max_iters: int = 500,
-           memory: int = 8):
+#: L-BFGS iterations per run
+_LBFGS_MAX_ITERS = 500
+#: curvature pairs the L-BFGS keeps
+_LBFGS_MEMORY = 8
+
+
+def _lbfgs(fg, x, done, *, smooth: bool):
     """Minimize over flat real vectors: L-BFGS two-loop directions with
     Armijo backtracking on the true objective.
 
@@ -214,7 +219,7 @@ def _lbfgs(fg, x, done, *, smooth: bool, max_iters: int = 500,
         raise NonConvergence("the objective is undefined at the start",
                              value=value, gap=math.inf)
     mem: list[tuple[np.ndarray, np.ndarray]] = []
-    for _ in range(max_iters):
+    for _ in range(_LBFGS_MAX_ITERS):
         if done(data):
             break
         q = g
@@ -256,7 +261,7 @@ def _lbfgs(fg, x, done, *, smooth: bool, max_iters: int = 500,
         s_v, y_v = xc - x, gc - g
         if float(s_v @ y_v) > 1e-12 * np.linalg.norm(s_v) * np.linalg.norm(y_v):
             mem.append((s_v, y_v))
-            if len(mem) > memory:
+            if len(mem) > _LBFGS_MEMORY:
                 mem.pop(0)
         stalled = not smooth and value - vc <= 1e-13 * max(1.0, abs(value))
         x, value, g, data = xc, vc, gc, dc
@@ -284,19 +289,14 @@ def _covering_program(mset: _MarginalSet, m_maps, n_map, sset: _MarginalSet):
     scale by a 1 x 1 block t: Tr_F S = t psi, and the objective is t.
     Returns (log2 of the optimum, the width in bits of the interval the
     duality gap certifies, the rho optimizer, sigma = S / tr[S])."""
-    rho0, sig0 = mset.start(), sset.start()
-    tv = np.linalg.eigvalsh(herm_part(n_map(sig0)))
-    if tv.min() <= 1e-12:
+    n0 = herm_part(n_map(sset.start()))
+    if np.linalg.eigvalsh(n0).min() <= 1e-12:
         raise InfeasibleSpec("the comparison map must have full-rank output "
                              "at an interior input")
-    oms = [m_map(rho0) for m_map in m_maps]
-    top = max(np.linalg.eigvalsh(herm_part(om)).max() for om in oms)
-    c0 = float(top / tv.min()) + 1.0
     prob = SdpProblem(sense="min")
     prob.add_block("rho", mset.dim)
     prob.add_block("S", sset.dim)
     mset.pin(prob, "rho")
-    start = {"rho": rho0, "S": c0 * sig0}
     if sset.constraint is None:
         prob.add_objective("S", np.eye(sset.dim))
     else:
@@ -305,12 +305,11 @@ def _covering_program(mset: _MarginalSet, m_maps, n_map, sset: _MarginalSet):
         prob.add_operator_equality(
             [("S", sset.marginal), ("t", lambda t: -t[0, 0] * sset.psi_r)],
             np.zeros_like(sset.psi_r))
-        start["t"] = np.array([[c0]])
-    for i, (m_map, om) in enumerate(zip(m_maps, oms)):
+    for i, m_map in enumerate(m_maps):
         prob.add_operator_inequality(
             [("S", n_map), ("rho", lambda r, m_map=m_map: -m_map(r))],
-            np.zeros_like(om), slack=f"slack{i}")
-    sol = solve_sdp(prob, start=start)
+            np.zeros_like(n0), slack=f"slack{i}")
+    sol = solve_sdp(prob)
     cover = max(sol.value, 1e-300)
     width = -math.log2(1.0 - sol.gap / cover) if sol.gap < cover else math.inf
     S = sol.variables["S"]
@@ -326,18 +325,17 @@ def _fidelity_program(mset: _MarginalSet, p_maps, q_map, sset: _MarginalSet,
     (Watrous's block form).
 
     Block i is compressed on both diagonals to the support of P_i at the
-    interior start rho^0, which holds P_i(rho) for every rho of the set;
-    the fidelity is unchanged, and the compressed start is strictly
-    feasible even when P_i or Q is rank-deficient.  Returns (log2 of the
-    optimum, the width in bits of the interval the duality gap certifies,
-    the rho optimizer, the sigma optimizer)."""
-    rho0, sig0 = mset.start(), sset.start()
+    interior point rho^0 = ``mset.start()``, which holds P_i(rho) for every
+    rho of the set; the fidelity is unchanged, and the compressed program
+    has an interior point even when P_i or Q is rank-deficient.  Returns
+    (log2 of the optimum, the width in bits of the interval the duality gap
+    certifies, the rho optimizer, the sigma optimizer)."""
+    rho0 = mset.start()
     prob = SdpProblem(sense="max")
     prob.add_block("rho", mset.dim)
     prob.add_block("sigma", sset.dim)
     mset.pin(prob, "rho")
     sset.pin(prob, "sigma")
-    start = {"rho": rho0, "sigma": sig0}
     for i, (p_map, w) in enumerate(zip(p_maps, weights)):
         U = support_isometry(p_map(rho0))
         r = U.shape[1]
@@ -360,11 +358,7 @@ def _fidelity_program(mset: _MarginalSet, p_maps, q_map, sset: _MarginalSet,
         prob.add_operator_equality([(blk, lambda V, r=r: V[r:, r:]),
                                     ("sigma", lambda sig, f=second: -f(sig))],
                                    zero)
-        V0 = np.zeros((2 * r, 2 * r), dtype=complex)
-        V0[:r, :r] = first(rho0)
-        V0[r:, r:] = second(sig0)
-        start[blk] = V0
-    sol = solve_sdp(prob, start=start)
+    sol = solve_sdp(prob)
     fid = max(sol.value, 1e-300)
     return (math.log2(fid), math.log2(1.0 + sol.gap / fid),
             sol.variables["rho"], sol.variables["sigma"])
@@ -375,12 +369,11 @@ def _fidelity_program(mset: _MarginalSet, p_maps, q_map, sset: _MarginalSet,
 @dataclass
 class SdpPair:
     """The program of one round (or of two joined) of the measured chain
-    rule: ``primal`` maximizes tr[rho G] over the marginal set from
-    ``primal_start``, G = ``dual_rhs``.  Its dual, min tr[psi Lambda] over
+    rule: ``primal`` maximizes tr[rho G] over the marginal set,
+    G = ``dual_rhs``.  Its dual, min tr[psi Lambda] over
     Lambda (x) 1 >= G, is read off the same solve: Lambda is -hunvec of
     the multipliers of the marginal pin's rows, ``pin``."""
     primal: SdpProblem
-    primal_start: dict
     dual_rhs: np.ndarray
     pin: slice
 
@@ -393,8 +386,7 @@ def _pair_from_parts(mset: _MarginalSet, channel: Channel, gamma_op,
     primal.add_block("rho", mset.dim)
     primal.add_objective("rho", G)
     pin = mset.pin(primal, "rho")
-    return SdpPair(primal=primal, primal_start={"rho": mset.start()},
-                   dual_rhs=G, pin=pin)
+    return SdpPair(primal=primal, dual_rhs=G, pin=pin)
 
 
 def _as_gamma(gamma) -> tuple[np.ndarray, tuple]:
@@ -474,6 +466,6 @@ def solve_sdp_pair(pair: SdpPair):
     """Solve the primal once; returns (primal_solution, dual_solution), the
     second the same solve read as the dual: value tr[psi Lambda], the checked
     dual value, and variables {"Lambda": -hunvec(y) on the pin's rows}."""
-    sol = solve_sdp(pair.primal, start=pair.primal_start)
+    sol = solve_sdp(pair.primal)
     lam = -hunvec(sol.y[pair.pin], math.isqrt(pair.pin.stop - pair.pin.start))
     return sol, replace(sol, value=sol.dual_value, variables={"Lambda": lam})

@@ -116,6 +116,11 @@ def space(*regs: tuple[str, int]) -> RegisterSpace:
     return RegisterSpace(regs)
 
 
+def as_labels(labels) -> tuple[str, ...]:
+    """One register label, or a sequence of them, as a tuple of labels."""
+    return (labels,) if isinstance(labels, str) else tuple(labels)
+
+
 def _permutation_matrix_action(mat: np.ndarray, dims, perm) -> np.ndarray:
     """Conjugate ``mat`` by the register permutation ``perm`` (new order of axes)."""
     k = len(dims)

@@ -11,16 +11,30 @@ L_b and never by adjoints or basis elements: one lowering
 (``SdpProblem.add_operator_equality``) probes each map on the Hermitian
 basis of its block, and the column of basis element F_j is hvec(L_b(F_j)),
 one row per coordinate of G.  An inequality is that equality plus a PSD
-slack block (``add_operator_inequality``); a start that leaves the slack
-out gets it derived as +-(sum_b L_b(X_b^0) - G), which must be positive
-definite like every other block of the start.
+slack block (``add_operator_inequality``).  Builders state no start.
 
 The solver is an infeasible-start primal-dual interior-point method on
 the Hermitian real vectorization (Helmberg-Rendl-Vanderbei-Wolkowicz
 direction, Mehrotra predictor-corrector as in SDPT3).  It starts from the
-builder's strictly feasible X with y = 0 and S = xi I, takes separate
-primal and dual step lengths (0.9 to 0.99 of the way to the boundary),
-and typically certifies in 7-15 iterations whatever the problem size.
+X of the next paragraph with y = 0 and S = xi I, takes separate primal
+and dual step lengths (0.9 to 0.99 of the way to the boundary), and
+typically certifies in 7-15 iterations whatever the problem size.
+
+Start.  X is the identity e of every block projected onto the equalities,
+x0 = e + A^T (A A^T)^{-1} (b - A e): two triangular solves with the
+Cholesky factor of A A^T that the projected primal step needs anyway.
+On a pinned marginal, Tr_F rho = psi, that is psi (x) 1/d_f, an interior
+point of the set.  If x0 misses any row, dependent ones included, the
+equalities are inconsistent and :class:`InfeasibleSpec` is raised.  If
+Cholesky fails on a block of x0 (the test every iterate passes, so a
+block at rounding level above zero counts as positive definite), the
+start is e itself, off the equalities, and the primal residual r_p of the
+step equations takes the iterates back to them.  The traced endpoint
+workload (``bench/run.py --workload endpoint-sdp --trace 1``, 28 solves)
+takes 260 / 255 / 269 Newton steps at seeds 0 / 1 / 2 from this start,
+against 261 / 265 / 267 from strictly feasible starts written per
+builder; 2 / 3 / 1 of its solves, all order-1/2 fidelity programs over a
+pinned input, start from e.
 
 Stopping rule and certificate.  An iterate is checked once
 |c.x - b.y| <= ``GAP_CEILING`` times the value scale max(1, |c.x|) and
@@ -61,8 +75,8 @@ coordinates read as s a + s b instead of s (a + b)) certify it between
 Each primal step is projected back onto A dX = r_p with A A^T's Cholesky
 factor, which keeps the primal residual at rounding level (without it
 that program's residual grows to 1.6e-9).  Linearly dependent rows
-(A A^T singular) are dropped before the first iteration; the start
-satisfies them, and their multipliers are reported as zero.
+(A A^T singular) are dropped before the first iteration; the start is
+checked against them, and their multipliers are reported as zero.
 
 Every element of the orthonormal Hermitian basis has at most two nonzero
 entries, (i, j) and (j, i).  The basis is therefore kept in index form
@@ -88,10 +102,6 @@ workload (seed 2004), ``solve_sdp`` under H^up_1/2 takes 10.1-12.2 ms
 median (9 iterations) against 16.4-20.5 ms with one kernel call per
 block, and under H^up_inf 9.4-10.6 ms against 16.1-24.6 ms (12
 iterations); single-thread BLAS, three runs of 40 calls each.
-
-Strictly feasible starts are expected from the problem builders (every
-family used in this package has an explicit interior point); a
-least-squares fallback is attempted otherwise.
 
 BLAS threads: the step systems are too small for a BLAS thread pool to
 pay off.  With the default OpenBLAS pool on a 2-core machine, H^up_1/2 of
@@ -291,8 +301,6 @@ class SdpProblem:
         self.objective: dict[str, np.ndarray] = {}
         #: one (block name -> row in hvec coordinates, rhs) per scalar row
         self.constraints: list[tuple[dict[str, np.ndarray], float]] = []
-        #: slack block -> (terms, G, sign) of its operator inequality
-        self.slacks: dict[str, tuple] = {}
 
     def add_block(self, name: str, dim: int) -> None:
         if name in self.blocks:
@@ -354,17 +362,12 @@ class SdpProblem:
                                      float(rhs)))
         return slice(first, len(self.constraints))
 
-    def add_operator_inequality(self, terms, G, *, slack: str,
-                                sense: str = ">=") -> None:
-        """``sum_b L_b(X_b) >= G`` (or <=): the equality of
-        :meth:`add_operator_equality` with a PSD slack block ``slack``,
-        which :func:`solve_sdp` derives when the start leaves it out."""
-        G = np.asarray(G, dtype=complex)
-        sign = 1.0 if sense == ">=" else -1.0
-        self.add_block(slack, G.shape[0])
-        self.slacks[slack] = (list(terms), G, sign)
-        self.add_operator_equality(
-            list(terms) + [(slack, lambda S: -sign * S)], G)
+    def add_operator_inequality(self, terms, G, *, slack: str) -> None:
+        """``sum_b L_b(X_b) >= G``: the equality of
+        :meth:`add_operator_equality` with ``-slack`` added on the left,
+        for a new PSD block ``slack``."""
+        self.add_block(slack, np.shape(G)[0])
+        self.add_operator_equality(list(terms) + [(slack, lambda S: -S)], G)
 
 
 # ------------------------------------------------------------------- solution
@@ -420,44 +423,21 @@ def _min_eig(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm_part(mat)).min())
 
 
-def _cholesky(mat: np.ndarray):
-    """Lower Cholesky factor of a Hermitian matrix, or None if it is not
-    numerically positive definite."""
+def _starting_point(A_all, b_all, A, b, LA, stack) -> np.ndarray:
+    """The start of the module docstring: e, the identity of every block
+    of ``stack``, projected onto the rows (A, b) of the row basis, with
+    ``LA`` the Cholesky factor of A A^T, or e when Cholesky fails on the
+    projection.  Raises :class:`InfeasibleSpec` when the projection misses
+    a row of (A_all, b_all)."""
+    e = np.concatenate([hvec(np.eye(d)) for d in stack.dims])
+    x0 = e + A.T @ _tri_solve(LA, b - A @ e, upper=False) if len(A) else e
+    if np.linalg.norm(A_all @ x0 - b_all) > 1e-6 * (
+            1.0 + np.linalg.norm(b_all)):
+        raise InfeasibleSpec("equality constraints are inconsistent")
     try:
-        return np.linalg.cholesky(herm_part(mat))
+        np.linalg.cholesky(stack.unvec(x0, pad=True))
     except np.linalg.LinAlgError:
-        return None
-
-
-def _starting_point(problem, names, dims, offs, A, b, start):
-    if start is not None:
-        # a slack the start leaves out is +-(sum_b L_b(X_b) - G) at the start
-        start = dict(start)
-        for name, (terms, G, sign) in problem.slacks.items():
-            if name not in start and all(blk in start for blk, _ in terms):
-                start[name] = sign * (sum(
-                    fwd(np.asarray(start[blk], dtype=complex))
-                    for blk, fwd in terms) - G)
-        xs = []
-        for i, name in enumerate(names):
-            if name not in start:
-                raise InvalidState(f"start is missing block {name!r}")
-            M = _as_herm(start[name], dims[i], f"start[{name}]")
-            xs.append(hvec(M))
-        x0 = np.concatenate(xs) if xs else np.zeros(0)
-    else:
-        x0, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if A.size and np.linalg.norm(A @ x0 - b) > 1e-6 * (1.0 + np.linalg.norm(b)):
-        if start is None:
-            raise InfeasibleSpec("equality constraints are inconsistent")
-        raise SolverFailure("provided start violates the equality constraints",
-                            diagnostics={"residual": float(np.linalg.norm(A @ x0 - b))})
-    for i, name in enumerate(names):
-        if _cholesky(hunvec(x0[offs[i]:offs[i + 1]], dims[i])) is None:
-            raise SolverFailure(
-                f"no strictly feasible start (block {name!r} not positive "
-                "definite); pass start=",
-                diagnostics={"block": name})
+        return e
     return x0
 
 
@@ -607,12 +587,12 @@ def _certificate(x, y, A, b, c, dims, slices):
     return float(b @ y) - corr, corr, lam
 
 
-def solve_sdp(problem: SdpProblem, *, start: dict | None = None) -> SdpSolution:
+def solve_sdp(problem: SdpProblem) -> SdpSolution:
     """Solve to a checked duality gap of ``GAP_TOL`` times the value scale.
 
-    ``start`` maps block names to strictly feasible Hermitian PD matrices.
-    Iterates until the stopping rule of the module docstring holds at a
-    checked dual point.  If the iterates stall or lose positive
+    Starts from the identity projected onto the equalities and iterates
+    until the stopping rule holds at a checked dual point (both in the
+    module docstring).  If the iterates stall or lose positive
     definiteness first, the best checked point is returned as long as its
     gap is below ``GAP_CEILING`` times the value scale.  The reported gap
     and dual value always come from a y whose dual slacks C_b - (A^T y)_b
@@ -623,14 +603,14 @@ def solve_sdp(problem: SdpProblem, *, start: dict | None = None) -> SdpSolution:
     if not problem.blocks:
         raise InvalidState("problem has no blocks")
     names, dims, offs, A_all, b_all, c, sgn = _assemble(problem)
-    x = _starting_point(problem, names, dims, offs, A_all, b_all, start)
-    # the start satisfies every row, so dependent rows can be dropped; their
-    # multipliers are reported as zero
+    # dependent rows are dropped; the start is checked against them, and
+    # their multipliers are reported as zero
     rows, LA = _row_basis(A_all)
     A, b = A_all[rows], b_all[rows]
     n_total = float(sum(dims))
     slices = [slice(offs[i], offs[i + 1]) for i in range(len(dims))]
     stack = block_stack(tuple(dims))
+    x = _starting_point(A_all, b_all, A, b, LA, stack)
     # the rows of A as Hermitian matrices, block by block
     row_mats = [hunvec(A[:, sl], d) for d, sl in zip(dims, slices)]
     # y = 0 and S = xi I, with xi weighing the objective against the start

@@ -25,8 +25,8 @@ def sdp_solves(monkeypatch):
 
     seen = []
 
-    def recording(problem, *, start=None):
-        sol = sdp.solve_sdp(problem, start=start)
+    def recording(problem):
+        sol = sdp.solve_sdp(problem)
         seen.append((problem, sol))
         return sol
 

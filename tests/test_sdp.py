@@ -1,12 +1,17 @@
-"""Interior-point solver: closed-form oracles, duality certificates, lowering."""
+"""Interior-point solver: its start, closed-form oracles, duality certificates
+and lowering."""
 
 import numpy as np
 import pytest
 
 from renyimeat import sdp
+from renyimeat.channel_entropy import (ChannelEntropyProblem,
+                                       MarginalConstraint,
+                                       channel_cond_entropy)
 from renyimeat.errors import InfeasibleSpec, InvalidState, SolverFailure
+from renyimeat.marginals import _MarginalSet
 from renyimeat.registers import space
-from renyimeat.sampling import random_density, rng_from
+from renyimeat.sampling import random_channel, random_density, rng_from
 from renyimeat.sdp import (
     SdpProblem,
     block_stack,
@@ -173,7 +178,7 @@ def test_scalar_box():
     p.add_block("s", 1)
     p.add_objective("x", np.array([[1.0]]))
     p.add_eq_constraint({"x": np.array([[1.0]]), "s": np.array([[1.0]])}, 3.0)
-    sol = solve_sdp(p, start={"x": [[1.0]], "s": [[2.0]]})
+    sol = solve_sdp(p)
     assert sol.value == pytest.approx(3.0, abs=1e-7)
     assert sol.gap <= 1e-6
 
@@ -184,7 +189,7 @@ def test_top_eigenvalue_program():
     p.add_block("X", 3)
     p.add_objective("X", H)
     p.add_eq_constraint({"X": np.eye(3)}, 1.0)
-    sol = solve_sdp(p, start={"X": np.eye(3) / 3})
+    sol = solve_sdp(p)
     top = float(np.linalg.eigvalsh(H)[-1])
     assert sol.value == pytest.approx(top, abs=1e-7)
     assert sol.residuals["primal_eq"] < 1e-9
@@ -200,8 +205,7 @@ def test_psd_completion_oracle():
     p.add_block("L", 3)
     p.add_objective("L", psi)
     p.add_operator_inequality([("L", lambda E: E)], G, slack="S")
-    lam0 = (abs(np.linalg.eigvalsh(G)).max() + 1.0) * np.eye(3)
-    sol = solve_sdp(p, start={"L": lam0, "S": lam0 - G})
+    sol = solve_sdp(p)
     w = np.linalg.eigvalsh(G)
     want = 0.5 * float(np.sum(w[w > 0]))
     assert sol.value == pytest.approx(want, abs=1e-6)
@@ -210,19 +214,9 @@ def test_psd_completion_oracle():
     assert slack_eig > -1e-8
 
 
-def test_leq_inequality_lowering():
-    p = SdpProblem(sense="max")
-    p.add_block("X", 2)
-    p.add_objective("X", np.eye(2))
-    p.add_operator_inequality([("X", lambda E: E)], np.eye(2), slack="S",
-                              sense="<=")
-    sol = solve_sdp(p, start={"X": np.eye(2) / 2, "S": np.eye(2) / 2})
-    assert sol.value == pytest.approx(2.0, abs=1e-7)
-
-
 def dominance_program(seed):
     """min tr[psi L] s.t. L >= G, L >= 0 for random psi > 0 and G, with its
-    interior start and its optimum: L' = psi^{1/2} L psi^{1/2} turns it
+    optimum: L' = psi^{1/2} L psi^{1/2} turns it
     into min tr L' s.t. L' >= psi^{1/2} G psi^{1/2}, L' >= 0, whose optimum
     is the sum of the positive eigenvalues of psi^{1/2} G psi^{1/2}."""
     rng = rng_from(100 + seed)
@@ -234,18 +228,17 @@ def dominance_program(seed):
     p.add_block("L", n)
     p.add_objective("L", psi)
     p.add_operator_inequality([("L", lambda E: E)], G, slack="S")
-    lam0 = (abs(np.linalg.eigvalsh(G)).max() + 1.0) * np.eye(n)
     w, v = np.linalg.eigh(psi)
     root = (v * np.sqrt(w)) @ v.conj().T
     h = np.linalg.eigvalsh(root @ G @ root)
-    return p, {"L": lam0, "S": lam0 - G}, float(np.sum(h[h > 0]))
+    return p, float(np.sum(h[h > 0]))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_random_instances_certify_small_gaps(seed):
     """Paired primal/dual residuals on random dominance programs."""
-    p, start, _ = dominance_program(seed)
-    sol = solve_sdp(p, start=start)
+    p, _ = dominance_program(seed)
+    sol = solve_sdp(p)
     scale = max(1.0, abs(sol.value))
     assert sol.gap <= 1e-6 * scale
     assert sol.residuals["primal_eq"] <= 1e-8
@@ -294,10 +287,10 @@ def test_returned_dual_point_is_checked(case):
     rebuilt outside the solver, and the reported dual value and value
     bracket the closed-form optimum."""
     if case == "hmin":
-        p, start, opt = hmin_program(), {"X": 1.5 * np.eye(2)}, 2.0
+        p, opt = hmin_program(), 2.0
     else:
-        p, start, opt = dominance_program(int(case.split("-")[1]))
-    sol = solve_sdp(p, start=start)
+        p, opt = dominance_program(int(case.split("-")[1]))
+    sol = solve_sdp(p)
     scale = max(1.0, abs(sol.value))
     assert rebuilt_dual_slack_min_eig(p, sol.y) >= -1e-12 * scale
     assert sol.dual_value <= opt + 1e-12 * scale
@@ -316,7 +309,7 @@ def test_dependent_rows_are_dropped():
     p.add_objective("X", H)
     p.add_eq_constraint({"X": np.eye(3)}, 1.0)
     p.add_eq_constraint({"X": 2.0 * np.eye(3)}, 2.0)
-    sol = solve_sdp(p, start={"X": np.eye(3) / 3})
+    sol = solve_sdp(p)
     assert sol.value == pytest.approx(np.linalg.eigvalsh(H)[-1], abs=1e-8)
     assert len(sol.y) == 2 and np.count_nonzero(sol.y) == 1
     assert sol.gap <= sdp.GAP_TOL * max(1.0, abs(sol.value))
@@ -331,7 +324,7 @@ def test_unbounded_program_raises_with_diagnostics():
     p.add_objective("X", np.eye(2))
     p.add_eq_constraint({"X": np.diag([1.0, -1.0]), "s": np.eye(1)}, 1.0)
     with pytest.raises(SolverFailure) as err:
-        solve_sdp(p, start={"X": np.eye(2), "s": np.eye(1)})
+        solve_sdp(p)
     assert err.value.diagnostics["checked_min_eig_S"] is None
     assert err.value.diagnostics["iterations"] >= 1
 
@@ -346,25 +339,81 @@ def test_infeasible_equalities_detected():
         solve_sdp(p)
 
 
+def start_of(problem):
+    """The solver's start for ``problem``, block by block."""
+    names, dims, offs, A, b, _, _ = sdp._assemble(problem)
+    rows, LA = sdp._row_basis(A)
+    x0 = sdp._starting_point(A, b, A[rows], b[rows], LA,
+                             block_stack(tuple(dims)))
+    return sdp._split(x0, names, dims, offs)
+
+
 def test_boundary_only_feasibility_reported():
-    # tr X = 0 forces X = 0: no interior point exists
+    """tr X = 0 forces X = 0, so no interior point exists.  The identity
+    projects to about 1e-16 I, on which Cholesky succeeds: that counts as
+    positive definite, as it does for every iterate, so the solve starts
+    there, at the optimum, and certifies 0 without a step."""
     p = SdpProblem(sense="min")
     p.add_block("X", 2)
     p.add_objective("X", np.eye(2))
     p.add_eq_constraint({"X": np.eye(2)}, 0.0)
-    with pytest.raises(SolverFailure):
-        solve_sdp(p)
+    w = np.linalg.eigvalsh(start_of(p)["X"])
+    assert 0.0 < w[0] and w[-1] < 1e-15
+    sol = solve_sdp(p)
+    assert sol.iterations == 0
+    assert abs(sol.value) <= 1e-15 and sol.dual_value == 0.0
+    assert 0.0 <= sol.gap <= 1e-15
+    assert rebuilt_dual_slack_min_eig(p, sol.y) >= 0.0
 
 
-def test_start_validation():
+def test_start_is_the_identity_when_its_projection_is_not_positive():
+    """X_11 - X_22 = 4 projects the identity to diag(3, -1): the solve
+    starts from the identity itself, off the equality, and certifies the
+    optimum diag(4, 0) of min tr X."""
     p = SdpProblem(sense="min")
     p.add_block("X", 2)
     p.add_objective("X", np.eye(2))
-    p.add_eq_constraint({"X": np.eye(2)}, 1.0)
-    with pytest.raises(InvalidState):
-        solve_sdp(p, start={})
-    with pytest.raises(SolverFailure):
-        solve_sdp(p, start={"X": np.eye(2)})  # violates tr X = 1
+    p.add_eq_constraint({"X": np.diag([1.0, -1.0])}, 4.0)
+    np.testing.assert_array_equal(start_of(p)["X"], np.eye(2))
+    sol = solve_sdp(p)
+    assert sol.value == pytest.approx(4.0, abs=1e-8)
+    assert sol.gap <= sdp.GAP_TOL * max(1.0, abs(sol.value))
+    assert rebuilt_dual_slack_min_eig(p, sol.y) >= -1e-12 * sol.value
+
+
+@pytest.mark.parametrize("dims, pin", [((2, 3), 70), ((3, 2), 71),
+                                       ((2, 1), 72), ((2, 2), None)])
+def test_projected_start_of_a_pin_is_the_sets_interior_point(dims, pin):
+    """Tr_F rho = psi maps the identity to d_f 1, so projecting it onto the
+    pin gives psi (x) 1/d_f, the point ``_MarginalSet.start`` names (1/d
+    without a constraint, where the pin is tr rho = 1)."""
+    d_a, d_f = dims
+    inp = space(("A", d_a), ("F", d_f))
+    con = None if pin is None else MarginalConstraint(
+        "A", random_density(space(("A", d_a)), seed=pin))
+    mset = _MarginalSet(inp, con)
+    p = SdpProblem(sense="max")
+    p.add_block("rho", mset.dim)
+    mset.pin(p, "rho")
+    np.testing.assert_allclose(start_of(p)["rho"], mset.start(), rtol=0,
+                               atol=1e-12)
+
+
+def test_fidelity_program_certifies_from_the_identity(sdp_solves):
+    """The pinned-input fidelity program at order 1/2 (the instance of
+    ``check_pinned_input`` in the channel tests) projects the identity to a
+    point that is not positive definite, so it starts from the identity;
+    it still certifies to the target gap with a checked dual point."""
+    ch = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)), seed=21,
+                        kraus_rank=2)
+    con = MarginalConstraint("A", random_density(space(("A", 2)), seed=22))
+    channel_cond_entropy(ChannelEntropyProblem(ch, "T", 0.5, constraint=con))
+    ((p, sol),) = sdp_solves
+    for name, block in start_of(p).items():
+        np.testing.assert_array_equal(block, np.eye(p.blocks[name]))
+    scale = max(1.0, abs(sol.value))
+    assert sol.gap <= sdp.GAP_TOL * scale
+    assert rebuilt_dual_slack_min_eig(p, sol.y) >= -1e-12 * scale
 
 
 def test_operator_constraint_rows_match_the_adjoint_formula():
@@ -383,25 +432,6 @@ def test_operator_constraint_rows_match_the_adjoint_formula():
         want = np.real(B2.conj().T @ adj.reshape(-1))
         np.testing.assert_allclose(row["X"], want, rtol=0, atol=1e-14)
         assert rhs == pytest.approx(np.real(np.vdot(E, G)), abs=1e-14)
-
-
-def test_operator_inequality_derives_its_slack():
-    """The H_min program of ``hmin_program``: a start without the slack
-    block gets 1 (x) X0 - Phi+."""
-    P = phi_plus()
-    X0 = 1.5 * np.eye(2)
-    derived = solve_sdp(hmin_program(), start={"X": X0})
-    given = solve_sdp(hmin_program(), start={"X": X0,
-                                             "S": np.kron(np.eye(2), X0) - P})
-    assert derived.value == pytest.approx(2.0, abs=1e-7)
-    assert derived.value == given.value
-    assert derived.iterations == given.iterations
-    np.testing.assert_allclose(
-        derived.variables["S"],
-        np.kron(np.eye(2), derived.variables["X"]) - P, atol=1e-9)
-    # at X0 = 1/2 the derived slack 1/2 - Phi+ is not positive definite
-    with pytest.raises(SolverFailure):
-        solve_sdp(hmin_program(), start={"X": np.eye(2) / 2})
 
 
 def test_operator_equality_rejects_a_non_hermitian_map():
@@ -426,7 +456,7 @@ def test_operator_equality_rejects_a_map_of_the_wrong_shape():
 def covering_program():
     """A covering program with a 1x1 scale block and a slack block:
     min t over tr rho = 1, tr S = t and 1_2 (x) S >= V rho V^dag, with
-    blocks rho (2x2), S (2x2), t (1x1) and the 4x4 slack; and its start."""
+    blocks rho (2x2), S (2x2), t (1x1) and the 4x4 slack."""
     V = np.linalg.qr(random_hermitian(4, 12)[:, :2])[0]
     p = SdpProblem(sense="min")
     for name, dim in (("rho", 2), ("S", 2), ("t", 1)):
@@ -437,16 +467,16 @@ def covering_program():
     p.add_operator_inequality([("S", lambda S: np.kron(np.eye(2), S)),
                                ("rho", lambda r: -V @ r @ V.conj().T)],
                               np.zeros((4, 4)), slack="slack")
-    return p, {"rho": np.eye(2) / 2, "S": np.eye(2), "t": 2.0 * np.eye(1)}
+    return p
 
 
 def test_solver_calls_per_iteration_do_not_grow_with_the_blocks(monkeypatch):
     """One iteration factors and steps the whole block stack at once: at
     most 2 Cholesky and 4 ``eigvalsh`` calls per iteration on the 4 blocks
-    of the covering program.  Per solve come the start's check of each
-    block and A A^T's factor (Cholesky), and one lowest eigenvalue per
-    block in each certificate and in the returned residuals (eigvalsh)."""
-    p, start = covering_program()
+    of the covering program.  Per solve come A A^T's factor and the start's
+    check of the stack (Cholesky), and one lowest eigenvalue per block in
+    each certificate and in the returned residuals (eigvalsh)."""
+    p = covering_program()
     counts = dict.fromkeys(("cholesky", "eigvalsh", "certificates"), 0)
 
     def counted(fn, key):
@@ -461,9 +491,9 @@ def test_solver_calls_per_iteration_do_not_grow_with_the_blocks(monkeypatch):
                         counted(np.linalg.eigvalsh, "eigvalsh"))
     monkeypatch.setattr(sdp, "_certificate",
                         counted(sdp._certificate, "certificates"))
-    sol = solve_sdp(p, start=start)
+    sol = solve_sdp(p)
     k, it = len(p.blocks), sol.iterations
     assert k == 4 and it >= 5
     assert sol.gap <= sdp.GAP_TOL * max(1.0, abs(sol.value))
-    assert counts["cholesky"] <= 2 * it + k + 1
+    assert counts["cholesky"] <= 2 * it + 2
     assert counts["eigvalsh"] <= 4 * it + k * (counts["certificates"] + 1)
