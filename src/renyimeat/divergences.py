@@ -31,7 +31,8 @@ LN2 = math.log(2.0)
 #: orders within this window of 1 are evaluated with the a=1 formula
 NEAR_ONE_WINDOW = 1e-5
 
-#: orders within this distance of 1/2 are dispatched to the fidelity programs
+#: orders within this distance of 1/2 count as 1/2, whose dual order is
+#: infinity (the max-divergence)
 HALF_WINDOW = 1e-12
 
 #: relative cutoff of the operator-orthogonality predicate
@@ -79,7 +80,7 @@ class RenyiOrder:
 
     @property
     def is_half(self) -> bool:
-        """Within ``HALF_WINDOW`` of 1/2, where the fidelity SDPs apply."""
+        """Within ``HALF_WINDOW`` of 1/2, where the dual order is infinite."""
         return abs(self.value - 0.5) <= HALF_WINDOW
 
     def conjugate(self) -> "RenyiOrder":

@@ -18,7 +18,7 @@ of those.  :func:`cond_entropy_up` has no classical registers,
 entropies of :mod:`renyimeat.fweighted` add the tilt.  Each extremum is
 solved on the support of its conditioning marginal:
 
-- generic orders: a short damped fixed point of the first-order condition
+- every finite order: a short damped fixed point of the first-order condition
   sigma <- normalize(Tr_A[G^a]) with G(sigma) = (id (x) sigma^s) rho
   (id (x) sigma^s), s = (1-a)/(2a), started at the mean of the
   conditioning marginals, then L-BFGS on the chart sigma(H) = H H^dag /
@@ -32,10 +32,12 @@ solved on the support of its conditioning marginal:
   One evaluator per extremum (:class:`_SigmaEvaluator`) gives value,
   fixed-point update, gradient and width, and a sigma point costs one
   ``eigh`` of sigma and one per branch;
-- a = 1/2 and a = infinity: the root-fidelity and the max-divergence
-  covering programs of :mod:`renyimeat.marginals`, with each branch
-  operator entering as the image t -> t M_i of the one-point set; their
-  duality gaps give the width;
+- a = 1/2 runs that same solve.  Its dual order is b = infinity, where
+  H^up_1/2(A|B) = -H_min(A|C), so the bound from above is the
+  max-divergence D_max(psi_AC || id (x) tau) at the closed-form dual point;
+- a = infinity: the max-divergence covering program of
+  :mod:`renyimeat.marginals`, with each branch operator entering as the
+  image t -> t M_i of the one-point set; its duality gap gives the width;
 - a conditioning support of rank one, or the "down" variant: sigma is
   pinned and the value is a closed form.
 
@@ -58,8 +60,8 @@ import numpy as np
 from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      NotClassical, NotPure, UnsupportedOrder)
-from .marginals import (_covering_program, _fidelity_program, _flat,
-                        _InputChart, _lbfgs, _MarginalSet, _square)
+from .marginals import (_covering_program, _flat, _InputChart, _lbfgs,
+                        _MarginalSet, _square)
 from .registers import (EIG_CUT, State, bipartite_partial_trace,
                         embed_operator, herm_part, log_sum_exp,
                         support_isometry)
@@ -294,9 +296,15 @@ class _SigmaEvaluator:
         EIG_CUT like the objective; cutting X lowers ||X||_b, which raises
         the upper end for a > 1 and moves it by less than EIG_CUT^b for
         a < 1.
+
+        At a = 1/2 (every order within ``HALF_WINDOW`` of it) b is
+        infinite and the bound is its limit: ||X||_b becomes lambda_max(X),
+        and log2 z + log2 lambda_max(X) is D_max(psi_AC || id (x) tau).  It
+        is still an upper end, since H^up_1/2(A|B) = -H^up_inf(A|C) =
+        min_tau D_max(psi_AC || id (x) tau), which lies at or below D_max at
+        the tau built here.
         """
         a = self.alpha
-        beta = a / (2.0 * a - 1.0)
         parts = self._point(sigma)[4]
         if any(p is None for p in parts):
             return math.inf     # sigma misses a branch entirely
@@ -313,8 +321,11 @@ class _SigmaEvaluator:
                 for lx, (_, _, r, Z, _) in zip(logs_x, parts))
         xv = np.linalg.eigvalsh(herm_part(X))
         xtop = xv.max()
-        xv = xv[xv > EIG_CUT * xtop] / xtop
-        log2_norm = L + math.log2(xtop) + math.log2(np.sum(xv ** beta)) / beta
+        log2_norm = L + math.log2(xtop)
+        if not as_order(a).is_half:
+            beta = a / (2.0 * a - 1.0)
+            xv = xv[xv > EIG_CUT * xtop] / xtop
+            log2_norm += math.log2(np.sum(xv ** beta)) / beta
         up = _log2_sum(logs_z) + a / (1.0 - a) * log2_norm
         lo = -(log2_T - a * log2_c) / (a - 1.0)
         return max(up - lo, 0.0)
@@ -407,31 +418,16 @@ def _branch_programs(mats, d_q: int, d_b: int):
 def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
     """Extremized log2 T from one warm start; returns (log2_T, sigma, gap).
 
-    ``gap`` is the width of an interval holding the optimum, in entropy
-    units of the normalized block state.  At a = 1/2, T(sigma) is
-    sum_i w_i F(rho_i, id (x) sigma) with w_i = p_i^(1/2) and F the root
-    fidelity, and :func:`_fidelity_program` solves it: the optimum lies
-    below T_sdp + (duality gap), so the width is 2 log2((T_sdp + gap) / T)
-    for the larger T of the program and the spectral evaluation at its
-    sigma.  Otherwise :func:`_optimize_sigma` (fixed point, then L-BFGS on
-    the chart of the density operators) runs from the normalized mean of
-    the branch marginals and returns the duality interval at its sigma.
-    ``log2_probs`` are per-branch log2 weights *before* raising to the
-    power alpha; the solve sees alpha * log2_probs.
+    :func:`_optimize_sigma` (fixed point, then L-BFGS on the chart of the
+    density operators) runs from the normalized mean of the branch
+    marginals and returns the duality interval at its sigma, in entropy
+    units of the normalized block state; at a = 1/2 that interval closes
+    on the max-divergence of the dual order b = infinity
+    (:meth:`_SigmaEvaluator.width`).  ``log2_probs`` are per-branch log2
+    weights *before* raising to the power alpha; the solve sees
+    alpha * log2_probs.
     """
     ev = _SigmaEvaluator(branches, log2_probs, d_q, alpha)
-    if as_order(alpha).is_half:
-        weights = [2.0 ** (0.5 * lp) for lp in log2_probs]
-        log2_T, width, _, sigma = _fidelity_program(
-            *_branch_programs(branches, d_q, d_qp), weights)
-        upper = log2_T + width
-        # the spectral evaluation at the optimizer is an equally valid lower
-        # bound on the sup; keep whichever is larger
-        direct = ev.at(sigma)[0]
-        if np.isfinite(direct):
-            log2_T = max(log2_T, direct)
-        return log2_T, sigma, max(2.0 * (upper - log2_T), 0.0)
-
     mean = sum(bipartite_partial_trace(r, d_q, d_qp, 1) for r in branches)
     return _optimize_sigma(
         ev, mean / max(float(np.real(np.trace(mean))), 1e-300))
@@ -550,9 +546,9 @@ def cond_entropy_up(state: State, target, conditioning, alpha, *,
     width of the certified interval around the value ("gap"), and the
     method that ran: "unconditioned" and "spectral" (a = 1) are exact, and
     every other order is :func:`_two_sided_mix` without classical registers,
-    whose inner program is "sdp-fidelity" at a = 1/2, "sdp" (the covering
-    program) at a = infinity and "fixed-point" otherwise, where a short
-    fixed point warm-starts L-BFGS on the chart of the density operators
+    whose inner program is "sdp" (the covering program) at a = infinity and
+    "fixed-point" at every finite order, 1/2 included, where a short fixed
+    point warm-starts L-BFGS on the chart of the density operators
     (:func:`_optimize_sigma`); a conditioning marginal of rank one pins
     sigma, and that closed form runs under the same names.  Raises
     :class:`NonConvergence` when the width exceeds ``UP_GAP_TOL``.
@@ -575,8 +571,7 @@ def cond_entropy_up(state: State, target, conditioning, alpha, *,
     else:
         value, gap, sigmas = _two_sided_mix(rho, target, rest, [], [], a,
                                             _no_tilt, variant="up")
-        method = "sdp" if a.is_infinite else \
-            "sdp-fidelity" if a.is_half else "fixed-point"
+        method = "sdp" if a.is_infinite else "fixed-point"
         info = {"sigma": sigmas[()], "gap": gap, "method": method}
     return (value, info) if return_info else value
 

@@ -32,6 +32,7 @@ from renyimeat.errors import (InvalidRegister, NonConvergence, NotClassical,
 from renyimeat.fweighted import (TradeoffFunction, fweighted_cs_conditioned,
                                  fweighted_entropy, lme)
 from renyimeat.divergences import sandwiched_divergence
+from renyimeat.marginals import _fidelity_program
 from renyimeat.registers import (State, bipartite_partial_trace, herm_power,
                                  ket_state, space)
 from renyimeat.sampling import (random_cq_state, random_density,
@@ -194,7 +195,7 @@ def test_method_dispatch():
     _, info = cond_entropy_up(rho, ["A"], ["B"], "inf", return_info=True)
     assert info["method"] == "sdp"
     _, info = cond_entropy_up(rho, ["A"], ["B"], 0.5, return_info=True)
-    assert info["method"] == "sdp-fidelity"
+    assert info["method"] == "fixed-point"
     _, info = cond_entropy_up(rho, ["A"], ["B"], 2.0, return_info=True)
     assert info["method"] == "fixed-point"
     assert info["gap"] <= UP_GAP_TOL
@@ -246,18 +247,50 @@ def test_unsolved_sigma_raises_with_its_duality_gap(monkeypatch):
     assert UP_GAP_TOL < err.value.gap < math.inf
 
 
-def test_near_half_order_takes_the_sdp_route(monkeypatch):
+def test_near_half_order_takes_the_sigma_route(sigma_extrema, sdp_solves):
+    """An order within ``HALF_WINDOW`` of 1/2 runs the same sigma solve as
+    1/2 itself, one extremum and no root-fidelity program."""
     rho = random_density(space(("A", 2), ("B", 2)), seed=3)
     at_half = cond_entropy_up(rho, ["A"], ["B"], 0.5)
-    calls = []
-    sdp = entropies._fidelity_program
-    monkeypatch.setattr(entropies, "_fidelity_program",
-                        lambda *a: calls.append(a) or sdp(*a))
-    near, info = cond_entropy_up(rho, ["A"], ["B"], 0.5 + 1e-13,
-                                 return_info=True)
-    assert len(calls) == 1
-    assert info["method"] == "sdp-fidelity"
+    (near, info), seen = sigma_extrema(lambda: cond_entropy_up(
+        rho, ["A"], ["B"], 0.5 + 1e-13, return_info=True))
+    assert len(seen) == 1
+    assert not sdp_solves
+    assert info["method"] == "fixed-point"
     assert near == pytest.approx(at_half, abs=1e-9)
+
+
+HALF_STATES = {
+    "bell": bell,
+    "quarter": lambda: State(np.eye(4) / 4.0, space(("A", 2), ("B", 2))),
+    "cq": lambda: random_cq_state(space(("A", 2)), space(("B", 3)), seed=31),
+    **{f"{d_a}x4-rank{rank or 'full'}": (
+        lambda d_a=d_a, rank=rank: random_density(
+            space(("A", d_a), ("B", 4)), seed=30 + d_a, rank=rank))
+       for d_a in (2, 4) for rank in (1, 2, 3, None)},
+}
+
+
+@pytest.mark.parametrize("case", list(HALF_STATES))
+def test_sigma_route_matches_the_fidelity_program_at_half(
+        case, sigma_extrema, sdp_solves):
+    """At 1/2 the sigma solve and the root-fidelity program of the same
+    extremum, built directly, agree within the sum of their widths, and the
+    sigma solve makes no SDP (on the 16-dimensional states too).  Bell is
+    -1 and the maximally mixed 2x2 state 1."""
+    rho = HALF_STATES[case]()
+    (got, info), seen = sigma_extrema(lambda: cond_entropy_up(
+        rho, ["A"], ["B"], 0.5, return_info=True))
+    assert len(seen) == 1 and info["method"] == "fixed-point"
+    assert not sdp_solves
+    (want, oracle), _ = sigma_extrema(lambda: cond_entropy_up(
+        rho, ["A"], ["B"], 0.5, return_info=True), oracle=True)
+    assert len(sdp_solves) == 1
+    assert info["gap"] <= UP_GAP_TOL and oracle["gap"] <= UP_GAP_TOL
+    assert abs(got - want) <= info["gap"] + oracle["gap"]
+    exact = {"bell": -1.0, "quarter": 1.0}.get(case)
+    if exact is not None:
+        assert abs(got - exact) <= info["gap"] + 1e-12
 
 
 # ------------------------------------------------------- order and variants
@@ -527,9 +560,10 @@ def test_endpoint_programs_report_their_widths():
 
 @pytest.mark.parametrize("seed", [9, 10])
 def test_the_two_sdp_families_cross_check_on_a_purification(seed):
-    """H^up_1/2(A|B) is a fidelity program and H^up_inf(A|C) a covering
-    program on the purifying register C (of dimension 8); on a pure state
-    they sum to zero within the two returned widths."""
+    """H^up_1/2(A|B) is the sigma solve, whose bound from above is the
+    max-divergence of the dual order, and H^up_inf(A|C) a covering program
+    on the purifying register C (of dimension 8); on a pure state they sum
+    to zero within the two returned widths."""
     rho = random_density(space(("A", 2), ("B", 4)), seed=seed)
     half, i_half = cond_entropy_up(rho, ["A"], ["B"], 0.5, return_info=True)
     inf, i_inf = cond_entropy_up(rho.purified("C"), ["A"], ["C"], "inf",
@@ -681,12 +715,17 @@ def test_sigma_solve_eigendecomposition_budget(alpha, most, monkeypatch):
 @pytest.mark.parametrize("case", ["half-2x4", "inf-rho4"])
 def test_state_endpoint_programs_certify_within_the_iteration_budget(
         case, sdp_solves):
-    """Every program under H^up_1/2 of the largest state of the endpoint
-    workload and H^up_inf of the four-register cq state certifies to the
-    solver's target gap in at most 40 primal-dual iterations."""
+    """The root-fidelity program of H^up_1/2 on the largest state of the
+    endpoint workload (a 16 x 16 block and 130 rows, built directly, since
+    a state at 1/2 runs the sigma solve) and every program under H^up_inf
+    of the four-register cq state certify to the solver's target gap in at
+    most 40 primal-dual iterations."""
     if case == "half-2x4":
         rho = random_density(space(("A", 2), ("B", 4)), seed=9)
-        cond_entropy_up(rho, ["A"], ["B"], 0.5)
+        _fidelity_program(*entropies._branch_programs([rho.matrix], 2, 4),
+                          [1.0])
+        ((problem, _),) = sdp_solves
+        assert len(problem.constraints) == 130
     else:
         cond_entropy_up(four_register_state(), ["Q", "Cb"], ["Ch", "Qp"],
                         "inf")

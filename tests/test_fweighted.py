@@ -144,6 +144,22 @@ def test_fweighted_frozen(alpha, want):
     assert got == pytest.approx(want, abs=2e-9)
 
 
+def test_half_order_matches_its_per_outcome_fidelity_programs(
+        sigma_extrema):
+    """At 1/2 each public outcome's extremum over sigma, a tilted two-branch
+    sum, agrees with its root-fidelity program built directly within the
+    sum of the two widths, and so does the value within the widest sums."""
+    got, seen = sigma_extrema(lambda: fweighted_entropy(RHO4, F, 0.5, **KW))
+    want, oracle = sigma_extrema(lambda: fweighted_entropy(RHO4, F, 0.5, **KW),
+                                 oracle=True)
+    assert len(seen) == len(oracle) == 2
+    for (log2_T, width), (log2_T_sdp, width_sdp) in zip(seen, oracle):
+        assert width <= entropies.UP_GAP_TOL
+        assert 2.0 * abs(log2_T - log2_T_sdp) <= width + width_sdp
+    assert abs(got - want) <= max(w for _, w in seen) \
+        + max(w for _, w in oracle)
+
+
 def test_unsolved_sigma_raises_with_its_duality_gap(monkeypatch):
     def stop_at_start(ev, sigma0):
         log2_T = ev.at(sigma0)[0]

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from renyimeat import sdp
-from renyimeat.channel_entropy import (ChannelEntropyProblem,
-                                       MarginalConstraint,
-                                       channel_cond_entropy)
+from renyimeat.channel_entropy import MarginalConstraint
+from renyimeat.entropies import _branch_programs
 from renyimeat.errors import InfeasibleSpec, InvalidState, SolverFailure
-from renyimeat.marginals import _MarginalSet
+from renyimeat.marginals import _fidelity_program, _MarginalSet
 from renyimeat.registers import space
 from renyimeat.sampling import random_channel, random_density, rng_from
 from renyimeat.sdp import (
@@ -400,14 +399,17 @@ def test_projected_start_of_a_pin_is_the_sets_interior_point(dims, pin):
 
 
 def test_fidelity_program_certifies_from_the_identity(sdp_solves):
-    """The pinned-input fidelity program at order 1/2 (the instance of
-    ``check_pinned_input`` in the channel tests) projects the identity to a
-    point that is not positive definite, so it starts from the identity;
-    it still certifies to the target gap with a checked dual point."""
+    """The root-fidelity program at order 1/2 of the pinned-input instance
+    of ``check_pinned_input`` in the channel tests, built directly on the
+    channel output T | Y R (its Y R marginal has full rank): its identity
+    projects to a point that is not positive definite, so it starts from
+    the identity; it still certifies to the target gap with a checked dual
+    point."""
     ch = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)), seed=21,
                         kraus_rank=2)
-    con = MarginalConstraint("A", random_density(space(("A", 2)), seed=22))
-    channel_cond_entropy(ChannelEntropyProblem(ch, "T", 0.5, constraint=con))
+    psi = random_density(space(("A", 2)), seed=22)
+    out = ch.apply(psi.purified("R")).reorder(["T", "Y", "R"]).matrix
+    _fidelity_program(*_branch_programs([out], 2, 4), [1.0])
     ((p, sol),) = sdp_solves
     for name, block in start_of(p).items():
         np.testing.assert_array_equal(block, np.eye(p.blocks[name]))
