@@ -590,15 +590,22 @@ def verify_chain_rule(e1: Channel, e2: Channel, psi: State, phi: State,
                       alpha, *, target1, target2) -> float:
     """Slack of the chain rule on the wired composition: the entropy of
     ``e2 . e1`` with joint targets minus the sum of the single-round
-    entropies.  Nonnegative up to the certified widths of the three values.
+    entropies.
 
     ``psi`` and ``phi`` pin the marginals of the two rounds on the registers
     their spaces name; ``target2`` must survive the composition.
 
-    Measured on two all-pinned instances (seeded qubit A -> T1 X, then
-    X B -> T2, Kraus rank 2): the slack is 0.74-1.68 bits at orders 1/2,
-    0.75, 1, 2 and inf, at 0.03-1.2 s per call.  No instance with a free
-    input register has been measured.
+    What has been measured: on two all-pinned instances (seeded qubit
+    A -> T1 X, then X B -> T2, Kraus rank 2) the slack is 0.74-1.68 bits at
+    orders 1/2, 0.75, 1, 2 and inf, at 0.03-1.2 s per call.  With a free
+    input register it can be negative: two copies of a channel A F -> T
+    wired in parallel (round one applies the first copy and passes A_1 F_1
+    through, round two applies the second, A_0 and A_1 pinned to the same
+    state, F_0 and F_1 free) give a slack of -1.43e-3 at order 1/2, six
+    orders of magnitude beyond the widths of the three values, and zero
+    within those widths at 0.75 and 2.  That is twice the per-copy gap of
+    :func:`verify_weak_additivity` on the same channel.  The range of orders
+    over which the slack is nonnegative for partly pinned inputs is open.
     """
     target1 = as_labels(target1)
     target2 = as_labels(target2)

@@ -35,9 +35,12 @@ solved on the support of its conditioning marginal:
 - a = 1/2 runs that same solve.  Its dual order is b = infinity, where
   H^up_1/2(A|B) = -H_min(A|C), so the bound from above is the
   max-divergence D_max(psi_AC || id (x) tau) at the closed-form dual point;
-- a = infinity: the max-divergence covering program of
-  :mod:`renyimeat.marginals`, with each branch operator entering as the
-  image t -> t M_i of the one-point set; its duality gap gives the width;
+- a = infinity: the max-divergence form min{tr X : id (x) X >= w_i rho_i},
+  which by the same duality is the order-1/2 entropy of the complement:
+  the branches' purifications, stacked into one purification of the block
+  operator, give the single branch of that solve with no new
+  eigendecomposition, and sigma is its closed-form dual point
+  (:func:`_sup_sigma`).  No entropy of a state builds an SDP;
 - a conditioning support of rank one, or the "down" variant: sigma is
   pinned and the value is a closed form.
 
@@ -47,8 +50,12 @@ spectral.  Branch sums are carried in log space so that extreme weights
 
 Very large finite orders run the same solve.  On
 ``random_density(space(("A", 2), ("B", 3)), seed=s)`` for s = 4 and 5,
-H^up certifies at a = 1e3, 1e4 and 1e5 with widths below 1e-9, and
-a = infinity, one covering program, certifies at every size.
+H^up certifies at a = 1e3, 1e4 and 1e5 with widths below 1e-9.
+a = infinity certifies within 1e-9 on 2x2, 2x4, 4x4 and 2x8 states of
+ranks 1, 2 and full, in agreement with the covering program of
+:mod:`renyimeat.marginals` built directly (the tests' oracle), and on the
+64-dimensional output of two pinned channel copies in milliseconds, where
+that covering program takes minutes.
 """
 
 from __future__ import annotations
@@ -60,8 +67,7 @@ import numpy as np
 from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      NotClassical, NotPure, UnsupportedOrder)
-from .marginals import (_covering_program, _flat, _InputChart, _lbfgs,
-                        _MarginalSet, _square)
+from .marginals import _flat, _InputChart, _lbfgs, _square
 from .registers import (EIG_CUT, State, bipartite_partial_trace,
                         embed_operator, herm_part, log_sum_exp,
                         support_isometry)
@@ -163,14 +169,14 @@ def cond_entropy_down(state: State, target, conditioning, alpha) -> float:
 class _SigmaEvaluator:
     """The objective of one extremum over sigma, built once per extremum.
 
-    For branches rho_i on Q Q' (Q legs first) with log2 weights
-    log2 w_i = a log2 p_i, T(sigma) = sum_i w_i tr[G_i^a] with
-    G_i = (id_Q (x) sigma^s) rho_i (id_Q (x) sigma^s), s = (1-a)/(2a).
-    Branches of weight zero are dropped, and each rho_i is held by its
-    purification M_i = V_i Lambda_i^(1/2), shaped (Q, Q', K_i), and its
-    trace.  With phi_i = (id (x) sigma^s) M_i, G_i = phi_i phi_i^dag, the
-    K_i x K_i Gram matrix Gamma_i = phi_i^dag phi_i carries the nonzero
-    spectrum of G_i, and G_i^a = phi_i Gamma_i^(a-1) phi_i^dag.
+    For branches rho_i on Q Q' with log2 weights log2 w_i = a log2 p_i,
+    T(sigma) = sum_i w_i tr[G_i^a] with G_i = (id_Q (x) sigma^s) rho_i
+    (id_Q (x) sigma^s), s = (1-a)/(2a).  Each rho_i = M_i M_i^dag is given
+    by a purification M_i shaped (Q, Q', K_i) (:func:`_purifiers`), and
+    branches of weight zero are dropped.  With phi_i = (id (x) sigma^s) M_i,
+    G_i = phi_i phi_i^dag, the K_i x K_i Gram matrix Gamma_i =
+    phi_i^dag phi_i carries the nonzero spectrum of G_i, and
+    G_i^a = phi_i Gamma_i^(a-1) phi_i^dag.
 
     A sigma point costs one eigendecomposition of sigma (sigma^s, the
     support test for a > 1 and the Daleckii-Krein kernel of the gradient)
@@ -184,27 +190,22 @@ class _SigmaEvaluator:
     limit of log2 T / a.
     """
 
-    def __init__(self, branches, log2_probs, d_q: int, alpha: float):
+    def __init__(self, purifiers, log2_probs, alpha: float):
         self.alpha = alpha
         self.s = -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
-        self.d_qp = branches[0].shape[0] // d_q
-        self.M, self.log2_probs, self.traces = [], [], []
-        for rho, lp in zip(branches, log2_probs):
-            if lp == -math.inf:
-                continue
-            vals, vecs = np.linalg.eigh(rho)
-            keep = vals > EIG_CUT * max(vals.max(initial=0.0), 1e-300)
-            self.M.append((vecs[:, keep] * np.sqrt(vals[keep]))
-                          .reshape(d_q, self.d_qp, -1))
-            self.log2_probs.append(lp)
-            self.traces.append(float(np.sum(vals[keep])))
+        self.d_qp = purifiers[0].shape[1]
+        live = [(M, lp) for M, lp in zip(purifiers, log2_probs)
+                if lp != -math.inf]
+        self.M = [M for M, _ in live]
+        self.log2_probs = [lp for _, lp in live]
+        self.traces = [float(np.vdot(M, M).real) for M in self.M]
         self._last = None
 
     def _point(self, sigma):
         """Eigen-data of sigma and, per branch, (log2 p_i, log2 of the top
-        eigenvalue of Gamma_i, the kept eigenvalues over it, M_i U_i and
-        phi_i U_i on the kept modes), or None where sigma^s annihilates the
-        branch; kept for the last sigma seen."""
+        eigenvalue of Gamma_i, the kept eigenvalues over it, and U_i,
+        M_i U_i and phi_i U_i on the kept modes), or None where sigma^s
+        annihilates the branch; kept for the last sigma seen."""
         if self._last is not None and self._last[0] is sigma:
             return self._last[1]
         lam, V = np.linalg.eigh(herm_part(sigma))
@@ -223,8 +224,9 @@ class _SigmaEvaluator:
                 parts.append(None)
                 continue
             mk = mu > EIG_CUT * top
-            parts.append((lp, math.log2(top), mu[mk] / top, M @ U[:, mk],
-                          phi @ U[:, mk]))
+            U = U[:, mk]
+            parts.append((lp, math.log2(top), mu[mk] / top, U, M @ U,
+                          phi @ U))
         point = (lam, V, keep, pows, parts)
         self._last = (sigma, point)
         return point
@@ -253,7 +255,7 @@ class _SigmaEvaluator:
         logs = [a * (lp + lt) for lp, lt, *_ in live]
         L = max(logs)
         total = sum(2.0 ** (lg - L) * float(np.sum(r ** a))
-                    for lg, (_, _, r, _, _) in zip(logs, live))
+                    for lg, (_, _, r, *_) in zip(logs, live))
         log2_T = L + math.log2(total)
         upd = g = None
         if update or grad:
@@ -263,14 +265,14 @@ class _SigmaEvaluator:
         if update:
             upd = herm_part(sum(
                 c * np.einsum("qak,qbk->ab", Y * r ** (a - 1.0), Y.conj())
-                for c, (_, _, r, _, Y) in zip(coeffs, live)))
+                for c, (_, _, r, _, _, Y) in zip(coeffs, live)))
         if grad:
             # with W = id (x) sigma^s, d tr[G_i^a] =
             # 2a tr[Tr_Q[rho_i W G_i^(a-1)] d sigma^s], and
             # rho_i W G_i^(a-1) = M_i Gamma_i^(a-1) phi_i^dag
             g = herm_part(sum(
                 c * np.einsum("qak,qbk->ab", Z * r ** (a - 1.0), Y.conj())
-                for c, (_, _, r, Z, Y) in zip(coeffs, live)))
+                for c, (_, _, r, _, Z, Y) in zip(coeffs, live)))
             kernel = registers.divided_differences(
                 lam, pows, self.s * pows / np.where(keep, lam, 1.0),
                 keep[:, None] | keep[None, :])
@@ -312,13 +314,13 @@ class _SigmaEvaluator:
                   for lp, tr in zip(self.log2_probs, self.traces)]
         log2_c = _log2_sum(logs_c)
         logs_z = [a * (lp - log2_c + lt) + math.log2(np.sum(r ** a))
-                  for lp, lt, r, _, _ in parts]
+                  for lp, lt, r, *_ in parts]
         logs_x = [a * (lp - log2_c) + (a - 1.0) * lt
-                  for lp, lt, _, _, _ in parts]
+                  for lp, lt, *_ in parts]
         L = max(logs_x)
         X = sum(2.0 ** (lx - L)
                 * np.einsum("qak,qbk->ab", Z * r ** (a - 1.0), Z.conj())
-                for lx, (_, _, r, Z, _) in zip(logs_x, parts))
+                for lx, (_, _, r, _, Z, _) in zip(logs_x, parts))
         xv = np.linalg.eigvalsh(herm_part(X))
         xtop = xv.max()
         log2_norm = L + math.log2(xtop)
@@ -329,6 +331,14 @@ class _SigmaEvaluator:
         up = _log2_sum(logs_z) + a / (1.0 - a) * log2_norm
         lo = -(log2_T - a * log2_c) / (a - 1.0)
         return max(up - lo, 0.0)
+
+    def dual_point(self, sigma) -> np.ndarray:
+        """The point tau of :meth:`width` at sigma for a single branch,
+        P^a / tr[P^a] with P = conj(Gamma), on the branch's purifying
+        register K."""
+        ((_, _, r, U, _, _),) = self._point(sigma)[4]
+        ra = r ** self.alpha
+        return (U.conj() * ra) @ U.T / float(np.sum(ra))
 
 
 def _log2_sum(logs) -> float:
@@ -403,34 +413,62 @@ def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
     return data[1], data[0], last[1] if last[0] is data else ev.width(*data)
 
 
-def _branch_programs(mats, d_q: int, d_b: int):
-    """Fixed branch operators M_i on Q Q' in the terms of the SDP builders
-    of :mod:`renyimeat.marginals`: the one-point set {1} (a 1 x 1 block t
-    pinned to tr t = 1), the maps t -> t M_i, the map X -> 1_Q (x) X, and
-    the density operators on Q'."""
-    eye_q = np.eye(d_q)
-    return (_MarginalSet(registers.space(("_", 1)), None),
-            [lambda t, m=m: t[0, 0] * m for m in mats],
-            lambda X: np.kron(eye_q, X),
-            _MarginalSet(registers.space(("_", d_b)), None))
+def _purifiers(branches, d_q: int):
+    """Each density operator rho on Q Q' (Q legs first) as its purification
+    M = V Lambda^(1/2) on its kept eigenvectors, shaped (Q, Q', K); the
+    eigenvalues at or below EIG_CUT times the largest are cut."""
+    out = []
+    for rho in branches:
+        vals, vecs = np.linalg.eigh(rho)
+        keep = vals > EIG_CUT * max(vals.max(initial=0.0), 1e-300)
+        out.append((vecs[:, keep] * np.sqrt(vals[keep]))
+                   .reshape(d_q, rho.shape[0] // d_q, -1))
+    return out
 
 
-def _sup_sigma(branches, log2_probs, d_q, d_qp, alpha):
-    """Extremized log2 T from one warm start; returns (log2_T, sigma, gap).
+def _sup_sigma(purifiers, log2_probs, alpha):
+    """Extremized log2 T of one public outcome, from one warm start;
+    returns (log2_T, sigma, width), with log2_T at a = infinity its limit
+    log2 T / a.
 
-    :func:`_optimize_sigma` (fixed point, then L-BFGS on the chart of the
-    density operators) runs from the normalized mean of the branch
-    marginals and returns the duality interval at its sigma, in entropy
-    units of the normalized block state; at a = 1/2 that interval closes
-    on the max-divergence of the dual order b = infinity
+    At finite orders :func:`_optimize_sigma` (fixed point, then L-BFGS on
+    the chart of the density operators) runs from the normalized mean of
+    the branch marginals and returns the duality interval at its sigma, in
+    entropy units of the normalized block state; at a = 1/2 that interval
+    closes on the max-divergence of the dual order b = infinity
     (:meth:`_SigmaEvaluator.width`).  ``log2_probs`` are per-branch log2
     weights *before* raising to the power alpha; the solve sees
     alpha * log2_probs.
+
+    At a = infinity the extremum is min{tr X : id_Q (x) X >= w_i M_i
+    M_i^dag for every i} = tr Omega 2^(-H_min(I Q | Q')) of the block
+    operator Omega = (+)_i w_i M_i M_i^dag, I the branch index.  The
+    sqrt(w_i) M_i stacked on (I Q, Q', (+)_i K_i) purify Omega, so by
+    duality it is tr Omega 2^(H^up_1/2(I Q | K)), and that array with its
+    Q' and K axes swapped is the one branch of the 1/2 solve, started from
+    its diagonal K-marginal (+)_i w_i Lambda_i.  The sigma returned, on Q',
+    is that solve's closed-form dual point, the optimal X / tr X, and the
+    value is log2 tr X at it: the upper end of the 1/2 solve's interval, so
+    that, as at every order, the entropy is the objective at the returned
+    sigma and the lower end of its interval.
     """
-    ev = _SigmaEvaluator(branches, log2_probs, d_q, alpha)
-    mean = sum(bipartite_partial_trace(r, d_q, d_qp, 1) for r in branches)
-    return _optimize_sigma(
-        ev, mean / max(float(np.real(np.trace(mean))), 1e-300))
+    if not math.isinf(alpha):
+        ev = _SigmaEvaluator(purifiers, log2_probs, alpha)
+        mean = sum(np.einsum("qak,qbk->ab", M, M.conj()) for M in ev.M)
+        return _optimize_sigma(
+            ev, mean / max(float(np.real(np.trace(mean))), 1e-300))
+    shift = max(log2_probs)
+    d_q, d_qp = purifiers[0].shape[:2]
+    ks = np.cumsum([0] + [M.shape[2] for M in purifiers])
+    block = np.zeros((len(purifiers) * d_q, ks[-1], d_qp), dtype=complex)
+    for i, (M, lp) in enumerate(zip(purifiers, log2_probs)):
+        block[i * d_q:(i + 1) * d_q, ks[i]:ks[i + 1]] = \
+            2.0 ** (0.5 * (lp - shift)) * M.transpose(0, 2, 1)
+    ev = _SigmaEvaluator([block], [0.0], 0.5)
+    k_marginal = np.sum(np.abs(block) ** 2, axis=(0, 2))
+    log2_T, sig, width = _optimize_sigma(
+        ev, np.diag(k_marginal / np.sum(k_marginal)).astype(complex))
+    return shift + 2.0 * log2_T + width, ev.dual_point(sig), width
 
 
 # ------------------------------------------------ the two-sided mixture
@@ -468,12 +506,13 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
     Branch (cs, cp) enters the inner extremum of its public outcome cp with
     log2 weight log2 p(cs|cp) + ((a-1)/a) tilt(cs, cp), where (a-1)/a -> 1
     at a = infinity.  Per public outcome the extremum over sigma is solved
-    by :func:`_sup_sigma` at finite orders and by the covering program
-    :func:`_covering_program` at a = infinity (the max-divergence form
-    -log2 sum_cp p(cp) min{tr X : id (x) X >= p(cs|cp) 2^tilt rho_cs,cp}).
-    The value is a quasi-arithmetic mean of the per-outcome entropies, so it
-    moves by at most the widest per-outcome interval; a width above
-    ``UP_GAP_TOL`` raises :class:`NonConvergence`.
+    by :func:`_sup_sigma` at every order; at a = infinity it is the
+    max-divergence form -log2 sum_cp p(cp) min{tr X : id (x) X >=
+    p(cs|cp) 2^tilt rho_cs,cp}, which :func:`_sup_sigma` solves as the
+    order-1/2 entropy of the complement.  The value is a quasi-arithmetic
+    mean of the per-outcome entropies, so it moves by at most the widest
+    per-outcome interval; a width above ``UP_GAP_TOL`` raises
+    :class:`NonConvergence`.
     ``variant="down"`` pins sigma to the conditional marginal of Q' instead;
     at a = infinity that is the closed form
     -log2 sum_cp p(cp) max_cs p(cs|cp) 2^tilt
@@ -505,24 +544,19 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
         margs = [bipartite_partial_trace(m, d_q, d_p, 1) for m in branches]
         V = support_isometry(sum(margs))
         W = np.kron(np.eye(d_q), V)
-        red = [herm_part(W.conj().T @ m @ W) for m in branches]
-        r = V.shape[1]
-        width = 0.0
-        if variant == "down" or r == 1:
+        pur = _purifiers([herm_part(W.conj().T @ m @ W) for m in branches],
+                         d_q)
+        if variant == "down" or V.shape[1] == 1:
             # sigma pinned to the conditional marginal of this group; its
             # support covers every branch, so the pseudo-powers lose nothing
             sig = sum(w / p_outer * (V.conj().T @ m @ V)
                       for (_, w, _), m in zip(entries, margs))
             sig = herm_part(sig) / float(np.real(np.trace(sig)))
-            log2_t = _SigmaEvaluator(red, log2_p, d_q, a.value).at(sig)[0]
-            if not a.is_infinite:
-                log2_t /= a.value
-        elif a.is_infinite:
-            log2_t, width, _, sig = _covering_program(*_branch_programs(
-                [2.0 ** lw * m for m, lw in zip(red, log2_p)], d_q, r))
+            log2_T = _SigmaEvaluator(pur, log2_p, a.value).at(sig)[0]
+            width = 0.0
         else:
-            log2_T, sig, width = _sup_sigma(red, log2_p, d_q, r, a.value)
-            log2_t = log2_T / a.value
+            log2_T, sig, width = _sup_sigma(pur, log2_p, a.value)
+        log2_t = log2_T if a.is_infinite else log2_T / a.value
         widths.append(width)
         sigmas[outer] = V @ sig @ V.conj().T
         outer_logs.append(math.log2(p_outer) + log2_t)
@@ -545,13 +579,13 @@ def cond_entropy_up(state: State, target, conditioning, alpha, *,
     the optimal conditioning state (on the conditioning registers), the
     width of the certified interval around the value ("gap"), and the
     method that ran: "unconditioned" and "spectral" (a = 1) are exact, and
-    every other order is :func:`_two_sided_mix` without classical registers,
-    whose inner program is "sdp" (the covering program) at a = infinity and
-    "fixed-point" at every finite order, 1/2 included, where a short fixed
-    point warm-starts L-BFGS on the chart of the density operators
-    (:func:`_optimize_sigma`); a conditioning marginal of rank one pins
-    sigma, and that closed form runs under the same names.  Raises
-    :class:`NonConvergence` when the width exceeds ``UP_GAP_TOL``.
+    every other order is "fixed-point", :func:`_two_sided_mix` without
+    classical registers, where a short fixed point warm-starts L-BFGS on
+    the chart of the density operators (:func:`_optimize_sigma`), at
+    a = infinity on the order-1/2 complement (:func:`_sup_sigma`); a
+    conditioning marginal of rank one pins sigma, and that closed form runs
+    under the same name.  Raises :class:`NonConvergence` when the width
+    exceeds ``UP_GAP_TOL``.
     """
     a = as_order(alpha)
     rho = _marginal_pair(state, target, conditioning)
@@ -571,8 +605,7 @@ def cond_entropy_up(state: State, target, conditioning, alpha, *,
     else:
         value, gap, sigmas = _two_sided_mix(rho, target, rest, [], [], a,
                                             _no_tilt, variant="up")
-        method = "sdp" if a.is_infinite else "fixed-point"
-        info = {"sigma": sigmas[()], "gap": gap, "method": method}
+        info = {"sigma": sigmas[()], "gap": gap, "method": "fixed-point"}
     return (value, info) if return_info else value
 
 
@@ -625,8 +658,9 @@ def two_sided_classmix(state: State, *, target, conditioning,
                         || id_Q (x) sigma)} ]^{1/a}
 
     with the inner optimization a minimum for a > 1 and a maximum for a < 1.
-    a = infinity is its limit, one max-divergence covering program per
-    conditioning outcome; a = 1 coincides with the von Neumann value.
+    a = infinity is its limit, one max-divergence extremum per conditioning
+    outcome, solved as the order-1/2 entropy of its complement
+    (:func:`_sup_sigma`); a = 1 coincides with the von Neumann value.
     """
     a = as_order(alpha)
     rho, q_labels, qp_labels, classical_target, classical_cond = \

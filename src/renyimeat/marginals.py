@@ -7,15 +7,17 @@ in restricted coordinates, and is the feasible set of every channel entropy
 program in :mod:`renyimeat.channel_entropy`.
 
 Every entropy SDP of the package is one of two builders over such sets:
-the max-divergence covering program (:func:`_covering_program`: H^up_inf
-of a state, the channel entropy at order 1/2, the minimized divergence at
-order inf) and the root-fidelity program in Watrous's block form
+the max-divergence covering program (:func:`_covering_program`: the
+channel entropy at order 1/2, the minimized divergence at order inf) and
+the root-fidelity program in Watrous's block form
 (:func:`_fidelity_program`: the channel entropy at order inf).  A state's
-H^up_1/2 runs the sigma solve of :mod:`renyimeat.entropies` instead.  A
-state's fixed branch operators M_i enter either builder as the images
+H^up runs the sigma solve of :mod:`renyimeat.entropies` at every order,
+1/2 and inf included, so no state quantity builds an SDP.  A state's fixed
+branch operators M_i can still enter either builder as the images
 t -> t M_i of the one-point set ``_MarginalSet(space(("_", 1)), None)``,
 whose 1 x 1 block is pinned to tr t = 1; the tests build the fidelity
-program of a state's H^up_1/2 that way as an independent check.
+program of a state's H^up_1/2 and the covering program of its H^up_inf
+that way as independent checks.
 
 Every smooth program over such a set runs :func:`_lbfgs` on its chart
 :class:`_InputChart`, a map of square matrices G onto the set: the channel

@@ -30,13 +30,13 @@ Cholesky fails on a block of x0 (the test every iterate passes, so a
 block at rounding level above zero counts as positive definite), the
 start is e itself, off the equalities, and the primal residual r_p of the
 step equations takes the iterates back to them.  The traced endpoint
-workload (``bench/run.py --workload endpoint-sdp --trace 1``, 17 solves)
-takes 162 / 159 / 163 Newton steps at seeds 0 / 1 / 2 from this start;
-one of its solves starts from e, the order-1/2 covering program of the
-pinned 4-dimensional channel input at seed 1.  When a state's H^up_1/2
-was still a fidelity program the workload made 28 solves and took
-260 / 255 / 269 steps, against 261 / 265 / 267 from strictly feasible
-starts written per builder.
+workload (``bench/run.py --workload endpoint-sdp --trace 1``, 13 solves,
+none for a state) takes 122 / 122 / 124 Newton steps at seeds 0 / 1 / 2
+from this start; one of its solves starts from e, the order-1/2 covering
+program of the pinned 4-dimensional channel input at seed 1.  When a
+state's H^up_1/2 and H^up_inf were still SDPs the workload made 28 solves
+and took 260 / 255 / 269 steps, against 261 / 265 / 267 from strictly
+feasible starts written per builder.
 
 Stopping rule and certificate.  An iterate is checked once
 |c.x - b.y| <= ``GAP_CEILING`` times the value scale max(1, |c.x|) and
@@ -50,8 +50,9 @@ If the iterates stall (no halving of max(mu, residuals) in ``STALL_ITER``
 iterations), lose positive definiteness or reach ``MAX_ITER``, the best
 checked point is returned if its gap is below ``GAP_CEILING`` times the
 scale, else :class:`SolverFailure` is raised.  ``GAP_TOL`` is 1e-9: the
-exact anchors of the test suite (H^up_inf = -1 on a Bell pair, to 1e-9)
-need it, and reaching it costs one or two iterations more than 1e-8.
+exact anchors of the test suite needed it while a state's H^up_inf was a
+covering program (-1 on a Bell pair, to 1e-9), and reaching it costs one
+or two iterations more than 1e-8.
 
 Schur complement.  Eliminating dS and dX leaves (A K A^T) dy = rhs with K
 the matrix of E -> sym(X E S^{-1}).  A K A^T is never formed: it is F F^T
@@ -101,12 +102,13 @@ keeps exact block sizes: the Schur square-root factor, built per block
 from the unpadded rows (padded rows would widen it from m x 2N to
 m x 2 k n_max^2), and the certificate.  On the 2x2 state of the endpoint
 workload (seed 2004), ``solve_sdp`` takes 9.6-9.8 ms median (9
-iterations) on the root-fidelity program of its H^up_1/2, built directly
-(``_fidelity_program`` of ``entropies._branch_programs``; the public call
-runs the sigma solve), and 9.2-9.5 ms under H^up_inf (12 iterations);
-single-thread BLAS, three runs of 40 calls each.  When the stack came in,
-the same two programs took 16.4-20.5 ms and 16.1-24.6 ms with one kernel
-call per block, against 10.1-12.2 ms and 9.4-10.6 ms with the stack.
+iterations) on the root-fidelity program of its H^up_1/2 and 9.2-9.5 ms
+on the covering program of its H^up_inf (12 iterations), both built
+directly from the state's branch operators (the public calls run the
+sigma solve at both orders); single-thread BLAS, three runs of 40 calls
+each.  When the stack came in, the same two programs took 16.4-20.5 ms
+and 16.1-24.6 ms with one kernel call per block, against 10.1-12.2 ms and
+9.4-10.6 ms with the stack.
 
 BLAS threads: the step systems are too small for a BLAS thread pool to
 pay off.  With the default OpenBLAS pool on a 2-core machine, the
@@ -114,8 +116,9 @@ root-fidelity program of H^up_1/2 of the 2x4 state of the endpoint
 workload, built directly (a 16 x 16 block and 130 rows), takes
 0.035-0.070 s wall and 0.070-0.105 s CPU per call, against 0.036-0.045 s
 of both with ``OPENBLAS_NUM_THREADS=1`` (six runs of 20 calls each), so
-set that variable where cores are shared.  H^up_inf of the same state,
-whose largest block is 8 x 8, takes 0.017-0.018 s of both with the pool.
+set that variable where cores are shared.  The covering program of
+H^up_inf of the same state, built directly, whose largest block is 8 x 8,
+takes 0.017-0.018 s of both with the pool.
 Small triangular solves and QR with the default blocking are the worst
 cases (up to 30 times slower threaded), so the solver factors F^T with
 narrow-panel dgeqrt and calls LAPACK's trtrs directly for its triangular

@@ -23,14 +23,14 @@ from renyimeat.channel_entropy import (
     verify_chain_rule,
     verify_weak_additivity,
 )
-from renyimeat.channels import Channel
+from renyimeat.channels import Channel, identity_channel
 from renyimeat.divergences import as_order, sandwiched_divergence
 from renyimeat.entropies import (alpha_entropy, cond_entropy_up,
                                  von_neumann_entropy)
 from renyimeat.errors import NonConvergence
 from renyimeat.registers import RegisterSpace, State, space
 from renyimeat.sampling import random_channel, random_density
-from renyimeat import sdp
+from renyimeat import channel_entropy, sdp
 from renyimeat.sdp import SdpProblem, solve_sdp
 
 HALF = 0.5
@@ -352,7 +352,7 @@ def test_conjugate_divergence_above_order_one_is_certified():
     assert abs(res.value - conj) <= res.gap + 1e-6 * max(1.0, abs(conj))
 
 
-@pytest.mark.parametrize("alpha", [HALF, 2.0])
+@pytest.mark.parametrize("alpha", [HALF, 2.0, "inf"])
 def test_weak_additivity_gap_vanishes(alpha):
     e = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)), seed=12,
                        kraus_rank=2)
@@ -400,6 +400,39 @@ def test_free_register_breaks_weak_additivity_at_half():
               + von_neumann_entropy(rho.marginal(["A_1", "F_1"]).matrix)
               - von_neumann_entropy(rho.matrix))
     assert mutual > 0.05
+
+
+@pytest.mark.parametrize("alpha", [HALF, 0.75, 2.0])
+def test_chain_rule_with_a_free_register(alpha, monkeypatch):
+    """The parallel wiring of two copies of a channel A F -> T whose input
+    register F is free: round one applies the first copy and passes A_1 F_1
+    through, round two applies the second copy, and A_0, A_1 are pinned to
+    the same psi.  At 1/2 the slack is about -1.43e-3, far below the widths
+    of the three values, so the chain rule fails there; at 0.75 and 2 it is
+    zero within them."""
+    results = []
+
+    def recording(problem):
+        results.append(channel_cond_entropy(problem))
+        return results[-1]
+
+    monkeypatch.setattr(channel_entropy, "channel_cond_entropy", recording)
+    e = random_channel(space(("A", 2), ("F", 2)), space(("T", 2)), seed=12,
+                       kraus_rank=2)
+    psi = random_density(space(("A", 2)), seed=13)
+    copies = [e.renamed({l: f"{l}{i}" for l in ("A", "F", "T")})
+              for i in range(2)]
+    e1 = copies[0].tensor(identity_channel(space(("A1", 2), ("F1", 2))))
+    slack = verify_chain_rule(e1, copies[1],
+                              State(psi.matrix, space(("A0", 2))),
+                              State(psi.matrix, space(("A1", 2))), alpha,
+                              target1=["T0"], target2=["T1"])
+    assert len(results) == 3
+    if alpha == HALF:
+        assert slack < -1e-3
+        assert max(r.gap for r in results) <= 1e-8
+    else:
+        assert abs(slack) <= sum(r.gap for r in results)
 
 
 @pytest.mark.parametrize("seed", [50, 60])

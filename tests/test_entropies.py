@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import _branch_programs
 from renyimeat import entropies, fweighted, sdp
 from renyimeat.entropies import (
     UP_GAP_TOL,
@@ -32,7 +33,7 @@ from renyimeat.errors import (InvalidRegister, NonConvergence, NotClassical,
 from renyimeat.fweighted import (TradeoffFunction, fweighted_cs_conditioned,
                                  fweighted_entropy, lme)
 from renyimeat.divergences import sandwiched_divergence
-from renyimeat.marginals import _fidelity_program
+from renyimeat.marginals import _covering_program, _fidelity_program
 from renyimeat.registers import (State, bipartite_partial_trace, herm_power,
                                  ket_state, space)
 from renyimeat.sampling import (random_cq_state, random_density,
@@ -193,7 +194,7 @@ def test_alpha_one_is_the_von_neumann_difference():
 def test_method_dispatch():
     rho = random_density(space(("A", 2), ("B", 2)), seed=3)
     _, info = cond_entropy_up(rho, ["A"], ["B"], "inf", return_info=True)
-    assert info["method"] == "sdp"
+    assert info["method"] == "fixed-point"
     _, info = cond_entropy_up(rho, ["A"], ["B"], 0.5, return_info=True)
     assert info["method"] == "fixed-point"
     _, info = cond_entropy_up(rho, ["A"], ["B"], 2.0, return_info=True)
@@ -291,6 +292,59 @@ def test_sigma_route_matches_the_fidelity_program_at_half(
     exact = {"bell": -1.0, "quarter": 1.0}.get(case)
     if exact is not None:
         assert abs(got - exact) <= info["gap"] + 1e-12
+
+
+INF_STATES = {
+    **{f"{d_a}x{d_b}-rank{rank or 'full'}-seed{seed}": (
+        lambda d_a=d_a, d_b=d_b, rank=rank, seed=seed: (random_density(
+            space(("A", d_a), ("B", d_b)), seed=seed, rank=rank),
+            ["A"], ["B"]))
+       for d_a, d_b in ((2, 2), (2, 4), (4, 4), (2, 8))
+       for rank in (1, 2, None) for seed in (9, 11)},
+    "cq": lambda: (random_cq_state(space(("A", 2)), space(("B", 3)), seed=31),
+                   ["A"], ["B"]),
+    "rho4": lambda: (four_register_state(), ["Q", "Cb"], ["Ch", "Qp"]),
+}
+
+
+@pytest.mark.parametrize("case", list(INF_STATES))
+def test_sigma_route_matches_the_covering_program_at_inf(
+        case, sigma_extrema, sdp_solves):
+    """At infinity the sigma solve at 1/2 on the complement and the
+    covering program of the same extremum, built directly, agree within the
+    sum of their widths, and the sigma solve makes no SDP.  The returned
+    sigma is the closed-form dual point, at which -D_max(rho || 1 (x) sigma)
+    is the value."""
+    rho, target, cond = INF_STATES[case]()
+    (got, info), seen = sigma_extrema(lambda: cond_entropy_up(
+        rho, target, cond, "inf", return_info=True))
+    assert len(seen) == 1 and info["method"] == "fixed-point"
+    assert not sdp_solves
+    (want, oracle), _ = sigma_extrema(lambda: cond_entropy_up(
+        rho, target, cond, "inf", return_info=True), oracle=True)
+    assert len(sdp_solves) == 1
+    assert info["gap"] <= UP_GAP_TOL and oracle["gap"] <= UP_GAP_TOL
+    assert abs(got - want) <= info["gap"] + oracle["gap"]
+    d_t = rho.matrix.shape[0] // info["sigma"].shape[0]
+    at_sigma = -sandwiched_divergence(
+        rho.matrix, np.kron(np.eye(d_t), info["sigma"]), "inf")
+    assert at_sigma == pytest.approx(got, abs=1e-12)
+
+
+def test_state_entropies_at_inf_make_no_sdp(sdp_solves):
+    """No state quantity at infinity builds an SDP: H^up, the classical
+    mixtures and the f-weighted entropy all run the sigma solve."""
+    cab = cab_state()
+    rho = four_register_state()
+    f = TradeoffFunction([0, 1], [0, 1], [[0.2, -0.4], [0.7, 0.1]])
+    kw = dict(target=["Q", "Cb"], conditioning=["Ch", "Qp"],
+              classical_target=["Cb"], classical_cond=["Ch"])
+    cond_entropy_up(cab, ["A"], ["B"], "inf")
+    cond_entropy_up(rho, ["Q", "Cb"], ["Ch", "Qp"], "inf")
+    classmix_up(cab, ["A"], ["C", "B"], ["C"], "inf")
+    two_sided_classmix(rho, alpha="inf", **kw)
+    fweighted_entropy(rho, f, "inf", **kw)
+    assert not sdp_solves
 
 
 # ------------------------------------------------------- order and variants
@@ -518,11 +572,11 @@ def test_every_optimized_entropy_runs_the_two_sided_mixture(monkeypatch,
     """One call of the mixture per public call, and the inner programs run
     only inside it."""
     callers = []
-    for name in ("_sup_sigma", "_covering_program"):
-        def inner(*args, _fn=getattr(entropies, name)):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return _fn(*args)
-        monkeypatch.setattr(entropies, name, inner)
+    def inner(*args, _fn=entropies._sup_sigma):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return _fn(*args)
+
+    monkeypatch.setattr(entropies, "_sup_sigma", inner)
     cab = cab_state()
     rho = four_register_state()
     f = TradeoffFunction([0, 1], [0, 1], [[0.2, -0.4], [0.7, 0.1]])
@@ -544,31 +598,38 @@ def test_every_optimized_entropy_runs_the_two_sided_mixture(monkeypatch,
 
 
 def test_endpoint_programs_report_their_widths():
-    """At 1/2 and infinity the width comes from the programs' duality gaps:
-    positive, and on a pure state H^up_1/2(A|B) + H^up_inf(A|C) = 0 holds
-    within the sum of the two."""
+    """At 1/2 and infinity the sigma solve reports a positive width, and so
+    does the covering program of H^up_inf(A|C), built directly; on a pure
+    state H^up_1/2(A|B) + H^up_inf(A|C) = 0 holds within the sum of the
+    two widths, with H^up_inf from either route, and both routes at
+    infinity agree within theirs."""
     for seed in range(3):
         psi = random_pure(space(("A", 2), ("B", 2), ("C", 2)), seed=seed)
         half, i_half = cond_entropy_up(psi, ["A"], ["B"], 0.5,
                                        return_info=True)
         inf, i_inf = cond_entropy_up(psi, ["A"], ["C"], "inf",
                                      return_info=True)
+        log2_t, width, _, _ = _covering_program(*_branch_programs(
+            [psi.marginal(["A", "C"]).matrix], 2, 2))
         assert 0.0 < i_half["gap"] <= UP_GAP_TOL
         assert 0.0 < i_inf["gap"] <= UP_GAP_TOL
+        assert 0.0 < width <= UP_GAP_TOL
         assert abs(half + inf) <= i_half["gap"] + i_inf["gap"]
+        assert abs(half - log2_t) <= i_half["gap"] + width
+        assert abs(inf + log2_t) <= i_inf["gap"] + width
 
 
 @pytest.mark.parametrize("seed", [9, 10])
 def test_the_two_sdp_families_cross_check_on_a_purification(seed):
     """H^up_1/2(A|B) is the sigma solve, whose bound from above is the
-    max-divergence of the dual order, and H^up_inf(A|C) a covering program
-    on the purifying register C (of dimension 8); on a pure state they sum
-    to zero within the two returned widths."""
+    max-divergence of the dual order, and H^up_inf(A|C) the covering program
+    on the purifying register C (of dimension 8), built directly; on a pure
+    state they sum to zero within the two widths."""
     rho = random_density(space(("A", 2), ("B", 4)), seed=seed)
     half, i_half = cond_entropy_up(rho, ["A"], ["B"], 0.5, return_info=True)
-    inf, i_inf = cond_entropy_up(rho.purified("C"), ["A"], ["C"], "inf",
-                                 return_info=True)
-    assert abs(half + inf) <= i_half["gap"] + i_inf["gap"]
+    log2_t, width, _, _ = _covering_program(*_branch_programs(
+        [rho.purified("C").marginal(["A", "C"]).matrix], 2, 8))
+    assert abs(half - log2_t) <= i_half["gap"] + width
 
 
 def test_orders_above_the_ladder_threshold():
@@ -607,7 +668,8 @@ def test_sigma_gradient_matches_central_differences(alpha):
     sp = space(("Q", 2), ("P", 3))
     branches = [random_density(sp, seed=31).matrix,
                 2.0 ** (50.0 / alpha) * random_density(sp, seed=32).matrix]
-    ev = entropies._SigmaEvaluator(branches, [0.0, -50.0 / alpha], 2, alpha)
+    ev = entropies._SigmaEvaluator(entropies._purifiers(branches, 2),
+                                   [0.0, -50.0 / alpha], alpha)
     sigma = random_density(space(("P", 3)), seed=33).matrix
     grad = ev.at(sigma, grad=True)[2]
     rng = np.random.default_rng(34)
@@ -633,7 +695,8 @@ def test_sigma_evaluator_matches_a_direct_construction(alpha):
     branches = [random_density(sp, seed=41).matrix,
                 random_density(sp, seed=42).matrix]
     sigma = random_density(space(("P", 3)), seed=43).matrix
-    ev = entropies._SigmaEvaluator(branches, list(np.log2(p)), 2, alpha)
+    ev = entropies._SigmaEvaluator(entropies._purifiers(branches, 2),
+                                   list(np.log2(p)), alpha)
     log2_T, update, _ = ev.at(sigma, update=True)
 
     omega = np.zeros((12, 12), dtype=complex)
@@ -658,7 +721,7 @@ def test_sigma_evaluator_detects_a_missed_support():
     the pseudo-powers alone would drop that weight and report a finite
     value."""
     rho = random_density(space(("Q", 2), ("P", 3)), seed=44).matrix
-    ev = entropies._SigmaEvaluator([rho], [0.0], 2, 2.0)
+    ev = entropies._SigmaEvaluator(entropies._purifiers([rho], 2), [0.0], 2.0)
     assert ev.at(np.diag([0.5, 0.5, 0.0]).astype(complex))[0] == math.inf
     assert np.isfinite(ev.at(np.diag([0.4, 0.3, 0.3]).astype(complex))[0])
 
@@ -666,8 +729,9 @@ def test_sigma_evaluator_detects_a_missed_support():
 def _width_at(rho, alpha, sigma):
     """The duality interval of H^up_a(A|B) at a conditioning state sigma,
     recomputed on the unreduced state."""
-    ev = entropies._SigmaEvaluator([rho.matrix], [0.0], rho.space.dim_of("A"),
-                                   alpha)
+    ev = entropies._SigmaEvaluator(
+        entropies._purifiers([rho.matrix], rho.space.dim_of("A")), [0.0],
+        alpha)
     return ev.width(sigma, ev.at(sigma)[0])
 
 
@@ -716,19 +780,19 @@ def test_sigma_solve_eigendecomposition_budget(alpha, most, monkeypatch):
 def test_state_endpoint_programs_certify_within_the_iteration_budget(
         case, sdp_solves):
     """The root-fidelity program of H^up_1/2 on the largest state of the
-    endpoint workload (a 16 x 16 block and 130 rows, built directly, since
-    a state at 1/2 runs the sigma solve) and every program under H^up_inf
-    of the four-register cq state certify to the solver's target gap in at
-    most 40 primal-dual iterations."""
+    endpoint workload (a 16 x 16 block and 130 rows) and the covering
+    program of H^up_inf of the four-register cq state on Q Cb | Ch Qp, both
+    built directly, since a state runs the sigma solve at every order,
+    certify to the solver's target gap in at most 40 primal-dual
+    iterations."""
     if case == "half-2x4":
         rho = random_density(space(("A", 2), ("B", 4)), seed=9)
-        _fidelity_program(*entropies._branch_programs([rho.matrix], 2, 4),
-                          [1.0])
+        _fidelity_program(*_branch_programs([rho.matrix], 2, 4), [1.0])
         ((problem, _),) = sdp_solves
         assert len(problem.constraints) == 130
     else:
-        cond_entropy_up(four_register_state(), ["Q", "Cb"], ["Ch", "Qp"],
-                        "inf")
+        _covering_program(*_branch_programs(
+            [four_register_state().matrix], 4, 4))
     assert sdp_solves
     for _, sol in sdp_solves:
         assert sol.iterations <= 40
@@ -799,10 +863,11 @@ def test_two_sided_infinite_order_cross_check():
     """The structured route and the unstructured optimizer must agree at
     a = infinity.
 
-    The structured route solves one max-divergence covering program per
-    conditioning outcome; the unstructured one solves the H^up_inf program
-    of the whole state, blind to its classical registers.  These are
-    independent computations, so agreement pins both.
+    The structured route solves one extremum per conditioning outcome, each
+    over the two branches of the classical target; the unstructured one
+    solves one extremum over the whole state as a single branch, blind to
+    its classical registers.  The two complements that the order-1/2 sigma
+    solve runs on differ in shape and in start, so agreement pins both.
     """
     rho = four_register_state()
     kw = dict(target=["Q", "Cb"], conditioning=["Ch", "Qp"],

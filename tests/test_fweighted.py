@@ -160,6 +160,24 @@ def test_half_order_matches_its_per_outcome_fidelity_programs(
         + max(w for _, w in oracle)
 
 
+def test_infinite_order_matches_its_per_outcome_covering_programs(
+        sigma_extrema, sdp_solves):
+    """At infinity each public outcome's extremum, a tilted two-branch
+    covering, runs the sigma solve at 1/2 on its complement without an SDP,
+    and agrees with its covering program built directly within the sum of
+    the two widths, and so does the value within the widest sums."""
+    got, seen = sigma_extrema(lambda: fweighted_entropy(RHO4, F, "inf", **KW))
+    assert not sdp_solves
+    want, oracle = sigma_extrema(
+        lambda: fweighted_entropy(RHO4, F, "inf", **KW), oracle=True)
+    assert len(seen) == len(oracle) == len(sdp_solves) == 2
+    for (log2_t, width), (log2_t_sdp, width_sdp) in zip(seen, oracle):
+        assert width <= entropies.UP_GAP_TOL
+        assert abs(log2_t - log2_t_sdp) <= width + width_sdp
+    assert abs(got - want) <= max(w for _, w in seen) \
+        + max(w for _, w in oracle)
+
+
 def test_unsolved_sigma_raises_with_its_duality_gap(monkeypatch):
     def stop_at_start(ev, sigma0):
         log2_T = ev.at(sigma0)[0]

@@ -4,9 +4,9 @@ and lowering."""
 import numpy as np
 import pytest
 
+from conftest import _branch_programs
 from renyimeat import sdp
 from renyimeat.channel_entropy import MarginalConstraint
-from renyimeat.entropies import _branch_programs
 from renyimeat.errors import InfeasibleSpec, InvalidState, SolverFailure
 from renyimeat.marginals import _fidelity_program, _MarginalSet
 from renyimeat.registers import space
