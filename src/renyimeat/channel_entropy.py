@@ -107,11 +107,6 @@ class ChannelEntropyProblem:
             raise InvalidRegister("at least one target register is required")
         for l in target:
             channel.out_space.position(l)
-        if constraint is not None:
-            for l in constraint.registers:
-                if channel.in_space.dim_of(l) != constraint.state.space.dim_of(l):
-                    raise InvalidRegister(
-                        f"constraint register {l!r} has the wrong dimension")
         self.channel = channel
         self.target = target
         self.alpha = as_order(alpha)

@@ -109,9 +109,6 @@ class Channel:
         ks, out_space = self.embedded_kraus(state.space)
         return State(kraus_apply(ks, state.matrix), out_space, check=False)
 
-    def __call__(self, state: State) -> State:
-        return self.apply(state)
-
     def stinespring(self, env_label: str = "Z") -> "Isometry":
         """Isometric dilation ``V = sum_k K_k (x) |k>_env`` (env dim = #Kraus)."""
         m = len(self.kraus)

@@ -179,15 +179,6 @@ class State:
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
 
-    def normalized(self) -> "State":
-        t = self.trace()
-        if t <= 0:
-            raise InvalidState("cannot normalize a trace-nonpositive operator")
-        return State(self.matrix / t, self.space, check=False)
-
-    def copy(self) -> "State":
-        return State(self.matrix.copy(), self.space, check=False)
-
     def tensor(self, other: "State") -> "State":
         return State(
             np.kron(self.matrix, other.matrix),
@@ -301,10 +292,6 @@ class State:
         return out
 
     # ----------------------------------------------------------- spectral
-
-    def eigh(self):
-        vals, vecs = np.linalg.eigh(self.matrix)
-        return vals, vecs
 
     def rank(self) -> int:
         vals = np.linalg.eigvalsh(self.matrix)

@@ -13,6 +13,16 @@ basis of its block, and the column of basis element F_j is hvec(L_b(F_j)),
 one row per coordinate of G.  An inequality is that equality plus a PSD
 slack block (``add_operator_inequality``).  Builders state no start.
 
+The solver takes at least one equality row, and linearly independent
+rows, as every builder states them: a problem without rows raises
+:class:`InvalidState`, and :class:`InfeasibleSpec` is raised when the
+Cholesky factorization of A A^T fails or the least entry of its diagonal
+is 1e-6 of the greatest or less.  The builders' programs keep that ratio
+at 0.5 or more (every solve of the test suite and of one pass of each
+benchmark workload, seeds 0-2); tr X = 1 stated again at scale 1/2 to 3
+on a 2 x 2 block brings it to 7.5e-9 - 4.2e-8, where the factorization
+succeeds on a pivot at rounding level.
+
 The solver is an infeasible-start primal-dual interior-point method on
 the Hermitian real vectorization (Helmberg-Rendl-Vanderbei-Wolkowicz
 direction, Mehrotra predictor-corrector as in SDPT3).  It starts from the
@@ -24,19 +34,15 @@ Start.  X is the identity e of every block projected onto the equalities,
 x0 = e + A^T (A A^T)^{-1} (b - A e): two triangular solves with the
 Cholesky factor of A A^T that the projected primal step needs anyway.
 On a pinned marginal, Tr_F rho = psi, that is psi (x) 1/d_f, an interior
-point of the set.  If x0 misses any row, dependent ones included, the
-equalities are inconsistent and :class:`InfeasibleSpec` is raised.  If
-Cholesky fails on a block of x0 (the test every iterate passes, so a
-block at rounding level above zero counts as positive definite), the
-start is e itself, off the equalities, and the primal residual r_p of the
-step equations takes the iterates back to them.  The traced endpoint
-workload (``bench/run.py --workload endpoint-sdp --trace 1``, 13 solves,
-none for a state) takes 122 / 122 / 124 Newton steps at seeds 0 / 1 / 2
-from this start; one of its solves starts from e, the order-1/2 covering
-program of the pinned 4-dimensional channel input at seed 1.  When a
-state's H^up_1/2 and H^up_inf were still SDPs the workload made 28 solves
-and took 260 / 255 / 269 steps, against 261 / 265 / 267 from strictly
-feasible starts written per builder.
+point of the set.  If Cholesky fails on a block of x0 (the test every
+iterate passes, so a block at rounding level above zero counts as positive
+definite), the start is e itself, off the equalities, and the primal
+residual r_p of the step equations takes the iterates back to them.  The
+traced endpoint workload (``bench/run.py --workload endpoint-sdp --trace
+1``, 13 solves, none for a state) takes 122 / 122 / 124 Newton steps at
+seeds 0 / 1 / 2 from this start; one of its solves starts from e, the
+order-1/2 covering program of the pinned 4-dimensional channel input at
+seed 1.
 
 Stopping rule and certificate.  An iterate is checked once
 |c.x - b.y| <= ``GAP_CEILING`` times the value scale max(1, |c.x|) and
@@ -77,9 +83,7 @@ coordinates read as s a + s b instead of s (a + b)) certify it between
 ``GAP_TOL`` follows the rounding, not the formulation.
 Each primal step is projected back onto A dX = r_p with A A^T's Cholesky
 factor, which keeps the primal residual at rounding level (without it
-that program's residual grows to 1.6e-9).  Linearly dependent rows
-(A A^T singular) are dropped before the first iteration; the start is
-checked against them, and their multipliers are reported as zero.
+that program's residual grows to 1.6e-9).
 
 Every element of the orthonormal Hermitian basis has at most two nonzero
 entries, (i, j) and (j, i).  The basis is therefore kept in index form
@@ -106,9 +110,7 @@ iterations) on the root-fidelity program of its H^up_1/2 and 9.2-9.5 ms
 on the covering program of its H^up_inf (12 iterations), both built
 directly from the state's branch operators (the public calls run the
 sigma solve at both orders); single-thread BLAS, three runs of 40 calls
-each.  When the stack came in, the same two programs took 16.4-20.5 ms
-and 16.1-24.6 ms with one kernel call per block, against 10.1-12.2 ms and
-9.4-10.6 ms with the stack.
+each.
 
 BLAS threads: the step systems are too small for a BLAS thread pool to
 pay off.  With the default OpenBLAS pool on a 2-core machine, the
@@ -321,11 +323,10 @@ class SdpProblem:
         self.blocks[name] = int(dim)
 
     def add_objective(self, name: str, C) -> None:
-        C = _as_herm(C, self.blocks[name], f"objective[{name}]")
         if name in self.objective:
-            self.objective[name] = self.objective[name] + C
-        else:
-            self.objective[name] = C
+            raise InvalidState(f"objective of block {name!r} is already set")
+        self.objective[name] = _as_herm(C, self.blocks[name],
+                                        f"objective[{name}]")
 
     def add_eq_constraint(self, mats: dict, rhs: float) -> None:
         row = {}
@@ -387,9 +388,10 @@ class SdpProblem:
 class SdpSolution:
     """``value`` at the returned ``variables``, the ``dual_value`` certified
     from ``y``, and their ``gap``.  ``y`` holds one multiplier per row of
-    ``constraints`` in the min-sense form, min c.x with c = +-C: on the rows
-    of an operator equality, hunvec(y[rows]) is the dual operator of a
-    ``"min"`` problem and -hunvec(y[rows]) that of a ``"max"`` one."""
+    ``constraints`` in the min-sense form, min c.x with c = +-C: on the
+    slice ``sl`` of rows that :meth:`SdpProblem.add_operator_equality`
+    returns, hunvec(y[sl]) is the dual operator of a ``"min"`` problem and
+    -hunvec(y[sl]) that of a ``"max"`` one."""
     value: float
     dual_value: float
     gap: float
@@ -434,17 +436,12 @@ def _min_eig(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm_part(mat)).min())
 
 
-def _starting_point(A_all, b_all, A, b, LA, stack) -> np.ndarray:
+def _starting_point(A, b, LA, stack) -> np.ndarray:
     """The start of the module docstring: e, the identity of every block
-    of ``stack``, projected onto the rows (A, b) of the row basis, with
-    ``LA`` the Cholesky factor of A A^T, or e when Cholesky fails on the
-    projection.  Raises :class:`InfeasibleSpec` when the projection misses
-    a row of (A_all, b_all)."""
+    of ``stack``, projected onto the rows (A, b), with ``LA`` the Cholesky
+    factor of A A^T, or e when Cholesky fails on the projection."""
     e = np.concatenate([hvec(np.eye(d)) for d in stack.dims])
-    x0 = e + A.T @ _tri_solve(LA, b - A @ e, upper=False) if len(A) else e
-    if np.linalg.norm(A_all @ x0 - b_all) > 1e-6 * (
-            1.0 + np.linalg.norm(b_all)):
-        raise InfeasibleSpec("equality constraints are inconsistent")
+    x0 = e + A.T @ _tri_solve(LA, b - A @ e, upper=False)
     try:
         np.linalg.cholesky(stack.unvec(x0, pad=True))
     except np.linalg.LinAlgError:
@@ -452,26 +449,21 @@ def _starting_point(A_all, b_all, A, b, LA, stack) -> np.ndarray:
     return x0
 
 
-def _row_basis(A: np.ndarray):
-    """Rows of A that span its row space, and the lower Cholesky factor of
-    A A^T on them.
+def _row_factor(A: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of A A^T.
 
-    All rows when that factor is well conditioned (the builders' rows have
-    condition numbers below 5); otherwise those that QR with column
-    pivoting of A^T ranks above 1e-10 of the largest.
+    Raises :class:`InfeasibleSpec` when the rows of A are linearly
+    dependent: when the factorization fails, or when the least entry of
+    its diagonal is 1e-6 of the greatest or less (module docstring).
     """
-    rows = np.arange(len(A))
     try:
         L = np.linalg.cholesky(A @ A.T)
         d = np.diag(L)
-        if not len(A) or d.min() > 1e-8 * d.max():
-            return rows, L
+        if d.min() > 1e-6 * d.max():
+            return L
     except np.linalg.LinAlgError:
         pass
-    _, R, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
-    d = np.abs(np.diag(R))
-    rows = np.sort(piv[:int(np.sum(d > 1e-10 * d[0]))])
-    return rows, np.linalg.cholesky(A[rows] @ A[rows].T)
+    raise InfeasibleSpec("equality rows are linearly dependent")
 
 
 def _tri_solve(T: np.ndarray, v: np.ndarray, *, upper: bool) -> np.ndarray:
@@ -533,9 +525,6 @@ class _HkmSystem:
         self.X = XS[0]
         self.LXi, self.LSi = np.linalg.inv(L)
         self.Z = self.LSi.conj().swapaxes(1, 2) @ self.LSi
-        if not len(A):
-            self.R = np.zeros((0, 0))
-            return
         F = np.concatenate([
             schur_factor(LX[:d, :d], LSi[:d, :d].conj().T, mats)
             for LX, LSi, d, mats in zip(L[0], self.LSi, stack.dims, row_mats)],
@@ -556,8 +545,6 @@ class _HkmSystem:
     def direction(self, Rc, rp, Rd):
         """(dx, dy, dS) for the complementarity target ``Rc``."""
         A = self.A
-        if not len(A):
-            return Rc - self.apply_K(Rd), np.zeros(0), Rd
         dy = _tri_solve(self.R, rp + A @ (self.apply_K(Rd) - Rc), upper=True)
         dS = Rd - A.T @ dy
         dx = Rc - self.apply_K(dS)
@@ -607,21 +594,21 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
     definiteness first, the best checked point is returned as long as its
     gap is below ``GAP_CEILING`` times the value scale.  The reported gap
     and dual value always come from a y whose dual slacks C_b - (A^T y)_b
-    had their lowest eigenvalue computed.  Raises :class:`InfeasibleSpec`
-    when the equalities are inconsistent and :class:`SolverFailure` when
-    no acceptable certificate is reached.
+    had their lowest eigenvalue computed.  Raises :class:`InvalidState`
+    for a problem without equality rows, :class:`InfeasibleSpec` when its
+    rows are linearly dependent and :class:`SolverFailure` when no
+    acceptable certificate is reached.
     """
     if not problem.blocks:
         raise InvalidState("problem has no blocks")
-    names, dims, offs, A_all, b_all, c, sgn = _assemble(problem)
-    # dependent rows are dropped; the start is checked against them, and
-    # their multipliers are reported as zero
-    rows, LA = _row_basis(A_all)
-    A, b = A_all[rows], b_all[rows]
+    if not problem.constraints:
+        raise InvalidState("problem has no equality rows")
+    names, dims, offs, A, b, c, sgn = _assemble(problem)
+    LA = _row_factor(A)
     n_total = float(sum(dims))
     slices = [slice(offs[i], offs[i + 1]) for i in range(len(dims))]
     stack = block_stack(tuple(dims))
-    x = _starting_point(A_all, b_all, A, b, LA, stack)
+    x = _starting_point(A, b, LA, stack)
     # the rows of A as Hermitian matrices, block by block
     row_mats = [hunvec(A[:, sl], d) for d, sl in zip(dims, slices)]
     # y = 0 and S = xi I, with xi weighing the objective against the start
@@ -684,16 +671,14 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
             diagnostics={"iterations": it, "gap": abs(pval - dval),
                          "primal_eq": rp_norm, "mu": mu,
                          "checked_min_eig_S": checked_low})
-    _, gap, x, y_rows, (bound, corr, lam) = best
-    y = np.zeros(len(b_all))
-    y[rows] = y_rows
+    _, gap, x, y, (bound, corr, lam) = best
     variables = _split(x, names, dims, offs)
     residuals = {
-        "primal_eq": float(np.linalg.norm(A_all @ x - b_all)),
+        "primal_eq": float(np.linalg.norm(A @ x - b)),
         "min_eig_X": min(_min_eig(variables[n]) for n in names),
         # lowest eigenvalue of the checked dual slacks C_b - (A^T y)_b
         "min_eig_S": float(lam),
-        "complementarity": float(c @ x - b_all @ y),
+        "complementarity": float(c @ x - b @ y),
         # what negative dual-slack eigenvalues took off b.y for the bound
         "dual_fit": float(corr),
     }

@@ -27,7 +27,7 @@ from renyimeat.channels import Channel, identity_channel
 from renyimeat.divergences import as_order, sandwiched_divergence
 from renyimeat.entropies import (alpha_entropy, cond_entropy_up,
                                  von_neumann_entropy)
-from renyimeat.errors import NonConvergence
+from renyimeat.errors import InvalidRegister, NonConvergence
 from renyimeat.registers import RegisterSpace, State, space
 from renyimeat.sampling import random_channel, random_density
 from renyimeat import channel_entropy, sdp
@@ -68,6 +68,15 @@ def check_pinned_input(alpha):
     # two purifications related by an isometry on R, each value certified
     # by its own program (fidelity SDP or duality interval, ~1e-8)
     assert res.value == pytest.approx(want, abs=1e-7)
+
+
+def test_constraint_of_the_wrong_dimension_raises():
+    ch = random_channel(space(("A", 2), ("F", 2)), space(("T", 2)), seed=1,
+                        kraus_rank=2)
+    con = MarginalConstraint("A", random_density(space(("A", 3)), seed=2))
+    with pytest.raises(InvalidRegister, match="wrong dimension"):
+        channel_cond_entropy(ChannelEntropyProblem(ch, "T", 2.0,
+                                                   constraint=con))
 
 
 def test_pinned_input_equals_entropy_of_the_purified_output():
@@ -118,6 +127,32 @@ def test_measured_dual_is_read_from_the_pin(seed, sdp_solves):
         assert abs(np.trace(psi @ lam).real - dual.value) <= primal.gap
         lams.append(lam)
     assert product_feasibility_slack(pairs[2], lams[0], lams[1]) >= 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tensor_joint_is_the_product_of_the_rounds(seed):
+    """Two rounds run in parallel, A F -> T Y and B G -> U with A and B
+    pinned: the joint optimum is the product of the rounds' optima within
+    the certified gaps, and the rounds' Lambdas tensor into a feasible
+    joint dual point."""
+    r0 = random_channel(space(("A", 2), ("F", 2)), space(("T", 2), ("Y", 2)),
+                        seed=seed, kraus_rank=2)
+    r1 = random_channel(space(("B", 2), ("G", 2)), space(("U", 2)),
+                        seed=seed + 50, kraus_rank=2)
+    g0 = random_density(space(("T", 2)), seed=seed + 2)
+    g1 = random_density(space(("U", 2)), seed=seed + 3)
+    g0 = State(2.0 * g0.matrix, g0.space)
+    g1 = State(2.0 * g1.matrix, g1.space)
+    m0, m1 = pinned("A", seed + 4), pinned("B", seed + 5)
+    pairs = [build_sdp_individual(g0, r0, m0),
+             build_sdp_individual(g1, r1, m1),
+             build_sdp_joint(g0, g1, (r0, r1), (m0, m1), form="tensor")]
+    (p0, d0), (p1, d1), (pj, _) = [solve_sdp_pair(pair) for pair in pairs]
+    v0, v1 = p0.value, p1.value
+    assert abs(pj.value - v0 * v1) <= pj.gap + v1 * p0.gap + v0 * p1.gap
+    slack = product_feasibility_slack(pairs[2], d0.variables["Lambda"],
+                                      d1.variables["Lambda"])
+    assert slack >= -1e-9
 
 
 # order 1/2 keeps the bare seed as its id

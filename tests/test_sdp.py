@@ -298,20 +298,35 @@ def test_returned_dual_point_is_checked(case):
     assert sol.gap <= sdp.GAP_TOL * scale
 
 
-def test_dependent_rows_are_dropped():
-    """A row repeated at twice its scale leaves the program unchanged: one
-    of the two is dropped, its multiplier reported as zero, and the dual
-    point stays checked."""
-    H = random_hermitian(3, 7)
-    p = SdpProblem(sense="max")
-    p.add_block("X", 3)
-    p.add_objective("X", H)
-    p.add_eq_constraint({"X": np.eye(3)}, 1.0)
-    p.add_eq_constraint({"X": 2.0 * np.eye(3)}, 2.0)
-    sol = solve_sdp(p)
-    assert sol.value == pytest.approx(np.linalg.eigvalsh(H)[-1], abs=1e-8)
-    assert len(sol.y) == 2 and np.count_nonzero(sol.y) == 1
-    assert sol.gap <= sdp.GAP_TOL * max(1.0, abs(sol.value))
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
+def test_repeated_rows_raise(c):
+    """tr X = 1 and c tr X = c are one row stated twice: the solver takes
+    independent rows only, whether the factor of A A^T fails or succeeds
+    on a pivot at rounding level."""
+    p = SdpProblem(sense="min")
+    p.add_block("X", 2)
+    p.add_objective("X", np.eye(2))
+    p.add_eq_constraint({"X": np.eye(2)}, 1.0)
+    p.add_eq_constraint({"X": c * np.eye(2)}, c)
+    with pytest.raises(InfeasibleSpec, match="linearly dependent"):
+        solve_sdp(p)
+
+
+def test_problem_without_rows_raises():
+    p = SdpProblem(sense="min")
+    p.add_block("X", 2)
+    p.add_objective("X", np.eye(2))
+    with pytest.raises(InvalidState, match="no equality rows"):
+        solve_sdp(p)
+
+
+def test_second_objective_on_a_block_raises():
+    p = SdpProblem(sense="min")
+    p.add_block("X", 2)
+    p.add_objective("X", np.eye(2))
+    with pytest.raises(InvalidState, match="already set"):
+        p.add_objective("X", np.eye(2))
+    np.testing.assert_array_equal(p.objective["X"], np.eye(2))
 
 
 def test_unbounded_program_raises_with_diagnostics():
@@ -341,8 +356,7 @@ def test_infeasible_equalities_detected():
 def start_of(problem):
     """The solver's start for ``problem``, block by block."""
     names, dims, offs, A, b, _, _ = sdp._assemble(problem)
-    rows, LA = sdp._row_basis(A)
-    x0 = sdp._starting_point(A, b, A[rows], b[rows], LA,
+    x0 = sdp._starting_point(A, b, sdp._row_factor(A),
                              block_stack(tuple(dims)))
     return sdp._split(x0, names, dims, offs)
 
