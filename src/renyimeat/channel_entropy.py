@@ -62,7 +62,8 @@ from functools import partial
 import numpy as np
 
 from .channels import Channel, _perm_matrix, compose, trace_out_channel
-from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
+from .divergences import (LN2, ORTHO_CUT, SUPPORT_TOL, RenyiOrder,
+                          as_order)
 from .entropies import cond_entropy_up
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      UnsupportedOrder)
@@ -71,8 +72,8 @@ from .marginals import (MarginalConstraint, SdpPair,  # noqa: F401 (re-export)
                         _InputChart, _lbfgs, _MarginalSet, _square,
                         build_sdp_individual, build_sdp_joint,
                         product_feasibility_slack, solve_sdp_pair)
-from .registers import (EIG_CUT, LOG2E, RegisterSpace, State,
-                        _power_frechet_map, as_labels, bipartite_partial_trace,
+from .registers import (EIG_CUT, LOG2E, RegisterSpace, State, as_labels,
+                        bipartite_partial_trace,
                         canonical_purification_vector, divided_differences,
                         herm_part, herm_power, ket_state, kraus_apply,
                         kraus_pullback, space, support_isometry)
@@ -134,12 +135,6 @@ class ChannelEntropyResult:
 
     def __iter__(self):
         return iter((self.value, self.witness))
-
-
-def _floored_log2(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(herm_part(mat))
-    floor = _LOG_FLOOR * max(vals.max(initial=0.0), 1e-300)
-    return (vecs * np.log2(np.clip(vals, floor, None))) @ vecs.conj().T
 
 
 # ------------------------------------------------- reduced dilation and SDPs
@@ -244,6 +239,84 @@ def _width_reached(data) -> bool:
     return data[2] <= 1e-2 * CHANNEL_GAP_TOL
 
 
+def _divergence_with_grads(omega: np.ndarray, tau: np.ndarray,
+                           beta: RenyiOrder):
+    """(D_b(omega || tau), grad_omega, grad_tau) from one eigendecomposition
+    of tau and one of omega (b = 1) or of G = tau^s omega tau^s,
+    s = (1-b)/(2b), formed in tau's eigenbasis (b != 1).
+
+    The conventions are those of
+    :func:`renyimeat.divergences.sandwiched_divergence`: spectra are cut at
+    ``EIG_CUT`` relative to their largest eigenvalue, and D_b is +inf, with
+    gradients None, for b >= 1 when omega has more than ``SUPPORT_TOL`` of
+    its trace outside the support of tau, and for b < 1 when it has at most
+    ``ORTHO_CUT`` of it on that support or G vanishes.  The gradients are
+    those of tr[omega log2 omega - omega log2 tau] (b = 1, logarithms
+    floored at ``_LOG_FLOOR`` relative) and of log2 tr[G^b] / (b - 1)
+    (b != 1): at tr omega = 1, which holds at every chart point, they are
+    the gradients of D_b along directions that keep the trace.
+    """
+    lam, V = np.linalg.eigh(herm_part(tau))
+    lam = np.clip(lam, 0.0, None)
+    keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
+    base = np.where(keep, lam, 1.0)
+    Y = V.conj().T @ omega @ V
+    diag = Y.diagonal().real
+    trace = float(diag.sum())
+    if beta.near_one or beta.value > 1.0:
+        if float(diag[~keep].sum()) > SUPPORT_TOL * max(trace, 1e-300):
+            return math.inf, None, None
+    elif float(diag[keep].sum()) <= ORTHO_CUT * trace:
+        return math.inf, None, None
+    if beta.near_one:
+        mu, W = np.linalg.eigh(herm_part(omega))
+        mu = np.clip(mu, 0.0, None)
+        top = mu.max(initial=0.0)
+        kept = mu[mu > EIG_CUT * max(top, 1e-300)]
+        log_tau = np.where(keep, np.log2(base), 0.0)
+        value = (float(np.sum(kept * np.log2(kept)))
+                 - float(diag @ log_tau)) / trace
+        floor_w = _LOG_FLOOR * max(top, 1e-300)
+        floor_v = _LOG_FLOOR * max(lam.max(initial=0.0), 1e-300)
+        g_om = (W * np.log2(np.clip(mu, floor_w, None))) @ W.conj().T \
+            - (V * np.log2(np.clip(lam, floor_v, None))) @ V.conj().T \
+            + LOG2E * np.eye(len(lam))
+        kernel = divided_differences(lam, np.where(keep, np.log(base), 0.0),
+                                     np.where(keep, 1.0 / base, 0.0),
+                                     keep[:, None] & keep[None, :])
+        g_tau = -LOG2E * (V @ (kernel * Y) @ V.conj().T)
+        return value, herm_part(g_om), herm_part(g_tau)
+    b = beta.value
+    s = (1.0 - b) / (2.0 * b)
+    pows = np.where(keep, base ** s, 0.0)
+    # for b < 1, G is graded like tau's ascending eigenvalues, and D_b is
+    # most sensitive to its small eigenvalues; the reduction of the upper
+    # triangle starts at the large end, which keeps them to rounding (on a
+    # tau spanning four decades, 13 to 31 times less rounding noise in D_b
+    # at b = 0.6 and 2/3 than from the lower triangle)
+    gv, gU = np.linalg.eigh(herm_part(pows[:, None] * Y * pows[None, :]),
+                            UPLO="U")
+    gv = np.clip(gv, 0.0, None)
+    top = gv.max(initial=0.0)
+    if top <= 0.0:
+        return math.inf, None, None
+    kept = gv > EIG_CUT * top
+    r, U = gv[kept] / top, gU[:, kept]
+    total = float(np.sum(r ** b))
+    value = (b * math.log2(top) + math.log2(total) - math.log2(trace)) \
+        / (b - 1.0)
+    # b / ((b-1) ln2) G^(b-1) / tr[G^b], in tau's eigenbasis
+    Gm1 = (U * (b / ((b - 1.0) * LN2 * top * total) * r ** (b - 1.0))) \
+        @ U.conj().T
+    g_om = pows[:, None] * Gm1 * pows[None, :]
+    Mx = (Y * pows[None, :]) @ Gm1
+    kernel = divided_differences(lam, pows, s * pows / base,
+                                 keep[:, None] | keep[None, :])
+    g_tau = kernel * (Mx + Mx.conj().T)
+    return (value, herm_part(V @ g_om @ V.conj().T),
+            herm_part(V @ g_tau @ V.conj().T))
+
+
 class _JointDivergence:
     """D_b(M[rho] || N[sigma]) with rho and sigma in two marginal sets.
 
@@ -264,11 +337,10 @@ class _JointDivergence:
         b > 1 (:func:`_q_form_width`); where D_b is infinite the gradients
         are None and the width is inf."""
         (m_apply, m_pull), (n_apply, n_pull) = self.maps
-        omega, tau = m_apply(rho), n_apply(sigma)
-        value = sandwiched_divergence(omega, tau, self.beta)
-        if not np.isfinite(value):
+        value, g_om, g_tau = _divergence_with_grads(
+            m_apply(rho), n_apply(sigma), self.beta)
+        if g_om is None:
             return value, None, None, math.inf
-        g_om, g_tau = _divergence_grads(omega, tau, self.beta)
         g_rho, g_sig = m_pull(g_om), n_pull(g_tau)
         lin = self.charts[0].gap_bound(rho, g_rho) \
             + self.charts[1].gap_bound(sigma, g_sig)
@@ -314,14 +386,16 @@ def _solve_convex(problem: ChannelEntropyProblem,
     grad_omega D_b at that sigma (envelope theorem).  The inner sigma is
     certified in value, not in first order: at the last first-stage point
     of ``CH4`` (tests/test_channel_entropy.py) the sigma side of the
-    Frank-Wolfe gap is 4.6e-7 at a = 0.75 and 1.4e-5 at a = 2.  The joint
-    L-BFGS of :meth:`_JointDivergence.minimize` then polishes (rho, sigma),
-    sigma charted on the support of omega_Z; it runs once on ``CH4`` at
-    each of those orders and in 1 of the 12 convex solves of a
-    ``channel-opt`` benchmark pass.  The returned value
-    is D_b at the final (rho, sigma), and the gap is the joint Frank-Wolfe
-    gap there (:meth:`_JointDivergence.at`).  Each stage stops once the gap
-    is a hundredth of ``CHANNEL_GAP_TOL``.
+    Frank-Wolfe gap is 6.3e-7 at a = 0.6, 4.6e-7 at a = 0.75 and 1.4e-5 at
+    a = 2.  The joint L-BFGS of :meth:`_JointDivergence.minimize` then
+    polishes (rho, sigma), sigma charted on the support of omega_Z; it
+    runs once on ``CH4`` at each of those orders and in 2 of the 12
+    convex solves of a ``channel-opt`` benchmark pass (seed 0: the generic
+    channel at 0.8 and 2).  D_b and its gradients at a point cost one
+    ``eigh`` of tau and one of omega or of G (:func:`_divergence_with_grads`).
+    The returned value is D_b at the final (rho, sigma), and the gap is the
+    joint Frank-Wolfe gap there (:meth:`_JointDivergence.at`).  Each stage
+    stops once the gap is a hundredth of ``CHANNEL_GAP_TOL``.
     """
     red = _ReducedDilation(problem, mset)
     d_t, d_z = red.d_t, red.d_env
@@ -430,47 +504,6 @@ def entropy_at_witness(channel: Channel, target, witness: State,
 
 
 # --------------------------------------------- optimized channel divergence
-
-def _log_frechet_map(tau: np.ndarray):
-    """Frechet derivative of log2 at tau (Daleckii-Krein kernel; spectrum
-    below the support cut contributes nothing)."""
-    lam, V = np.linalg.eigh(herm_part(tau))
-    lam = np.clip(lam, 0.0, None)
-    keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
-    base = np.where(keep, lam, 1.0)
-    Phi = divided_differences(lam, np.where(keep, np.log(base), 0.0),
-                              np.where(keep, 1.0 / base, 0.0),
-                              keep[:, None] & keep[None, :])
-
-    def apply(X: np.ndarray) -> np.ndarray:
-        Y = V.conj().T @ X @ V
-        return LOG2E * (V @ (Phi * Y) @ V.conj().T)
-
-    return apply
-
-
-def _divergence_grads(omega, tau, alpha):
-    """(grad_omega, grad_tau) of the sandwiched divergence, assembled."""
-    if alpha.near_one:
-        g_om = _floored_log2(omega) - _floored_log2(tau) + LOG2E * np.eye(len(omega))
-        g_tau = -_log_frechet_map(tau)(omega)
-        return g_om, g_tau
-    a = alpha.value
-    s = (1.0 - a) / (2.0 * a)
-    tau_s, d_tau_s = _power_frechet_map(tau, s)
-    G = herm_part(tau_s @ omega @ tau_s)
-    gv, gU = np.linalg.eigh(G)
-    gv = np.clip(gv, 0.0, None)
-    keep = gv > EIG_CUT * max(gv.max(initial=0.0), 1e-300)
-    t_tot = float(np.sum(gv[keep] ** a))
-    pw = np.where(keep, np.power(np.where(keep, gv, 1.0), a - 1.0), 0.0)
-    Gm1 = (gU * pw) @ gU.conj().T
-    c = a / ((a - 1.0) * LN2 * max(t_tot, 1e-300))
-    g_om = c * herm_part(tau_s @ Gm1 @ tau_s)
-    Mx = omega @ tau_s @ Gm1
-    g_tau = c * d_tau_s(Mx + Mx.conj().T)
-    return g_om, g_tau
-
 
 def minimized_channel_divergence(m: Channel, n: Channel, constraints,
                                  alpha) -> float:

@@ -29,9 +29,13 @@ solved on the support of its conditioning marginal:
   purification (1/a + 1/b = 2) turns a closed-form dual point into a bound
   from above; the solve stops once the two are a hundredth of
   ``UP_GAP_TOL`` apart, at the fixed point already if they are there.
-  One evaluator per extremum (:class:`_SigmaEvaluator`) gives value,
-  fixed-point update, gradient and width, and a sigma point costs one
-  ``eigh`` of sigma and one per branch;
+  The fixed point hands over to the L-BFGS once an accepted step gains
+  more than half of the step before it, half being its first damping:
+  its progress is then limited by the damping, as at a = 1/2, where the
+  optimum lies on the boundary, and at very large orders.  One evaluator
+  per extremum (:class:`_SigmaEvaluator`) gives value, fixed-point
+  update, gradient and width, and a sigma point costs one ``eigh`` of
+  sigma and one per branch;
 - a = 1/2 runs that same solve.  Its dual order is b = infinity, where
   H^up_1/2(A|B) = -H_min(A|C), so the bound from above is the
   max-divergence D_max(psi_AC || id (x) tau) at the closed-form dual point;
@@ -355,8 +359,13 @@ def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
     Both regimes minimize the same merit phi = log2 T / (a - 1) = -H.  A
     short damped fixed point sigma <- (1-theta) sigma + theta
     normalize(update) (the undamped map overshoots for a > 1), accepting
-    steps only when phi drops, runs first; if its duality interval is
-    already a hundredth of ``UP_GAP_TOL`` the solve stops there.  Otherwise
+    steps only when phi drops, runs first.  It stops at a step that gains
+    less than ``_FP_VALUE_TOL`` and hands over at one that gains more than
+    half of the step before it: the ratio is its first damping theta = 1/2,
+    and steps that shrink more slowly are limited by the damping, not by
+    the map (at order 1/2 the optimum lies on the boundary, and every step
+    there is).  If the duality interval at its last sigma is already a
+    hundredth of ``UP_GAP_TOL`` the solve stops there.  Otherwise
     it warm-starts L-BFGS on the chart sigma(H) = H H^dag / tr[H H^dag] of
     the density operators (:class:`renyimeat.marginals._InputChart` without
     a pin) from H = sigma^(1/2), with the evaluator's gradient pulled back
@@ -366,6 +375,8 @@ def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
     denom = ev.alpha - 1.0
     sigma = sigma0.copy()
     v, update, _ = ev.at(sigma, update=True)
+    first = 0.5     # the first damping, and the largest gain ratio kept
+    last_gain = math.inf
     for _ in range(_FP_MAX_ITERS):
         if update is None:
             break
@@ -373,20 +384,19 @@ def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
         if tr <= 0.0:
             break
         target = update / tr
-        theta = 0.5
-        accepted = False
-        moved = math.inf
+        theta = first
+        gain = None
         while theta >= 1e-8:
             cand = (1.0 - theta) * sigma + theta * target
             vc, upc, _ = ev.at(cand, update=True)
             if upc is not None and vc / denom < v / denom:
-                moved = abs(vc - v) / abs(denom)
+                gain = abs(vc - v) / abs(denom)
                 sigma, v, update = cand, vc, upc
-                accepted = True
                 break
             theta *= 0.5
-        if not accepted or moved < _FP_VALUE_TOL:
+        if gain is None or gain < _FP_VALUE_TOL or gain > first * last_gain:
             break
+        last_gain = gain
     width = ev.width(sigma, v)
     if width <= 1e-2 * UP_GAP_TOL:
         return v, sigma, width

@@ -155,36 +155,54 @@ class _InputChart:
     ``d_f`` (psi is 1x1 without a constraint, and then rho = X / tr X).  Any
     rho with marginal psi is reached, at G = (psi^(-1/2) (x) 1) rho^(1/2),
     and G = 1 gives psi (x) 1/d_f.
+
+    Every factor acts on A alone, so it is applied to G (rows on A F) as
+    one d_a x d_a product on G reshaped to its A index, and Tr_F[Y Z^dag]
+    is one d_a x d_a product of the reshaped Y and Z; no Kronecker product
+    with an identity is formed.  Without a pin those factors are scalars.
     """
 
     def __init__(self, psi: np.ndarray, d_f: int):
         self.d_a = psi.shape[0]
         self.d_f = d_f
-        self.S = np.kron(herm_power(psi, 0.5), np.eye(self.d_f))
+        self.root = herm_power(psi, 0.5) if self.d_a > 1 else np.sqrt(psi)
         self.psi_inv = np.linalg.inv(psi)
 
+    def _on_a(self, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """(M (x) 1_F) Y for a d_a x d_a matrix M."""
+        return (M @ Y.reshape(self.d_a, -1)).reshape(Y.shape)
+
+    def _trace_f(self, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Tr_F[Y Z^dag] for Y and Z with rows on A F."""
+        return Y.reshape(self.d_a, -1) @ Z.reshape(self.d_a, -1).conj().T
+
     def point(self, G: np.ndarray):
-        """rho(G), and the intermediates :meth:`pullback` needs."""
-        X = G @ G.conj().T
-        K_pow, dK_pow = _power_frechet_map(
-            bipartite_partial_trace(X, self.d_a, self.d_f, 0), -0.5)
-        N = np.kron(K_pow, np.eye(self.d_f))
-        return herm_part(self.S @ N @ X @ N @ self.S), (X, N, dK_pow)
+        """rho(G) = Z Z^dag with Z = (B (x) 1) G, B = psi^(1/2) K^(-1/2)
+        and K = Tr_F[G G^dag], and the intermediates :meth:`pullback`
+        needs."""
+        K = self._trace_f(G, G)
+        if self.d_a == 1:
+            k = K.real
+            K_pow, dK_pow = k ** -0.5, lambda h: -0.5 * k ** -1.5 * h
+        else:
+            K_pow, dK_pow = _power_frechet_map(K, -0.5)
+        B = self.root @ K_pow
+        Z = self._on_a(B, G)
+        return herm_part(Z @ Z.conj().T), (Z, B, dK_pow)
 
     def pullback(self, G: np.ndarray, parts, grad_rho: np.ndarray):
         """The gradient Gamma of f(rho(G)) in the convention
         df = 2 Re tr[Gamma^dag dG], given the Hermitian gradient of f in rho.
 
-        tr[grad_rho d rho] = tr[Xi dX] with Xi = N S grad S N + L[h] (x) 1,
-        where L is the Frechet derivative of K -> K^(-1/2) and
-        h = Tr_F[X N S grad S + S grad S N X]; dX = dG G^dag + G dG^dag.
+        With W = grad Z, Gamma = (B^dag (x) 1) W + (L[h] (x) 1) G, where L
+        is the Frechet derivative of K -> K^(-1/2) and h = T psi^(1/2) +
+        psi^(1/2) T^dag with T = Tr_F[G W^dag].
         """
-        X, N, dK_pow = parts
-        Gt = self.S @ grad_rho @ self.S
-        H = X @ N @ Gt
-        h = bipartite_partial_trace(H + H.conj().T, self.d_a, self.d_f, 0)
-        Xi = N @ Gt @ N + np.kron(dK_pow(h), np.eye(self.d_f))
-        return Xi @ G
+        Z, B, dK_pow = parts
+        W = grad_rho @ Z
+        h = self._trace_f(G, W) @ self.root
+        return self._on_a(B.conj().T, W) \
+            + self._on_a(dK_pow(h + h.conj().T), G)
 
     def gap_bound(self, rho: np.ndarray, grad: np.ndarray) -> float:
         """Upper bound on the Frank-Wolfe gap tr[grad rho] - min_v tr[grad v]
@@ -193,10 +211,12 @@ class _InputChart:
         h (x) 1), h = Herm(Tr_F[grad rho] psi^-1), is dual optimal when rho
         is optimal (then grad rho = (L (x) 1) rho), and tr[psi h] =
         tr[grad rho] leaves -lambda_min(grad - h (x) 1)."""
-        h = herm_part(bipartite_partial_trace(grad @ rho, self.d_a, self.d_f, 0)
-                      @ self.psi_inv)
-        return -float(np.linalg.eigvalsh(
-            herm_part(grad) - np.kron(h, np.eye(self.d_f)))[0])
+        h = herm_part(self._trace_f(grad, rho) @ self.psi_inv)
+        shifted = herm_part(grad).reshape(self.d_a, self.d_f, self.d_a,
+                                          self.d_f)
+        free = np.arange(self.d_f)
+        shifted[:, free, :, free] -= h
+        return -float(np.linalg.eigvalsh(shifted.reshape(grad.shape))[0])
 
 
 #: L-BFGS iterations per run

@@ -28,8 +28,8 @@ from renyimeat.divergences import as_order, sandwiched_divergence
 from renyimeat.entropies import (alpha_entropy, cond_entropy_up,
                                  von_neumann_entropy)
 from renyimeat.errors import InvalidRegister, NonConvergence
-from renyimeat.registers import RegisterSpace, State, space
-from renyimeat.sampling import random_channel, random_density
+from renyimeat.registers import RegisterSpace, State, space, support_isometry
+from renyimeat.sampling import random_channel, random_density, random_isometry
 from renyimeat import channel_entropy, sdp
 from renyimeat.sdp import SdpProblem, solve_sdp
 
@@ -528,6 +528,102 @@ def test_input_chart_jacobian_and_gap_bound(pin, monkeypatch):
         vertex, slack = sol.variables["rho"], sol.gap
     lmo_gap = np.trace(grad @ (rho - vertex)).real
     assert chart.gap_bound(rho, grad) >= lmo_gap - slack - 1e-9
+
+
+def _kernel_pair(case):
+    """(omega, tau, P_omega, P_tau): omega of trace one, tau of trace two,
+    and the projectors onto their supports.  "full-rank" is a full-rank
+    pair, "rank-deficient-omega" an omega of rank 2 against a full-rank
+    tau, and "rank-deficient-pair" an omega of rank 2 inside the support of
+    a tau of rank 3."""
+    d = 4
+    U = np.eye(d) if case != "rank-deficient-pair" \
+        else random_isometry(3, d, seed=60)
+    k = U.shape[1]
+    tau = U @ (2.0 * random_density(space(("X", k)), seed=61).matrix) \
+        @ U.conj().T
+    rank = k if case == "full-rank" else 2
+    omega = U @ random_density(space(("X", k)), seed=62, rank=rank).matrix \
+        @ U.conj().T
+    projectors = []
+    for mat in (omega, tau):
+        V = support_isometry(mat)
+        projectors.append(V @ V.conj().T)
+    return omega, tau, *projectors
+
+
+@pytest.mark.parametrize("beta", [2.0 / 3.0, 1.0, 4.0 / 3.0, 2.0],
+                         ids=["2/3", "1", "4/3", "2"])
+@pytest.mark.parametrize("case", ["full-rank", "rank-deficient-omega",
+                                  "rank-deficient-pair"])
+def test_divergence_kernel_matches_the_divergence_and_its_differences(
+        case, beta):
+    """The value of the chart programs' kernel is sandwiched_divergence to
+    1e-12 relative, and both gradients match central differences of it:
+    in omega along traceless directions inside its support, in tau along
+    directions inside its support."""
+    omega, tau, p_om, p_tau = _kernel_pair(case)
+    order = as_order(beta)
+    value, g_om, g_tau = channel_entropy._divergence_with_grads(
+        omega, tau, order)
+    assert value == pytest.approx(sandwiched_divergence(omega, tau, order),
+                                  rel=1e-12)
+    rng = np.random.default_rng(63)
+    t = 1e-6
+    for _ in range(3):
+        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        H = X + X.conj().T
+        h_om = p_om @ H @ p_om
+        h_om -= np.trace(h_om).real / np.trace(p_om).real * p_om
+        h_tau = p_tau @ H @ p_tau
+        for grad, h, move in (
+                (g_om, h_om, lambda s: (omega + s * h_om, tau)),
+                (g_tau, h_tau, lambda s: (omega, tau + s * h_tau))):
+            fd = (sandwiched_divergence(*move(t), order)
+                  - sandwiched_divergence(*move(-t), order)) / (2.0 * t)
+            assert np.real(np.trace(grad @ h)) == pytest.approx(
+                fd, rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize("beta", [2.0 / 3.0, 1.0, 2.0], ids=["2/3", "1", "2"])
+def test_divergence_kernel_is_infinite_without_support(beta):
+    """For b >= 1 an omega outside the support of tau, and for b < 1 an
+    omega orthogonal to it, give +inf and no gradients, as
+    sandwiched_divergence does; for b < 1 an omega with weight both on
+    and off the support keeps a finite value, the same as the
+    divergence's."""
+    order = as_order(beta)
+    tau = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    if beta < 1.0:
+        omega = np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex)
+        mixed = random_density(space(("X", 4)), seed=64).matrix
+        value = channel_entropy._divergence_with_grads(mixed, tau, order)[0]
+        assert value == pytest.approx(
+            sandwiched_divergence(mixed, tau, order), rel=1e-12)
+    else:
+        omega = random_density(space(("X", 4)), seed=64).matrix
+    assert sandwiched_divergence(omega, tau, order) == math.inf
+    assert channel_entropy._divergence_with_grads(omega, tau, order) \
+        == (math.inf, None, None)
+
+
+def test_chart_program_eigendecomposition_budget(monkeypatch):
+    """A deterministic cost guard on CH4 at order 1, where the chart
+    program runs without an inner sigma solve and its kernel decomposes
+    tau and omega once per point.  The limit is under the 641 calls of the
+    solve whose kernel decomposed omega twice and tau three times per
+    point."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    ch = random_channel(space(*CH4["inp"]), space(*CH4["out"]),
+                        seed=CH4["seed"], kraus_rank=CH4["kraus_rank"])
+    res = channel_cond_entropy(ChannelEntropyProblem(
+        ch, "T", 1.0, constraint=pinned("A", CH4["pin"])))
+    assert res.gap <= CHANNEL_GAP_TOL
+    assert res.value == pytest.approx(-0.6868801777, abs=1e-9)
+    assert len(calls) <= 400
 
 
 def pinned_second_argument():

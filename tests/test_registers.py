@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from renyimeat.channel_entropy import _log_frechet_map
 from renyimeat.errors import InvalidRegister, InvalidState
 from renyimeat.registers import (
     EIG_CUT,
@@ -358,12 +357,6 @@ def _hermitian(seed):
     return h + h.conj().T
 
 
-def _log2_on_support(mat):
-    vals, vecs = np.linalg.eigh(mat)
-    keep = vals > EIG_CUT * vals.max()
-    return (vecs[:, keep] * np.log2(vals[keep])) @ vecs[:, keep].conj().T
-
-
 @pytest.mark.parametrize("rank", [4, 2])
 @pytest.mark.parametrize("s", [0.3, -0.25])
 def test_power_frechet_map_matches_finite_differences(rank, s):
@@ -378,19 +371,6 @@ def test_power_frechet_map_matches_finite_differences(rank, s):
     power, frechet = _power_frechet_map(x, s)
     np.testing.assert_allclose(power, herm_power(x, s), atol=1e-12)
     np.testing.assert_allclose(frechet(h), fd, atol=1e-6 * np.abs(fd).max())
-
-
-@pytest.mark.parametrize("rank", [4, 2])
-def test_log_frechet_map_matches_finite_differences(rank):
-    """The log map keeps only pairs inside the support: it is the derivative
-    along directions supported there."""
-    x = _psd(rank, 7)
-    proj = _support_projector(x)
-    h = proj @ _hermitian(8) @ proj
-    t = 1e-6
-    fd = (_log2_on_support(x + t * h) - _log2_on_support(x - t * h)) / (2 * t)
-    got = _log_frechet_map(x)(h)
-    np.testing.assert_allclose(got, fd, atol=1e-6 * np.abs(fd).max())
 
 
 def _eigen_function(mat, fn):
