@@ -386,7 +386,7 @@ def _solve_convex(problem: ChannelEntropyProblem,
     grad_omega D_b at that sigma (envelope theorem).  The inner sigma is
     certified in value, not in first order: at the last first-stage point
     of ``CH4`` (tests/test_channel_entropy.py) the sigma side of the
-    Frank-Wolfe gap is 6.3e-7 at a = 0.6, 4.6e-7 at a = 0.75 and 1.4e-5 at
+    Frank-Wolfe gap is 1.8e-5 at a = 0.6, 6.0e-6 at a = 0.75 and 9.3e-6 at
     a = 2.  The joint L-BFGS of :meth:`_JointDivergence.minimize` then
     polishes (rho, sigma), sigma charted on the support of omega_Z; it
     runs once on ``CH4`` at each of those orders and in 2 of the 12

@@ -18,7 +18,7 @@ of those.  :func:`cond_entropy_up` has no classical registers,
 entropies of :mod:`renyimeat.fweighted` add the tilt.  Each extremum is
 solved on the support of its conditioning marginal:
 
-- every finite order: a short damped fixed point of the first-order condition
+- every finite order: a short fixed point of the first-order condition
   sigma <- normalize(Tr_A[G^a]) with G(sigma) = (id (x) sigma^s) rho
   (id (x) sigma^s), s = (1-a)/(2a), started at the mean of the
   conditioning marginals, then L-BFGS on the chart sigma(H) = H H^dag /
@@ -28,11 +28,16 @@ solved on the support of its conditioning marginal:
   at sigma bounds H^up from below, and -H^up_b(A|C) = H^up_a(A|B) on a
   purification (1/a + 1/b = 2) turns a closed-form dual point into a bound
   from above; the solve stops once the two are a hundredth of
-  ``UP_GAP_TOL`` apart, at the fixed point already if they are there.
-  The fixed point hands over to the L-BFGS once an accepted step gains
-  more than half of the step before it, half being its first damping:
-  its progress is then limited by the damping, as at a = 1/2, where the
-  optimum lies on the boundary, and at very large orders.  One evaluator
+  ``UP_GAP_TOL`` apart, at the fixed point already if they are there
+  (it looks once a step gains less than that).  On a classical input the
+  map sends log sigma to (1-a) log sigma + c, so the fixed point takes
+  full steps for a < 1, where that contracts at rate 1 - a, and steps
+  damped by 1/2 for a > 1, where the rate a - 1 passes 1 at a = 2.  It
+  hands over to the L-BFGS once an accepted step gains more than a
+  quarter of the step before it for a < 1 (the rate at a = 3/4: nearer
+  1/2, where the optimum can lie on the boundary, the L-BFGS is faster)
+  and more than half of it for a > 1 (the damping, which then limits its
+  progress, as at very large orders).  One evaluator
   per extremum (:class:`_SigmaEvaluator`) gives value, fixed-point
   update, gradient and width, and a sigma point costs one ``eigh`` of
   sigma and one per branch;
@@ -357,25 +362,36 @@ def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
     at the returned sigma.
 
     Both regimes minimize the same merit phi = log2 T / (a - 1) = -H.  A
-    short damped fixed point sigma <- (1-theta) sigma + theta
-    normalize(update) (the undamped map overshoots for a > 1), accepting
-    steps only when phi drops, runs first.  It stops at a step that gains
-    less than ``_FP_VALUE_TOL`` and hands over at one that gains more than
-    half of the step before it: the ratio is its first damping theta = 1/2,
-    and steps that shrink more slowly are limited by the damping, not by
-    the map (at order 1/2 the optimum lies on the boundary, and every step
-    there is).  If the duality interval at its last sigma is already a
-    hundredth of ``UP_GAP_TOL`` the solve stops there.  Otherwise
-    it warm-starts L-BFGS on the chart sigma(H) = H H^dag / tr[H H^dag] of
-    the density operators (:class:`renyimeat.marginals._InputChart` without
-    a pin) from H = sigma^(1/2), with the evaluator's gradient pulled back
-    through the chart, which stops at the same interval or when the line
-    search finds no decrease.
+    short fixed point sigma <- (1-theta) sigma + theta normalize(update),
+    accepting steps only when phi drops and halving theta until one does,
+    runs first.  On a classical input the update sends log sigma to
+    (1-a) log sigma + c.  For a < 1, where T is concave in sigma (order
+    1/2 and the 1/2 solve of order infinity included), that contracts at
+    rate 1 - a, so the first theta is 1, and the loop hands over at a step
+    that gains more than a quarter of the step before it: a quarter is the
+    rate at a = 3/4, and below it the L-BFGS is faster.  For a > 1 the
+    rate is a - 1, which passes 1 at a = 2 (the undamped map overshoots),
+    so the first theta is 1/2, and the loop hands over at a step that gains
+    more than half of the step before it: its progress is then limited by
+    the damping, not by the map.  It stops at a step that gains less than
+    ``_FP_VALUE_TOL``.  Once a step gains less than the width target, a
+    hundredth of ``UP_GAP_TOL``, the duality interval at its sigma is
+    computed, and the solve returns there if it meets that target.
+    Otherwise it warm-starts L-BFGS on the chart sigma(H) = H H^dag /
+    tr[H H^dag] of the density operators
+    (:class:`renyimeat.marginals._InputChart` without a pin) from
+    H = sigma^(1/2), with the evaluator's gradient pulled back through the
+    chart, which stops at the same interval or when the line search finds
+    no decrease.  Its start is the loop's sigma, whose interval has just
+    missed the target, so the stop is not checked there.
     """
     denom = ev.alpha - 1.0
+    tol = 1e-2 * UP_GAP_TOL
+    # the first damping and the largest gain ratio kept, by the side of 1
+    first, ratio = (1.0, 0.25) if denom < 0.0 else (0.5, 0.5)
     sigma = sigma0.copy()
     v, update, _ = ev.at(sigma, update=True)
-    first = 0.5     # the first damping, and the largest gain ratio kept
+    width = None    # the width at sigma, once computed
     last_gain = math.inf
     for _ in range(_FP_MAX_ITERS):
         if update is None:
@@ -391,17 +407,22 @@ def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
             vc, upc, _ = ev.at(cand, update=True)
             if upc is not None and vc / denom < v / denom:
                 gain = abs(vc - v) / abs(denom)
-                sigma, v, update = cand, vc, upc
+                sigma, v, update, width = cand, vc, upc, None
                 break
             theta *= 0.5
-        if gain is None or gain < _FP_VALUE_TOL or gain > first * last_gain:
+        if gain is None or gain > ratio * last_gain:
             break
+        if gain < tol:
+            width = ev.width(sigma, v)
+            if width <= tol or gain < _FP_VALUE_TOL:
+                break
         last_gain = gain
-    width = ev.width(sigma, v)
-    if width <= 1e-2 * UP_GAP_TOL:
+    if width is None:
+        width = ev.width(sigma, v)
+    if width <= tol:
         return v, sigma, width
     chart = _InputChart(np.eye(1), ev.d_qp)
-    last = [None, math.inf]
+    started, last = [], [None, math.inf]
 
     def fg(x):
         """phi at sigma(H), its gradient in H, and (sigma, log2_T)."""
@@ -414,8 +435,11 @@ def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
             (sig, log2_T)
 
     def done(data) -> bool:
+        if not started:     # the loop's sigma, whose width just failed
+            started.append(True)
+            return False
         last[:] = [data, ev.width(*data)]
-        return last[1] <= 1e-2 * UP_GAP_TOL
+        return last[1] <= tol
 
     _, _, data = _lbfgs(
         fg, _flat(registers.herm_power(sigma, 0.5).astype(complex)), done,
