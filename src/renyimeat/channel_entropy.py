@@ -62,8 +62,7 @@ from functools import partial
 import numpy as np
 
 from .channels import Channel, _perm_matrix, compose, trace_out_channel
-from .divergences import (LN2, ORTHO_CUT, SUPPORT_TOL, RenyiOrder,
-                          as_order)
+from .divergences import LN2, RenyiOrder, _diverges, as_order
 from .entropies import cond_entropy_up
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      UnsupportedOrder)
@@ -248,13 +247,13 @@ def _divergence_with_grads(omega: np.ndarray, tau: np.ndarray,
     The conventions are those of
     :func:`renyimeat.divergences.sandwiched_divergence`: spectra are cut at
     ``EIG_CUT`` relative to their largest eigenvalue, and D_b is +inf, with
-    gradients None, for b >= 1 when omega has more than ``SUPPORT_TOL`` of
-    its trace outside the support of tau, and for b < 1 when it has at most
-    ``ORTHO_CUT`` of it on that support or G vanishes.  The gradients are
-    those of tr[omega log2 omega - omega log2 tau] (b = 1, logarithms
-    floored at ``_LOG_FLOOR`` relative) and of log2 tr[G^b] / (b - 1)
-    (b != 1): at tr omega = 1, which holds at every chart point, they are
-    the gradients of D_b along directions that keep the trace.
+    gradients None, where the support and overlap rule
+    :func:`renyimeat.divergences._diverges` says so, or for b < 1 when G
+    vanishes.  The gradients are those of tr[omega log2 omega - omega log2
+    tau] (b = 1, logarithms floored at ``_LOG_FLOOR`` relative) and of
+    log2 tr[G^b] / (b - 1) (b != 1): at tr omega = 1, which holds at every
+    chart point, they are the gradients of D_b along directions that keep
+    the trace.
     """
     lam, V = np.linalg.eigh(herm_part(tau))
     lam = np.clip(lam, 0.0, None)
@@ -262,12 +261,9 @@ def _divergence_with_grads(omega: np.ndarray, tau: np.ndarray,
     base = np.where(keep, lam, 1.0)
     Y = V.conj().T @ omega @ V
     diag = Y.diagonal().real
-    trace = float(diag.sum())
-    if beta.near_one or beta.value > 1.0:
-        if float(diag[~keep].sum()) > SUPPORT_TOL * max(trace, 1e-300):
-            return math.inf, None, None
-    elif float(diag[keep].sum()) <= ORTHO_CUT * trace:
+    if _diverges(diag, keep, beta):
         return math.inf, None, None
+    trace = float(diag.sum())
     if beta.near_one:
         mu, W = np.linalg.eigh(herm_part(omega))
         mu = np.clip(mu, 0.0, None)
@@ -475,16 +471,11 @@ def channel_cond_entropy(problem: ChannelEntropyProblem) -> ChannelEntropyResult
 
 
 def _pinned_input_entropy(problem, mset):
-    ch = problem.channel
-    st = State(mset.unrestrict(mset.psi_r), ch.in_space, check=False)
-    taken = set(ch.in_space.labels) | set(ch.out_space.labels)
-    stab = _fresh_label("R", taken)
-    pure = st.purified(stab)
-    out = ch.apply(pure)
+    witness = _purified_witness(problem, mset, mset.psi_r)
+    out = problem.channel.apply(witness)
     cond = [l for l in out.space.labels if l not in problem.target]
     value, info = cond_entropy_up(out, list(problem.target), cond,
                                   problem.alpha, return_info=True)
-    witness = _purified_witness(problem, mset, mset.psi_r)
     return ChannelEntropyResult(value=float(value), witness=witness,
                                 gap=float(info["gap"]), method="pinned-input")
 

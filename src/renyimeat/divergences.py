@@ -12,6 +12,15 @@ log ||sigma^{-1/2} rho sigma^{-1/2}||_oo.  Negative powers of sigma are
 Moore-Penrose pseudo-inverses on its support.
 
 Infinite values are returned as ``math.inf`` — never as a large float.
+
+One rule decides when D_a is infinite (:func:`_diverges`), read off rho's
+diagonal in an eigenbasis of sigma whose eigenvalues below ``EIG_CUT`` of
+the largest count as zero: for a >= 1, rho's weight outside supp(sigma)
+counts as zero up to ``SUPPORT_TOL`` of tr[rho]; for a < 1, its weight on
+supp(sigma) counts as zero up to ``ORTHO_CUT`` of it.  Its two callers are
+:func:`sandwiched_divergence`, which :func:`umegaki_divergence` and
+:func:`max_divergence` run at orders 1 and infinity, and the chart kernel
+:func:`renyimeat.channel_entropy._divergence_with_grads`.
 """
 
 from __future__ import annotations
@@ -23,8 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidState, UnsupportedOrder
-from .registers import (EIG_CUT, State, herm_power, log_sum_exp,
-                        support_isometry)
+from .registers import EIG_CUT, State, herm_part, log_sum_exp
 
 LN2 = math.log(2.0)
 
@@ -35,7 +43,8 @@ NEAR_ONE_WINDOW = 1e-5
 #: infinity (the max-divergence)
 HALF_WINDOW = 1e-12
 
-#: relative cutoff of the operator-orthogonality predicate
+#: weight of rho on supp(sigma), relative to tr rho, up to which rho counts
+#: as orthogonal to sigma
 ORTHO_CUT = 1e-12
 
 #: weight of rho outside supp(sigma), relative to tr rho, up to which
@@ -56,12 +65,14 @@ class RenyiOrder:
     def __init__(self, value):
         if isinstance(value, RenyiOrder):
             value = value.value
-        if isinstance(value, str):
-            if value.lower() in ("inf", "infinity", "oo"):
-                value = math.inf
-            else:
-                value = float(value)
-        value = float(value)
+        if isinstance(value, str) and value.lower() in ("inf", "infinity",
+                                                        "oo"):
+            value = math.inf
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            raise UnsupportedOrder(
+                f"Renyi order must be a number or 'inf', got {value!r}") from None
         if math.isnan(value) or value <= 0.0:
             raise UnsupportedOrder(f"Renyi order must be in (0, oo], got {value}")
         self.value = value
@@ -134,43 +145,6 @@ def _as_matrix(x) -> np.ndarray:
     return m
 
 
-def _psd_eigvals(mat: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh(mat)
-    return np.clip(vals, 0.0, None)
-
-
-def log2_trace_power(mat: np.ndarray, alpha: float) -> float:
-    """log2 tr[mat^alpha] for a PSD matrix, stable for very large alpha.
-
-    Returns -inf when the matrix is (numerically) zero.
-    """
-    vals = _psd_eigvals(mat)
-    top = vals.max(initial=0.0)
-    keep = vals > EIG_CUT * max(top, 1e-300)
-    if not keep.any():
-        return -math.inf
-    return float(log_sum_exp(alpha * np.log(vals[keep])) / LN2)
-
-
-def orthogonal(rho, sigma) -> bool:
-    """Operator orthogonality: ||rho sigma||_oo <= 1e-12 ||rho||_oo ||sigma||_oo."""
-    r, s = _as_matrix(rho), _as_matrix(sigma)
-    nr = np.linalg.norm(r, 2)
-    ns = np.linalg.norm(s, 2)
-    if nr == 0.0 or ns == 0.0:
-        return True
-    return np.linalg.norm(r @ s, 2) <= ORTHO_CUT * nr * ns
-
-
-def support_contained(rho, sigma) -> bool:
-    """supp(rho) <= supp(sigma), decided by the weight of rho outside."""
-    r, s = _as_matrix(rho), _as_matrix(sigma)
-    U = support_isometry(s)
-    comp = np.eye(U.shape[0]) - U @ U.conj().T
-    outside = float(np.real(np.trace(comp @ r @ comp)))
-    return outside <= SUPPORT_TOL * max(float(np.real(np.trace(r))), 1e-300)
-
-
 def _trace(mat) -> float:
     t = float(np.real(np.trace(mat)))
     if t <= 0.0:
@@ -178,72 +152,74 @@ def _trace(mat) -> float:
     return t
 
 
+def _diverges(diag: np.ndarray, keep: np.ndarray, a: RenyiOrder) -> bool:
+    """Whether D_a(rho || sigma) is +oo by the rule of the module docstring
+    (orders near 1 count as a >= 1), from rho's diagonal ``diag`` in an
+    eigenbasis of sigma and the mask ``keep`` of sigma's eigenvalues above
+    its ``EIG_CUT`` cut."""
+    trace = float(diag.sum())
+    if a.near_one or a.value > 1.0:
+        return float(diag[~keep].sum()) > SUPPORT_TOL * max(trace, 1e-300)
+    return float(diag[keep].sum()) <= ORTHO_CUT * trace
+
+
 # ------------------------------------------------------------- divergences
-
-def umegaki_divergence(rho, sigma) -> float:
-    """Relative entropy tr[rho log rho - rho log sigma] / tr[rho] (base 2)."""
-    r, s = _as_matrix(rho), _as_matrix(sigma)
-    t = _trace(r)
-    if not support_contained(r, s):
-        return math.inf
-    rv, rU = np.linalg.eigh(r)
-    rv = np.clip(rv, 0.0, None)
-    keep = rv > EIG_CUT * max(rv.max(), 1e-300)
-    term1 = float(np.sum(rv[keep] * np.log2(rv[keep])))
-    sv, sU = np.linalg.eigh(s)
-    sv = np.clip(sv, 0.0, None)
-    skeep = sv > EIG_CUT * max(sv.max(), 1e-300)
-    log_s = (sU[:, skeep] * np.log2(sv[skeep])) @ sU[:, skeep].conj().T
-    term2 = float(np.real(np.trace(r @ log_s)))
-    return (term1 - term2) / t
-
-
-def max_divergence(rho, sigma) -> float:
-    """D_oo = log2 || sigma^{-1/2} rho sigma^{-1/2} ||_oo.
-
-    This is the a -> oo limit of ``sandwiched_divergence``: the 1/tr[rho]
-    inside that formula is damped by the 1/(a-1) prefactor, so no explicit
-    normalization appears here (all orders shift by log2 tr[rho] alike).
-    """
-    r, s = _as_matrix(rho), _as_matrix(sigma)
-    _trace(r)  # reject zero/negative-trace input
-    if not support_contained(r, s):
-        return math.inf
-    isq = herm_power(s, -0.5)
-    val = float(np.linalg.norm(isq @ r @ isq, 2))
-    return float(np.log2(val)) if val > 0 else -math.inf
-
 
 def sandwiched_divergence(rho, sigma, alpha) -> float:
     """Sandwiched Renyi divergence D_alpha(rho || sigma), base-2 logs.
 
     ``alpha`` may be a float, ``"inf"``, or :class:`RenyiOrder`.  Orders
-    within 1e-5 of 1 evaluate the relative-entropy formula.
+    within 1e-5 of 1 evaluate the relative-entropy formula.  One ``eigh``
+    of sigma decides the support rule (:func:`_diverges`), and one spectrum
+    gives the value: that of rho at order 1, and that of G = sigma^s rho
+    sigma^s, formed in sigma's eigenbasis, at every other order (s = -1/2
+    at infinity).  Spectra are cut at ``EIG_CUT`` relative to their
+    largest eigenvalue.
     """
     a = as_order(alpha)
     r, s = _as_matrix(rho), _as_matrix(sigma)
     if r.shape != s.shape:
         raise InvalidState("rho and sigma must act on the same space")
-    if a.is_infinite:
-        return max_divergence(r, s)
-    if a.near_one:
-        return umegaki_divergence(r, s)
     t = _trace(r)
-    av = a.value
-    if av > 1.0:
-        if not support_contained(r, s):
-            return math.inf
-    else:
-        if orthogonal(r, s):
-            return math.inf
-    s_pow = herm_power(s, (1.0 - av) / (2.0 * av))
-    A = s_pow @ r @ s_pow
-    A = 0.5 * (A + A.conj().T)
-    logQ = log2_trace_power(A, av)
-    if logQ == -math.inf:
+    lam, V = np.linalg.eigh(s)
+    top = max(lam.max(), 0.0)
+    keep = lam > EIG_CUT * max(top, 1e-300)
+    Y = V.conj().T @ r @ V
+    diag = Y.diagonal().real
+    if _diverges(diag, keep, a):
+        return math.inf
+    if a.near_one:
+        mu = np.clip(np.linalg.eigvalsh(r), 0.0, None)
+        mu = mu[mu > EIG_CUT * max(mu.max(), 1e-300)]
+        return (float(np.sum(mu * np.log2(mu)))
+                - float(diag[keep] @ np.log2(lam[keep]))) / t
+    p = -0.5 if a.is_infinite else (1.0 - a.value) / (2.0 * a.value)
+    if not float(p).is_integer() and lam.min() < -1e-8 * max(top, 1.0):
+        raise InvalidState(f"sigma is not PSD (eigenvalue {lam.min():.2e})")
+    pows = np.zeros_like(lam)
+    pows[keep] = lam[keep] ** p
+    gv = np.linalg.eigvalsh(herm_part(pows[:, None] * Y * pows[None, :]))
+    gv = gv[gv > EIG_CUT * max(gv.max(), 0.0)]
+    if not gv.size:
         # can only happen for a < 1 with barely-overlapping supports
         return math.inf
-    return (logQ - math.log2(t)) / (av - 1.0)
+    if a.is_infinite:
+        # the a -> oo limit: the 1/tr[rho] inside the formula is damped by
+        # the 1/(a-1) prefactor, so no normalization appears here
+        return math.log2(gv.max())
+    return (log_sum_exp(a.value * np.log(gv)) / LN2 - math.log2(t)) \
+        / (a.value - 1.0)
+
+
+def umegaki_divergence(rho, sigma) -> float:
+    """Relative entropy tr[rho log rho - rho log sigma] / tr[rho] (base 2)."""
+    return sandwiched_divergence(rho, sigma, 1.0)
+
+
+def max_divergence(rho, sigma) -> float:
+    """D_oo = log2 || sigma^{-1/2} rho sigma^{-1/2} ||_oo, the a -> oo limit
+    of :func:`sandwiched_divergence` (no 1/tr[rho] normalization)."""
+    return sandwiched_divergence(rho, sigma, math.inf)
 
 
 # --------------------------------------------------------------- classical

@@ -73,7 +73,8 @@ import math
 
 import numpy as np
 
-from .divergences import LN2, RenyiOrder, as_order, sandwiched_divergence
+from .divergences import (LN2, RenyiOrder, as_order, classical_renyi_entropy,
+                          sandwiched_divergence)
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      NotClassical, NotPure, UnsupportedOrder)
 from .marginals import _flat, _InputChart, _lbfgs, _square
@@ -101,17 +102,11 @@ def von_neumann_entropy(mat) -> float:
 
 
 def alpha_entropy(mat, alpha) -> float:
-    """Unconditional Renyi entropy H_a(rho) = (1/(1-a)) log2 tr[rho^a]."""
-    a = as_order(alpha)
+    """Unconditional Renyi entropy H_a(rho) = (1/(1-a)) log2 tr[rho^a]: the
+    classical entropy of rho's spectrum, cut at ``EIG_CUT``."""
     vals = np.clip(np.linalg.eigvalsh(np.asarray(mat, dtype=complex)), 0.0, None)
     keep = vals > EIG_CUT * max(vals.max(initial=0.0), 1e-300)
-    vals = vals[keep]
-    if a.is_infinite:
-        return float(-np.log2(vals.max()))
-    if a.near_one:
-        return float(-np.sum(vals * np.log2(vals)))
-    av = a.value
-    return float(log_sum_exp(av * np.log(vals)) / LN2 / (1.0 - av))
+    return classical_renyi_entropy(vals[keep], alpha)
 
 
 def renyi_branch_mix(probs, values, alpha, *, variant: str) -> float:
@@ -694,13 +689,14 @@ def two_sided_classmix(state: State, *, target, conditioning,
     with the inner optimization a minimum for a > 1 and a maximum for a < 1.
     a = infinity is its limit, one max-divergence extremum per conditioning
     outcome, solved as the order-1/2 entropy of its complement
-    (:func:`_sup_sigma`); a = 1 coincides with the von Neumann value.
+    (:func:`_sup_sigma`); a = 1 is the spectral von Neumann value of
+    :func:`cond_entropy_up`.
     """
     a = as_order(alpha)
     rho, q_labels, qp_labels, classical_target, classical_cond = \
         _two_sided_split(state, target, conditioning, classical_target,
                          classical_cond)
     if a.near_one:
-        return cond_entropy_down(rho, target, conditioning, 1.0)
+        return cond_entropy_up(rho, target, conditioning, 1.0)
     return _two_sided_mix(rho, q_labels, qp_labels, classical_target,
                           classical_cond, a, _no_tilt, variant="up")[0]

@@ -8,6 +8,10 @@ step systems and burns about twice its wall time in CPU with one (see the
 unless ``OPENBLAS_NUM_THREADS`` is already set; a value set by the caller
 wins.  The pool size is read when numpy loads, and pytest loads this file
 before any test module imports numpy.
+
+The property tests run one fixed set of examples (``derandomize=True``)
+and read or write no example database, so every run of the suite is the
+same program; each test keeps its own ``max_examples`` and ``deadline``.
 """
 
 import math
@@ -17,9 +21,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from renyimeat import registers  # noqa: E402
 from renyimeat.marginals import _MarginalSet  # noqa: E402
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

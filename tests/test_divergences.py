@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from renyimeat.channel_entropy import _divergence_with_grads
 from renyimeat.divergences import (
     RenyiOrder,
     as_order,
     classical_renyi_divergence,
     classical_renyi_entropy,
     frequency,
-    log2_trace_power,
     max_divergence,
     measured_divergence_bound,
     sandwiched_divergence,
-    support_contained,
     umegaki_divergence,
+    ORTHO_CUT,
     SUPPORT_TOL,
 )
 from renyimeat.errors import InvalidState, UnsupportedOrder
@@ -42,9 +42,10 @@ def test_order_construction_and_tags():
     assert as_order(math.inf).is_infinite
     assert RenyiOrder(1.0).is_one
     assert RenyiOrder(1.0 + 5e-6).near_one and not RenyiOrder(1.0 + 5e-6).is_one
-    for bad in (0.0, -1.0, math.nan):
+    for bad in (0.0, -1.0, math.nan, "abc", None):
         with pytest.raises(UnsupportedOrder):
             RenyiOrder(bad)
+    assert RenyiOrder(2) != None  # noqa: E711
 
 
 def test_order_conjugate_map():
@@ -131,7 +132,28 @@ def test_support_contained_at_its_tolerance(scale):
     sig = U @ np.diag([0.4, 0.6, 0.0]) @ U.conj().T
     for eps, inside in ((0.9 * SUPPORT_TOL, True), (1.1 * SUPPORT_TOL, False)):
         rho = scale * U @ np.diag([0.5, 0.5 - eps, eps]) @ U.conj().T
-        assert support_contained(rho, sig) is inside
+        for value in (sandwiched_divergence(rho, sig, 2),
+                      umegaki_divergence(rho, sig), max_divergence(rho, sig)):
+            assert math.isfinite(value) is inside
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75])
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_overlap_at_its_cut(scale, alpha):
+    """Below order 1, rho with the weight w (relative to its trace) on
+    supp(sigma) is orthogonal to sigma up to w = ORTHO_CUT: the public
+    divergence and the chart kernel both give +inf there, and a finite
+    value past it."""
+    U = random_isometry(3, 3, seed=2)
+    sig = U @ np.diag([1.0, 0.0, 0.0]) @ U.conj().T
+    for w, orthogonal in ((0.9 * ORTHO_CUT, True), (1.1 * ORTHO_CUT, False)):
+        psi = U @ np.array([math.sqrt(w), math.sqrt(1.0 - w), 0.0])
+        rho = scale * np.outer(psi, psi.conj())
+        public = sandwiched_divergence(rho, sig, alpha)
+        kernel, g_rho, g_sig = _divergence_with_grads(rho, sig, as_order(alpha))
+        for value in (public, kernel):
+            assert math.isfinite(value) is not orthogonal
+        assert (g_rho is None) is orthogonal and (g_sig is None) is orthogonal
 
 
 def test_zero_trace_rejected():
@@ -243,27 +265,47 @@ def rotated(diag, seed):
     return U @ np.diag(diag) @ U.conj().T
 
 
-def test_log2_trace_power_rank_deficient():
+def test_trace_power_form_rank_deficient():
+    # against the identity, D_a(M || 1) = (log2 tr M^a - log2 tr M) / (a - 1)
     M = rotated([0.5, 0.25, 0.0, 0.0], seed=3)
-    assert log2_trace_power(M, 2.0) == pytest.approx(math.log2(0.3125),
-                                                     abs=1e-13)
-    assert log2_trace_power(M, 0.5) == pytest.approx(
-        math.log2(math.sqrt(0.5) + 0.5), abs=1e-13)
+    eye = np.eye(4)
+    assert sandwiched_divergence(M, eye, 2.0) == pytest.approx(
+        math.log2(0.3125) - math.log2(0.75), abs=1e-13)
+    assert sandwiched_divergence(M, eye, 0.5) == pytest.approx(
+        (math.log2(math.sqrt(0.5) + 0.5) - math.log2(0.75)) / -0.5,
+        abs=1e-13)
 
 
-def test_log2_trace_power_at_a_very_large_order():
+def test_trace_power_form_at_a_very_large_order():
     # tr[(P/2)^a] = 2^(1-a) for a rank-2 projector P; 0.5^1e4 underflows
     M = rotated([0.5, 0.5, 0.0], seed=4)
-    assert log2_trace_power(M, 1e4) == pytest.approx(1.0 - 1e4, rel=1e-12)
+    assert sandwiched_divergence(M, np.eye(3), 1e4) == pytest.approx(
+        (1.0 - 1e4) / (1e4 - 1.0), rel=1e-12)
     # the largest eigenvalue dominates: log2 tr = a log2 0.6 + O(2^-5849)
     M = rotated([0.6, 0.4, 0.0], seed=5)
-    assert log2_trace_power(M, 1e4) == pytest.approx(1e4 * math.log2(0.6),
-                                                     rel=1e-12)
+    assert sandwiched_divergence(M, np.eye(3), 1e4) == pytest.approx(
+        1e4 * math.log2(0.6) / (1e4 - 1.0), rel=1e-12)
 
 
-def test_log2_trace_power_of_zero_is_minus_infinity():
-    assert log2_trace_power(np.zeros((3, 3)), 2.0) == -math.inf
-    assert log2_trace_power(np.zeros((2, 2)), 0.5) == -math.inf
+@pytest.mark.parametrize("alpha", [0.5, 1, 2, "inf"])
+def test_one_spectrum_per_divergence(monkeypatch, alpha):
+    """A divergence costs one eigh of sigma and one spectrum, and no norm."""
+    calls = []
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    rho = random_density(space(("A", 3)), seed=6)
+    sig = random_density(space(("A", 3)), seed=7)
+    sandwiched_divergence(rho, sig, alpha)
+    assert len(calls) <= 2 and "norm" not in calls
 
 
 # --------------------------------------------------------------- classical
