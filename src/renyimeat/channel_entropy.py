@@ -29,8 +29,11 @@ by order:
 * every other order runs L-BFGS over an unconstrained chart of the
   marginal set (:class:`_InputChart`), with the inner sigma from
   :func:`renyimeat.entropies.cond_entropy_up` at b and the gradient in rho
-  by the envelope theorem; at ``alpha = 1`` the objective is -H(T|Z) and
-  needs no sigma.  A joint L-BFGS over (rho, sigma) polishes the result
+  by the envelope theorem.  At ``alpha = 1`` the objective is
+  D(omega || 1 (x) sigma) = -H(T|Z) + D(omega_Z || sigma), least at
+  sigma = omega_Z: each point is H(Z) - H(TZ) in closed form, and its
+  certificate is the Frank-Wolfe gap in rho alone, exact because -H(T|Z)
+  is convex in rho.  A joint L-BFGS over (rho, sigma) polishes the result
   when its width calls for it.  The value is certified by the joint
   Frank-Wolfe gap, taken on Q_b when b > 1;
 * inputs that are completely pinned by the constraint skip the outer
@@ -75,7 +78,8 @@ from .registers import (EIG_CUT, LOG2E, RegisterSpace, State, as_labels,
                         bipartite_partial_trace,
                         canonical_purification_vector, divided_differences,
                         herm_part, herm_power, ket_state, kraus_apply,
-                        kraus_pullback, space, support_isometry)
+                        kraus_pullback, space, support_isometry,
+                        tensor_identity)
 
 #: widest certified interval (in bits of entropy) a channel entropy may
 #: carry; a wider one raises NonConvergence
@@ -154,14 +158,11 @@ class _ReducedDilation:
         d_y = ch.out_space.dim // d_t
         cond = [l for l in ch.out_space.labels if l not in problem.target]
         P = _perm_matrix(ch.out_space, problem.target + tuple(cond))
-        V = np.zeros((ch.out_space.dim * nk, mset.dim), dtype=complex)
-        for k, K in enumerate(ks):
-            e = np.zeros(nk)
-            e[k] = 1.0
-            V += np.kron(P @ K, e.reshape(nk, 1))
-        arr = V.reshape(d_t, d_y, nk, mset.dim)
-        self.kraus = [arr[:, y, :, :].reshape(d_t * nk, mset.dim)
-                      for y in range(d_y)]
+        # the dilation sum_k P K_k (x) |k>, rows on (T, Y, k); one Kraus
+        # operator per y, stacked
+        arr = np.stack([P @ K for K in ks], axis=1).astype(complex, copy=False)
+        self.kraus = arr.reshape(d_t, d_y, nk, mset.dim).transpose(
+            1, 0, 2, 3).reshape(d_y, d_t * nk, mset.dim)
         self.d_t = d_t
         self.d_env = nk
 
@@ -180,8 +181,8 @@ def _solve_endpoint(problem: ChannelEntropyProblem,
     maximized over rho and density operators sigma on Z
     (:func:`_fidelity_program`), and the entropy is -2 log2 of it."""
     red = _ReducedDilation(problem, mset)
-    eye_t = np.eye(red.d_t)
-    args = (mset, [red.apply], lambda S: np.kron(eye_t, S),
+    args = (mset, [red.apply],
+            lambda S: tensor_identity(S, red.d_t, first=True),
             _MarginalSet(space(("Z", red.d_env)), None))
     if problem.alpha.is_half:
         value, width, rho, _ = _covering_program(*args)
@@ -238,11 +239,26 @@ def _width_reached(data) -> bool:
     return data[2] <= 1e-2 * CHANNEL_GAP_TOL
 
 
+def _spectral_log2(mat: np.ndarray):
+    """(sum of p log2 p over the spectrum of a Hermitian ``mat``, cut at
+    ``EIG_CUT``; log2 ``mat`` from that spectrum floored at ``_LOG_FLOOR``),
+    both relative to its largest eigenvalue, from one ``eigh``.  The
+    logarithm is W diag W^dag, Hermitian up to rounding."""
+    mu, W = np.linalg.eigh(mat)
+    mu = np.clip(mu, 0.0, None)
+    top = max(mu.max(initial=0.0), 1e-300)
+    kept = mu[mu > EIG_CUT * top]
+    return (float(np.sum(kept * np.log2(kept))),
+            (W * np.log2(np.clip(mu, _LOG_FLOOR * top, None))) @ W.conj().T)
+
+
 def _divergence_with_grads(omega: np.ndarray, tau: np.ndarray,
                            beta: RenyiOrder):
     """(D_b(omega || tau), grad_omega, grad_tau) from one eigendecomposition
     of tau and one of omega (b = 1) or of G = tau^s omega tau^s,
-    s = (1-b)/(2b), formed in tau's eigenbasis (b != 1).
+    s = (1-b)/(2b), formed in tau's eigenbasis (b != 1).  ``omega`` is
+    Hermitian (as :func:`kraus_apply` returns it), and only its lower
+    triangle is read at b = 1.
 
     The conventions are those of
     :func:`renyimeat.divergences.sandwiched_divergence`: spectra are cut at
@@ -265,16 +281,11 @@ def _divergence_with_grads(omega: np.ndarray, tau: np.ndarray,
         return math.inf, None, None
     trace = float(diag.sum())
     if beta.near_one:
-        mu, W = np.linalg.eigh(herm_part(omega))
-        mu = np.clip(mu, 0.0, None)
-        top = mu.max(initial=0.0)
-        kept = mu[mu > EIG_CUT * max(top, 1e-300)]
+        plogp, log_om = _spectral_log2(omega)
         log_tau = np.where(keep, np.log2(base), 0.0)
-        value = (float(np.sum(kept * np.log2(kept)))
-                 - float(diag @ log_tau)) / trace
-        floor_w = _LOG_FLOOR * max(top, 1e-300)
+        value = (plogp - float(diag @ log_tau)) / trace
         floor_v = _LOG_FLOOR * max(lam.max(initial=0.0), 1e-300)
-        g_om = (W * np.log2(np.clip(mu, floor_w, None))) @ W.conj().T \
+        g_om = log_om \
             - (V * np.log2(np.clip(lam, floor_v, None))) @ V.conj().T \
             + LOG2E * np.eye(len(lam))
         kernel = divided_differences(lam, np.where(keep, np.log(base), 0.0),
@@ -311,6 +322,25 @@ def _divergence_with_grads(omega: np.ndarray, tau: np.ndarray,
     g_tau = kernel * (Mx + Mx.conj().T)
     return (value, herm_part(V @ g_om @ V.conj().T),
             herm_part(V @ g_tau @ V.conj().T))
+
+
+def _negative_cond_entropy(omega: np.ndarray, d_t: int, d_z: int):
+    """(-H(T|Z) = H(Z) - H(TZ), omega_Z, gradient) at a Hermitian omega on
+    T Z of unit trace, from one ``eigh`` of omega and one of omega_Z.
+
+    -H(T|Z) is D_1(omega || 1_T (x) sigma) at its least sigma, omega_Z, so
+    its gradient is that divergence's gradient in omega there, log2 omega -
+    1_T (x) log2 omega_Z along directions that keep the trace (the same
+    spectral cut and floors as :func:`_divergence_with_grads` at b = 1);
+    log2 omega_Z is subtracted on the diagonal T blocks.  The gradient is
+    Hermitian up to rounding, for a pullback that projects it."""
+    omega_z = bipartite_partial_trace(omega, d_t, d_z, 1)
+    plogp, grad = _spectral_log2(omega)
+    plogp_z, log_z = _spectral_log2(omega_z)
+    blocks = grad.reshape(d_t, d_z, d_t, d_z)
+    t = np.arange(d_t)
+    blocks[t, :, t, :] -= log_z
+    return plogp - plogp_z, omega_z, grad
 
 
 class _JointDivergence:
@@ -377,43 +407,52 @@ def _solve_convex(problem: ChannelEntropyProblem,
     order a other than 1/2, with 1/a + 1/b = 2.
 
     L-BFGS runs on the chart G -> rho(G) and sees the value at the inner
-    optimum: sigma from :func:`cond_entropy_up` at b, or omega_Z at a = 1,
-    where the objective is -H(T|Z); the gradient in rho is the pullback of
-    grad_omega D_b at that sigma (envelope theorem).  The inner sigma is
-    certified in value, not in first order: at the last first-stage point
-    of ``CH4`` (tests/test_channel_entropy.py) the sigma side of the
-    Frank-Wolfe gap is 1.8e-5 at a = 0.6, 6.0e-6 at a = 0.75 and 9.3e-6 at
-    a = 2.  The joint L-BFGS of :meth:`_JointDivergence.minimize` then
-    polishes (rho, sigma), sigma charted on the support of omega_Z; it
-    runs once on ``CH4`` at each of those orders and in 2 of the 12
-    convex solves of a ``channel-opt`` benchmark pass (seed 0: the generic
-    channel at 0.8 and 2).  D_b and its gradients at a point cost one
-    ``eigh`` of tau and one of omega or of G (:func:`_divergence_with_grads`).
-    The returned value is D_b at the final (rho, sigma), and the gap is the
-    joint Frank-Wolfe gap there (:meth:`_JointDivergence.at`).  Each stage
-    stops once the gap is a hundredth of ``CHANNEL_GAP_TOL``.
+    optimum.  At a = 1 that optimum is sigma = omega_Z, since
+    D(omega || 1 (x) sigma) = -H(T|Z) + D(omega_Z || sigma): each point is
+    H(Z) - H(TZ) from one ``eigh`` of omega and one of omega_Z, with the
+    gradient log2 omega - 1 (x) log2 omega_Z pulled back to rho
+    (:func:`_negative_cond_entropy`).  -H(T|Z) is convex in rho (conditional
+    entropy is concave) and the sigma side of the joint gap is zero, so the
+    rho-side bound :meth:`_InputChart.gap_bound` is the whole Frank-Wolfe
+    certificate.  At other orders sigma comes from :func:`cond_entropy_up`
+    at b, and the gradient in rho is the pullback of grad_omega D_b at that
+    sigma (envelope theorem).  That inner sigma is certified in value, not
+    in first order: at the last first-stage point of ``CH4``
+    (tests/test_channel_entropy.py) the sigma side of the Frank-Wolfe gap is
+    1.8e-5 at a = 0.6, 6.0e-6 at a = 0.75 and 9.3e-6 at a = 2.  The joint
+    L-BFGS of :meth:`_JointDivergence.minimize` then polishes (rho, sigma),
+    sigma charted on the support of omega_Z; it runs once on ``CH4`` at
+    each of those orders and in 2 of the 12 convex solves of a
+    ``channel-opt`` benchmark pass (seed 0: the generic channel at 0.8 and
+    2).  D_b and its gradients at a point cost one ``eigh`` of tau and one
+    of omega or of G (:func:`_divergence_with_grads`).  The returned value
+    is the objective at the final (rho, sigma), and the gap is the
+    Frank-Wolfe gap there (:meth:`_JointDivergence.at` at orders other than
+    1).  Each stage stops once the gap is a hundredth of
+    ``CHANNEL_GAP_TOL``.
     """
     red = _ReducedDilation(problem, mset)
     d_t, d_z = red.d_t, red.d_env
     one = problem.alpha.near_one
     beta = as_order(1.0) if one else problem.alpha.conjugate()
-    eye_t = np.eye(d_t)
     div = _JointDivergence(
         beta, ((red.apply, red.pullback),
-               (lambda sig: np.kron(eye_t, sig),
-                lambda g: herm_part(bipartite_partial_trace(g, d_t, d_z, 1)))),
+               (lambda sig: tensor_identity(sig, d_t, first=True),
+                lambda g: bipartite_partial_trace(g, d_t, d_z, 1))),
         (_InputChart(mset.psi_r, mset.dim // mset.rank_a),
          _InputChart(np.eye(1), d_z)))
     chart = div.charts[0]
 
     def fg(x):
-        """D_b at rho(G) and the inner sigma, its gradient in G, and
-        (rho, sigma, width)."""
+        """The objective at rho(G) and the inner sigma, its gradient in G,
+        and (rho, sigma, width)."""
         G = _square(x)
         rho, parts = chart.point(G)
         omega = red.apply(rho)
         if one:
-            sigma = bipartite_partial_trace(omega, d_t, d_z, 1)
+            value, sigma, g_om = _negative_cond_entropy(omega, d_t, d_z)
+            g_rho = red.pullback(g_om)
+            width = max(chart.gap_bound(rho, g_rho), 0.0)
         else:
             try:
                 sigma = cond_entropy_up(
@@ -421,9 +460,9 @@ def _solve_convex(problem: ChannelEntropyProblem,
                     ["t"], ["z"], beta, return_info=True)[1]["sigma"]
             except NonConvergence:
                 return math.inf, None, None
-        value, g_rho, _, width = div.at(rho, sigma)
-        if g_rho is None:
-            return value, None, None
+            value, g_rho, _, width = div.at(rho, sigma)
+            if g_rho is None:
+                return value, None, None
         return (value, 2.0 * _flat(chart.pullback(G, parts, g_rho)),
                 (rho, sigma, width))
 

@@ -112,12 +112,9 @@ class Channel:
     def stinespring(self, env_label: str = "Z") -> "Isometry":
         """Isometric dilation ``V = sum_k K_k (x) |k>_env`` (env dim = #Kraus)."""
         m = len(self.kraus)
-        din, dout = self.in_space.dim, self.out_space.dim
-        V = np.zeros((dout * m, din), dtype=complex)
-        for k, K in enumerate(self.kraus):
-            e = np.zeros(m)
-            e[k] = 1.0
-            V += np.kron(K, e.reshape(m, 1))
+        # row (out, k) of V is row out of K_k
+        V = np.stack(self.kraus, axis=1).astype(complex, copy=False).reshape(
+            self.out_space.dim * m, self.in_space.dim)
         env = RegisterSpace([(env_label, m)])
         return Isometry(V, self.in_space, self.out_space.tensor(env),
                         require_isometry=self.is_trace_preserving)

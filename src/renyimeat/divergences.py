@@ -174,7 +174,9 @@ def sandwiched_divergence(rho, sigma, alpha) -> float:
     gives the value: that of rho at order 1, and that of G = sigma^s rho
     sigma^s, formed in sigma's eigenbasis, at every other order (s = -1/2
     at infinity).  Spectra are cut at ``EIG_CUT`` relative to their
-    largest eigenvalue.
+    largest eigenvalue.  A sigma with an eigenvalue below -1e-8 max(1,
+    largest) raises :class:`InvalidState` at order 1, which takes its
+    logarithm, and wherever s is fractional.
     """
     a = as_order(alpha)
     r, s = _as_matrix(rho), _as_matrix(sigma)
@@ -188,14 +190,17 @@ def sandwiched_divergence(rho, sigma, alpha) -> float:
     diag = Y.diagonal().real
     if _diverges(diag, keep, a):
         return math.inf
+    p = -0.5 if a.is_infinite else (1.0 - a.value) / (2.0 * a.value)
+    # order 1 takes log sigma, and a fractional power is not defined on
+    # negative spectrum either
+    if (a.near_one or not float(p).is_integer()) \
+            and lam.min() < -1e-8 * max(top, 1.0):
+        raise InvalidState(f"sigma is not PSD (eigenvalue {lam.min():.2e})")
     if a.near_one:
         mu = np.clip(np.linalg.eigvalsh(r), 0.0, None)
         mu = mu[mu > EIG_CUT * max(mu.max(), 1e-300)]
         return (float(np.sum(mu * np.log2(mu)))
                 - float(diag[keep] @ np.log2(lam[keep]))) / t
-    p = -0.5 if a.is_infinite else (1.0 - a.value) / (2.0 * a.value)
-    if not float(p).is_integer() and lam.min() < -1e-8 * max(top, 1.0):
-        raise InvalidState(f"sigma is not PSD (eigenvalue {lam.min():.2e})")
     pows = np.zeros_like(lam)
     pows[keep] = lam[keep] ** p
     gv = np.linalg.eigvalsh(herm_part(pows[:, None] * Y * pows[None, :]))

@@ -94,11 +94,9 @@ _FP_VALUE_TOL = 1e-12
 # ----------------------------------------------------------------- utilities
 
 def von_neumann_entropy(mat) -> float:
-    """H(rho) = -tr[rho log2 rho] for a (sub)normalized density matrix."""
-    vals = np.linalg.eigvalsh(np.asarray(mat, dtype=complex))
-    vals = np.clip(vals, 0.0, None)
-    keep = vals > EIG_CUT * max(vals.max(initial=0.0), 1e-300)
-    return float(-np.sum(vals[keep] * np.log2(vals[keep])))
+    """H(rho) = -tr[rho log2 rho] for a (sub)normalized density matrix:
+    :func:`alpha_entropy` at order 1 (no normalization)."""
+    return alpha_entropy(mat, 1.0)
 
 
 def alpha_entropy(mat, alpha) -> float:

@@ -45,7 +45,8 @@ from .errors import (InfeasibleSpec, InvalidRegister, InvalidState,
                      NonConvergence)
 from .registers import (RegisterSpace, State, _power_frechet_map, as_labels,
                         bipartite_partial_trace, embed_operator, herm_part,
-                        herm_power, kraus_pullback, support_isometry)
+                        herm_power, kraus_pullback, support_isometry,
+                        tensor_identity)
 from .sdp import SdpProblem, hunvec, solve_sdp
 
 
@@ -114,7 +115,7 @@ class _MarginalSet:
         self.ordered_space = self.a_space.tensor(self.free_space)
         P = _perm_matrix(self.ordered_space, in_space.labels) \
             if len(self.ordered_space) else np.eye(1)
-        self.embed = P @ np.kron(U, np.eye(self.free_space.dim))
+        self.embed = P @ tensor_identity(U, self.free_space.dim)
         self.dim = self.rank_a * self.free_space.dim
 
     @property
@@ -206,14 +207,14 @@ class _InputChart:
 
     def gap_bound(self, rho: np.ndarray, grad: np.ndarray) -> float:
         """Upper bound on the Frank-Wolfe gap tr[grad rho] - min_v tr[grad v]
-        over the marginal set, by weak duality: min_v tr[grad v] >= tr[psi L]
-        for every L with L (x) 1 <= grad.  The point L = h + lambda_min(grad -
-        h (x) 1), h = Herm(Tr_F[grad rho] psi^-1), is dual optimal when rho
-        is optimal (then grad rho = (L (x) 1) rho), and tr[psi h] =
-        tr[grad rho] leaves -lambda_min(grad - h (x) 1)."""
+        over the marginal set, for a Hermitian ``grad``, by weak duality:
+        min_v tr[grad v] >= tr[psi L] for every L with L (x) 1 <= grad.  The
+        point L = h + lambda_min(grad - h (x) 1), h = Herm(Tr_F[grad rho]
+        psi^-1), is dual optimal when rho is optimal (then grad rho =
+        (L (x) 1) rho), and tr[psi h] = tr[grad rho] leaves
+        -lambda_min(grad - h (x) 1)."""
         h = herm_part(self._trace_f(grad, rho) @ self.psi_inv)
-        shifted = herm_part(grad).reshape(self.d_a, self.d_f, self.d_a,
-                                          self.d_f)
+        shifted = grad.reshape(self.d_a, self.d_f, self.d_a, self.d_f).copy()
         free = np.arange(self.d_f)
         shifted[:, free, :, free] -= h
         return -float(np.linalg.eigvalsh(shifted.reshape(grad.shape))[0])
@@ -242,20 +243,20 @@ def _lbfgs(fg, x, done, *, smooth: bool):
     if not np.isfinite(value):
         raise NonConvergence("the objective is undefined at the start",
                              value=value, gap=math.inf)
-    mem: list[tuple[np.ndarray, np.ndarray]] = []
+    # curvature pairs (s, y, 1 / s^T y)
+    mem: list[tuple[np.ndarray, np.ndarray, float]] = []
     for _ in range(_LBFGS_MAX_ITERS):
         if done(data):
             break
         q = g
         coeffs = []
-        for s_v, y_v in reversed(mem):
-            rho_i = 1.0 / float(s_v @ y_v)
+        for s_v, y_v, rho_i in reversed(mem):
             a_i = rho_i * float(s_v @ q)
             coeffs.append((rho_i, a_i, s_v, y_v))
             q = q - a_i * y_v
         gnorm = float(np.linalg.norm(g))
         if mem:
-            s_l, y_l = mem[-1]
+            s_l, y_l, _ = mem[-1]
             q = q * (float(s_l @ y_l) / float(y_l @ y_l))
         else:
             q = q / max(gnorm, 1.0)
@@ -283,8 +284,9 @@ def _lbfgs(fg, x, done, *, smooth: bool):
         else:
             break
         s_v, y_v = xc - x, gc - g
-        if float(s_v @ y_v) > 1e-12 * np.linalg.norm(s_v) * np.linalg.norm(y_v):
-            mem.append((s_v, y_v))
+        sy = float(s_v @ y_v)
+        if sy > 1e-12 * np.linalg.norm(s_v) * np.linalg.norm(y_v):
+            mem.append((s_v, y_v, 1.0 / sy))
             if len(mem) > _LBFGS_MEMORY:
                 mem.pop(0)
         stalled = not smooth and value - vc <= 1e-13 * max(1.0, abs(value))

@@ -319,25 +319,16 @@ def canonical_purification_vector(state: State, label: str = "P"):
     top = max(vals[0], 0.0)
     r = int(np.sum(vals > EIG_CUT * max(top, 1e-300)))
     r = max(r, 1)
-    d = state.space.dim
-    vec = np.zeros(d * r, dtype=complex)
+    # column i of the d x r coefficient matrix is sqrt(lambda_i) v_i
+    mat = np.zeros((state.space.dim, r), dtype=complex)
     for i in range(r):
         v = vecs[:, i]
         a = np.abs(v)
         nz = np.nonzero(a > 1e-12 * a.max())[0]
         j = nz[0] if len(nz) else 0
         phase = v[j] / abs(v[j]) if abs(v[j]) > 0 else 1.0
-        v = v / phase
-        lam = max(vals[i], 0.0)
-        vec += np.sqrt(lam) * np.kron(v, _basis_vec(r, i))
-    pspace = RegisterSpace([(label, r)])
-    return vec, pspace
-
-
-def _basis_vec(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d, dtype=complex)
-    e[i] = 1.0
-    return e
+        mat[:, i] = np.sqrt(max(vals[i], 0.0)) * (v / phase)
+    return mat.reshape(-1), RegisterSpace([(label, r)])
 
 
 def ket_state(vector, space: RegisterSpace) -> State:
@@ -354,7 +345,9 @@ def basis_ket(space: RegisterSpace, indices: Sequence[int]) -> np.ndarray:
     if len(indices) != len(space):
         raise InvalidRegister("one index per register required")
     flat = int(np.ravel_multi_index(tuple(indices), space.dims))
-    return _basis_vec(space.dim, flat)
+    e = np.zeros(space.dim, dtype=complex)
+    e[flat] = 1.0
+    return e
 
 
 def maximally_mixed(space: RegisterSpace) -> State:
@@ -389,14 +382,34 @@ def bipartite_partial_trace(mat: np.ndarray, d_first: int, d_second: int,
                     axis1=traced, axis2=traced + 2)
 
 
+def tensor_identity(mat: np.ndarray, d: int, *,
+                    first: bool = False) -> np.ndarray:
+    """``mat (x) 1_d``, or ``1_d (x) mat`` with ``first``: the values of
+    ``np.kron`` in its dtype, placed block by block without its outer
+    product."""
+    m, n = mat.shape
+    idx = np.arange(d)
+    out = np.zeros((d, m, d, n) if first else (m, d, n, d),
+                   dtype=np.promote_types(mat.dtype, float))
+    if first:
+        out[idx, :, idx, :] = mat
+    else:
+        out[:, idx, :, idx] = mat
+    return out.reshape(m * d, n * d)
+
+
 def kraus_apply(kraus, X: np.ndarray) -> np.ndarray:
-    """The Hermitian part of sum_k K_k X K_k^dag."""
-    return herm_part(sum(K @ X @ K.conj().T for K in kraus))
+    """The Hermitian part of sum_k K_k X K_k^dag.  ``kraus`` is a sequence
+    of equal-shape matrices or their stack; the products are one stacked
+    matmul, summed in order over k."""
+    ks = np.asarray(kraus)
+    return herm_part(sum(ks @ X @ ks.conj().transpose(0, 2, 1)))
 
 
 def kraus_pullback(kraus, G: np.ndarray) -> np.ndarray:
     """The adjoint map: the Hermitian part of sum_k K_k^dag G K_k."""
-    return herm_part(sum(K.conj().T @ G @ K for K in kraus))
+    ks = np.asarray(kraus)
+    return herm_part(sum(ks.conj().transpose(0, 2, 1) @ G @ ks))
 
 
 def log_sum_exp(x) -> float:

@@ -609,14 +609,18 @@ def test_divergence_kernel_is_infinite_without_support(beta):
 
 def test_chart_program_eigendecomposition_budget(monkeypatch):
     """A deterministic cost guard on CH4 at order 1, where the chart
-    program runs without an inner sigma solve and its kernel decomposes
-    tau and omega once per point.  The limit is under the 641 calls of the
-    solve whose kernel decomposed omega twice and tau three times per
-    point."""
+    program runs without an inner sigma solve: one ``eigh`` of omega and
+    one of omega_Z per point, and one ``eigvalsh`` for the rho side of the
+    Frank-Wolfe gap (367 calls in all).  The limit is under the 458 calls
+    of the solve that took the divergence of omega against 1 (x) omega_Z,
+    with a second ``eigvalsh`` per point for a sigma side that is zero, and
+    under the 641 ``eigh`` calls alone of the one before it, whose kernel
+    decomposed omega twice and tau three times per point."""
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, f=getattr(np.linalg, name), **k:
+                            calls.append(1) or f(*a, **k))
     ch = random_channel(space(*CH4["inp"]), space(*CH4["out"]),
                         seed=CH4["seed"], kraus_rank=CH4["kraus_rank"])
     res = channel_cond_entropy(ChannelEntropyProblem(
@@ -624,6 +628,62 @@ def test_chart_program_eigendecomposition_budget(monkeypatch):
     assert res.gap <= CHANNEL_GAP_TOL
     assert res.value == pytest.approx(-0.6868801777, abs=1e-9)
     assert len(calls) <= 400
+
+
+ORDER_ONE = {
+    "CH4": (dict(inp=CH4["inp"], out=CH4["out"], seed=CH4["seed"],
+                 kraus_rank=2), CH4["pin"]),
+    "GEN": (dict(inp=(("A", 2),), out=(("T", 2),), seed=1, kraus_rank=2),
+            None),
+    "QS5": (dict(inp=(("A", 2),), out=(("T", 2), ("Y", 2)), seed=5,
+                 kraus_rank=2), None),
+}
+
+
+def order_one_instance(name):
+    kw, pin = ORDER_ONE[name]
+    ch = random_channel(space(*kw["inp"]), space(*kw["out"]), seed=kw["seed"],
+                        kraus_rank=kw["kraus_rank"])
+    return ch, None if pin is None else pinned("A", pin)
+
+
+@pytest.mark.parametrize("name", list(ORDER_ONE))
+def test_order_one_route_matches_its_witness_and_the_divergence_oracle(name):
+    """At order 1 each chart point is H(Z) - H(TZ) in closed form: the value
+    is the entropy of the returned witness, and it agrees within the two
+    widths with the minimized divergence of the conjugate form, which
+    still runs the order-1 divergence kernel over (rho, sigma)."""
+    ch, con = order_one_instance(name)
+    res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", 1.0,
+                                                     constraint=con))
+    assert res.method == "convex-program" and res.gap <= CHANNEL_GAP_TOL
+    assert res.value == pytest.approx(
+        entropy_at_witness(ch, "T", res.witness, 1.0), abs=1e-12)
+    oracle = entropy_via_conjugate_divergence(ch, "T", con, 1.0)
+    assert abs(res.value - oracle) \
+        <= res.gap + CHANNEL_GAP_TOL * max(1.0, abs(oracle))
+    if name == "CH4":
+        assert res.value == pytest.approx(-0.6868801777, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", list(ORDER_ONE))
+def test_order_one_route_forms_no_divergence_and_no_kronecker_product(
+        name, monkeypatch):
+    """Neither the divergence kernel nor ``np.kron`` runs in an order-1
+    channel entropy whose first stage certifies (these three do): sigma =
+    omega_Z is never formed as 1 (x) sigma."""
+    ch, con = order_one_instance(name)
+    calls = []
+    kernel = channel_entropy._divergence_with_grads
+    monkeypatch.setattr(channel_entropy, "_divergence_with_grads",
+                        lambda *a: calls.append("kernel") or kernel(*a))
+    kron = np.kron
+    monkeypatch.setattr(np, "kron",
+                        lambda *a: calls.append("kron") or kron(*a))
+    res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", 1.0,
+                                                     constraint=con))
+    assert res.gap <= CHANNEL_GAP_TOL
+    assert calls == []
 
 
 def pinned_second_argument():

@@ -161,6 +161,19 @@ def test_zero_trace_rejected():
         sandwiched_divergence(np.zeros((2, 2)), np.eye(2) / 2, 2)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.99999, 0.5, 2.0])
+def test_negative_sigma_rejected(alpha):
+    """Order 1 takes log sigma, so a sigma with negative spectrum raises
+    there as at the fractional powers, inside the near-one window too,
+    although rho lies in the span of sigma's positive eigenvector."""
+    rho, sigma = np.diag([1.0, 0.0]), np.diag([0.7, -0.3])
+    with pytest.raises(InvalidState):
+        sandwiched_divergence(rho, sigma, alpha)
+    if alpha == 1.0:
+        with pytest.raises(InvalidState):
+            umegaki_divergence(rho, sigma)
+
+
 def test_max_divergence_known_value():
     # sigma^{-1/2} rho sigma^{-1/2} = diag(1.6, 0.4) for this pair
     rho = np.diag([0.8, 0.2])

@@ -15,6 +15,7 @@ from renyimeat.registers import (
     State,
     _power_frechet_map,
     basis_ket,
+    canonical_purification_vector,
     classical_state,
     divided_differences,
     embed_operator,
@@ -26,6 +27,7 @@ from renyimeat.registers import (
     maximally_mixed,
     space,
     support_isometry,
+    tensor_identity,
 )
 from renyimeat.sampling import (random_channel, random_density,
                                 random_isometry, random_pure)
@@ -187,6 +189,22 @@ def test_purify_is_deterministic():
     )
 
 
+@pytest.mark.parametrize("rank", [3, 2])
+def test_purification_vector_equals_its_kronecker_sum(rank):
+    """The coefficient columns give, to the last bit, the vector
+    sum_i sqrt(lambda_i) v_i (x) e_i with the same eigenvectors and
+    phases."""
+    st_ = random_density(space(("Q", 3)), seed=5, rank=rank)
+    vec, pspace = canonical_purification_vector(st_, "P")
+    r = pspace.dim
+    cols = vec.reshape(3, r)
+    ref = np.zeros(3 * r, dtype=complex)
+    for i in range(r):
+        ref += np.kron(cols[:, i], np.eye(r)[i])
+    assert r == rank
+    np.testing.assert_array_equal(vec, ref)
+
+
 # -------------------------------------------------------------- pinching
 
 
@@ -340,6 +358,40 @@ def test_kraus_pullback_is_the_adjoint_of_kraus_apply():
         G, X = g + g.conj().T, x + x.conj().T
         assert np.trace(G @ kraus_apply(kraus, X)).real == pytest.approx(
             np.trace(kraus_pullback(kraus, G) @ X).real, abs=1e-12)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_stacked_kraus_maps_equal_the_loop_sums(rank):
+    """One stacked product per map, summed in order over k, gives the loop
+    sum of the single products to the last bit, for real and complex
+    Kraus operators and a one-dimensional output."""
+    rng = np.random.default_rng(7)
+    for d_out in (1, 3):
+        kraus = [rng.standard_normal((d_out, 2))
+                 + 1j * rng.standard_normal((d_out, 2)) for _ in range(rank)]
+        for ks in (kraus, [K.real.copy() for K in kraus]):
+            x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            g = rng.standard_normal((d_out, d_out)) \
+                + 1j * rng.standard_normal((d_out, d_out))
+            X, G = x + x.conj().T, g + g.conj().T
+            out = sum(K @ X @ K.conj().T for K in ks)
+            back = sum(K.conj().T @ G @ K for K in ks)
+            np.testing.assert_array_equal(kraus_apply(ks, X),
+                                          0.5 * (out + out.conj().T))
+            np.testing.assert_array_equal(kraus_pullback(ks, G),
+                                          0.5 * (back + back.conj().T))
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_tensor_identity_equals_kron(first):
+    rng = np.random.default_rng(8)
+    for mat in (rng.standard_normal((2, 3)),
+                rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))):
+        for d in (1, 2, 3):
+            want = np.kron(np.eye(d), mat) if first else np.kron(mat, np.eye(d))
+            got = tensor_identity(mat, d, first=first)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 # ------------------------------------------------------ Frechet derivatives
