@@ -41,15 +41,21 @@ solved on the support of its conditioning marginal:
   per extremum (:class:`_SigmaEvaluator`) gives value, fixed-point
   update, gradient and width, and a sigma point costs one ``eigh`` of
   sigma and one per branch;
-- a = 1/2 runs that same solve.  Its dual order is b = infinity, where
-  H^up_1/2(A|B) = -H_min(A|C), so the bound from above is the
-  max-divergence D_max(psi_AC || id (x) tau) at the closed-form dual point;
+- a = 1/2 (every order within ``HALF_WINDOW`` of it, evaluated at exactly
+  1/2) runs that L-BFGS from the start, without the fixed point, on the
+  chart's root H itself: there s = 1/2, so each branch's Gram matrix
+  M_i^dag (id (x) sigma) M_i is linear in sigma = H H^dag / tr[H H^dag],
+  and a point costs one ``eigh`` per branch and none of sigma.  Its dual
+  order is b = infinity, where H^up_1/2(A|B) = -H_min(A|C), so the bound
+  from above is the max-divergence D_max(psi_AC || id (x) tau) at the
+  closed-form dual point;
 - a = infinity: the max-divergence form min{tr X : id (x) X >= w_i rho_i},
   which by the same duality is the order-1/2 entropy of the complement:
   the branches' purifications, stacked into one purification of the block
   operator, give the single branch of that solve with no new
   eigendecomposition, and sigma is its closed-form dual point
-  (:func:`_sup_sigma`).  No entropy of a state builds an SDP;
+  (:func:`_sup_sigma`), so this order too decomposes no sigma.  No entropy
+  of a state builds an SDP;
 - a conditioning support of rank one, or the "down" variant: sigma is
   pinned and the value is a closed form.
 
@@ -180,10 +186,28 @@ class _SigmaEvaluator:
     phi_i^dag phi_i carries the nonzero spectrum of G_i, and
     G_i^a = phi_i Gamma_i^(a-1) phi_i^dag.
 
-    A sigma point costs one eigendecomposition of sigma (sigma^s, the
+    The evaluator's points are sigma itself at every order but 1/2.  A
+    sigma point costs one eigendecomposition of sigma (sigma^s, the
     support test for a > 1 and the Daleckii-Krein kernel of the gradient)
     and one of each Gamma_i; the value, the fixed-point update, the
     gradient and the duality interval at that sigma share them.
+
+    At a = 1/2 (every order within ``HALF_WINDOW`` of it, evaluated at
+    exactly 1/2) s = 1/2, so Gamma_i = M_i^dag (id (x) sigma) M_i is linear
+    in sigma, and the points are roots H of sigma = H H^dag / t, t =
+    tr[H H^dag], the chart of :func:`_optimize_sigma`: with psi_i =
+    (id (x) H^dag) M_i, Gamma_i = psi_i^dag psi_i / t, so a point costs one
+    eigendecomposition per branch and none of sigma, and the gradient comes
+    in H (:meth:`at`).  Gamma_i is formed from psi_i, not as M_i^dag
+    (id (x) sigma) M_i with the gradient Tr_Q[M_i Gamma_i^(-1/2) M_i^dag]
+    in sigma: that is exact too, but at rank-deficient optima it multiplies
+    huge entries by small ones, while every kept column of psi_i U_i has
+    norm sqrt(mu) against r^(-1/2), so each factor of the gradient stays of
+    order one (the two-copy solve of ``test_weak_additivity_gap_vanishes``
+    at infinity, in the channel tests, keeps eigenvalues of Gamma down to
+    1e-6 of the largest).  :meth:`point` and :meth:`sigma` translate
+    between a density operator and a point.
+
     Eigenvalues of G_i at or below EIG_CUT times its largest count as zero
     (modes at rounding level would add (1e-17)^a to T for a < 1).  Branch
     sums are carried in log2 with a max shift, so that very large orders,
@@ -193,8 +217,10 @@ class _SigmaEvaluator:
     """
 
     def __init__(self, purifiers, log2_probs, alpha: float):
-        self.alpha = alpha
-        self.s = -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
+        self.half = as_order(alpha).is_half
+        self.alpha = 0.5 if self.half else alpha
+        self.s = -0.5 if math.isinf(alpha) \
+            else (1.0 - self.alpha) / (2.0 * self.alpha)
         self.d_qp = purifiers[0].shape[1]
         live = [(M, lp) for M, lp in zip(purifiers, log2_probs)
                 if lp != -math.inf]
@@ -203,21 +229,28 @@ class _SigmaEvaluator:
         self.traces = [float(np.vdot(M, M).real) for M in self.M]
         self._last = None
 
-    def _point(self, sigma):
-        """Eigen-data of sigma and, per branch, (log2 p_i, log2 of the top
-        eigenvalue of Gamma_i, the kept eigenvalues over it, and U_i,
-        M_i U_i and phi_i U_i on the kept modes), or None where sigma^s
-        annihilates the branch; kept for the last sigma seen."""
-        if self._last is not None and self._last[0] is sigma:
-            return self._last[1]
-        lam, V = np.linalg.eigh(herm_part(sigma))
-        lam = np.clip(lam, 0.0, None)
-        keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
-        pows = np.where(keep, np.where(keep, lam, 1.0) ** self.s, 0.0)
-        sig_s = (V * pows) @ V.conj().T
+    def point(self, sigma) -> np.ndarray:
+        """The point at a density operator sigma: sigma, or at a = 1/2 the
+        root sigma^(1/2)."""
+        if self.half:
+            return registers.herm_power(sigma, 0.5).astype(complex)
+        return sigma
+
+    def sigma(self, point) -> np.ndarray:
+        """The density operator at a point: the point, or at a = 1/2
+        H H^dag / tr[H H^dag]."""
+        if self.half:
+            return herm_part(point @ point.conj().T) \
+                / float(np.vdot(point, point).real)
+        return point
+
+    def _branches(self, phis, t: float = 1.0):
+        """Per branch, from phi_i with Gamma_i = phi_i^dag phi_i / t:
+        (log2 p_i, log2 of the top eigenvalue of Gamma_i, the kept
+        eigenvalues over it, and U_i, M_i U_i and phi_i U_i on the kept
+        modes), or None where phi_i vanishes."""
         parts = []
-        for M, lp in zip(self.M, self.log2_probs):
-            phi = sig_s @ M
+        for M, lp, phi in zip(self.M, self.log2_probs, phis):
             flat = phi.reshape(-1, phi.shape[2])
             # eigh reads one triangle, so the Gram matrix needs no symmetrizing
             mu, U = np.linalg.eigh(flat.conj().T @ flat)
@@ -227,28 +260,62 @@ class _SigmaEvaluator:
                 continue
             mk = mu > EIG_CUT * top
             U = U[:, mk]
-            parts.append((lp, math.log2(top), mu[mk] / top, U, M @ U,
+            parts.append((lp, math.log2(top / t), mu[mk] / top, U, M @ U,
                           phi @ U))
-        point = (lam, V, keep, pows, parts)
+        return parts
+
+    def _point(self, sigma):
+        """Eigen-data of sigma and the parts of :meth:`_branches` at
+        phi_i = (id (x) sigma^s) M_i; kept for the last sigma seen."""
+        if self._last is not None and self._last[0] is sigma:
+            return self._last[1]
+        lam, V = np.linalg.eigh(herm_part(sigma))
+        lam = np.clip(lam, 0.0, None)
+        keep = lam > EIG_CUT * max(lam.max(initial=0.0), 1e-300)
+        pows = np.where(keep, np.where(keep, lam, 1.0) ** self.s, 0.0)
+        sig_s = (V * pows) @ V.conj().T
+        point = (lam, V, keep, pows,
+                 self._branches(sig_s @ M for M in self.M))
         self._last = (sigma, point)
         return point
 
-    def at(self, sigma, *, update: bool = False, grad: bool = False):
-        """(log2 T, update, gradient) at sigma.  The update is the
-        unnormalized fixed-point map sum_i w_i Tr_Q[G_i^a] and the gradient
-        the Hermitian gradient of log2 T / (a - 1) = -H; each is None
-        unless asked for, and both are None when the value is not finite.
+    def _root_point(self, H):
+        """At a = 1/2: t = tr[H H^dag] and the parts of :meth:`_branches`
+        at psi_i = (id (x) H^dag) M_i, psi_i U_i in the place of phi_i U_i;
+        kept for the last H seen."""
+        if self._last is not None and self._last[0] is H:
+            return self._last[1]
+        t = float(np.vdot(H, H).real)
+        Hd = H.conj().T
+        point = (t, self._branches((Hd @ M for M in self.M), t))
+        self._last = (H, point)
+        return point
+
+    def _parts(self, point):
+        return self._root_point(point)[1] if self.half \
+            else self._point(point)[4]
+
+    def at(self, point, *, update: bool = False, grad: bool = False):
+        """(log2 T, update, gradient) at a point.  The update is the
+        unnormalized fixed-point map sum_i w_i Tr_Q[G_i^a] (not at a = 1/2,
+        where the fixed point does not run), and the gradient the Hermitian gradient of
+        log2 T / (a - 1) = -H in sigma, or at a = 1/2 its gradient in H in
+        the convention d phi = 2 Re tr[grad^dag dH]; each is None unless
+        asked for, and both are None when the value is not finite.
 
         For a > 1 the value is +inf when sigma misses support that a branch
         needs: the pseudo-powers would project that weight away and
         underestimate T (overestimating the entropy)."""
         a = self.alpha
-        lam, V, keep, pows, parts = self._point(sigma)
-        if a > 1.0 and not keep.all():
-            cut = V[:, ~keep].conj().T
-            for M, tr in zip(self.M, self.traces):
-                if np.linalg.norm(cut @ M) ** 2 > 1e-10 * max(tr, 1e-300):
-                    return math.inf, None, None
+        if self.half:
+            t, parts = self._root_point(point)
+        else:
+            lam, V, keep, pows, parts = self._point(point)
+            if a > 1.0 and not keep.all():
+                cut = V[:, ~keep].conj().T
+                for M, tr in zip(self.M, self.traces):
+                    if np.linalg.norm(cut @ M) ** 2 > 1e-10 * max(tr, 1e-300):
+                        return math.inf, None, None
         live = [p for p in parts if p is not None]
         if not live:
             return -math.inf, None, None
@@ -269,12 +336,19 @@ class _SigmaEvaluator:
                 c * np.einsum("qak,qbk->ab", Y * r ** (a - 1.0), Y.conj())
                 for c, (_, _, r, _, _, Y) in zip(coeffs, live)))
         if grad:
+            # sum_i 2^-L w_i Tr_Q[M_i Gamma_i^(a-1) Y_i^dag] for Y_i = phi_i,
+            # or psi_i at a = 1/2
+            g = sum(c * np.einsum("qak,qbk->ab", Z * r ** (a - 1.0), Y.conj())
+                    for c, (_, _, r, _, Z, Y) in zip(coeffs, live))
+        if grad and self.half:
+            # d tr[Gamma_i^a] = (2a/t) Re tr[(E_i - tr[Gamma_i^a] H)^dag dH]
+            # with E_i = Tr_Q[M_i Gamma_i^(a-1) psi_i^dag], t moving with H
+            g = a / (t * LN2 * (a - 1.0)) * (g / total - point)
+        elif grad:
             # with W = id (x) sigma^s, d tr[G_i^a] =
             # 2a tr[Tr_Q[rho_i W G_i^(a-1)] d sigma^s], and
             # rho_i W G_i^(a-1) = M_i Gamma_i^(a-1) phi_i^dag
-            g = herm_part(sum(
-                c * np.einsum("qak,qbk->ab", Z * r ** (a - 1.0), Y.conj())
-                for c, (_, _, r, _, Z, Y) in zip(coeffs, live)))
+            g = herm_part(g)
             kernel = registers.divided_differences(
                 lam, pows, self.s * pows / np.where(keep, lam, 1.0),
                 keep[:, None] | keep[None, :])
@@ -282,10 +356,10 @@ class _SigmaEvaluator:
             g *= 2.0 * a / LN2 / (a - 1.0) / total
         return log2_T, upd, g
 
-    def width(self, sigma, log2_T) -> float:
+    def width(self, point, log2_T) -> float:
         """Width of an interval that holds H^up_a(I Q | Q') of the
         normalized block state omega = (+)_i w_i rho_i, w_i proportional to
-        p_i, where ``log2_T`` is :meth:`at`'s value at ``sigma``.
+        p_i, where ``log2_T`` is :meth:`at`'s value at ``point``.
 
         The lower end is that value, -D_a(omega || id (x) sigma).  The upper
         end is dual: H^up_a(A|B) = -H^up_b(A|C) on a purification psi_ABC
@@ -309,7 +383,7 @@ class _SigmaEvaluator:
         the tau built here.
         """
         a = self.alpha
-        parts = self._point(sigma)[4]
+        parts = self._parts(point)
         if any(p is None for p in parts):
             return math.inf     # sigma misses a branch entirely
         logs_c = [lp + math.log2(tr)
@@ -334,11 +408,11 @@ class _SigmaEvaluator:
         lo = -(log2_T - a * log2_c) / (a - 1.0)
         return max(up - lo, 0.0)
 
-    def dual_point(self, sigma) -> np.ndarray:
-        """The point tau of :meth:`width` at sigma for a single branch,
+    def dual_point(self, point) -> np.ndarray:
+        """The point tau of :meth:`width` at a point for a single branch,
         P^a / tr[P^a] with P = conj(Gamma), on the branch's purifying
         register K."""
-        ((_, _, r, U, _, _),) = self._point(sigma)[4]
+        ((_, _, r, U, _, _),) = self._parts(point)
         ra = r ** self.alpha
         return (U.conj() * ra) @ U.T / float(np.sum(ra))
 
@@ -349,40 +423,40 @@ def _log2_sum(logs) -> float:
     return L + math.log2(sum(2.0 ** (lg - L) for lg in logs))
 
 
-def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
-    """Extremize log2 T over sigma (min for a > 1, max for a < 1); returns
-    (log2_T, sigma, width), the width being :meth:`_SigmaEvaluator.width`
-    at the returned sigma.
+def _optimize_sigma(ev: _SigmaEvaluator, start: np.ndarray):
+    """Extremize log2 T over sigma (min for a > 1, max for a < 1) from the
+    evaluator's point ``start``; returns (log2_T, point, width), the width
+    being :meth:`_SigmaEvaluator.width` at the returned point.
 
-    Both regimes minimize the same merit phi = log2 T / (a - 1) = -H.  A
-    short fixed point sigma <- (1-theta) sigma + theta normalize(update),
-    accepting steps only when phi drops and halving theta until one does,
-    runs first.  On a classical input the update sends log sigma to
-    (1-a) log sigma + c.  For a < 1, where T is concave in sigma (order
-    1/2 and the 1/2 solve of order infinity included), that contracts at
-    rate 1 - a, so the first theta is 1, and the loop hands over at a step
-    that gains more than a quarter of the step before it: a quarter is the
-    rate at a = 3/4, and below it the L-BFGS is faster.  For a > 1 the
-    rate is a - 1, which passes 1 at a = 2 (the undamped map overshoots),
-    so the first theta is 1/2, and the loop hands over at a step that gains
-    more than half of the step before it: its progress is then limited by
-    the damping, not by the map.  It stops at a step that gains less than
-    ``_FP_VALUE_TOL``.  Once a step gains less than the width target, a
-    hundredth of ``UP_GAP_TOL``, the duality interval at its sigma is
-    computed, and the solve returns there if it meets that target.
-    Otherwise it warm-starts L-BFGS on the chart sigma(H) = H H^dag /
-    tr[H H^dag] of the density operators
-    (:class:`renyimeat.marginals._InputChart` without a pin) from
-    H = sigma^(1/2), with the evaluator's gradient pulled back through the
-    chart, which stops at the same interval or when the line search finds
-    no decrease.  Its start is the loop's sigma, whose interval has just
-    missed the target, so the stop is not checked there.
+    Both regimes minimize the same merit phi = log2 T / (a - 1) = -H.  At
+    every order but 1/2 a short fixed point sigma <- (1-theta) sigma +
+    theta normalize(update), accepting steps only when phi drops and
+    halving theta until one does, runs first.  On a classical input the
+    update sends log sigma to (1-a) log sigma + c.  For a < 1, where T is
+    concave in sigma, that contracts at rate 1 - a, so the first theta is
+    1, and the loop hands over at a step that gains more than a quarter of
+    the step before it: a quarter is the rate at a = 3/4, and below it the
+    L-BFGS is faster.  For a > 1 the rate is a - 1, which passes 1 at a = 2
+    (the undamped map overshoots), so the first theta is 1/2, and the loop
+    hands over at a step that gains more than half of the step before it:
+    its progress is then limited by the damping, not by the map.  It stops
+    at a step that gains less than ``_FP_VALUE_TOL``.  Once a step gains
+    less than the width target, a hundredth of ``UP_GAP_TOL``, the duality
+    interval at its sigma is computed, and the solve returns there if it
+    meets that target.  Otherwise it warm-starts :func:`_root_lbfgs` from
+    H = sigma^(1/2).
+
+    At a = 1/2 (order 1/2 and the 1/2 solve of order infinity) the L-BFGS
+    runs from the start, on the evaluator's own points H; the fixed point
+    handed over after two or three points there anyway.
     """
+    if ev.half:
+        return _root_lbfgs(ev, start)
     denom = ev.alpha - 1.0
     tol = 1e-2 * UP_GAP_TOL
     # the first damping and the largest gain ratio kept, by the side of 1
     first, ratio = (1.0, 0.25) if denom < 0.0 else (0.5, 0.5)
-    sigma = sigma0.copy()
+    sigma = start.copy()
     v, update, _ = ev.at(sigma, update=True)
     width = None    # the width at sigma, once computed
     last_gain = math.inf
@@ -414,29 +488,49 @@ def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
         width = ev.width(sigma, v)
     if width <= tol:
         return v, sigma, width
-    chart = _InputChart(np.eye(1), ev.d_qp)
+    return _root_lbfgs(
+        ev, registers.herm_power(sigma, 0.5).astype(complex))
+
+
+def _root_lbfgs(ev: _SigmaEvaluator, root: np.ndarray):
+    """L-BFGS for :func:`_optimize_sigma` on the chart sigma(H) = H H^dag /
+    tr[H H^dag] of the density operators, from H = ``root``; returns
+    (log2_T, point, width).  At a = 1/2 the evaluator's points are those H
+    and it gives the gradient in H itself; elsewhere its gradient in sigma
+    is pulled back through the chart
+    (:class:`renyimeat.marginals._InputChart` without a pin).  Stops once
+    the duality interval meets a hundredth of ``UP_GAP_TOL``, or when the
+    line search finds no decrease.  The stop is not checked at the start:
+    after the fixed point that interval has just missed the target, and at
+    1/2 the start is rarely optimal."""
+    denom = ev.alpha - 1.0
+    tol = 1e-2 * UP_GAP_TOL
+    chart = None if ev.half else _InputChart(np.eye(1), ev.d_qp)
     started, last = [], [None, math.inf]
 
     def fg(x):
-        """phi at sigma(H), its gradient in H, and (sigma, log2_T)."""
+        """phi at sigma(H), its gradient in H, and (point, log2_T)."""
         H = _square(x)
-        sig, parts = chart.point(H)
-        log2_T, _, grad = ev.at(sig, grad=True)
+        if ev.half:
+            point = H
+            log2_T, _, grad = ev.at(H, grad=True)
+        else:
+            point, parts = chart.point(H)
+            log2_T, _, grad = ev.at(point, grad=True)
+            if grad is not None:
+                grad = chart.pullback(H, parts, grad)
         if grad is None:
             return math.inf, None, None
-        return log2_T / denom, 2.0 * _flat(chart.pullback(H, parts, grad)), \
-            (sig, log2_T)
+        return log2_T / denom, 2.0 * _flat(grad), (point, log2_T)
 
     def done(data) -> bool:
-        if not started:     # the loop's sigma, whose width just failed
+        if not started:
             started.append(True)
             return False
         last[:] = [data, ev.width(*data)]
         return last[1] <= tol
 
-    _, _, data = _lbfgs(
-        fg, _flat(registers.herm_power(sigma, 0.5).astype(complex)), done,
-        smooth=True)
+    _, _, data = _lbfgs(fg, _flat(root), done, smooth=True)
     return data[1], data[0], last[1] if last[0] is data else ev.width(*data)
 
 
@@ -459,10 +553,11 @@ def _sup_sigma(purifiers, log2_probs, alpha):
     log2 T / a.
 
     At finite orders :func:`_optimize_sigma` (fixed point, then L-BFGS on
-    the chart of the density operators) runs from the normalized mean of
-    the branch marginals and returns the duality interval at its sigma, in
-    entropy units of the normalized block state; at a = 1/2 that interval
-    closes on the max-divergence of the dual order b = infinity
+    the chart of the density operators; at a = 1/2 the L-BFGS alone, on
+    the chart's root) runs from the normalized mean of the branch marginals
+    and returns the duality interval at its sigma, in entropy units of the
+    normalized block state; at a = 1/2 that interval closes on the
+    max-divergence of the dual order b = infinity
     (:meth:`_SigmaEvaluator.width`).  ``log2_probs`` are per-branch log2
     weights *before* raising to the power alpha; the solve sees
     alpha * log2_probs.
@@ -473,7 +568,8 @@ def _sup_sigma(purifiers, log2_probs, alpha):
     sqrt(w_i) M_i stacked on (I Q, Q', (+)_i K_i) purify Omega, so by
     duality it is tr Omega 2^(H^up_1/2(I Q | K)), and that array with its
     Q' and K axes swapped is the one branch of the 1/2 solve, started from
-    its diagonal K-marginal (+)_i w_i Lambda_i.  The sigma returned, on Q',
+    its diagonal K-marginal (+)_i w_i Lambda_i, whose root is read off the
+    diagonal.  The sigma returned, on Q',
     is that solve's closed-form dual point, the optimal X / tr X, and the
     value is log2 tr X at it: the upper end of the 1/2 solve's interval, so
     that, as at every order, the entropy is the objective at the returned
@@ -482,8 +578,9 @@ def _sup_sigma(purifiers, log2_probs, alpha):
     if not math.isinf(alpha):
         ev = _SigmaEvaluator(purifiers, log2_probs, alpha)
         mean = sum(np.einsum("qak,qbk->ab", M, M.conj()) for M in ev.M)
-        return _optimize_sigma(
-            ev, mean / max(float(np.real(np.trace(mean))), 1e-300))
+        log2_T, point, width = _optimize_sigma(ev, ev.point(
+            mean / max(float(np.real(np.trace(mean))), 1e-300)))
+        return log2_T, ev.sigma(point), width
     shift = max(log2_probs)
     d_q, d_qp = purifiers[0].shape[:2]
     ks = np.cumsum([0] + [M.shape[2] for M in purifiers])
@@ -493,9 +590,10 @@ def _sup_sigma(purifiers, log2_probs, alpha):
             2.0 ** (0.5 * (lp - shift)) * M.transpose(0, 2, 1)
     ev = _SigmaEvaluator([block], [0.0], 0.5)
     k_marginal = np.sum(np.abs(block) ** 2, axis=(0, 2))
-    log2_T, sig, width = _optimize_sigma(
-        ev, np.diag(k_marginal / np.sum(k_marginal)).astype(complex))
-    return shift + 2.0 * log2_T + width, ev.dual_point(sig), width
+    # the start's root, read off its diagonal
+    log2_T, root, width = _optimize_sigma(
+        ev, np.diag(np.sqrt(k_marginal / np.sum(k_marginal))).astype(complex))
+    return shift + 2.0 * log2_T + width, ev.dual_point(root), width
 
 
 # ------------------------------------------------ the two-sided mixture
@@ -579,7 +677,8 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
             sig = sum(w / p_outer * (V.conj().T @ m @ V)
                       for (_, w, _), m in zip(entries, margs))
             sig = herm_part(sig) / float(np.real(np.trace(sig)))
-            log2_T = _SigmaEvaluator(pur, log2_p, a.value).at(sig)[0]
+            ev = _SigmaEvaluator(pur, log2_p, a.value)
+            log2_T = ev.at(ev.point(sig))[0]
             width = 0.0
         else:
             log2_T, sig, width = _sup_sigma(pur, log2_p, a.value)
@@ -607,9 +706,11 @@ def cond_entropy_up(state: State, target, conditioning, alpha, *,
     width of the certified interval around the value ("gap"), and the
     method that ran: "unconditioned" and "spectral" (a = 1) are exact, and
     every other order is "fixed-point", :func:`_two_sided_mix` without
-    classical registers, where a short fixed point warm-starts L-BFGS on
-    the chart of the density operators (:func:`_optimize_sigma`), at
-    a = infinity on the order-1/2 complement (:func:`_sup_sigma`); a
+    classical registers, the route of the sigma solve: a short fixed point
+    warm-starts L-BFGS on the chart of the density operators
+    (:func:`_optimize_sigma`).  At a = 1/2 and at a = infinity, which runs
+    the order-1/2 solve on the complement (:func:`_sup_sigma`), that route
+    starts on the chart, on its root, and decomposes no sigma.  A
     conditioning marginal of rank one pins sigma, and that closed form runs
     under the same name.  Raises :class:`NonConvergence` when the width
     exceeds ``UP_GAP_TOL``.

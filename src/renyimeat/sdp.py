@@ -100,17 +100,19 @@ arithmetic, so the iterate is held as one :class:`BlockStack`, a
 (k, n_max, n_max) array with each block top-left, padded with the
 identity in X and S and with zeros in every direction.  One iteration
 then makes one batched Cholesky of X and S, one batched inverse of the
-factors, one batched product per application of K and one ``eigvalsh``
-of the stack per step length, whatever the number of blocks.  What
-keeps exact block sizes: the Schur square-root factor, built per block
-from the unpadded rows (padded rows would widen it from m x 2N to
-m x 2 k n_max^2), and the certificate.  On the 2x2 state of the endpoint
-workload (seed 2004), ``solve_sdp`` takes 9.6-9.8 ms median (9
-iterations) on the root-fidelity program of its H^up_1/2 and 9.2-9.5 ms
-on the covering program of its H^up_inf (12 iterations), both built
-directly from the state's branch operators (the public calls run the
-sigma solve at both orders); single-thread BLAS, three runs of 40 calls
-each.
+factors, one batched product per application of K (K R_d once, shared by
+predictor and corrector) and, for each pair of primal and dual step
+lengths, one batched product and one ``eigvalsh`` of the X side and the
+S side stacked, whatever the number of blocks.  What keeps exact block
+sizes: the Schur square-root factor, built per block from the unpadded
+rows (padded rows would widen it from m x 2N to m x 2 k n_max^2), and
+the certificate.  On the 2x2 state of the endpoint workload (seed 2004),
+``solve_sdp`` takes 10.3-10.8 ms median (9 iterations) on the
+root-fidelity program of its H^up_1/2 and 10.1-10.7 ms on the covering
+program of its H^up_inf (12 iterations), both built directly from the
+state's branch operators (the public calls run the sigma solve at both
+orders); single-thread BLAS on a shared 2-core host, four runs of 40
+calls each.
 
 BLAS threads: the step systems are too small for a BLAS thread pool to
 pay off.  With the default OpenBLAS pool on a 2-core machine, the
@@ -480,15 +482,18 @@ def _tri_solve(T: np.ndarray, v: np.ndarray, *, upper: bool) -> np.ndarray:
     return v
 
 
-def _max_step(Li: np.ndarray, dM: np.ndarray) -> float:
-    """Largest a with M + a dM >= 0 in every block, for stacks M = L L^dag
-    and ``Li`` = L^{-1} (inf when dM >= 0).
+def _max_steps(Li: np.ndarray, dM: np.ndarray) -> tuple:
+    """Largest a with M_j + a dM_j >= 0 in every block, for each pair j of
+    stacks M_j = L_j L_j^dag and dM_j stacked on the leading axis of ``Li``
+    = L^{-1} and ``dM`` (inf where dM_j >= 0).
 
-    One ``eigvalsh`` of the stack Li dM Li^dag.  Zero-padded dM gives zero
-    eigenvalues in the padding, which cannot change -1/low for low < 0.
+    One ``eigvalsh`` of the stack Li dM Li^dag for all the pairs.
+    Zero-padded dM gives zero eigenvalues in the padding, which cannot
+    change -1/low for low < 0.
     """
-    low = float(np.linalg.eigvalsh(Li @ dM @ Li.conj().swapaxes(-1, -2)).min())
-    return -1.0 / low if low < 0.0 else np.inf
+    lows = np.linalg.eigvalsh(Li @ dM @ Li.conj().swapaxes(-1, -2)).min(
+        axis=(-2, -1))
+    return tuple(-1.0 / float(low) if low < 0.0 else np.inf for low in lows)
 
 
 class _HkmSystem:
@@ -499,12 +504,15 @@ class _HkmSystem:
     of :func:`hvec`, the linearized optimality conditions A dX = r_p,
     A^T dy + dS = R_d and dX + K dS = R_c lose dS = R_d - A^T dy and
     dX = R_c - K dS, which leaves (A K A^T) dy = r_p + A (K R_d - R_c).
+    The predictor and the corrector share r_p and R_d, so K R_d is applied
+    once per iterate.
 
     X and S are held as :class:`BlockStack` stacks padded with the
     identity, so one batched Cholesky factors both, one batched inverse
     inverts the factors (block-diagonal, so the padding stays the identity
-    and each block's factor is its own), and K, the corrector target and
-    the step lengths are each one batched product or ``eigvalsh`` per call.
+    and each block's factor is its own), and K and the corrector target are
+    each one batched product per call; both step lengths are one batched
+    product and one ``eigvalsh`` of the X side and the S side stacked.
 
     A K A^T is never formed: it is F F^T for the blocks' factors
     (:func:`schur_factor`, per block on the unpadded rows) stacked side by
@@ -514,8 +522,8 @@ class _HkmSystem:
     corrector; K itself is only ever applied, as sym(X V Z), never formed.
     """
 
-    def __init__(self, x, s, stack, A, row_mats, LA):
-        self.stack, self.A, self.LA = stack, A, LA
+    def __init__(self, x, s, rp, Rd, stack, A, row_mats, LA):
+        self.stack, self.A, self.LA, self.rp, self.Rd = stack, A, LA, rp, Rd
         self.R = None
         XS = stack.unvec(np.stack([x, s]), pad=True)
         try:
@@ -523,30 +531,37 @@ class _HkmSystem:
         except np.linalg.LinAlgError:
             return
         self.X = XS[0]
-        self.LXi, self.LSi = np.linalg.inv(L)
-        self.Z = self.LSi.conj().swapaxes(1, 2) @ self.LSi
+        #: the inverse factors of X and of S, stacked as the step lengths
+        #: read them
+        self.Li = np.linalg.inv(L)
+        LSi = self.Li[1]
+        self.Z = LSi.conj().swapaxes(1, 2) @ LSi
         F = np.concatenate([
-            schur_factor(LX[:d, :d], LSi[:d, :d].conj().T, mats)
-            for LX, LSi, d, mats in zip(L[0], self.LSi, stack.dims, row_mats)],
+            schur_factor(LX[:d, :d], Si[:d, :d].conj().T, mats)
+            for LX, Si, d, mats in zip(L[0], LSi, stack.dims, row_mats)],
             axis=1)
         # compact-WY QR with narrow panels: at these sizes 2-3 times faster
         # than the default blocking single-threaded, 5-40 times under a
         # BLAS thread pool
         qr = scipy.linalg.lapack.dgeqrt(min(8, len(A)), F.T)[0]
-        R = np.triu(qr[:len(A)])
+        # R's upper triangle, copied once into the C order in which
+        # _tri_solve hands it to trtrs; trtrs reads only that triangle, so
+        # the reflectors below the diagonal stay
+        R = np.ascontiguousarray(qr[:len(A)])
         diag = np.abs(np.diag(R))
         if diag.min() > 1e-13 * diag.max():
             self.R = R
+            self.KRd = self.apply_K(Rd)
 
     def apply_K(self, v):
         """K v for the whole stack, as hvec(sym(X V Z))."""
         return self.stack.vec(self.X @ self.stack.unvec(v) @ self.Z)
 
-    def direction(self, Rc, rp, Rd):
+    def direction(self, Rc):
         """(dx, dy, dS) for the complementarity target ``Rc``."""
-        A = self.A
-        dy = _tri_solve(self.R, rp + A @ (self.apply_K(Rd) - Rc), upper=True)
-        dS = Rd - A.T @ dy
+        A, rp = self.A, self.rp
+        dy = _tri_solve(self.R, rp + A @ (self.KRd - Rc), upper=True)
+        dS = self.Rd - A.T @ dy
         dx = Rc - self.apply_K(dS)
         # project back onto A dx = r_p, which the solve keeps only to the
         # conditioning of R
@@ -554,13 +569,15 @@ class _HkmSystem:
         return dx, dy, dS
 
     def max_steps(self, dx, dS):
-        """Largest primal and dual step lengths that keep X and S >= 0."""
-        dX, dSm = self.stack.unvec(np.stack([dx, dS]))
-        return _max_step(self.LXi, dX), _max_step(self.LSi, dSm)
+        """Largest primal and dual step lengths that keep X and S >= 0, and
+        the stack of (dX, dS) they were read from."""
+        dXS = self.stack.unvec(np.stack([dx, dS]))
+        return _max_steps(self.Li, dXS), dXS
 
-    def corrector_target(self, x, mu, sigma, dx, dS):
-        """R_c = sigma mu S^{-1} - X - sym(dX dS S^{-1}) (Mehrotra)."""
-        dX, dSm = self.stack.unvec(np.stack([dx, dS]))
+    def corrector_target(self, x, mu, sigma, dXS):
+        """R_c = sigma mu S^{-1} - X - sym(dX dS S^{-1}) (Mehrotra), for the
+        predictor's stack ``dXS`` of :meth:`max_steps`."""
+        dX, dSm = dXS
         return self.stack.vec(sigma * mu * self.Z - dX @ dSm @ self.Z) - x
 
 
@@ -644,21 +661,21 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
             stalled += 1
         if it >= MAX_ITER or stalled >= STALL_ITER:
             break
-        hkm = _HkmSystem(x, s, stack, A, row_mats, LA)
+        hkm = _HkmSystem(x, s, rp, Rd, stack, A, row_mats, LA)
         if hkm.R is None:
             break
         it += 1
         # predictor: the affine-scaling direction, R_c = -X
-        dx, dy, dS = hkm.direction(-x, rp, Rd)
-        ap, ad = (min(1.0, a) for a in hkm.max_steps(dx, dS))
+        dx, dy, dS = hkm.direction(-x)
+        steps, dXS = hkm.max_steps(dx, dS)
+        ap, ad = (min(1.0, a) for a in steps)
         mu_aff = max(float((x + ap * dx) @ (s + ad * dS)), 0.0) / n_total
         sigma = min(1.0, (mu_aff / mu) ** max(1.0, 3.0 * min(ap, ad) ** 2))
         # corrector: centering plus the second-order term of X S = sigma mu I
-        dx, dy, dS = hkm.direction(
-            hkm.corrector_target(x, mu, sigma, dx, dS), rp, Rd)
+        dx, dy, dS = hkm.direction(hkm.corrector_target(x, mu, sigma, dXS))
         if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dS))):
             break
-        ap, ad = hkm.max_steps(dx, dS)
+        (ap, ad), _ = hkm.max_steps(dx, dS)
         frac = 0.9 + 0.09 * min(1.0, ap, ad)
         ap, ad = min(1.0, frac * ap), min(1.0, frac * ad)
         x = x + ap * dx

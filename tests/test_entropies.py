@@ -32,10 +32,12 @@ from renyimeat.errors import (InvalidRegister, NonConvergence, NotClassical,
                               NotPure, UnsupportedOrder)
 from renyimeat.fweighted import (TradeoffFunction, fweighted_cs_conditioned,
                                  fweighted_entropy, lme)
-from renyimeat.divergences import sandwiched_divergence
-from renyimeat.marginals import _covering_program, _fidelity_program
-from renyimeat.registers import (State, bipartite_partial_trace, herm_power,
-                                 ket_state, space)
+from renyimeat.divergences import LN2, sandwiched_divergence
+from renyimeat.marginals import (_covering_program, _fidelity_program,
+                                 _InputChart)
+from renyimeat.registers import (State, _power_frechet_map,
+                                 bipartite_partial_trace, herm_part,
+                                 herm_power, ket_state, space)
 from renyimeat.sampling import (random_cq_state, random_density,
                                 random_isometry, random_pure)
 
@@ -714,6 +716,131 @@ def test_sigma_evaluator_matches_a_direct_construction(alpha):
         2, 3, 1) for vals, vecs in spectra)
     np.testing.assert_allclose(update / np.trace(update),
                                direct / np.trace(direct), atol=1e-12)
+
+
+def _half_branches(n: int):
+    """n branches on Q P (dimensions 2 and 3), their log2 weights and a
+    random interior root H of sigma on P."""
+    sp = space(("Q", 2), ("P", 3))
+    branches = [random_density(sp, seed=51 + i).matrix for i in range(n)]
+    p = np.random.default_rng(50 + n).dirichlet(np.ones(n))
+    rng = np.random.default_rng(60 + n)
+    H = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return branches, list(np.log2(p)), H
+
+
+def _half_through_sigma(branches, log2_probs, H):
+    """log2 T, its gradient in H and the width at order 1/2, computed
+    through sigma on the chart sigma = H H^dag / tr[H H^dag]: G_i, Gamma_i =
+    M_i^dag (id (x) sigma) M_i and their powers formed from sigma, and the
+    gradient in sigma (Daleckii-Krein on sigma^(1/2)) pulled back through
+    the chart, as the order-1/2 solve ran before it worked on H."""
+    chart = _InputChart(np.eye(1), 3)
+    sigma, parts = chart.point(H)
+    root, d_root = _power_frechet_map(sigma, 0.5)
+    W = np.kron(np.eye(2), root)
+    purs = entropies._purifiers(branches, 2)
+    c = sum(2.0 ** lp * np.trace(rho).real
+            for rho, lp in zip(branches, log2_probs))
+    T, grad_sigma, z, X = 0.0, 0.0, 0.0, 0.0
+    for rho, lp, M in zip(branches, log2_probs, purs):
+        w = 2.0 ** (0.5 * lp)
+        G = W @ rho @ W
+        tr_root = np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(G), 0.0, None)))
+        T += w * tr_root
+        # d tr[G^(1/2)] = tr[Herm Tr_Q[rho W G^(-1/2)] d sigma^(1/2)]
+        C = bipartite_partial_trace(rho @ W @ herm_power(G, -0.5), 2, 3, 1)
+        grad_sigma = grad_sigma + w * d_root(herm_part(C))
+        Mf = M.reshape(6, -1)
+        Gamma = Mf.conj().T @ np.kron(np.eye(2), sigma) @ Mf
+        z += (2.0 ** lp / c) ** 0.5 * tr_root
+        X = X + (2.0 ** lp / c) ** 0.5 * bipartite_partial_trace(
+            Mf @ herm_power(Gamma, -0.5) @ Mf.conj().T, 2, 3, 1)
+    log2_T = math.log2(T)
+    grad = chart.pullback(H, parts, grad_sigma / (T * LN2 * (0.5 - 1.0)))
+    up = math.log2(z) + math.log2(np.linalg.eigvalsh(herm_part(X)).max())
+    low = 2.0 * (log2_T - 0.5 * math.log2(c))
+    return log2_T, grad, max(up - low, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_half_root_form_matches_the_sigma_route(n):
+    """At order 1/2 the evaluator works on the root H of sigma = H H^dag /
+    tr[H H^dag]; at a random interior H its value, gradient in H and width
+    match those computed through sigma and pulled back through the chart.
+    Near rank-deficient optima the root form is what keeps the gradient's
+    factors of order one; ``test_weak_additivity_gap_vanishes[inf]`` in the
+    channel tests runs it on a Gram matrix whose kept eigenvalues reach
+    1e-6 of the largest."""
+    branches, log2_probs, H = _half_branches(n)
+    ev = entropies._SigmaEvaluator(entropies._purifiers(branches, 2),
+                                   log2_probs, 0.5)
+    log2_T, _, grad = ev.at(H, grad=True)
+    want_T, want_grad, want_width = _half_through_sigma(branches, log2_probs,
+                                                        H)
+    assert log2_T == pytest.approx(want_T, rel=1e-12)
+    assert np.linalg.norm(grad - want_grad) <= 1e-12 * np.linalg.norm(
+        want_grad)
+    assert ev.width(H, log2_T) == pytest.approx(want_width, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_half_root_gradient_matches_central_differences(n):
+    """The gradient in H at order 1/2, in the convention
+    d phi = 2 Re tr[grad^dag dH], matches central differences of
+    phi = log2 T / (a - 1) along random complex directions."""
+    branches, log2_probs, H = _half_branches(n)
+    ev = entropies._SigmaEvaluator(entropies._purifiers(branches, 2),
+                                   log2_probs, 0.5)
+    grad = ev.at(H, grad=True)[2]
+    rng = np.random.default_rng(70 + n)
+    t = 1e-6
+    for _ in range(3):
+        D = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        fd = (ev.at(H + t * D)[0] - ev.at(H - t * D)[0]) / (2.0 * t * -0.5)
+        assert 2.0 * np.real(np.vdot(grad, D)) == pytest.approx(fd, rel=1e-6)
+
+
+def test_near_half_order_is_evaluated_at_half():
+    """An order within ``HALF_WINDOW`` of 1/2 gives the value, gradient and
+    width of 1/2 itself, to the last bit."""
+    branches, log2_probs, H = _half_branches(3)
+    purs = entropies._purifiers(branches, 2)
+    at = {a: entropies._SigmaEvaluator(purs, log2_probs, a)
+          for a in (0.5, 0.5 + 1e-13)}
+    (v, _, g), (v_near, _, g_near) = (ev.at(H, grad=True)
+                                      for ev in at.values())
+    assert v_near == v
+    assert np.array_equal(g_near, g)
+    assert at[0.5 + 1e-13].width(H, v) == at[0.5].width(H, v)
+
+
+@pytest.mark.parametrize("alpha", [0.5, "inf"])
+def test_endpoint_sigma_solve_decomposes_no_sigma(alpha, monkeypatch):
+    """At 1/2 and infinity (the 1/2 solve of the complement) a sigma point
+    costs one ``eigh`` per branch and none of sigma: the sigma route's
+    point (``_SigmaEvaluator._point``) never runs, and H^up of the 2x4 state
+    stays under a budget of ``eigh`` and ``eigvalsh`` calls (50 and 104
+    when every point decomposed sigma, 31 and 50 on the root)."""
+    rho = random_density(space(("A", 2), ("B", 4)), seed=9)
+    counts = dict.fromkeys(("eigh", "eigvalsh", "_point"), 0)
+
+    def counted(fn, key):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted(np.linalg.eigvalsh, "eigvalsh"))
+    monkeypatch.setattr(entropies._SigmaEvaluator, "_point", counted(
+        entropies._SigmaEvaluator._point, "_point"))
+    _, info = cond_entropy_up(rho, ["A"], ["B"], alpha, return_info=True)
+    assert info["gap"] <= UP_GAP_TOL
+    assert counts["_point"] == 0
+    budget = 40 if alpha == 0.5 else 77
+    assert counts["eigh"] + counts["eigvalsh"] <= budget
 
 
 def test_sigma_evaluator_detects_a_missed_support():

@@ -130,9 +130,11 @@ def per_block_max_step(Li, dM):
 
 @pytest.mark.parametrize("shift", [0.0, 10.0], ids=["blocked", "unblocked"])
 def test_batched_step_length_is_the_least_block_step(shift):
-    """``_max_step`` on the identity-padded factors and the zero-padded
+    """``_max_steps`` on the identity-padded factors and the zero-padded
     directions of blocks 1, 2, 3, 5 equals the least per-block step; with
-    every direction positive definite (shift 10) both are inf."""
+    every direction positive definite (shift 10) both are inf.  A second
+    pair stacked with it, the same factors and a zero direction, reads
+    inf and leaves the first pair's step as it is."""
     st = block_stack(MIXED_DIMS)
     rng = rng_from(61)
     Ms, dMs = [], []
@@ -145,7 +147,9 @@ def test_batched_step_length_is_the_least_block_step(shift):
     x = np.concatenate([hvec(M) for M in Ms])
     dx = np.concatenate([hvec(dM) for dM in dMs])
     Li = np.linalg.inv(np.linalg.cholesky(st.unvec(x, pad=True)))
-    got = sdp._max_step(Li, st.unvec(dx))
+    got, idle = sdp._max_steps(np.stack([Li, Li]),
+                               st.unvec(np.stack([dx, np.zeros_like(dx)])))
+    assert idle == np.inf
     if shift:
         assert want == got == np.inf
     else:
@@ -488,8 +492,8 @@ def covering_program():
 
 def test_solver_calls_per_iteration_do_not_grow_with_the_blocks(monkeypatch):
     """One iteration factors and steps the whole block stack at once: at
-    most 2 Cholesky and 4 ``eigvalsh`` calls per iteration on the 4 blocks
-    of the covering program.  Per solve come A A^T's factor and the start's
+    most 2 Cholesky and 2 ``eigvalsh`` calls per iteration on the 4 blocks
+    of the covering program, one per pair of step lengths.  Per solve come A A^T's factor and the start's
     check of the stack (Cholesky), and one lowest eigenvalue per block in
     each certificate and in the returned residuals (eigvalsh)."""
     p = covering_program()
@@ -512,4 +516,4 @@ def test_solver_calls_per_iteration_do_not_grow_with_the_blocks(monkeypatch):
     assert k == 4 and it >= 5
     assert sol.gap <= sdp.GAP_TOL * max(1.0, abs(sol.value))
     assert counts["cholesky"] <= 2 * it + 2
-    assert counts["eigvalsh"] <= 4 * it + k * (counts["certificates"] + 1)
+    assert counts["eigvalsh"] <= 2 * it + k * (counts["certificates"] + 1)

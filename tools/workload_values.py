@@ -10,6 +10,13 @@ calls each operation once, and prints one JSON object that maps
 to floats as ``bench/run.py`` flattens it (``None`` where the call raised).
 Diffing the outputs of two trees shows which values a change moved, to
 the last bit.  Nothing is written and no check is run.
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/workload_values.py ROOT --against values.json
+
+compares instead with such an output of another tree: per workload it
+prints how many operations give bit-identical values, and for each
+operation that differs its largest absolute difference (``None`` where
+one side raised and the other did not).
 """
 
 from __future__ import annotations
@@ -45,11 +52,49 @@ def values(root: Path) -> dict:
     return out
 
 
+def _floats(text: str):
+    """The list of floats (or None) that ``repr`` printed as ``text``."""
+    if text == "None":
+        return None
+    return json.loads(text.replace("nan", "NaN").replace("inf", "Infinity"))
+
+
+def compare(got: dict, want: dict) -> list[str]:
+    """Lines of the ``--against`` report: per workload the bit-identical
+    operations, then each differing operation with its max |difference|."""
+    same, lines = {}, []
+    for key in sorted(set(got) | set(want), key=lambda k: k.split("/")):
+        name = key.split("/")[0]
+        a, b = got.get(key), want.get(key)
+        same.setdefault(name, [0, 0])[1] += 1
+        if a == b:
+            same[name][0] += 1
+            continue
+        a, b = (None if v is None else _floats(v) for v in (a, b))
+        if a is None or b is None or len(a) != len(b):
+            delta = None
+        else:
+            delta = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+        lines.append(f"  {key}: max |delta| {delta}")
+    head = [f"{name}: {n} of {total} bit-identical"
+            for name, (n, total) in same.items()]
+    n, total = (sum(col) for col in zip(*same.values()))
+    return head + lines + [f"{n} of {total} operations bit-identical"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root", type=Path, help="checkout to evaluate")
+    parser.add_argument("--against", type=Path,
+                        help="compare with this output of another tree")
     args = parser.parse_args(argv)
-    print(json.dumps(values(args.root.resolve()), indent=1))
+    got = values(args.root.resolve())
+    if args.against is None:
+        print(json.dumps(got, indent=1))
+        return 0
+    with open(args.against) as fh:
+        want = json.load(fh)
+    print("\n".join(compare(got, want)))
     return 0
 
 
