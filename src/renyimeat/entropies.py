@@ -75,6 +75,7 @@ that covering program takes minutes.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -186,27 +187,14 @@ class _SigmaEvaluator:
     phi_i^dag phi_i carries the nonzero spectrum of G_i, and
     G_i^a = phi_i Gamma_i^(a-1) phi_i^dag.
 
-    The evaluator's points are sigma itself at every order but 1/2.  A
-    sigma point costs one eigendecomposition of sigma (sigma^s, the
-    support test for a > 1 and the Daleckii-Krein kernel of the gradient)
-    and one of each Gamma_i; the value, the fixed-point update, the
-    gradient and the duality interval at that sigma share them.
-
-    At a = 1/2 (every order within ``HALF_WINDOW`` of it, evaluated at
-    exactly 1/2) s = 1/2, so Gamma_i = M_i^dag (id (x) sigma) M_i is linear
-    in sigma, and the points are roots H of sigma = H H^dag / t, t =
-    tr[H H^dag], the chart of :func:`_optimize_sigma`: with psi_i =
-    (id (x) H^dag) M_i, Gamma_i = psi_i^dag psi_i / t, so a point costs one
-    eigendecomposition per branch and none of sigma, and the gradient comes
-    in H (:meth:`at`).  Gamma_i is formed from psi_i, not as M_i^dag
-    (id (x) sigma) M_i with the gradient Tr_Q[M_i Gamma_i^(-1/2) M_i^dag]
-    in sigma: that is exact too, but at rank-deficient optima it multiplies
-    huge entries by small ones, while every kept column of psi_i U_i has
-    norm sqrt(mu) against r^(-1/2), so each factor of the gradient stays of
-    order one (the two-copy solve of ``test_weak_additivity_gap_vanishes``
-    at infinity, in the channel tests, keeps eigenvalues of Gamma down to
-    1e-6 of the largest).  :meth:`point` and :meth:`sigma` translate
-    between a density operator and a point.
+    The evaluator's points are sigma itself.  A point costs one
+    eigendecomposition of sigma (sigma^s, the support test for a > 1 and
+    the Daleckii-Krein kernel of the gradient) and one of each Gamma_i; the
+    value, the fixed-point update, the gradient and the duality interval at
+    that sigma share them.  The solve at a = 1/2 (every order within
+    ``HALF_WINDOW`` of it, solved at exactly 1/2) runs on a
+    :class:`_RootEvaluator` instead, whose points are the chart's roots
+    (:func:`_sup_sigma`).
 
     Eigenvalues of G_i at or below EIG_CUT times its largest count as zero
     (modes at rounding level would add (1e-17)^a to T for a < 1).  Branch
@@ -217,10 +205,8 @@ class _SigmaEvaluator:
     """
 
     def __init__(self, purifiers, log2_probs, alpha: float):
-        self.half = as_order(alpha).is_half
-        self.alpha = 0.5 if self.half else alpha
-        self.s = -0.5 if math.isinf(alpha) \
-            else (1.0 - self.alpha) / (2.0 * self.alpha)
+        self.alpha = alpha
+        self.s = -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
         self.d_qp = purifiers[0].shape[1]
         live = [(M, lp) for M, lp in zip(purifiers, log2_probs)
                 if lp != -math.inf]
@@ -230,19 +216,34 @@ class _SigmaEvaluator:
         self._last = None
 
     def point(self, sigma) -> np.ndarray:
-        """The point at a density operator sigma: sigma, or at a = 1/2 the
-        root sigma^(1/2)."""
-        if self.half:
-            return registers.herm_power(sigma, 0.5).astype(complex)
+        """The point at a density operator sigma."""
         return sigma
 
     def sigma(self, point) -> np.ndarray:
-        """The density operator at a point: the point, or at a = 1/2
-        H H^dag / tr[H H^dag]."""
-        if self.half:
-            return herm_part(point @ point.conj().T) \
-                / float(np.vdot(point, point).real)
+        """The density operator at a point."""
         return point
+
+    def solve(self, start):
+        """(log2_T, point, width) of the extremum from the point
+        ``start``: :func:`_optimize_sigma`."""
+        return _optimize_sigma(self, start)
+
+    @functools.cached_property
+    def _chart(self):
+        return _InputChart(np.eye(1), self.d_qp)
+
+    def at_root(self, H):
+        """(point, log2 T, gradient of log2 T / (a - 1) in H) at the point
+        H H^dag / tr[H H^dag] of the chart
+        (:class:`renyimeat.marginals._InputChart` without a pin), in the
+        convention d phi = 2 Re tr[grad^dag dH]: :meth:`at`'s gradient in
+        sigma pulled back through the chart.  The gradient is None where
+        :meth:`at`'s is."""
+        point, parts = self._chart.point(H)
+        log2_T, _, grad = self.at(point, grad=True)
+        if grad is not None:
+            grad = self._chart.pullback(H, parts, grad)
+        return point, log2_T, grad
 
     def _branches(self, phis, t: float = 1.0):
         """Per branch, from phi_i with Gamma_i = phi_i^dag phi_i / t:
@@ -279,53 +280,25 @@ class _SigmaEvaluator:
         self._last = (sigma, point)
         return point
 
-    def _root_point(self, H):
-        """At a = 1/2: t = tr[H H^dag] and the parts of :meth:`_branches`
-        at psi_i = (id (x) H^dag) M_i, psi_i U_i in the place of phi_i U_i;
-        kept for the last H seen."""
-        if self._last is not None and self._last[0] is H:
-            return self._last[1]
-        t = float(np.vdot(H, H).real)
-        Hd = H.conj().T
-        point = (t, self._branches((Hd @ M for M in self.M), t))
-        self._last = (H, point)
-        return point
-
     def _parts(self, point):
-        return self._root_point(point)[1] if self.half \
-            else self._point(point)[4]
+        return self._point(point)[4]
 
-    def at(self, point, *, update: bool = False, grad: bool = False):
-        """(log2 T, update, gradient) at a point.  The update is the
-        unnormalized fixed-point map sum_i w_i Tr_Q[G_i^a] (not at a = 1/2,
-        where the fixed point does not run), and the gradient the Hermitian gradient of
-        log2 T / (a - 1) = -H in sigma, or at a = 1/2 its gradient in H in
-        the convention d phi = 2 Re tr[grad^dag dH]; each is None unless
-        asked for, and both are None when the value is not finite.
-
-        For a > 1 the value is +inf when sigma misses support that a branch
-        needs: the pseudo-powers would project that weight away and
-        underestimate T (overestimating the entropy)."""
+    def _sums(self, parts, update: bool, grad: bool):
+        """(log2 T, update, sum_i 2^-L w_i Tr_Q[M_i Gamma_i^(a-1) Y_i^dag],
+        sum_i 2^-L w_i tr[Gamma_i^a]) from the parts of :meth:`_branches`,
+        Y_i U_i being their last entry and L the largest log2 w_i
+        lambda_max(Gamma_i)^a; the update and that sum are None unless asked
+        for, and both are None when the value is not finite."""
         a = self.alpha
-        if self.half:
-            t, parts = self._root_point(point)
-        else:
-            lam, V, keep, pows, parts = self._point(point)
-            if a > 1.0 and not keep.all():
-                cut = V[:, ~keep].conj().T
-                for M, tr in zip(self.M, self.traces):
-                    if np.linalg.norm(cut @ M) ** 2 > 1e-10 * max(tr, 1e-300):
-                        return math.inf, None, None
         live = [p for p in parts if p is not None]
         if not live:
-            return -math.inf, None, None
+            return -math.inf, None, None, None
         if math.isinf(a):
-            return max(lp + lt for lp, lt, *_ in live), None, None
+            return max(lp + lt for lp, lt, *_ in live), None, None, None
         logs = [a * (lp + lt) for lp, lt, *_ in live]
         L = max(logs)
         total = sum(2.0 ** (lg - L) * float(np.sum(r ** a))
                     for lg, (_, _, r, *_) in zip(logs, live))
-        log2_T = L + math.log2(total)
         upd = g = None
         if update or grad:
             # 2^-L w_i G_i^a = coeff_i (phi_i U_i) r_i^(a-1) (phi_i U_i)^dag
@@ -336,15 +309,29 @@ class _SigmaEvaluator:
                 c * np.einsum("qak,qbk->ab", Y * r ** (a - 1.0), Y.conj())
                 for c, (_, _, r, _, _, Y) in zip(coeffs, live)))
         if grad:
-            # sum_i 2^-L w_i Tr_Q[M_i Gamma_i^(a-1) Y_i^dag] for Y_i = phi_i,
-            # or psi_i at a = 1/2
             g = sum(c * np.einsum("qak,qbk->ab", Z * r ** (a - 1.0), Y.conj())
                     for c, (_, _, r, _, Z, Y) in zip(coeffs, live))
-        if grad and self.half:
-            # d tr[Gamma_i^a] = (2a/t) Re tr[(E_i - tr[Gamma_i^a] H)^dag dH]
-            # with E_i = Tr_Q[M_i Gamma_i^(a-1) psi_i^dag], t moving with H
-            g = a / (t * LN2 * (a - 1.0)) * (g / total - point)
-        elif grad:
+        return L + math.log2(total), upd, g, total
+
+    def at(self, point, *, update: bool = False, grad: bool = False):
+        """(log2 T, update, gradient) at sigma.  The update is the
+        unnormalized fixed-point map sum_i w_i Tr_Q[G_i^a], and the gradient
+        the Hermitian gradient of log2 T / (a - 1) = -H in sigma; each is
+        None unless asked for, and both are None when the value is not
+        finite.
+
+        For a > 1 the value is +inf when sigma misses support that a branch
+        needs: the pseudo-powers would project that weight away and
+        underestimate T (overestimating the entropy)."""
+        a = self.alpha
+        lam, V, keep, pows, parts = self._point(point)
+        if a > 1.0 and not keep.all():
+            cut = V[:, ~keep].conj().T
+            for M, tr in zip(self.M, self.traces):
+                if np.linalg.norm(cut @ M) ** 2 > 1e-10 * max(tr, 1e-300):
+                    return math.inf, None, None
+        log2_T, upd, g, total = self._sums(parts, update, grad)
+        if g is not None:
             # with W = id (x) sigma^s, d tr[G_i^a] =
             # 2a tr[Tr_Q[rho_i W G_i^(a-1)] d sigma^s], and
             # rho_i W G_i^(a-1) = M_i Gamma_i^(a-1) phi_i^dag
@@ -417,46 +404,108 @@ class _SigmaEvaluator:
         return (U.conj() * ra) @ U.T / float(np.sum(ra))
 
 
+class _RootEvaluator(_SigmaEvaluator):
+    """The objective of one extremum at a = 1/2, on the chart's roots.
+
+    There s = 1/2, so Gamma_i = M_i^dag (id (x) sigma) M_i is linear in
+    sigma, and the points are roots H of sigma = H H^dag / t, t =
+    tr[H H^dag], the chart of :func:`_root_lbfgs`: with psi_i =
+    (id (x) H^dag) M_i, Gamma_i = psi_i^dag psi_i / t, so a point costs one
+    eigendecomposition per branch and none of sigma, and the gradient comes
+    in H.  Gamma_i is formed from psi_i, not as M_i^dag (id (x) sigma) M_i
+    with the gradient Tr_Q[M_i Gamma_i^(-1/2) M_i^dag] in sigma: that is
+    exact too, but at rank-deficient optima it multiplies huge entries by
+    small ones, while every kept column of psi_i U_i has norm sqrt(mu)
+    against r^(-1/2), so each factor of the gradient stays of order one
+    (the two-copy solve of ``test_weak_additivity_gap_vanishes`` at
+    infinity, in the channel tests, keeps eigenvalues of Gamma down to 1e-6
+    of the largest).  The width and the dual point read the same parts as
+    at sigma.  Its solve is the L-BFGS alone: the fixed point handed over
+    after two or three points here anyway.
+    """
+
+    def __init__(self, purifiers, log2_probs):
+        super().__init__(purifiers, log2_probs, 0.5)
+
+    def point(self, sigma) -> np.ndarray:
+        """The root sigma^(1/2) of a density operator sigma."""
+        return registers.herm_power(sigma, 0.5).astype(complex)
+
+    def sigma(self, point) -> np.ndarray:
+        """H H^dag / tr[H H^dag] at a root H."""
+        return herm_part(point @ point.conj().T) \
+            / float(np.vdot(point, point).real)
+
+    def solve(self, start):
+        return _root_lbfgs(self, start)
+
+    def at_root(self, H):
+        log2_T, _, grad = self.at(H, grad=True)
+        return H, log2_T, grad
+
+    def _root_point(self, H):
+        """t = tr[H H^dag] and the parts of :meth:`_branches` at psi_i =
+        (id (x) H^dag) M_i, psi_i U_i in the place of phi_i U_i; kept for the
+        last H seen."""
+        if self._last is not None and self._last[0] is H:
+            return self._last[1]
+        t = float(np.vdot(H, H).real)
+        Hd = H.conj().T
+        point = (t, self._branches((Hd @ M for M in self.M), t))
+        self._last = (H, point)
+        return point
+
+    def _parts(self, point):
+        return self._root_point(point)[1]
+
+    def at(self, point, *, grad: bool = False):
+        """(log2 T, None, gradient) at a root H, the gradient being that of
+        log2 T / (a - 1) in H, in the convention d phi = 2 Re tr[grad^dag
+        dH], None unless asked for or when the value is not finite.  There
+        is no fixed-point update: the fixed point does not run here."""
+        a = self.alpha
+        t, parts = self._root_point(point)
+        log2_T, _, g, total = self._sums(parts, False, grad)
+        if g is not None:
+            # d tr[Gamma_i^a] = (2a/t) Re tr[(E_i - tr[Gamma_i^a] H)^dag dH]
+            # with E_i = Tr_Q[M_i Gamma_i^(a-1) psi_i^dag], t moving with H
+            g = a / (t * LN2 * (a - 1.0)) * (g / total - point)
+        return log2_T, None, g
+
+
 def _log2_sum(logs) -> float:
     """log2 sum_i 2^logs[i], shifted by the largest term."""
     L = max(logs)
     return L + math.log2(sum(2.0 ** (lg - L) for lg in logs))
 
 
-def _optimize_sigma(ev: _SigmaEvaluator, start: np.ndarray):
-    """Extremize log2 T over sigma (min for a > 1, max for a < 1) from the
-    evaluator's point ``start``; returns (log2_T, point, width), the width
-    being :meth:`_SigmaEvaluator.width` at the returned point.
+def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
+    """Extremize log2 T over sigma (min for a > 1, max for a < 1) from
+    ``sigma0``; returns (log2_T, sigma, width), the width being
+    :meth:`_SigmaEvaluator.width` at the returned sigma.
 
-    Both regimes minimize the same merit phi = log2 T / (a - 1) = -H.  At
-    every order but 1/2 a short fixed point sigma <- (1-theta) sigma +
-    theta normalize(update), accepting steps only when phi drops and
-    halving theta until one does, runs first.  On a classical input the
-    update sends log sigma to (1-a) log sigma + c.  For a < 1, where T is
-    concave in sigma, that contracts at rate 1 - a, so the first theta is
-    1, and the loop hands over at a step that gains more than a quarter of
-    the step before it: a quarter is the rate at a = 3/4, and below it the
-    L-BFGS is faster.  For a > 1 the rate is a - 1, which passes 1 at a = 2
-    (the undamped map overshoots), so the first theta is 1/2, and the loop
-    hands over at a step that gains more than half of the step before it:
-    its progress is then limited by the damping, not by the map.  It stops
-    at a step that gains less than ``_FP_VALUE_TOL``.  Once a step gains
-    less than the width target, a hundredth of ``UP_GAP_TOL``, the duality
-    interval at its sigma is computed, and the solve returns there if it
-    meets that target.  Otherwise it warm-starts :func:`_root_lbfgs` from
-    H = sigma^(1/2).
-
-    At a = 1/2 (order 1/2 and the 1/2 solve of order infinity) the L-BFGS
-    runs from the start, on the evaluator's own points H; the fixed point
-    handed over after two or three points there anyway.
+    Both regimes minimize the same merit phi = log2 T / (a - 1) = -H.  A
+    short fixed point sigma <- (1-theta) sigma + theta normalize(update),
+    accepting steps only when phi drops and halving theta until one does,
+    runs first.  On a classical input the update sends log sigma to
+    (1-a) log sigma + c.  For a < 1, where T is concave in sigma, that
+    contracts at rate 1 - a, so the first theta is 1, and the loop hands
+    over at a step that gains more than a quarter of the step before it: a
+    quarter is the rate at a = 3/4, and below it the L-BFGS is faster.  For
+    a > 1 the rate is a - 1, which passes 1 at a = 2 (the undamped map
+    overshoots), so the first theta is 1/2, and the loop hands over at a
+    step that gains more than half of the step before it: its progress is
+    then limited by the damping, not by the map.  It stops at a step that
+    gains less than ``_FP_VALUE_TOL``.  Once a step gains less than the
+    width target, a hundredth of ``UP_GAP_TOL``, the duality interval at its
+    sigma is computed, and the solve returns there if it meets that target.
+    Otherwise it warm-starts :func:`_root_lbfgs` from H = sigma^(1/2).
     """
-    if ev.half:
-        return _root_lbfgs(ev, start)
     denom = ev.alpha - 1.0
     tol = 1e-2 * UP_GAP_TOL
     # the first damping and the largest gain ratio kept, by the side of 1
     first, ratio = (1.0, 0.25) if denom < 0.0 else (0.5, 0.5)
-    sigma = start.copy()
+    sigma = sigma0.copy()
     v, update, _ = ev.at(sigma, update=True)
     width = None    # the width at sigma, once computed
     last_gain = math.inf
@@ -493,32 +542,21 @@ def _optimize_sigma(ev: _SigmaEvaluator, start: np.ndarray):
 
 
 def _root_lbfgs(ev: _SigmaEvaluator, root: np.ndarray):
-    """L-BFGS for :func:`_optimize_sigma` on the chart sigma(H) = H H^dag /
-    tr[H H^dag] of the density operators, from H = ``root``; returns
-    (log2_T, point, width).  At a = 1/2 the evaluator's points are those H
-    and it gives the gradient in H itself; elsewhere its gradient in sigma
-    is pulled back through the chart
-    (:class:`renyimeat.marginals._InputChart` without a pin).  Stops once
-    the duality interval meets a hundredth of ``UP_GAP_TOL``, or when the
-    line search finds no decrease.  The stop is not checked at the start:
-    after the fixed point that interval has just missed the target, and at
-    1/2 the start is rarely optimal."""
+    """L-BFGS for an extremum over sigma on the chart sigma(H) = H H^dag /
+    tr[H H^dag] of the density operators, from H = ``root``, with the
+    evaluator's value and gradient in H (:meth:`_SigmaEvaluator.at_root`);
+    returns (log2_T, point, width).  Stops once the duality interval meets
+    a hundredth of ``UP_GAP_TOL``, or when the line search finds no
+    decrease.  The stop is not checked at the start: after the fixed point
+    that interval has just missed the target, and at 1/2 the start is
+    rarely optimal."""
     denom = ev.alpha - 1.0
     tol = 1e-2 * UP_GAP_TOL
-    chart = None if ev.half else _InputChart(np.eye(1), ev.d_qp)
     started, last = [], [None, math.inf]
 
     def fg(x):
         """phi at sigma(H), its gradient in H, and (point, log2_T)."""
-        H = _square(x)
-        if ev.half:
-            point = H
-            log2_T, _, grad = ev.at(H, grad=True)
-        else:
-            point, parts = chart.point(H)
-            log2_T, _, grad = ev.at(point, grad=True)
-            if grad is not None:
-                grad = chart.pullback(H, parts, grad)
+        point, log2_T, grad = ev.at_root(_square(x))
         if grad is None:
             return math.inf, None, None
         return log2_T / denom, 2.0 * _flat(grad), (point, log2_T)
@@ -552,12 +590,13 @@ def _sup_sigma(purifiers, log2_probs, alpha):
     returns (log2_T, sigma, width), with log2_T at a = infinity its limit
     log2 T / a.
 
-    At finite orders :func:`_optimize_sigma` (fixed point, then L-BFGS on
-    the chart of the density operators; at a = 1/2 the L-BFGS alone, on
-    the chart's root) runs from the normalized mean of the branch marginals
-    and returns the duality interval at its sigma, in entropy units of the
-    normalized block state; at a = 1/2 that interval closes on the
-    max-divergence of the dual order b = infinity
+    At finite orders the evaluator's solve (:func:`_optimize_sigma`: fixed
+    point, then L-BFGS on the chart of the density operators; at a = 1/2
+    :func:`_root_lbfgs` alone, on the chart's root, through
+    :class:`_RootEvaluator`) runs from the normalized mean of the branch
+    marginals and returns the duality interval at its sigma, in entropy
+    units of the normalized block state; at a = 1/2 that interval closes
+    on the max-divergence of the dual order b = infinity
     (:meth:`_SigmaEvaluator.width`).  ``log2_probs`` are per-branch log2
     weights *before* raising to the power alpha; the solve sees
     alpha * log2_probs.
@@ -576,9 +615,11 @@ def _sup_sigma(purifiers, log2_probs, alpha):
     sigma and the lower end of its interval.
     """
     if not math.isinf(alpha):
-        ev = _SigmaEvaluator(purifiers, log2_probs, alpha)
+        ev = _RootEvaluator(purifiers, log2_probs) \
+            if as_order(alpha).is_half \
+            else _SigmaEvaluator(purifiers, log2_probs, alpha)
         mean = sum(np.einsum("qak,qbk->ab", M, M.conj()) for M in ev.M)
-        log2_T, point, width = _optimize_sigma(ev, ev.point(
+        log2_T, point, width = ev.solve(ev.point(
             mean / max(float(np.real(np.trace(mean))), 1e-300)))
         return log2_T, ev.sigma(point), width
     shift = max(log2_probs)
@@ -588,11 +629,11 @@ def _sup_sigma(purifiers, log2_probs, alpha):
     for i, (M, lp) in enumerate(zip(purifiers, log2_probs)):
         block[i * d_q:(i + 1) * d_q, ks[i]:ks[i + 1]] = \
             2.0 ** (0.5 * (lp - shift)) * M.transpose(0, 2, 1)
-    ev = _SigmaEvaluator([block], [0.0], 0.5)
+    ev = _RootEvaluator([block], [0.0])
     k_marginal = np.sum(np.abs(block) ** 2, axis=(0, 2))
     # the start's root, read off its diagonal
-    log2_T, root, width = _optimize_sigma(
-        ev, np.diag(np.sqrt(k_marginal / np.sum(k_marginal))).astype(complex))
+    log2_T, root, width = ev.solve(
+        np.diag(np.sqrt(k_marginal / np.sum(k_marginal))).astype(complex))
     return shift + 2.0 * log2_T + width, ev.dual_point(root), width
 
 
@@ -677,8 +718,7 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
             sig = sum(w / p_outer * (V.conj().T @ m @ V)
                       for (_, w, _), m in zip(entries, margs))
             sig = herm_part(sig) / float(np.real(np.trace(sig)))
-            ev = _SigmaEvaluator(pur, log2_p, a.value)
-            log2_T = ev.at(ev.point(sig))[0]
+            log2_T = _SigmaEvaluator(pur, log2_p, a.value).at(sig)[0]
             width = 0.0
         else:
             log2_T, sig, width = _sup_sigma(pur, log2_p, a.value)

@@ -773,8 +773,8 @@ def test_half_root_form_matches_the_sigma_route(n):
     channel tests runs it on a Gram matrix whose kept eigenvalues reach
     1e-6 of the largest."""
     branches, log2_probs, H = _half_branches(n)
-    ev = entropies._SigmaEvaluator(entropies._purifiers(branches, 2),
-                                   log2_probs, 0.5)
+    ev = entropies._RootEvaluator(entropies._purifiers(branches, 2),
+                                  log2_probs)
     log2_T, _, grad = ev.at(H, grad=True)
     want_T, want_grad, want_width = _half_through_sigma(branches, log2_probs,
                                                         H)
@@ -790,8 +790,8 @@ def test_half_root_gradient_matches_central_differences(n):
     d phi = 2 Re tr[grad^dag dH], matches central differences of
     phi = log2 T / (a - 1) along random complex directions."""
     branches, log2_probs, H = _half_branches(n)
-    ev = entropies._SigmaEvaluator(entropies._purifiers(branches, 2),
-                                   log2_probs, 0.5)
+    ev = entropies._RootEvaluator(entropies._purifiers(branches, 2),
+                                  log2_probs)
     grad = ev.at(H, grad=True)[2]
     rng = np.random.default_rng(70 + n)
     t = 1e-6
@@ -801,18 +801,16 @@ def test_half_root_gradient_matches_central_differences(n):
         assert 2.0 * np.real(np.vdot(grad, D)) == pytest.approx(fd, rel=1e-6)
 
 
-def test_near_half_order_is_evaluated_at_half():
-    """An order within ``HALF_WINDOW`` of 1/2 gives the value, gradient and
-    width of 1/2 itself, to the last bit."""
-    branches, log2_probs, H = _half_branches(3)
+def test_near_half_order_is_solved_at_half():
+    """The sigma solve at an order within ``HALF_WINDOW`` of 1/2 gives the
+    log2 T, sigma and width of 1/2 itself, to the last bit."""
+    branches, log2_probs, _ = _half_branches(3)
     purs = entropies._purifiers(branches, 2)
-    at = {a: entropies._SigmaEvaluator(purs, log2_probs, a)
-          for a in (0.5, 0.5 + 1e-13)}
-    (v, _, g), (v_near, _, g_near) = (ev.at(H, grad=True)
-                                      for ev in at.values())
+    (v, sigma, width), (v_near, sigma_near, width_near) = (
+        entropies._sup_sigma(purs, log2_probs, a) for a in (0.5, 0.5 + 1e-13))
     assert v_near == v
-    assert np.array_equal(g_near, g)
-    assert at[0.5 + 1e-13].width(H, v) == at[0.5].width(H, v)
+    assert width_near == width
+    assert np.array_equal(sigma_near, sigma)
 
 
 @pytest.mark.parametrize("alpha", [0.5, "inf"])

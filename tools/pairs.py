@@ -1,11 +1,13 @@
 """Time two source trees on one benchmark workload in alternating pairs.
 
     python3 tools/pairs.py PARENT CHANGE --workload endpoint-sdp --seed 0 \\
-        --pairs 10 --seconds 6 [--out FILE]
+        --pairs 10 [--out FILE]
 
 PARENT and CHANGE are checkouts of this repository.  Each run is that
 tree's own ``bench/run.py --workload W --seed S --seconds T --trace 0`` in
-a fresh process.  The runs go in ABBA order (pair i runs the parent first
+a fresh process, T being the ``run_seconds`` of the trees'
+``BENCHMARK.json``; the script refuses to run when the two trees declare
+different run lengths.  The runs go in ABBA order (pair i runs the parent first
 when i is even, the change first when it is odd), so that a drift of the
 host's speed during the session falls on both sides alike.
 
@@ -45,14 +47,16 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
 
-def directions(root: Path) -> dict:
-    """{end-to-end metric: "lower" or "higher"} from ``BENCHMARK.json``."""
-    try:
-        with open(root / "BENCHMARK.json") as fh:
-            declared = json.load(fh).get("end_to_end", [])
-    except OSError:
-        return {}
-    return {m["name"]: m.get("better", "lower") for m in declared}
+def benchmark(root: Path) -> dict:
+    """``root``'s ``BENCHMARK.json``."""
+    with open(root / "BENCHMARK.json") as fh:
+        return json.load(fh)
+
+
+def directions(spec: dict) -> dict:
+    """{end-to-end metric: "lower" or "higher"} from a ``BENCHMARK.json``."""
+    return {m["name"]: m.get("better", "lower")
+            for m in spec.get("end_to_end", [])}
 
 
 def summarize(pairs: list, better: dict) -> dict:
@@ -83,10 +87,15 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=6.0)
     ap.add_argument("--out", help="write every run and the summary here")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    specs = {side: benchmark(root) for side, root in roots.items()}
+    seconds = specs["change"]["run_seconds"]
+    if specs["parent"]["run_seconds"] != seconds:
+        raise SystemExit(f"pairs: the trees declare different run lengths "
+                         f"(parent {specs['parent']['run_seconds']} s, "
+                         f"change {seconds} s)")
 
     pairs = []
     for i in range(args.pairs):
@@ -94,15 +103,15 @@ def main(argv=None) -> int:
         pair = {"order": "".join(side[0].upper() for side in order)}
         for side in order:
             pair[side] = run_once(roots[side], args.workload, args.seed,
-                                  args.seconds)
+                                  seconds)
         pairs.append(pair)
         print(f"pair {i} ({pair['order']}): " + "; ".join(
             f"{side} pass_s {pair[side]['metrics'].get('pass_s', 'n/a')}"
             for side in ("parent", "change")), file=sys.stderr, flush=True)
 
-    summary = summarize(pairs, directions(roots["change"]))
+    summary = summarize(pairs, directions(specs["change"]))
     print(f"{args.workload} seed {args.seed}: {len(pairs)} pairs, "
-          f"{args.seconds:g} s per run (P = parent, C = change)")
+          f"{seconds:g} s per run (P = parent, C = change)")
     print(f"{'metric':<14s} {'parent median [q1, q3]':>30s} "
           f"{'change median [q1, q3]':>30s} {'C/P':>7s}  won")
     for name, row in summary.items():
@@ -122,7 +131,7 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"workload": args.workload, "seed": args.seed,
-                       "seconds": args.seconds, "pairs": pairs,
+                       "seconds": seconds, "pairs": pairs,
                        "summary": summary}, fh, indent=1)
     return 1 if bad else 0
 
