@@ -87,7 +87,7 @@ from .errors import (InvalidRegister, InvalidState, NonConvergence,
 from .marginals import _flat, _InputChart, _lbfgs, _square
 from .registers import (EIG_CUT, State, bipartite_partial_trace,
                         embed_operator, herm_part, log_sum_exp,
-                        support_isometry)
+                        support_isometry, tensor_identity)
 from . import registers
 
 #: widest duality interval (in bits of entropy) an optimized "up" value may
@@ -213,6 +213,7 @@ class _SigmaEvaluator:
         self.M = [M for M, _ in live]
         self.log2_probs = [lp for _, lp in live]
         self.traces = [float(np.vdot(M, M).real) for M in self.M]
+        self._is_half = as_order(alpha).is_half
         self._last = None
 
     def point(self, sigma) -> np.ndarray:
@@ -231,6 +232,12 @@ class _SigmaEvaluator:
     @functools.cached_property
     def _chart(self):
         return _InputChart(np.eye(1), self.d_qp)
+
+    @functools.cached_property
+    def _log2_c(self) -> float:
+        """log2 sum_i p_i tr rho_i, the normalization of :meth:`width`."""
+        return _log2_sum([lp + math.log2(tr)
+                          for lp, tr in zip(self.log2_probs, self.traces)])
 
     def at_root(self, H):
         """(point, log2 T, gradient of log2 T / (a - 1) in H) at the point
@@ -302,15 +309,14 @@ class _SigmaEvaluator:
         upd = g = None
         if update or grad:
             # 2^-L w_i G_i^a = coeff_i (phi_i U_i) r_i^(a-1) (phi_i U_i)^dag
-            coeffs = [2.0 ** (lg - L - lt)
-                      for lg, (_, lt, *_) in zip(logs, live)]
+            terms = [(2.0 ** (lg - L - lt), r ** (a - 1.0), Z, Y, Y.conj())
+                     for lg, (_, lt, r, _, Z, Y) in zip(logs, live)]
         if update:
-            upd = herm_part(sum(
-                c * np.einsum("qak,qbk->ab", Y * r ** (a - 1.0), Y.conj())
-                for c, (_, _, r, _, _, Y) in zip(coeffs, live)))
+            upd = herm_part(sum(c * np.einsum("qak,qbk->ab", Y * ra, Yc)
+                                for c, ra, _, Y, Yc in terms))
         if grad:
-            g = sum(c * np.einsum("qak,qbk->ab", Z * r ** (a - 1.0), Y.conj())
-                    for c, (_, _, r, _, Z, Y) in zip(coeffs, live))
+            g = sum(c * np.einsum("qak,qbk->ab", Z * ra, Yc)
+                    for c, ra, Z, _, Yc in terms)
         return L + math.log2(total), upd, g, total
 
     def at(self, point, *, update: bool = False, grad: bool = False):
@@ -373,9 +379,7 @@ class _SigmaEvaluator:
         parts = self._parts(point)
         if any(p is None for p in parts):
             return math.inf     # sigma misses a branch entirely
-        logs_c = [lp + math.log2(tr)
-                  for lp, tr in zip(self.log2_probs, self.traces)]
-        log2_c = _log2_sum(logs_c)
+        log2_c = self._log2_c
         logs_z = [a * (lp - log2_c + lt) + math.log2(np.sum(r ** a))
                   for lp, lt, r, *_ in parts]
         logs_x = [a * (lp - log2_c) + (a - 1.0) * lt
@@ -387,7 +391,7 @@ class _SigmaEvaluator:
         xv = np.linalg.eigvalsh(herm_part(X))
         xtop = xv.max()
         log2_norm = L + math.log2(xtop)
-        if not as_order(a).is_half:
+        if not self._is_half:
             beta = a / (2.0 * a - 1.0)
             xv = xv[xv > EIG_CUT * xtop] / xtop
             log2_norm += math.log2(np.sum(xv ** beta)) / beta
@@ -684,6 +688,8 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
     -log2 sum_cp p(cp) max_cs p(cs|cp) 2^tilt
         lambda_max((id (x) sigma)^(-1/2) rho_cs,cp (id (x) sigma)^(-1/2)).
 
+    ``rho`` is classical on the classical registers (:func:`_two_sided_split`
+    checks that), so its branches are read without a second check.
     Returns (value, width, {cp: sigma on Q'}).
     """
     d_q = int(np.prod([rho.space.dim_of(l) for l in q_labels])) \
@@ -692,7 +698,7 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
     groups: dict = {}
     legs = list(q_labels) + list(qp_labels)
     n_cp = len(classical_cond)
-    for outcome, w, branch in rho.branches(classical_cond + classical_target):
+    for outcome, w, branch in rho._branches(classical_cond + classical_target):
         if branch is None:
             continue
         mat = branch.reorder(legs).matrix if legs \
@@ -709,7 +715,7 @@ def _two_sided_mix(rho: State, q_labels, qp_labels, classical_target,
         d_p = branches[0].shape[0] // d_q
         margs = [bipartite_partial_trace(m, d_q, d_p, 1) for m in branches]
         V = support_isometry(sum(margs))
-        W = np.kron(np.eye(d_q), V)
+        W = tensor_identity(V, d_q, first=True)
         pur = _purifiers([herm_part(W.conj().T @ m @ W) for m in branches],
                          d_q)
         if variant == "down" or V.shape[1] == 1:

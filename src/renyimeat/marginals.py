@@ -136,7 +136,8 @@ class _MarginalSet:
 
     def pin(self, prob: SdpProblem, block: str) -> slice:
         """Constrain ``block`` of ``prob`` to the set: Tr_F rho = psi_r.
-        Returns the slice of the pin's rows in ``prob.constraints``."""
+        Returns the slice of the pin's rows of the program's A
+        (:meth:`SdpProblem.add_operator_equality`)."""
         return prob.add_operator_equality([(block, self.marginal)], self.psi_r)
 
     def unrestrict(self, rho_r: np.ndarray) -> np.ndarray:
@@ -398,7 +399,7 @@ class SdpPair:
     rule: ``primal`` maximizes tr[rho G] over the marginal set,
     G = ``dual_rhs``.  Its dual, min tr[psi Lambda] over
     Lambda (x) 1 >= G, is read off the same solve: Lambda is -hunvec of
-    the multipliers of the marginal pin's rows, ``pin``."""
+    the multipliers of the marginal pin's rows of A, the slice ``pin``."""
     primal: SdpProblem
     dual_rhs: np.ndarray
     pin: slice

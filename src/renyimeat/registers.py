@@ -267,6 +267,10 @@ class State:
         """
         if not self.is_classical_on(labels):
             raise InvalidState(f"state is not classical on {list(labels)}")
+        return self._branches(labels)
+
+    def _branches(self, labels: Sequence[str]):
+        """:meth:`branches` for a caller that has checked classicality."""
         pos = [self.space.position(l) for l in labels]
         dims = self.space.dims
         k = len(dims)

@@ -11,7 +11,10 @@ L_b and never by adjoints or basis elements: one lowering
 (``SdpProblem.add_operator_equality``) probes each map on the Hermitian
 basis of its block, and the column of basis element F_j is hvec(L_b(F_j)),
 one row per coordinate of G.  An inequality is that equality plus a PSD
-slack block (``add_operator_inequality``).  Builders state no start.
+slack block (``add_operator_inequality``).  Builders state no start.  A
+problem keeps each constraint as its builder made it, one r x d_b^2 array
+per block and r right-hand sides, its rows following those of the
+constraints before it; :func:`_assemble` copies each array into A once.
 
 The solver takes at least one equality row, and linearly independent
 rows, as every builder states them: a problem without rows raises
@@ -314,8 +317,11 @@ class SdpProblem:
         self.sense = sense
         self.blocks: dict[str, int] = {}
         self.objective: dict[str, np.ndarray] = {}
-        #: one (block name -> row in hvec coordinates, rhs) per scalar row
-        self.constraints: list[tuple[dict[str, np.ndarray], float]] = []
+        #: one (block name -> (r, d_b^2) rows in hvec coordinates, (r,)
+        #: right-hand sides) per constraint, filling the rows of A in order
+        self.constraints: list[tuple[dict[str, np.ndarray], np.ndarray]] = []
+        #: the number of equality rows, summed over ``constraints``
+        self.rows = 0
 
     def add_block(self, name: str, dim: int) -> None:
         if name in self.blocks:
@@ -330,18 +336,26 @@ class SdpProblem:
         self.objective[name] = _as_herm(C, self.blocks[name],
                                         f"objective[{name}]")
 
-    def add_eq_constraint(self, mats: dict, rhs: float) -> None:
+    def _append(self, coefs: dict, rhs: np.ndarray) -> slice:
+        """Store one constraint; returns the slice of its rows."""
+        self.constraints.append((coefs, rhs))
+        self.rows += len(rhs)
+        return slice(self.rows - len(rhs), self.rows)
+
+    def add_eq_constraint(self, mats: dict, rhs: float) -> slice:
+        """One row, sum_b <M_b, X_b> = rhs for ``mats`` {b: M_b}; returns
+        its slice of the rows of A."""
         row = {}
         for name, M in mats.items():
             if name not in self.blocks:
                 raise InvalidState(f"unknown block {name!r}")
             row[name] = hvec(_as_herm(M, self.blocks[name],
-                                      f"constraint[{name}]"))
-        self.constraints.append((row, float(rhs)))
+                                      f"constraint[{name}]"))[None]
+        return self._append(row, np.array([float(rhs)]))
 
     def add_operator_equality(self, terms, G) -> slice:
         """Lower ``sum_b L_b(X_b) = G`` to one row per coordinate of ``G``,
-        and return the slice of ``constraints`` that holds those rows.
+        and return the slice of the rows of A that hold them.
 
         ``terms`` is a list of ``(block_name, L_b)`` with ``L_b`` a linear,
         Hermiticity-preserving map from the block to the space of ``G``.
@@ -370,18 +384,15 @@ class SdpProblem:
                 raise InvalidState(f"map of {name!r}: matrix is not Hermitian")
             probed = hvec(out).T
             cols[name] = cols[name] + probed if name in cols else probed
-        first = len(self.constraints)
-        for k, rhs in enumerate(hvec(G)):
-            self.constraints.append(({name: c[k] for name, c in cols.items()},
-                                     float(rhs)))
-        return slice(first, len(self.constraints))
+        return self._append(cols, hvec(G))
 
-    def add_operator_inequality(self, terms, G, *, slack: str) -> None:
+    def add_operator_inequality(self, terms, G, *, slack: str) -> slice:
         """``sum_b L_b(X_b) >= G``: the equality of
         :meth:`add_operator_equality` with ``-slack`` added on the left,
-        for a new PSD block ``slack``."""
+        for a new PSD block ``slack``; returns the slice of its rows."""
         self.add_block(slack, np.shape(G)[0])
-        self.add_operator_equality(list(terms) + [(slack, lambda S: -S)], G)
+        return self.add_operator_equality(
+            list(terms) + [(slack, lambda S: -S)], G)
 
 
 # ------------------------------------------------------------------- solution
@@ -390,9 +401,9 @@ class SdpProblem:
 class SdpSolution:
     """``value`` at the returned ``variables``, the ``dual_value`` certified
     from ``y``, and their ``gap``.  ``y`` holds one multiplier per row of
-    ``constraints`` in the min-sense form, min c.x with c = +-C: on the
-    slice ``sl`` of rows that :meth:`SdpProblem.add_operator_equality`
-    returns, hunvec(y[sl]) is the dual operator of a ``"min"`` problem and
+    A in the min-sense form, min c.x with c = +-C: on the slice ``sl`` of
+    rows that :meth:`SdpProblem.add_operator_equality` returns,
+    hunvec(y[sl]) is the dual operator of a ``"min"`` problem and
     -hunvec(y[sl]) that of a ``"max"`` one."""
     value: float
     dual_value: float
@@ -406,32 +417,32 @@ class SdpSolution:
 # --------------------------------------------------------------------- solver
 
 def _assemble(problem: SdpProblem):
+    """(names, dims, slices, A, b, c, sgn): the program in the min-sense
+    coordinates of the solver, each block's coordinates at its slice; one
+    slice assignment per block of each constraint."""
     names = list(problem.blocks)
     dims = [problem.blocks[n] for n in names]
-    sizes = [d * d for d in dims]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    N = int(offs[-1])
+    offs = np.concatenate([[0], np.cumsum([d * d for d in dims])])
+    slices = [slice(offs[i], offs[i + 1]) for i in range(len(dims))]
+    cols = dict(zip(names, slices))
     sgn = 1.0 if problem.sense == "min" else -1.0
-    c = np.zeros(N)
-    for i, name in enumerate(names):
-        if name in problem.objective:
-            c[offs[i]:offs[i + 1]] = sgn * hvec(problem.objective[name])
-    m = len(problem.constraints)
-    A = np.zeros((m, N))
-    b = np.zeros(m)
-    for k, (row, rhs) in enumerate(problem.constraints):
-        b[k] = rhs
-        for i, name in enumerate(names):
-            if name in row:
-                A[k, offs[i]:offs[i + 1]] = row[name]
-    return names, dims, offs, A, b, c, sgn
+    c = np.zeros(offs[-1])
+    for name, C in problem.objective.items():
+        c[cols[name]] = sgn * hvec(C)
+    A = np.zeros((problem.rows, offs[-1]))
+    b = np.zeros(problem.rows)
+    first = 0
+    for coefs, rhs in problem.constraints:
+        rows = slice(first, first + len(rhs))
+        b[rows] = rhs
+        for name, coef in coefs.items():
+            A[rows, cols[name]] = coef
+        first = rows.stop
+    return names, dims, slices, A, b, c, sgn
 
 
-def _split(x, names, dims, offs):
-    out = {}
-    for i, name in enumerate(names):
-        out[name] = hunvec(x[offs[i]:offs[i + 1]], dims[i])
-    return out
+def _split(x, names, dims, slices):
+    return {n: hunvec(x[sl], d) for n, d, sl in zip(names, dims, slices)}
 
 
 def _min_eig(mat: np.ndarray) -> float:
@@ -507,19 +518,12 @@ class _HkmSystem:
     The predictor and the corrector share r_p and R_d, so K R_d is applied
     once per iterate.
 
-    X and S are held as :class:`BlockStack` stacks padded with the
-    identity, so one batched Cholesky factors both, one batched inverse
-    inverts the factors (block-diagonal, so the padding stays the identity
-    and each block's factor is its own), and K and the corrector target are
-    each one batched product per call; both step lengths are one batched
-    product and one ``eigvalsh`` of the X side and the S side stacked.
-
-    A K A^T is never formed: it is F F^T for the blocks' factors
-    (:func:`schur_factor`, per block on the unpadded rows) stacked side by
-    side, and a QR factorization of F^T gives its Cholesky factor R
-    directly.  R carries the conditioning of F, the square root of that of
-    A K A^T (module docstring).  It serves the predictor and the
-    corrector; K itself is only ever applied, as sym(X V Z), never formed.
+    X and S are padded :class:`BlockStack` stacks, factored and inverted
+    in one batch each (module docstring); the inverse of a block-diagonal
+    factor keeps the identity padding and each block's own factor.  A K A^T
+    is F F^T for the blocks' :func:`schur_factor` (on the unpadded rows)
+    side by side, and the R of a QR factorization of F^T is its Cholesky
+    factor, shared by the predictor and the corrector.
     """
 
     def __init__(self, x, s, rp, Rd, stack, A, row_mats, LA):
@@ -618,12 +622,11 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
     """
     if not problem.blocks:
         raise InvalidState("problem has no blocks")
-    if not problem.constraints:
+    if not problem.rows:
         raise InvalidState("problem has no equality rows")
-    names, dims, offs, A, b, c, sgn = _assemble(problem)
+    names, dims, slices, A, b, c, sgn = _assemble(problem)
     LA = _row_factor(A)
     n_total = float(sum(dims))
-    slices = [slice(offs[i], offs[i + 1]) for i in range(len(dims))]
     stack = block_stack(tuple(dims))
     x = _starting_point(A, b, LA, stack)
     # the rows of A as Hermitian matrices, block by block
@@ -689,7 +692,7 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
                          "primal_eq": rp_norm, "mu": mu,
                          "checked_min_eig_S": checked_low})
     _, gap, x, y, (bound, corr, lam) = best
-    variables = _split(x, names, dims, offs)
+    variables = _split(x, names, dims, slices)
     residuals = {
         "primal_eq": float(np.linalg.norm(A @ x - b)),
         "min_eig_X": min(_min_eig(variables[n]) for n in names),
@@ -699,12 +702,6 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
         # what negative dual-slack eigenvalues took off b.y for the bound
         "dual_fit": float(corr),
     }
-    return SdpSolution(
-        value=sgn * float(c @ x),
-        dual_value=sgn * bound,
-        gap=float(gap),
-        variables=variables,
-        y=y,
-        residuals=residuals,
-        iterations=it,
-    )
+    return SdpSolution(value=sgn * float(c @ x), dual_value=sgn * bound,
+                       gap=float(gap), variables=variables, y=y,
+                       residuals=residuals, iterations=it)

@@ -122,8 +122,7 @@ def test_measured_dual_is_read_from_the_pin(seed, sdp_solves):
         k, n = lam.shape[0], pair.dual_rhs.shape[0]
         lifted = np.kron(lam, np.eye(n // k))
         assert np.linalg.eigvalsh(lifted - pair.dual_rhs).min() >= -1e-9
-        psi = sdp.hunvec(np.array(
-            [rhs for _, rhs in pair.primal.constraints[pair.pin]]), k)
+        psi = sdp.hunvec(sdp._assemble(pair.primal)[4][pair.pin], k)
         assert abs(np.trace(psi @ lam).real - dual.value) <= primal.gap
         lams.append(lam)
     assert product_feasibility_slack(pairs[2], lams[0], lams[1]) >= 0.0

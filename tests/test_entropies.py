@@ -599,6 +599,33 @@ def test_every_optimized_entropy_runs_the_two_sided_mixture(monkeypatch,
     assert set(callers) == {"_two_sided_mix"}
 
 
+def test_every_state_entropy_checks_classicality_once(monkeypatch):
+    """A public call pinches its state once per classicality check, and
+    checks once: not at all without classical registers, once with them
+    (the mixture reads the branches that the split has checked)."""
+    pinches = []
+    pinched = State.pinched
+    monkeypatch.setattr(State, "pinched", lambda self, labels:
+                        pinches.append(list(labels)) or pinched(self, labels))
+    cab = cab_state()
+    rho = four_register_state()
+    f = TradeoffFunction([0, 1], [0, 1], [[0.2, -0.4], [0.7, 0.1]])
+    kw = dict(target=["Q", "Cb"], conditioning=["Ch", "Qp"],
+              classical_target=["Cb"], classical_cond=["Ch"])
+    calls = [
+        (lambda a: cond_entropy_up(cab, ["A"], ["B"], a), 0),
+        (lambda a: classmix_up(cab, ["A"], ["C", "B"], ["C"], a), 1),
+        (lambda a: two_sided_classmix(rho, alpha=a, **kw), 1),
+        (lambda a: fweighted_entropy(rho, f, a, **kw), 1),
+        (lambda a: fweighted_cs_conditioned(rho, f, a, **kw), 1),
+    ]
+    for alpha in [0.5, 2.0, "inf"]:
+        for call, checks in calls:
+            pinches.clear()
+            call(alpha)
+            assert len(pinches) == checks
+
+
 def test_endpoint_programs_report_their_widths():
     """At 1/2 and infinity the sigma solve reports a positive width, and so
     does the covering program of H^up_inf(A|C), built directly; on a pure
@@ -919,7 +946,7 @@ def test_state_endpoint_programs_certify_within_the_iteration_budget(
         rho = random_density(space(("A", 2), ("B", 4)), seed=9)
         _fidelity_program(*_branch_programs([rho.matrix], 2, 4), [1.0])
         ((problem, _),) = sdp_solves
-        assert len(problem.constraints) == 130
+        assert sdp._assemble(problem)[3].shape[0] == 130
     else:
         _covering_program(*_branch_programs(
             [four_register_state().matrix], 4, 4))

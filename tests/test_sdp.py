@@ -270,15 +270,15 @@ def hmin_program():
 
 def rebuilt_dual_slack_min_eig(problem, y):
     """Lowest eigenvalue over the blocks of C_b - sum_k y_k M_b^(k), rebuilt
-    from the problem's objective and rows through the dense basis oracle
-    (min sense, so C_b is the objective as stated)."""
+    from the problem's objective and the rows of its assembled A through
+    the dense basis oracle (min sense, so C_b is the objective as stated)."""
+    names, dims, slices, A, _, _, _ = sdp._assemble(problem)
     low = np.inf
-    for name, n in problem.blocks.items():
+    for name, n, sl in zip(names, dims, slices):
         B = dense_basis(n)
         S = problem.objective.get(name, np.zeros((n, n))).astype(complex)
-        for (row, _), yk in zip(problem.constraints, y):
-            if name in row:
-                S = S - yk * (B @ row[name]).reshape(n, n)
+        for row, yk in zip(A[:, sl], y):
+            S = S - yk * (B @ row).reshape(n, n)
         low = min(low, float(np.linalg.eigvalsh(0.5 * (S + S.conj().T))[0]))
     return low
 
@@ -359,10 +359,10 @@ def test_infeasible_equalities_detected():
 
 def start_of(problem):
     """The solver's start for ``problem``, block by block."""
-    names, dims, offs, A, b, _, _ = sdp._assemble(problem)
+    names, dims, slices, A, b, _, _ = sdp._assemble(problem)
     x0 = sdp._starting_point(A, b, sdp._row_factor(A),
                              block_stack(tuple(dims)))
-    return sdp._split(x0, names, dims, offs)
+    return sdp._split(x0, names, dims, slices)
 
 
 def test_boundary_only_feasibility_reported():
@@ -444,14 +444,46 @@ def test_operator_constraint_rows_match_the_adjoint_formula():
     G = random_hermitian(4, 6)
     p = SdpProblem(sense="min")
     p.add_block("X", 2)
-    p.add_operator_equality([("X", lambda X: np.kron(np.eye(2), X))], G)
-    assert len(p.constraints) == 16
-    for k, (row, rhs) in enumerate(p.constraints):
+    rows = p.add_operator_equality([("X", lambda X: np.kron(np.eye(2), X))],
+                                   G)
+    _, _, _, A, b, _, _ = sdp._assemble(p)
+    assert rows == slice(0, 16) and A.shape == (16, 4)
+    for k, (row, rhs) in enumerate(zip(A, b)):
         E = B4[:, k].reshape(4, 4)
         adj = np.trace(E.reshape(2, 2, 2, 2), axis1=0, axis2=2)
         want = np.real(B2.conj().T @ adj.reshape(-1))
-        np.testing.assert_allclose(row["X"], want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-14)
         assert rhs == pytest.approx(np.real(np.vdot(E, G)), abs=1e-14)
+
+
+def test_constraints_take_contiguous_row_slices_in_call_order():
+    """Interleaved scalar rows, operator equalities and inequalities over
+    three blocks take consecutive slices of the rows of A, in the order of
+    the calls, and A and b on each slice are that constraint's arrays."""
+    G = random_hermitian(3, 5)
+    p = SdpProblem(sense="min")
+    for name, dim in (("X", 2), ("Y", 3), ("t", 1)):
+        p.add_block(name, dim)
+    got = [
+        p.add_eq_constraint({"X": np.eye(2), "t": -np.eye(1)}, 0.5),
+        p.add_operator_equality([("Y", lambda Y: Y),
+                                 ("t", lambda t: t[0, 0] * np.eye(3))], G),
+        p.add_eq_constraint({"Y": np.diag([1.0, 2.0, 3.0])}, 1.0),
+        p.add_operator_inequality([("X", lambda X: np.kron(np.eye(2), X))],
+                                  np.eye(4), slack="S"),
+        p.add_operator_equality([("X", lambda X: X[:1, :1])], np.eye(1)),
+    ]
+    assert got == [slice(0, 1), slice(1, 10), slice(10, 11), slice(11, 27),
+                   slice(27, 28)]
+    assert p.rows == 28 and len(p.constraints) == len(got)
+    names, _, slices, A, b, _, _ = sdp._assemble(p)
+    assert A.shape == (28, 4 + 9 + 1 + 16)
+    cols = dict(zip(names, slices))
+    for rows, (coefs, rhs) in zip(got, p.constraints):
+        np.testing.assert_array_equal(b[rows], rhs)
+        for name, sl in cols.items():
+            want = coefs.get(name, np.zeros((len(rhs), sl.stop - sl.start)))
+            np.testing.assert_array_equal(A[rows, sl], want)
 
 
 def test_operator_equality_rejects_a_non_hermitian_map():

@@ -1,0 +1,153 @@
+"""Time two source trees on one benchmark workload, interleaved in one process.
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/abpass.py PARENT CHANGE \\
+        --workload endpoint-sdp --seed 0 --rounds 30
+
+PARENT and CHANGE are checkouts of this repository.  Each tree's
+``src/renyimeat`` and ``bench/workloads.py`` are copied into one temporary
+directory under distinct names (``renyimeat_parent`` and
+``workloads_parent``, ``renyimeat_change`` and ``workloads_change``).  Only
+the imports of the copied ``workloads.py`` are rewritten, to its own copy
+of the package, which imports itself relatively.  Both copies import the
+one ``bench/reference.py``: the script refuses trees whose references
+differ.  Each tree builds the workload from the seed and makes a warm-up
+pass, checked by that tree's own ``check``; the script exits with status 1
+if a check fails or an operation raises.  Then each round times one pass
+of each tree, the tree that goes first alternating from round to round.
+
+It prints the number of operations whose warm-up values are bit-identical
+between the trees, each tree's median and quartiles of the pass time, the
+ratio of the medians (change over parent) and the rounds the change won.
+Nothing is written outside the temporary directory, which is removed at
+the end.
+
+Both trees share one process, its BLAS and its warm caches, so a swing of
+the host's speed between processes, which ``tools/pairs.py`` (one fresh
+process per run) has to outlast, falls on both trees alike.  Set-up time
+and memory are not measured here: use ``tools/pairs.py`` for those and for
+the benchmark's own no-regression check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import re
+import shutil
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# no bytecode next to the trees' sources or this script
+sys.dont_write_bytecode = True
+
+from pairs import summarize  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def load(tmp: Path, root: Path, side: str):
+    """The workloads module of ``root``, importing its own package copy,
+    both copied into ``tmp`` under the names of ``side``."""
+    pkg = f"renyimeat_{side}"
+    shutil.copytree(root / "src" / "renyimeat", tmp / pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    text = re.sub(r"^(\s*)(from|import) renyimeat\b", rf"\1\2 {pkg}",
+                  (root / "bench" / "workloads.py").read_text(), flags=re.M)
+    (tmp / f"workloads_{side}.py").write_text(text)
+    module = importlib.import_module(f"workloads_{side}")
+    if Path(module.__file__).resolve().parent != tmp.resolve():
+        raise SystemExit(f"abpass: workloads_{side} was not imported from "
+                         f"{tmp}")
+    return module
+
+
+def _flat(v):
+    if isinstance(v, (tuple, list)):
+        for x in v:
+            yield from _flat(x)
+    else:
+        yield v
+
+
+def run_pass(wl):
+    """One pass over the call list: ({label: result or exception}, wall)."""
+    results = {}
+    t0 = time.perf_counter()
+    for op in wl.ops:
+        try:
+            results[op.label] = op.call()
+        except Exception as exc:  # an operation that raises has failed
+            results[op.label] = exc
+    return results, time.perf_counter() - t0
+
+
+def values(wl, results) -> dict:
+    """{label: repr of the operation's flattened value, None if it
+    raised}."""
+    return {op.label: None if isinstance(results[op.label], BaseException)
+            else repr([float(x) for x in _flat(op.value(results[op.label]))])
+            for op in wl.ops}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--rounds", type=int, default=30)
+    args = ap.parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    refs = {side: (root / "bench" / "reference.py").read_bytes()
+            for side, root in roots.items()}
+    if refs["parent"] != refs["change"]:
+        raise SystemExit("abpass: the trees' bench/reference.py differ")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "reference.py").write_bytes(refs["change"])
+        sys.path.insert(0, str(tmp))
+        wls, warm = {}, {}
+        for side, root in roots.items():
+            wls[side] = load(tmp, root, side).build(args.workload, args.seed)
+        if "renyimeat" in sys.modules:
+            raise SystemExit("abpass: a copy imported renyimeat by its name")
+        bad = 0
+        for side in SIDES:
+            results, _ = run_pass(wls[side])
+            warm[side] = values(wls[side], results)
+            for label, failed in wls[side].check(results).items():
+                if isinstance(results[label], BaseException):
+                    failed = [repr(results[label])] + list(failed)
+                for what in failed:
+                    bad += 1
+                    print(f"{side}: {label}: {what}")
+        if bad:
+            return 1
+
+        rounds = []
+        for i in range(args.rounds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            row = {}
+            for side in order:
+                row[side] = {"metrics": {"pass_s": run_pass(wls[side])[1]}}
+            rounds.append(row)
+    summary = summarize(rounds, {"pass_s": "lower"})["pass_s"]
+
+    same = sum(warm["parent"].get(label) == warm["change"][label]
+               for label in warm["change"])
+    print(f"{args.workload} seed {args.seed}: {same} of {len(warm['change'])} "
+          f"operations bit-identical")
+    for side in SIDES:
+        q = summary[side]
+        print(f"{side:<6s} pass_s median {q['median']:.4g} "
+              f"[{q['q1']:.4g}, {q['q3']:.4g}]")
+    print(f"change / parent {summary['ratio']:.3f}, change faster in "
+          f"{summary['won']} of {summary['pairs']} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
