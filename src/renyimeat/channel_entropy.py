@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -498,7 +498,12 @@ def channel_cond_entropy(problem: ChannelEntropyProblem) -> ChannelEntropyResult
     mset = _MarginalSet(problem.channel.in_space, problem.constraint)
     if mset.fixed:
         # the input is pinned: every purification gives the same entropy
-        res = _pinned_input_entropy(problem, mset)
+        witness = _purified_witness(problem, mset, mset.psi_r)
+        value, info = _output_entropy(problem.channel, problem.target,
+                                      witness, alpha)
+        res = ChannelEntropyResult(value=float(value), witness=witness,
+                                   gap=float(info["gap"]),
+                                   method="pinned-input")
     elif alpha.is_infinite or alpha.is_half:
         res = _solve_endpoint(problem, mset)
     else:
@@ -509,14 +514,12 @@ def channel_cond_entropy(problem: ChannelEntropyProblem) -> ChannelEntropyResult
     return res
 
 
-def _pinned_input_entropy(problem, mset):
-    witness = _purified_witness(problem, mset, mset.psi_r)
-    out = problem.channel.apply(witness)
-    cond = [l for l in out.space.labels if l not in problem.target]
-    value, info = cond_entropy_up(out, list(problem.target), cond,
-                                  problem.alpha, return_info=True)
-    return ChannelEntropyResult(value=float(value), witness=witness,
-                                gap=float(info["gap"]), method="pinned-input")
+def _output_entropy(channel: Channel, target: tuple, witness: State, alpha):
+    """(value, info) of :func:`cond_entropy_up` on the output at the input
+    ``witness``: the target given every other register."""
+    out = channel.apply(witness)
+    cond = [l for l in out.space.labels if l not in target]
+    return cond_entropy_up(out, list(target), cond, alpha, return_info=True)
 
 
 def entropy_at_witness(channel: Channel, target, witness: State,
@@ -527,10 +530,8 @@ def entropy_at_witness(channel: Channel, target, witness: State,
     input; they join the conditioning side.  This evaluates the objective at
     a feasible point, so it upper-bounds the optimized channel entropy.
     """
-    target = as_labels(target)
-    out = channel.apply(witness)
-    cond = [l for l in out.space.labels if l not in target]
-    return float(cond_entropy_up(out, list(target), cond, alpha))
+    return float(_output_entropy(channel, as_labels(target), witness,
+                                 alpha)[0])
 
 
 # --------------------------------------------- optimized channel divergence
@@ -627,21 +628,13 @@ def _renamed_state(st: State, mapping: dict) -> State:
     return State(st.matrix, sp, check=False)
 
 
-def _disjoin(e1: Channel, e2: Channel, phi: State):
-    """Rename e2 (and its constraint state) away from e1's labels."""
-    taken = set(e1.in_space.labels) | set(e1.out_space.labels)
-    mapping = {}
-    for l in e2.in_space.labels + e2.out_space.labels:
-        if l in taken:
-            mapping[l] = _fresh_label(f"{l}b", taken | set(mapping.values()))
-    if not mapping:
-        return e2, phi, mapping
-    return e2.renamed(mapping), _renamed_state(phi, mapping), mapping
-
-
-def _entropy(channel, target, alpha, constraint) -> float:
+def _entropy(channel: Channel, target, alpha, *pins: State) -> float:
+    """Entropy of ``channel`` with its input pinned to the tensor product of
+    the states ``pins``, each on the registers its space names."""
+    joint = reduce(State.tensor, pins)
     return channel_cond_entropy(ChannelEntropyProblem(
-        channel, target, alpha, constraint=constraint)).value
+        channel, target, alpha,
+        constraint=MarginalConstraint(joint.space.labels, joint))).value
 
 
 def verify_chain_rule(e1: Channel, e2: Channel, psi: State, phi: State,
@@ -670,12 +663,9 @@ def verify_chain_rule(e1: Channel, e2: Channel, psi: State, phi: State,
     comp = compose(e2, e1)
     for l in target1 + target2:
         comp.out_space.position(l)
-    c1 = MarginalConstraint(tuple(psi.space.labels), psi)
-    c2 = MarginalConstraint(tuple(phi.space.labels), phi)
-    cj = MarginalConstraint(c1.registers + c2.registers, psi.tensor(phi))
-    h1 = _entropy(e1, target1, alpha, c1)
-    h2 = _entropy(e2, target2, alpha, c2)
-    hc = _entropy(comp, target1 + target2, alpha, cj)
+    h1 = _entropy(e1, target1, alpha, psi)
+    h2 = _entropy(e2, target2, alpha, phi)
+    hc = _entropy(comp, target1 + target2, alpha, psi, phi)
     return float(hc - h1 - h2)
 
 
@@ -683,6 +673,8 @@ def verify_additivity(e1: Channel, e2: Channel, psi: State, phi: State,
                       alpha, *, target1, target2):
     """(joint, sum, gap) for the parallel composition: the entropy of
     ``e1 (x) e2`` under the product marginal against the sum of the parts.
+    Registers of ``e2`` whose labels ``e1`` also uses are renamed apart
+    first.
 
     What has been measured: when ``psi`` and ``phi`` pin every input
     register, the gap closes to the certified widths at the orders tested
@@ -692,16 +684,19 @@ def verify_additivity(e1: Channel, e2: Channel, psi: State, phi: State,
     orders over which the gap vanishes for partly pinned inputs is open.
     """
     target1 = as_labels(target1)
-    target2 = as_labels(target2)
-    e2d, phid, mapping = _disjoin(e1, e2, phi)
-    target2d = tuple(mapping.get(l, l) for l in target2)
-    ej = e1.tensor(e2d)
-    c1 = MarginalConstraint(tuple(psi.space.labels), psi)
-    c2 = MarginalConstraint(tuple(phid.space.labels), phid)
-    cj = MarginalConstraint(c1.registers + c2.registers, psi.tensor(phid))
-    h1 = _entropy(e1, target1, alpha, c1)
-    h2 = _entropy(e2d, target2d, alpha, c2)
-    hj = _entropy(ej, target1 + target2d, alpha, cj)
+    own = set(e1.in_space.labels) | set(e1.out_space.labels)
+    labels2 = dict.fromkeys(e2.in_space.labels + e2.out_space.labels)
+    taken = own | set(labels2)
+    mapping = {}
+    for l in labels2:
+        if l in own:
+            mapping[l] = _fresh_label(f"{l}b", taken)
+            taken.add(mapping[l])
+    e2, phi = e2.renamed(mapping), _renamed_state(phi, mapping)
+    target2 = tuple(mapping.get(l, l) for l in as_labels(target2))
+    h1 = _entropy(e1, target1, alpha, psi)
+    h2 = _entropy(e2, target2, alpha, phi)
+    hj = _entropy(e1.tensor(e2), target1 + target2, alpha, psi, phi)
     return float(hj), float(h1 + h2), float(hj - h1 - h2)
 
 
@@ -724,20 +719,9 @@ def verify_weak_additivity(e: Channel, psi: State, alpha, *, target,
     if copies < 2:
         raise InvalidState("weak additivity needs at least two copies")
     labels = e.in_space.labels + e.out_space.labels
-    joint = None
-    targets: list[str] = []
-    con_regs: list[str] = []
-    con_state = None
-    for i in range(copies):
-        mapping = {l: f"{l}_{i}" for l in labels}
-        ei = e.renamed(mapping)
-        psii = _renamed_state(psi, mapping)
-        joint = ei if joint is None else joint.tensor(ei)
-        targets.extend(mapping[l] for l in target)
-        con_regs.extend(psii.space.labels)
-        con_state = psii if con_state is None else con_state.tensor(psii)
-    cj = MarginalConstraint(tuple(con_regs), con_state)
-    c1 = MarginalConstraint(tuple(psi.space.labels), psi)
-    hj = _entropy(joint, tuple(targets), alpha, cj)
-    h1 = _entropy(e, target, alpha, c1)
+    maps = [{l: f"{l}_{i}" for l in labels} for i in range(copies)]
+    joint = reduce(Channel.tensor, (e.renamed(m) for m in maps))
+    hj = _entropy(joint, tuple(m[l] for m in maps for l in target), alpha,
+                  *(_renamed_state(psi, m) for m in maps))
+    h1 = _entropy(e, target, alpha, psi)
     return float(hj / copies), float(h1), float(hj / copies - h1)

@@ -20,7 +20,10 @@ counts as zero up to ``SUPPORT_TOL`` of tr[rho]; for a < 1, its weight on
 supp(sigma) counts as zero up to ``ORTHO_CUT`` of it.  Its two callers are
 :func:`sandwiched_divergence`, which :func:`umegaki_divergence` and
 :func:`max_divergence` run at orders 1 and infinity, and the chart kernel
-:func:`renyimeat.channel_entropy._divergence_with_grads`.
+:func:`renyimeat.channel_entropy._divergence_with_grads`.  The sigma
+evaluator of the state entropies,
+:meth:`renyimeat.entropies._SigmaEvaluator.at`, applies the a > 1 half
+with the same ``SUPPORT_TOL`` to each branch, read off its purification.
 """
 
 from __future__ import annotations

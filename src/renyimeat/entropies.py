@@ -80,8 +80,8 @@ import math
 
 import numpy as np
 
-from .divergences import (LN2, RenyiOrder, as_order, classical_renyi_entropy,
-                          sandwiched_divergence)
+from .divergences import (LN2, SUPPORT_TOL, RenyiOrder, as_order,
+                          classical_renyi_entropy, sandwiched_divergence)
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      NotClassical, NotPure, UnsupportedOrder)
 from .marginals import _flat, _InputChart, _lbfgs, _square
@@ -327,14 +327,17 @@ class _SigmaEvaluator:
         finite.
 
         For a > 1 the value is +inf when sigma misses support that a branch
-        needs: the pseudo-powers would project that weight away and
-        underestimate T (overestimating the entropy)."""
+        needs, by the rule of :mod:`renyimeat.divergences`: more than
+        ``SUPPORT_TOL`` of the branch's trace outside supp(sigma).  The
+        pseudo-powers would project that weight away and underestimate T
+        (overestimating the entropy)."""
         a = self.alpha
         lam, V, keep, pows, parts = self._point(point)
         if a > 1.0 and not keep.all():
             cut = V[:, ~keep].conj().T
             for M, tr in zip(self.M, self.traces):
-                if np.linalg.norm(cut @ M) ** 2 > 1e-10 * max(tr, 1e-300):
+                if np.linalg.norm(cut @ M) ** 2 \
+                        > SUPPORT_TOL * max(tr, 1e-300):
                     return math.inf, None, None
         log2_T, upd, g, total = self._sums(parts, update, grad)
         if g is not None:

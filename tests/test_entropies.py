@@ -32,7 +32,7 @@ from renyimeat.errors import (InvalidRegister, NonConvergence, NotClassical,
                               NotPure, UnsupportedOrder)
 from renyimeat.fweighted import (TradeoffFunction, fweighted_cs_conditioned,
                                  fweighted_entropy, lme)
-from renyimeat.divergences import LN2, sandwiched_divergence
+from renyimeat.divergences import LN2, SUPPORT_TOL, sandwiched_divergence
 from renyimeat.marginals import (_covering_program, _fidelity_program,
                                  _InputChart)
 from renyimeat.registers import (State, _power_frechet_map,
@@ -876,6 +876,26 @@ def test_sigma_evaluator_detects_a_missed_support():
     ev = entropies._SigmaEvaluator(entropies._purifiers([rho], 2), [0.0], 2.0)
     assert ev.at(np.diag([0.5, 0.5, 0.0]).astype(complex))[0] == math.inf
     assert np.isfinite(ev.at(np.diag([0.4, 0.3, 0.3]).astype(complex))[0])
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_sigma_evaluator_and_divergence_share_the_support_rule(scale):
+    """A pure branch with weight w = scale * ``SUPPORT_TOL`` outside
+    supp(sigma): at a = 2 the sigma evaluator is infinite exactly where
+    D_2(rho || 1 (x) sigma) is, on both sides of the tolerance."""
+    w = scale * SUPPORT_TOL
+    rng = np.random.default_rng(5)
+    inside, outside = (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+                       for _ in range(2))
+    inside[:, 2] = 0.0
+    outside[:, :2] = 0.0
+    psi = (math.sqrt(1.0 - w) * inside / np.linalg.norm(inside)
+           + math.sqrt(w) * outside / np.linalg.norm(outside)).reshape(-1)
+    rho = np.outer(psi, psi.conj())
+    sigma = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    ev = entropies._SigmaEvaluator(entropies._purifiers([rho], 2), [0.0], 2.0)
+    div = sandwiched_divergence(rho, np.kron(np.eye(2), sigma), 2.0)
+    assert math.isinf(ev.at(sigma)[0]) == math.isinf(div) == (scale > 1.0)
 
 
 def _width_at(rho, alpha, sigma):

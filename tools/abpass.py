@@ -14,6 +14,8 @@ differ.  Each tree builds the workload from the seed and makes a warm-up
 pass, checked by that tree's own ``check``; the script exits with status 1
 if a check fails or an operation raises.  Then each round times one pass
 of each tree, the tree that goes first alternating from round to round.
+A pass and its flattened values are those of the benchmark itself
+(``run_pass`` and ``_values`` of this checkout's ``bench/run.py``).
 
 It prints the number of operations whose warm-up values are bit-identical
 between the trees, each tree's median and quartiles of the pass time, the
@@ -36,13 +38,18 @@ import re
 import shutil
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+# the thread settings of the environment reach numpy's BLAS before
+# bench/run.py, imported below for its passes, drops them
+import numpy  # noqa: F401
 
 # no bytecode next to the trees' sources or this script
 sys.dont_write_bytecode = True
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
 from pairs import summarize  # noqa: E402
+from run import _values, run_pass  # noqa: E402
 
 SIDES = ("parent", "change")
 
@@ -61,34 +68,6 @@ def load(tmp: Path, root: Path, side: str):
         raise SystemExit(f"abpass: workloads_{side} was not imported from "
                          f"{tmp}")
     return module
-
-
-def _flat(v):
-    if isinstance(v, (tuple, list)):
-        for x in v:
-            yield from _flat(x)
-    else:
-        yield v
-
-
-def run_pass(wl):
-    """One pass over the call list: ({label: result or exception}, wall)."""
-    results = {}
-    t0 = time.perf_counter()
-    for op in wl.ops:
-        try:
-            results[op.label] = op.call()
-        except Exception as exc:  # an operation that raises has failed
-            results[op.label] = exc
-    return results, time.perf_counter() - t0
-
-
-def values(wl, results) -> dict:
-    """{label: repr of the operation's flattened value, None if it
-    raised}."""
-    return {op.label: None if isinstance(results[op.label], BaseException)
-            else repr([float(x) for x in _flat(op.value(results[op.label]))])
-            for op in wl.ops}
 
 
 def main(argv=None) -> int:
@@ -116,8 +95,9 @@ def main(argv=None) -> int:
             raise SystemExit("abpass: a copy imported renyimeat by its name")
         bad = 0
         for side in SIDES:
-            results, _ = run_pass(wls[side])
-            warm[side] = values(wls[side], results)
+            results = run_pass(wls[side])[0]
+            warm[side] = {label: repr(v) for label, v
+                          in _values(wls[side], results).items()}
             for label, failed in wls[side].check(results).items():
                 if isinstance(results[label], BaseException):
                     failed = [repr(results[label])] + list(failed)
@@ -132,7 +112,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             row = {}
             for side in order:
-                row[side] = {"metrics": {"pass_s": run_pass(wls[side])[1]}}
+                row[side] = {"metrics": {"pass_s": run_pass(wls[side])[2]}}
             rounds.append(row)
     summary = summarize(rounds, {"pass_s": "lower"})["pass_s"]
 

@@ -16,7 +16,8 @@ the last bit.  Nothing is written and no check is run.
 compares instead with such an output of another tree: per workload it
 prints how many operations give bit-identical values, and for each
 operation that differs its largest absolute difference (``None`` where
-one side raised and the other did not).
+one side raised and the other did not).  It exits with status 1 if any
+operation differs, 0 if every one is bit-identical.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ def _floats(text: str):
     return json.loads(text.replace("nan", "NaN").replace("inf", "Infinity"))
 
 
-def compare(got: dict, want: dict) -> list[str]:
-    """Lines of the ``--against`` report: per workload the bit-identical
-    operations, then each differing operation with its max |difference|."""
+def compare(got: dict, want: dict) -> tuple[list[str], bool]:
+    """(lines of the ``--against`` report, whether every operation is
+    bit-identical): per workload the bit-identical operations, then each
+    differing operation with its max |difference|."""
     same, lines = {}, []
     for key in sorted(set(got) | set(want), key=lambda k: k.split("/")):
         name = key.split("/")[0]
@@ -79,7 +81,8 @@ def compare(got: dict, want: dict) -> list[str]:
     head = [f"{name}: {n} of {total} bit-identical"
             for name, (n, total) in same.items()]
     n, total = (sum(col) for col in zip(*same.values()))
-    return head + lines + [f"{n} of {total} operations bit-identical"]
+    return (head + lines + [f"{n} of {total} operations bit-identical"],
+            n == total)
 
 
 def main(argv=None) -> int:
@@ -94,8 +97,9 @@ def main(argv=None) -> int:
         return 0
     with open(args.against) as fh:
         want = json.load(fh)
-    print("\n".join(compare(got, want)))
-    return 0
+    lines, same = compare(got, want)
+    print("\n".join(lines))
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
