@@ -27,9 +27,10 @@ by order:
   :mod:`renyimeat.marginals` (:func:`_covering_program`,
   :func:`_fidelity_program`), certified by their duality gaps;
 * every other order runs L-BFGS over an unconstrained chart of the
-  marginal set (:class:`_InputChart`), with the inner sigma from
-  :func:`renyimeat.entropies.cond_entropy_up` at b and the gradient in rho
-  by the envelope theorem.  At ``alpha = 1`` the objective is
+  marginal set (:class:`_InputChart`), with the inner sigma of
+  :func:`renyimeat.entropies.cond_entropy_up` at b, solved to first order
+  by Newton steps, and the gradient in rho by the envelope theorem.  At
+  ``alpha = 1`` the objective is
   D(omega || 1 (x) sigma) = -H(T|Z) + D(omega_Z || sigma), least at
   sigma = omega_Z: each point is H(Z) - H(TZ) in closed form, and its
   certificate is the Frank-Wolfe gap in rho alone, exact because -H(T|Z)
@@ -66,7 +67,7 @@ import numpy as np
 
 from .channels import Channel, _perm_matrix, compose, trace_out_channel
 from .divergences import LN2, RenyiOrder, _diverges, as_order
-from .entropies import cond_entropy_up
+from .entropies import _conditional_sigma, cond_entropy_up
 from .errors import (InvalidRegister, InvalidState, NonConvergence,
                      UnsupportedOrder)
 from .marginals import (MarginalConstraint, SdpPair,  # noqa: F401 (re-export)
@@ -414,19 +415,27 @@ def _solve_convex(problem: ChannelEntropyProblem,
     (:func:`_negative_cond_entropy`).  -H(T|Z) is convex in rho (conditional
     entropy is concave) and the sigma side of the joint gap is zero, so the
     rho-side bound :meth:`_InputChart.gap_bound` is the whole Frank-Wolfe
-    certificate.  At other orders sigma comes from :func:`cond_entropy_up`
-    at b, and the gradient in rho is the pullback of grad_omega D_b at that
-    sigma (envelope theorem).  That inner sigma is certified in value, not
-    in first order: at the last first-stage point of ``CH4``
-    (tests/test_channel_entropy.py) the sigma side of the Frank-Wolfe gap is
-    1.8e-5 at a = 0.6, 6.0e-6 at a = 0.75 and 9.3e-6 at a = 2.  The joint
-    L-BFGS of :meth:`_JointDivergence.minimize` then polishes (rho, sigma),
-    sigma charted on the support of omega_Z; it runs once on ``CH4`` at
-    each of those orders and in 2 of the 12 convex solves of a
-    ``channel-opt`` benchmark pass (seed 0: the generic channel at 0.8 and
-    2).  D_b and its gradients at a point cost one ``eigh`` of tau and one
-    of omega or of G (:func:`_divergence_with_grads`).  The returned value
-    is the objective at the final (rho, sigma), and the gap is the
+    certificate.  At other orders sigma is the optimum of H^up_b(T|Z) at
+    omega (:func:`renyimeat.entropies._conditional_sigma`, the sigma of
+    :func:`cond_entropy_up`), and the gradient in rho is the pullback of
+    grad_omega D_b at that sigma (envelope theorem), so it is only as
+    accurate as sigma to first order: each inner solve stops once its
+    sigma-side Frank-Wolfe gap is a hundredth of the stage's width target
+    (1e-10) as well as on its value width, through damped Newton steps, and
+    starts from the last point's sigma.  The value at each point is then
+    exact to rounding, as at a = 1, and the first stage runs L-BFGS's
+    smooth mode at every order.  At the last first-stage point of ``CH4``
+    (tests/test_channel_entropy.py) the sigma side of the gap is 1.8e-15 at
+    a = 0.6, 1.1e-15 at a = 0.75 and 6.7e-16 at a = 2 (1.8e-5, 6.0e-6 and
+    9.3e-6 when the inner solve stopped on its value width).  Where the
+    first stage falls short, the joint L-BFGS of
+    :meth:`_JointDivergence.minimize` polishes (rho, sigma), sigma charted
+    on the support of omega_Z; it runs neither on ``CH4`` at those orders
+    nor in any of the 12 convex solves of a ``channel-opt`` benchmark pass
+    at seed 0 (it ran on ``CH4`` at each order and in 2 of the 12 before).
+    D_b and its gradients at a point cost one ``eigh`` of tau and one of
+    omega or of G (:func:`_divergence_with_grads`).  The returned value is
+    the objective at the final (rho, sigma), and the gap is the
     Frank-Wolfe gap there (:meth:`_JointDivergence.at` at orders other than
     1).  Each stage stops once the gap is a hundredth of
     ``CHANNEL_GAP_TOL``.
@@ -442,6 +451,7 @@ def _solve_convex(problem: ChannelEntropyProblem,
         (_InputChart(mset.psi_r, mset.dim // mset.rank_a),
          _InputChart(np.eye(1), d_z)))
     chart = div.charts[0]
+    last = [None]       # the inner sigma at the last point, the next start
 
     def fg(x):
         """The objective at rho(G) and the inner sigma, its gradient in G,
@@ -455,9 +465,10 @@ def _solve_convex(problem: ChannelEntropyProblem,
             width = max(chart.gap_bound(rho, g_rho), 0.0)
         else:
             try:
-                sigma = cond_entropy_up(
-                    State(omega, space(("t", d_t), ("z", d_z)), check=False),
-                    ["t"], ["z"], beta, return_info=True)[1]["sigma"]
+                sigma = _conditional_sigma(omega, d_t, beta,
+                                           1e-2 * 1e-2 * CHANNEL_GAP_TOL,
+                                           last[0])
+                last[0] = sigma
             except NonConvergence:
                 return math.inf, None, None
             value, g_rho, _, width = div.at(rho, sigma)
@@ -467,7 +478,7 @@ def _solve_convex(problem: ChannelEntropyProblem,
                 (rho, sigma, width))
 
     value, x, data = _lbfgs(fg, _flat(np.eye(mset.dim, dtype=complex)),
-                            _width_reached, smooth=one)
+                            _width_reached, smooth=True)
     if not _width_reached(data):
         V = support_isometry(bipartite_partial_trace(red.apply(data[0]),
                                                      d_t, d_z, 1))

@@ -39,8 +39,14 @@ solved on the support of its conditioning marginal:
   and more than half of it for a > 1 (the damping, which then limits its
   progress, as at very large orders).  One evaluator
   per extremum (:class:`_SigmaEvaluator`) gives value, fixed-point
-  update, gradient and width, and a sigma point costs one ``eigh`` of
-  sigma and one per branch;
+  update, gradient, Hessian and width, and a sigma point costs one
+  ``eigh`` of sigma and one per branch.  The chart programs of
+  :mod:`renyimeat.channel_entropy` need sigma accurate to first order too
+  (:func:`_conditional_sigma`): there the fixed point hands over early to
+  damped Newton steps on the trace-zero directions, with the analytic
+  Hessian of :meth:`_SigmaEvaluator.hessian`, which stop once the
+  sigma-side Frank-Wolfe gap meets the caller's target as well as the
+  width its own; no entropy of a state takes that stage;
 - a = 1/2 (every order within ``HALF_WINDOW`` of it, evaluated at exactly
   1/2) runs that L-BFGS from the start, without the fixed point, on the
   chart's root H itself: there s = 1/2, so each branch's Gram matrix
@@ -96,6 +102,15 @@ UP_GAP_TOL = 1e-7
 
 _FP_MAX_ITERS = 20
 _FP_VALUE_TOL = 1e-12
+
+#: largest sigma (its dimension) whose solve takes Newton steps: a Hessian
+#: costs about one sigma point up to dimension 4, seven at 8 and 48 at 16
+#: (a 4 x d state at order 1.5, one thread)
+_NEWTON_MAX_DIM = 8
+#: gain of a fixed-point step below which a solve with a gap target
+#: hands over to the Newton steps
+_NEWTON_HANDOVER = 1e-5
+_NEWTON_MAX_STEPS = 8
 
 
 # ----------------------------------------------------------------- utilities
@@ -190,8 +205,10 @@ class _SigmaEvaluator:
     The evaluator's points are sigma itself.  A point costs one
     eigendecomposition of sigma (sigma^s, the support test for a > 1 and
     the Daleckii-Krein kernel of the gradient) and one of each Gamma_i; the
-    value, the fixed-point update, the gradient and the duality interval at
-    that sigma share them.  The solve at a = 1/2 (every order within
+    value, the fixed-point update, the gradient, the Hessian and the
+    duality interval at that sigma share them.  ``gap``, when given, is
+    the sigma-side Frank-Wolfe gap its solve must reach as well
+    (:func:`_optimize_sigma`).  The solve at a = 1/2 (every order within
     ``HALF_WINDOW`` of it, solved at exactly 1/2) runs on a
     :class:`_RootEvaluator` instead, whose points are the chart's roots
     (:func:`_sup_sigma`).
@@ -204,8 +221,10 @@ class _SigmaEvaluator:
     limit of log2 T / a.
     """
 
-    def __init__(self, purifiers, log2_probs, alpha: float):
+    def __init__(self, purifiers, log2_probs, alpha: float,
+                 gap: float | None = None):
         self.alpha = alpha
+        self.gap = gap
         self.s = -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
         self.d_qp = purifiers[0].shape[1]
         live = [(M, lp) for M, lp in zip(purifiers, log2_probs)
@@ -352,6 +371,80 @@ class _SigmaEvaluator:
             g *= 2.0 * a / LN2 / (a - 1.0) / total
         return log2_T, upd, g
 
+    def interior(self, point) -> bool:
+        """Whether sigma lies inside the cone: every eigenvalue above
+        ``EIG_CUT`` times the largest."""
+        return bool(self._point(point)[2].all())
+
+    def hessian(self, point):
+        """(gradient, Hessian, lift) of phi = log2 T / (a - 1) on the
+        trace-zero Hermitian directions at sigma, or None where sigma is
+        not of full rank or is larger than ``_NEWTON_MAX_DIM``, or where
+        the value or the Hessian is not finite.
+
+        The d^2 - 1 directions B_k are an orthonormal basis of the
+        trace-zero Hermitian matrices in sigma's eigenbasis V (off-diagonal
+        pairs and generalized Gell-Mann diagonals), and ``lift(c)`` is
+        V (sum_k c_k B_k) V^dag.  With p = (1-a)/a, P = sigma^p, Gamma_i =
+        M_i^dag (id (x) P) M_i and X = sum_i w_i Tr_Q[M_i Gamma_i^(a-1)
+        M_i^dag] on Q':
+
+            dT[E] = a tr[X dP[E]],
+            d^2T[E, F] = a tr[dX[F] dP[E]] + a tr[X d^2P[E, F]],
+
+        where dP and d^2P take the first and second divided differences of
+        t^p on the eigenvalues of sigma, and tr[dX[F] dP[E]] = sum_i w_i
+        tr[dGamma_i[E] dGamma_i^(a-1)[F]], whose dGamma_i^(a-1) takes the
+        first divided differences of t^(a-1) on the eigenvalues of Gamma_i
+        (Daleckii-Krein).  The Hessian of phi is
+        (d^2T / T - dT dT^T / T^2) / ((a - 1) ln 2).  It reuses the
+        eigendecompositions of :meth:`at` at this sigma and takes none of
+        its own."""
+        a = self.alpha
+        lam, V, _, _, parts = self._point(point)
+        d = len(lam)
+        if math.isinf(a) or d > _NEWTON_MAX_DIM or not self.interior(point) \
+                or any(part is None for part in parts):
+            return None
+        logs = [a * (lp + lt) for lp, lt, *_ in parts]
+        L = max(logs)
+        p = (1.0 - a) / a
+        K1, K2 = _power_kernels(lam, p)
+        basis = _trace_zero_basis(d)
+        n = len(basis)
+        D = K1 * basis                              # dP, in sigma's eigenbasis
+        total = 0.0
+        X = np.zeros((d, d), dtype=complex)
+        d2T = np.zeros((n, n))
+        for lg, (_, lt, r, _, Z, _) in zip(logs, parts):
+            # 2^-L w_i Gamma_i^(a-1) = c U r^(a-1) U^dag, and the divided
+            # differences of t^(a-1) at Gamma_i are top^(a-2) those at r
+            c = 2.0 ** (lg - L - lt)
+            total += 2.0 ** (lg - L) * float(np.sum(r ** a))
+            Zh = V.conj().T @ Z                     # (Q, Q', K), Q' rotated
+            X += c * np.einsum("qak,qbk->ab", Zh * r ** (a - 1.0), Zh.conj())
+            # dGamma_i[B_n] = Zh^dag (id (x) D_n) Zh, flattened per direction
+            F = (Zh.reshape(-1, Zh.shape[2]).conj().T
+                 @ (D[:, None] @ Zh).reshape(n, -1, Zh.shape[2]))
+            F = F.reshape(n, -1)
+            W = _power_kernels(r, a - 1.0, second=False)[0].ravel()
+            d2T += (c * 2.0 ** -lt) * ((F.conj() * W) @ F.T).real
+        # tr[X d^2P[B_k, B_l]] = S_kl + S_lk with
+        # S_kl = sum B_k[j, x] K2[j, x, m] X[m, j] B_l[x, m]
+        half = np.einsum("jxm,lxm->ljx", K2 * X.T[:, None, :], basis)
+        S = (basis.reshape(n, -1) @ half.reshape(n, -1).T).real
+        d2T = a * (d2T + S + S.T)
+        dT = a * (D.reshape(n, -1) @ X.T.ravel()).real
+        H = (d2T / total - np.outer(dT, dT) / total ** 2) / ((a - 1.0) * LN2)
+        if not np.isfinite(H).all():
+            return None
+        g = dT / (total * (a - 1.0) * LN2)
+
+        def lift(coeffs):
+            return V @ np.tensordot(coeffs, basis, axes=1) @ V.conj().T
+
+        return g, H, lift
+
     def width(self, point, log2_T) -> float:
         """Width of an interval that holds H^up_a(I Q | Q') of the
         normalized block state omega = (+)_i w_i rho_i, w_i proportional to
@@ -444,6 +537,8 @@ class _RootEvaluator(_SigmaEvaluator):
             / float(np.vdot(point, point).real)
 
     def solve(self, start):
+        """:func:`_root_lbfgs` from the root ``start``, which has no gap
+        target."""
         return _root_lbfgs(self, start)
 
     def at_root(self, H):
@@ -480,6 +575,56 @@ class _RootEvaluator(_SigmaEvaluator):
         return log2_T, None, g
 
 
+@functools.lru_cache(maxsize=None)
+def _trace_zero_basis(d: int) -> np.ndarray:
+    """An orthonormal basis of the d x d trace-zero Hermitian matrices,
+    shaped (d^2 - 1, d, d): the pairs (E_jl + E_lj) / sqrt2 and
+    i (E_jl - E_lj) / sqrt2 for j < l, then the generalized Gell-Mann
+    diagonals.  Read-only, as the cache shares it."""
+    basis = np.zeros((d * d - 1, d, d), dtype=complex)
+    k = 0
+    for j in range(d):
+        for l in range(j + 1, d):
+            basis[k, j, l] = basis[k, l, j] = math.sqrt(0.5)
+            basis[k + 1, j, l], basis[k + 1, l, j] = \
+                1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
+            k += 2
+    for m in range(1, d):
+        norm = 1.0 / math.sqrt(m * (m + 1))
+        basis[k, range(m), range(m)] = norm
+        basis[k, m, m] = -m * norm
+        k += 1
+    basis.flags.writeable = False
+    return basis
+
+
+def _power_kernels(x: np.ndarray, p: float, second: bool = True):
+    """First and second divided differences of t -> t^p at positive ``x``
+    in ascending order (as ``eigh`` returns a spectrum):
+    (K1, K2) with K1[j, l] = f[x_j, x_l] and K2[j, l, m] = f[x_j, x_l,
+    x_m], K2 None unless ``second``.
+
+    K1 is m^(p-1) expm1(p l) / expm1(l) with m the larger point and
+    l = log(min / max) <= 0, accurate to rounding however close the points
+    are (and finite for large p).  K2 is (K1[mid, hi] - K1[lo, mid]) /
+    (hi - lo) over the sorted triple, or f''(mid) / 2 where the triple
+    spans less than 1e-8 of its top, the point where that quotient's
+    rounding error and the Taylor error meet."""
+    big = np.maximum(x[:, None], x[None, :])
+    ell = np.log(np.minimum(x[:, None], x[None, :]) / big)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(ell < 0.0, np.expm1(p * ell) / np.expm1(ell), p)
+    K1 = big ** (p - 1.0) * ratio
+    if not second:
+        return K1, None
+    lo, mid, hi = np.sort(np.indices((len(x),) * 3), axis=0)
+    span = x[hi] - x[lo]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        secant = (K1[mid, hi] - K1[lo, mid]) / span
+    taylor = 0.5 * p * (p - 1.0) * x[mid] ** (p - 2.0)
+    return K1, np.where(span > 1e-8 * x[hi], secant, taylor)
+
+
 def _log2_sum(logs) -> float:
     """log2 sum_i 2^logs[i], shifted by the largest term."""
     L = max(logs)
@@ -507,7 +652,19 @@ def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
     width target, a hundredth of ``UP_GAP_TOL``, the duality interval at its
     sigma is computed, and the solve returns there if it meets that target.
     Otherwise it warm-starts :func:`_root_lbfgs` from H = sigma^(1/2).
+
+    The evaluator's ``gap`` asks for sigma accurate to first order as
+    well: the sigma-side Frank-Wolfe gap tr[g sigma] - lambda_min(g) of
+    phi's gradient g at the returned sigma is at most ``gap`` (the chart
+    programs of
+    :mod:`renyimeat.channel_entropy` need it, since the gradient in their
+    outer variable is only as accurate as sigma).  The fixed point then
+    hands over as soon as a step gains less than ``_NEWTON_HANDOVER``, and
+    :func:`_newton_sigma` takes damped Newton steps to both targets; the
+    L-BFGS runs from its last point only where those stop short of them.
+    Without ``gap`` the solve is the one above.
     """
+    gap = ev.gap
     denom = ev.alpha - 1.0
     tol = 1e-2 * UP_GAP_TOL
     # the first damping and the largest gain ratio kept, by the side of 1
@@ -533,19 +690,87 @@ def _optimize_sigma(ev: _SigmaEvaluator, sigma0: np.ndarray):
                 sigma, v, update, width = cand, vc, upc, None
                 break
             theta *= 0.5
-        if gain is None or gain > ratio * last_gain:
+        if gain is None or gain > ratio * last_gain \
+                or (gap is not None and gain < _NEWTON_HANDOVER):
             break
         if gain < tol:
             width = ev.width(sigma, v)
             if width <= tol or gain < _FP_VALUE_TOL:
                 break
         last_gain = gain
-    if width is None:
+    if gap is not None:
+        v, sigma, width = _newton_sigma(ev, sigma, gap, tol)
+    elif width is None:
         width = ev.width(sigma, v)
-    if width <= tol:
+    if width is not None and width <= tol:
         return v, sigma, width
     return _root_lbfgs(
         ev, registers.herm_power(sigma, 0.5).astype(complex))
+
+
+def _frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
+    """tr[grad sigma] - lambda_min(grad): the first-order gap of a density
+    operator sigma for a merit of Hermitian gradient ``grad``."""
+    return float(np.vdot(grad, sigma).real
+                 - np.linalg.eigvalsh(grad).min())
+
+
+def _newton_sigma(ev: _SigmaEvaluator, sigma: np.ndarray, gap: float,
+                  tol: float):
+    """Damped Newton steps on phi = log2 T / (a - 1) over the density
+    operators from ``sigma``, on the trace-zero directions of
+    :meth:`_SigmaEvaluator.hessian`.
+
+    Returns (log2_T, sigma, width) once the sigma-side Frank-Wolfe gap is
+    at most ``gap`` and the width at most ``tol``, and (log2_T, sigma,
+    None) at the last accepted point where it stops short: where the
+    Hessian is missing (sigma of rank below full, or larger than
+    ``_NEWTON_MAX_DIM``) or not positive definite, where no step of the
+    line search decreases phi, or after ``_NEWTON_MAX_STEPS`` steps.
+    The line search halves the step until phi shows an Armijo decrease at
+    a sigma of full rank, or, once the decrease is below phi's rounding,
+    until phi stays within rounding and the gap shrinks."""
+    denom = ev.alpha - 1.0
+    v, _, g = ev.at(sigma, grad=True)
+    if g is None:
+        return v, sigma, None
+    fw = _frank_wolfe_gap(g, sigma)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if fw <= gap:
+            width = ev.width(sigma, v)
+            if width <= tol:
+                return v, sigma, width
+        hess = ev.hessian(sigma)
+        if hess is None:
+            break
+        grad, H, lift = hess
+        try:
+            chol = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            break
+        coeffs = -np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
+        step, slope = lift(coeffs), float(grad @ coeffs)
+        phi = v / denom
+        # phi carries rounding of about 1e-14 relative; below a band over
+        # that, only the gap can show progress
+        band = 1e-12 * max(1.0, abs(phi))
+        t = 1.0
+        while t >= 1e-8:
+            cand = sigma + t * step
+            vc, _, gc = ev.at(cand, grad=True)
+            if gc is not None and ev.interior(cand):
+                if vc / denom <= phi + 1e-4 * t * slope:
+                    fw_c = _frank_wolfe_gap(gc, cand)
+                    break
+                if -slope <= band and vc / denom <= phi + band:
+                    fw_c = _frank_wolfe_gap(gc, cand)
+                    if fw_c < fw:
+                        break
+            t *= 0.5
+        else:
+            break
+        sigma, v, fw = cand, vc, fw_c
+    return v, sigma, None
 
 
 def _root_lbfgs(ev: _SigmaEvaluator, root: np.ndarray):
@@ -784,6 +1009,38 @@ def cond_entropy_up(state: State, target, conditioning, alpha, *,
                                             _no_tilt, variant="up")
         info = {"sigma": sigmas[()], "gap": gap, "method": "fixed-point"}
     return (value, info) if return_info else value
+
+
+def _conditional_sigma(omega: np.ndarray, d_t: int, alpha: RenyiOrder,
+                       gap: float, start: np.ndarray | None = None):
+    """The optimal sigma of H^up_a(T|Z) on a Hermitian ``omega`` on T Z of
+    unit trace, T of dimension ``d_t``, at a finite order a other than 1:
+    the sigma of :func:`cond_entropy_up` there, solved to first order as
+    well, to a sigma-side gap of at most ``gap`` (:func:`_optimize_sigma`),
+    for the gradients of the chart programs.
+
+    sigma lives on the support of omega_Z, as in :func:`_two_sided_mix`,
+    and its solve starts from omega_Z or, given ``start`` (a density
+    operator on Z, such as the sigma of a nearby omega), from start +
+    1e-6 omega_Z cut to that support: the small share of omega_Z keeps the
+    start of full rank there when the support has moved.  Raises
+    :class:`NonConvergence` where the width exceeds ``UP_GAP_TOL``."""
+    d_z = omega.shape[0] // d_t
+    omega_z = bipartite_partial_trace(omega, d_t, d_z, 1)
+    V = support_isometry(omega_z)
+    if V.shape[1] == 1:
+        return V @ V.conj().T
+    W = tensor_identity(V, d_t, first=True)
+    ev = _SigmaEvaluator(_purifiers([herm_part(W.conj().T @ omega @ W)],
+                                    d_t), [0.0], alpha.value, gap)
+    if start is not None:
+        omega_z = start + 1e-6 * omega_z
+    sigma0 = herm_part(V.conj().T @ omega_z @ V)
+    _, sigma, width = ev.solve(sigma0 / float(np.trace(sigma0).real))
+    if not width <= UP_GAP_TOL:
+        raise NonConvergence("duality interval exceeds the certification "
+                             f"threshold ({width:.2e})", gap=width)
+    return V @ sigma @ V.conj().T
 
 
 # ------------------------------------------------------------------- duality

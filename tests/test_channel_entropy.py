@@ -30,7 +30,7 @@ from renyimeat.entropies import (alpha_entropy, cond_entropy_up,
 from renyimeat.errors import InvalidRegister, NonConvergence
 from renyimeat.registers import RegisterSpace, State, space, support_isometry
 from renyimeat.sampling import random_channel, random_density, random_isometry
-from renyimeat import channel_entropy, sdp
+from renyimeat import channel_entropy, entropies, sdp
 from renyimeat.sdp import SdpProblem, solve_sdp
 
 HALF = 0.5
@@ -687,6 +687,50 @@ def test_chart_program_eigendecomposition_budget(monkeypatch):
     assert res.gap <= CHANNEL_GAP_TOL
     assert res.value == pytest.approx(-0.6868801777, abs=1e-9)
     assert len(calls) <= 400
+
+
+#: (value, width) on GEN, channel-opt's generic channel, from the route
+#: whose inner sigma solves stopped on their value width alone
+GEN_BEFORE = {0.8: (-0.09567186953699712, 6.606213776339382e-09),
+              2.0: (-0.17215673477535812, 6.958777414334264e-09)}
+
+
+@pytest.mark.parametrize("alpha,solves,most", [(0.8, 7, 200), (2.0, 5, 160)])
+def test_chart_program_newton_inner_solves(alpha, solves, most, monkeypatch):
+    """A deterministic cost guard on GEN at 0.8 and 2, where the inner
+    sigma solves stop on their first-order gap as well: at most 7 and 5
+    inner solves (10 and 11 when they stopped on the value width, with the
+    first stage stalling on sigma's first-order error and a joint polish
+    after it) and at most 200 and 160 ``eigh`` and ``eigvalsh`` calls
+    (295 and 376 then).  The call certifies, its value agrees with the
+    earlier route's within the two widths, and at the last first-stage
+    point the inner sigma's sigma-side Frank-Wolfe gap is at most 1e-10,
+    the target of the chart program's inner solves."""
+    calls, inner = [], []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, f=getattr(np.linalg, name), **k:
+                            calls.append(1) or f(*a, **k))
+
+    def recording(omega, d_t, beta, gap, start=None,
+                  _fn=channel_entropy._conditional_sigma):
+        inner.append((omega, d_t, beta, _fn(omega, d_t, beta, gap, start)))
+        return inner[-1][3]
+
+    monkeypatch.setattr(channel_entropy, "_conditional_sigma", recording)
+    ch, _ = order_one_instance("GEN")
+    res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", alpha))
+    assert len(inner) <= solves
+    assert len(calls) <= most
+    assert res.gap <= CHANNEL_GAP_TOL
+    before, width = GEN_BEFORE[alpha]
+    assert abs(res.value - before) <= width + res.gap
+    monkeypatch.undo()
+    omega, d_t, beta, sigma = inner[-1]
+    ev = entropies._SigmaEvaluator(entropies._purifiers([omega], d_t), [0.0],
+                                   beta.value)
+    grad = ev.at(sigma, grad=True)[2]
+    assert entropies._frank_wolfe_gap(grad, sigma) <= 1e-10
 
 
 ORDER_ONE = {
