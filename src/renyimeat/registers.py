@@ -33,7 +33,7 @@ LOG2E = math.log2(math.e)
 class RegisterSpace:
     """Ordered tensor product of labeled finite-dimensional registers."""
 
-    __slots__ = ("_regs", "_index")
+    __slots__ = ("_regs", "_index", "_labels", "_dims")
 
     def __init__(self, regs: Iterable[tuple[str, int]]):
         regs = tuple((str(lbl), int(d)) for lbl, d in regs)
@@ -44,22 +44,21 @@ class RegisterSpace:
         if len(set(labels)) != len(labels):
             raise InvalidRegister(f"duplicate register labels in {labels}")
         self._regs = regs
-        self._index = {lbl: i for i, (lbl, _) in enumerate(regs)}
+        self._index = {lbl: i for i, lbl in enumerate(labels)}
+        self._labels = tuple(labels)
+        self._dims = tuple(d for _, d in regs)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self._regs)
+        return self._labels
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self._regs)
+        return self._dims
 
     @property
     def dim(self) -> int:
-        out = 1
-        for _, d in self._regs:
-            out *= d
-        return out
+        return math.prod(self._dims)
 
     def __len__(self) -> int:
         return len(self._regs)
@@ -177,7 +176,7 @@ class State:
     # ---------------------------------------------------------------- basics
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        return float(self.matrix.trace().real)
 
     def tensor(self, other: "State") -> "State":
         return State(
@@ -187,7 +186,11 @@ class State:
         )
 
     def reorder(self, labels: Sequence[str]) -> "State":
-        """Permute registers into the given label order."""
+        """Permute registers into the given label order.  In the state's
+        own order that is the state itself: the permuted matrix would be a
+        view of its matrix anyway."""
+        if tuple(labels) == self.space.labels:
+            return self
         tgt = self.space.reorder(labels)
         perm = [self.space.position(l) for l in labels]
         return State(
@@ -270,8 +273,15 @@ class State:
         return self._branches(labels)
 
     def _branches(self, labels: Sequence[str]):
-        """:meth:`branches` for a caller that has checked classicality."""
+        """:meth:`branches` for a caller that has checked classicality.
+        With no labels the one branch is the state over its trace, on its
+        own space."""
         pos = [self.space.position(l) for l in labels]
+        if not pos:
+            w = self.trace()
+            if w <= CLASSICAL_TOL * max(w, 1e-300):
+                return [((), 0.0, None)]
+            return [((), w, State(self.matrix / w, self.space, check=False))]
         dims = self.space.dims
         k = len(dims)
         rest = [i for i in range(k) if i not in pos]
@@ -288,7 +298,7 @@ class State:
             block = ten[tuple(sl)]
             # surviving axes are ordered (bra..., ket...) already
             block = block.reshape(d, d)
-            w = float(np.real(np.trace(block)))
+            w = float(block.trace().real)
             if w <= CLASSICAL_TOL * max(total, 1e-300):
                 out.append((idx, 0.0, None))
             else:
@@ -373,7 +383,7 @@ def support_isometry(mat: np.ndarray) -> np.ndarray:
     """Columns span the eigenspaces with eigenvalue > EIG_CUT * max;
     shape (d, rank)."""
     vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=complex))
-    keep = vals > EIG_CUT * max(vals.max(initial=0.0), 1e-300)
+    keep = vals > EIG_CUT * max(vals[-1], 1e-300)      # ascending
     return vecs[:, keep]
 
 

@@ -35,7 +35,7 @@ from renyimeat.fweighted import (TradeoffFunction, fweighted_cs_conditioned,
 from renyimeat.divergences import LN2, SUPPORT_TOL, sandwiched_divergence
 from renyimeat.marginals import (_covering_program, _fidelity_program,
                                  _InputChart)
-from renyimeat.registers import (State, _power_frechet_map,
+from renyimeat.registers import (EIG_CUT, State, _power_frechet_map,
                                  bipartite_partial_trace, herm_part,
                                  herm_power, ket_state, space)
 from renyimeat.sampling import (random_cq_state, random_density,
@@ -599,6 +599,39 @@ def test_every_optimized_entropy_runs_the_two_sided_mixture(monkeypatch,
     assert set(callers) == {"_two_sided_mix"}
 
 
+def test_no_entropy_writes_into_a_reordered_state(monkeypatch):
+    """``State.reorder`` to a state's own order returns the state itself,
+    so its callers must not write into the result: with every reordered
+    matrix made read-only, each entropy that reorders its branches returns
+    the same bits."""
+    cab = cab_state()
+    rho = four_register_state()
+    f = TradeoffFunction([0, 1], [0, 1], [[0.2, -0.4], [0.7, 0.1]])
+    kw = dict(target=["Q", "Cb"], conditioning=["Ch", "Qp"],
+              classical_target=["Cb"], classical_cond=["Ch"])
+    calls = [
+        lambda a: cond_entropy_up(cab, ["A"], ["B"], a),
+        lambda a: cond_entropy_up(cab, ["A"], ["C", "B"], a),
+        lambda a: classmix_up(cab, ["A"], ["C", "B"], ["C"], a),
+        lambda a: two_sided_classmix(rho, alpha=a, **kw),
+        lambda a: fweighted_entropy(rho, f, a, **kw),
+        lambda a: fweighted_entropy(rho, f, a, variant="down", **kw),
+    ]
+    orders = [0.5, 0.7, 2.0, "inf"]
+    want = [call(a) for a in orders for call in calls]
+    reorder, seen = State.reorder, []
+
+    def read_only(self, labels):
+        out = reorder(self, labels)
+        out.matrix.flags.writeable = False
+        seen.append(out is self)
+        return out
+
+    monkeypatch.setattr(State, "reorder", read_only)
+    assert [call(a) for a in orders for call in calls] == want
+    assert any(seen) and not all(seen)
+
+
 def test_every_state_entropy_checks_classicality_once(monkeypatch):
     """A public call pinches its state once per classicality check, and
     checks once: not at all without classical registers, once with them
@@ -687,45 +720,98 @@ def test_very_large_order_certifies(seed):
         assert high <= low + info["gap"]
 
 
-@pytest.mark.parametrize("alpha", [0.7, 2.0, 1e4])
-def test_sigma_gradient_matches_central_differences(alpha):
+#: the cases of the two evaluator tests below: two tilted branches at three
+#: orders (every eigenvalue kept), one live branch next to one of weight
+#: zero, and, at an order below 1, a sigma with an eigenvalue below the cut
+#: and a full-rank branch whose Gram matrix has modes at rounding level
+#: beside a rank-two branch whose Gram matrix keeps every mode
+EVALUATOR_CASES = [
+    pytest.param(0.7, "two", id="0.7"), pytest.param(2.0, "two", id="2.0"),
+    pytest.param(1e4, "two", id="10000.0"),
+    pytest.param(2.0, "one live", id="one-live-branch"),
+    pytest.param(0.7, "cut", id="cut-modes")]
+
+
+def _with_a_cut_eigenvalue(sigma):
+    """sigma with its smallest eigenvalue set to 1e-14 of its largest
+    (below ``EIG_CUT``), and the projector onto the other eigenvectors."""
+    lam, V = np.linalg.eigh(sigma)
+    lam[0] = 1e-14 * lam[-1]
+    lam /= lam.sum()
+    return (V * lam) @ V.conj().T, V[:, 1:] @ V[:, 1:].conj().T
+
+
+def _assert_cut_paths(ev, sigma):
+    """The cut case runs the masked paths: sigma's spectrum is cut, the
+    first branch keeps fewer Gram modes than its purification has, and the
+    second keeps them all."""
+    _, _, _, keep, _, _, parts = ev._point(sigma)
+    assert keep is not True and int(np.sum(keep)) == 2
+    assert parts[0][2].size < ev.M[0].shape[2]
+    assert parts[1][2].size == ev.M[1].shape[2]
+
+
+@pytest.mark.parametrize("alpha,case", EVALUATOR_CASES)
+def test_sigma_gradient_matches_central_differences(alpha, case):
     """The gradient the sigma solve descends on matches central differences
     of its value in random Hermitian directions, on two tilted branches
     whose log2 weights differ by 50.  The second branch is scaled by
     2^(50/a), so both move the gradient at 0.7 and 2; at 1e4 the terms
-    lambda^a of T underflow in plain floating point."""
+    lambda^a of T underflow in plain floating point.  With one live branch
+    the second has weight zero; in the cut case (:data:`EVALUATOR_CASES`)
+    the directions lie in supp(sigma), the face on which the value is
+    smooth."""
     sp = space(("Q", 2), ("P", 3))
-    branches = [random_density(sp, seed=31).matrix,
-                2.0 ** (50.0 / alpha) * random_density(sp, seed=32).matrix]
+    if case == "cut":
+        branches = [random_density(sp, seed=31).matrix,
+                    random_density(sp, seed=32, rank=2).matrix]
+        log2_probs = [0.0, -1.0]
+    else:
+        branches = [random_density(sp, seed=31).matrix,
+                    2.0 ** (50.0 / alpha) * random_density(sp, seed=32).matrix]
+        log2_probs = [0.0, -50.0 / alpha if case == "two" else -math.inf]
     ev = entropies._SigmaEvaluator(entropies._purifiers(branches, 2),
-                                   [0.0, -50.0 / alpha], alpha)
+                                   log2_probs, alpha)
     sigma = random_density(space(("P", 3)), seed=33).matrix
+    face = np.eye(3)
+    if case == "cut":
+        sigma, face = _with_a_cut_eigenvalue(sigma)
+        _assert_cut_paths(ev, sigma)
     grad = ev.at(sigma, grad=True)[2]
     rng = np.random.default_rng(34)
     t = 1e-7
     for _ in range(3):
         X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        H = X + X.conj().T
+        H = face @ (X + X.conj().T) @ face
         fd = (ev.at(sigma + t * H)[0] - ev.at(sigma - t * H)[0]) \
             / (2.0 * t * (alpha - 1.0))
         assert np.real(np.trace(grad @ H)) == pytest.approx(fd, rel=1e-6)
 
 
-@pytest.mark.parametrize("alpha", [0.7, 2.0, 1e4])
-def test_sigma_evaluator_matches_a_direct_construction(alpha):
-    """At a random full-rank sigma the evaluator's value is
+@pytest.mark.parametrize("alpha,case", EVALUATOR_CASES)
+def test_sigma_evaluator_matches_a_direct_construction(alpha, case):
+    """At a random sigma the evaluator's value is
     -D_a(omega || id (x) sigma) of the normalized block state
     omega = (+)_i p_i rho_i, and its update is sum_i Tr_Q[(p_i G_i)^a],
     with G_i = (id (x) sigma^s) rho_i (id (x) sigma^s) formed by kron and
-    powered through its own eigendecomposition (both scaled by the largest
-    eigenvalue, so that 1e4 stays representable)."""
+    powered through its own eigendecomposition, its eigenvalues at or below
+    ``EIG_CUT`` of its largest cut (both scaled by the largest eigenvalue,
+    so that 1e4 stays representable).  sigma^s is the pseudo-power, so in
+    the cut case (:data:`EVALUATOR_CASES`) it drops sigma's small
+    eigenvalue; with one live branch p = (1, 0)."""
     sp = space(("Q", 2), ("P", 3))
-    p = np.array([0.3, 0.7])
+    p = np.array([1.0, 0.0] if case == "one live" else [0.3, 0.7])
     branches = [random_density(sp, seed=41).matrix,
-                random_density(sp, seed=42).matrix]
+                random_density(sp, seed=42,
+                               rank=2 if case == "cut" else None).matrix]
     sigma = random_density(space(("P", 3)), seed=43).matrix
+    log2_probs = [0.0, -math.inf] if case == "one live" \
+        else list(np.log2(p))
     ev = entropies._SigmaEvaluator(entropies._purifiers(branches, 2),
-                                   list(np.log2(p)), alpha)
+                                   log2_probs, alpha)
+    if case == "cut":
+        sigma, _ = _with_a_cut_eigenvalue(sigma)
+        _assert_cut_paths(ev, sigma)
     log2_T, update, _ = ev.at(sigma, update=True)
 
     omega = np.zeros((12, 12), dtype=complex)
@@ -735,12 +821,16 @@ def test_sigma_evaluator_matches_a_direct_construction(alpha):
     assert -log2_T / (alpha - 1.0) == pytest.approx(want, abs=1e-12)
 
     W = np.kron(np.eye(2), herm_power(sigma, (1.0 - alpha) / (2.0 * alpha)))
-    spectra = [np.linalg.eigh(W @ (w * rho) @ W)
-               for w, rho in zip(p, branches)]
+    spectra = []
+    for w, rho in zip(p, branches):
+        vals, vecs = np.linalg.eigh(W @ (w * rho) @ W)
+        vals = np.clip(vals, 0.0, None)
+        spectra.append((np.where(vals > EIG_CUT * vals.max(), vals, 0.0),
+                        vecs))
     top = max(vals.max() for vals, _ in spectra)
     direct = sum(bipartite_partial_trace(
-        (vecs * (np.clip(vals, 0.0, None) / top) ** alpha) @ vecs.conj().T,
-        2, 3, 1) for vals, vecs in spectra)
+        (vecs * (vals / top) ** alpha) @ vecs.conj().T, 2, 3, 1)
+        for vals, vecs in spectra)
     np.testing.assert_allclose(update / np.trace(update),
                                direct / np.trace(direct), atol=1e-12)
 

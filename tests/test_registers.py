@@ -13,6 +13,7 @@ from renyimeat.registers import (
     EIG_CUT,
     RegisterSpace,
     State,
+    _permutation_matrix_action,
     _power_frechet_map,
     basis_ket,
     canonical_purification_vector,
@@ -66,6 +67,24 @@ def test_reorder_is_a_permutation_conjugation():
     np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-14)
     with pytest.raises(InvalidRegister):
         rho.reorder(["A"])
+
+
+def test_reorder_to_its_own_order_is_the_state_itself():
+    """In its own order a state is its own reordering, whose matrix is bit
+    for bit that of the permutation conjugation by the identity and of a
+    round trip through another order; the conjugation by the identity was a
+    view of the matrix already."""
+    rho = random_density(space(("A", 2), ("B", 3), ("C", 2)), seed=2)
+    assert rho.reorder(["A", "B", "C"]) is rho
+    assert rho.reorder(("A", "B", "C")) is rho
+    by_identity = _permutation_matrix_action(rho.matrix, rho.space.dims,
+                                             [0, 1, 2])
+    assert np.shares_memory(by_identity, rho.matrix)
+    np.testing.assert_array_equal(rho.reorder(["A", "B", "C"]).matrix,
+                                  by_identity)
+    trip = rho.reorder(["C", "A", "B"]).reorder(["A", "B", "C"])
+    assert trip is not rho and trip.space == rho.space
+    np.testing.assert_array_equal(trip.matrix, rho.matrix)
 
 
 # ---------------------------------------------------------- state checks
@@ -245,6 +264,25 @@ def test_branches_of_a_cq_state():
     out = rho.branches(["C"])
     assert [w for _, w, _ in out] == pytest.approx([0.25, 0.75])
     np.testing.assert_allclose(out[0][2].matrix, b0, atol=1e-12)
+
+
+def test_branches_without_labels_are_the_normalized_state():
+    """With no labels the one branch is the state over its trace, on its
+    own space: bit for bit the branch of the same state on a
+    one-dimensional classical register, which takes the general loop."""
+    mat = 0.4 * random_density(space(("A", 2), ("B", 3)), seed=23).matrix
+    rho = State(mat, space(("A", 2), ("B", 3)))
+    ((outcome, w, branch),) = rho._branches([])
+    assert outcome == () and w == rho.trace()
+    assert branch.space == rho.space
+    np.testing.assert_array_equal(branch.matrix, rho.matrix / rho.trace())
+    with_c = State(np.kron(np.ones((1, 1)), mat),
+                   space(("C", 1), ("A", 2), ("B", 3)))
+    ((outcome_c, w_c, branch_c),) = with_c._branches(["C"])
+    assert outcome_c == (0,) and w_c == w
+    np.testing.assert_array_equal(branch.matrix, branch_c.matrix)
+    empty = State(np.zeros((2, 2)), space(("A", 2)))
+    assert empty._branches([]) == [((), 0.0, None)]
 
 
 def test_branches_rejects_coherent_states():

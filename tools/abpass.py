@@ -20,8 +20,10 @@ A pass and its flattened values are those of the benchmark itself
 It prints the number of operations whose warm-up values are bit-identical
 between the trees, each tree's median and quartiles of the pass time, the
 ratio of the medians (change over parent) and the rounds the change won.
-Nothing is written outside the temporary directory, which is removed at
-the end.
+With ``--per-op`` it then prints, per operation in call order, each
+tree's median seconds of that call over the rounds and their ratio, so
+that a kernel change shows which calls moved.  Nothing is written outside
+the temporary directory, which is removed at the end.
 
 Both trees share one process, its BLAS and its warm caches, so a swing of
 the host's speed between processes, which ``tools/pairs.py`` (one fresh
@@ -36,6 +38,7 @@ import argparse
 import importlib
 import re
 import shutil
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -77,6 +80,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rounds", type=int, default=30)
+    ap.add_argument("--per-op", action="store_true",
+                    help="print each operation's median time per tree")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     refs = {side: (root / "bench" / "reference.py").read_bytes()
@@ -107,13 +112,16 @@ def main(argv=None) -> int:
         if bad:
             return 1
 
-        rounds = []
+        rounds, op_times = [], {side: [] for side in SIDES}
         for i in range(args.rounds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             row = {}
             for side in order:
-                row[side] = {"metrics": {"pass_s": run_pass(wls[side])[2]}}
+                _, times, wall, _ = run_pass(wls[side])
+                row[side] = {"metrics": {"pass_s": wall}}
+                op_times[side].append(times)
             rounds.append(row)
+        labels = [op.label for op in wls["change"].ops]
     summary = summarize(rounds, {"pass_s": "lower"})["pass_s"]
 
     same = sum(warm["parent"].get(label) == warm["change"][label]
@@ -126,7 +134,22 @@ def main(argv=None) -> int:
               f"[{q['q1']:.4g}, {q['q3']:.4g}]")
     print(f"change / parent {summary['ratio']:.3f}, change faster in "
           f"{summary['won']} of {summary['pairs']} rounds")
+    if args.per_op:
+        print_per_op(labels, op_times)
     return 0
+
+
+def print_per_op(labels: list, op_times: dict) -> None:
+    """Per operation, each tree's median seconds over the rounds and the
+    ratio change / parent; ``op_times[side]`` holds one list of per-call
+    seconds per round, in call order."""
+    print(f"{'operation':<28s} {'parent s':>10s} {'change s':>10s} "
+          f"{'C/P':>7s}")
+    for j, label in enumerate(labels):
+        med = {side: statistics.median(times[j] for times in op_times[side])
+               for side in SIDES}
+        print(f"{label:<28s} {med['parent']:10.3e} {med['change']:10.3e} "
+              f"{med['change'] / med['parent']:7.3f}")
 
 
 if __name__ == "__main__":

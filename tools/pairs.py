@@ -18,7 +18,7 @@ of CHANGE declares, lower where it declares none); then each run's
 ``correct`` flag, failed operations and metrics.  It exits with status 1 if
 any run is incorrect or failed an operation.  Nothing is written unless
 ``--out`` is given, which writes every run's result line and the summary as
-JSON.
+JSON, before the summary is printed.
 """
 
 from __future__ import annotations
@@ -110,6 +110,13 @@ def main(argv=None) -> int:
             for side in ("parent", "change")), file=sys.stderr, flush=True)
 
     summary = summarize(pairs, directions(specs["change"]))
+    # the record goes out before the summary is printed, so that a closed
+    # stdout cannot lose it
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump({"workload": args.workload, "seed": args.seed,
+                       "seconds": seconds, "pairs": pairs,
+                       "summary": summary}, fh, indent=1)
     print(f"{args.workload} seed {args.seed}: {len(pairs)} pairs, "
           f"{seconds:g} s per run (P = parent, C = change)")
     print(f"{'metric':<14s} {'parent median [q1, q3]':>30s} "
@@ -128,11 +135,6 @@ def main(argv=None) -> int:
             metrics = " ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items())
             print(f"pair {i} {pair['order']} {side:<6s} correct "
                   f"{run['correct']} failed {run['failed']}  {metrics}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"workload": args.workload, "seed": args.seed,
-                       "seconds": seconds, "pairs": pairs,
-                       "summary": summary}, fh, indent=1)
     return 1 if bad else 0
 
 
