@@ -34,9 +34,8 @@ by order:
   D(omega || 1 (x) sigma) = -H(T|Z) + D(omega_Z || sigma), least at
   sigma = omega_Z: each point is H(Z) - H(TZ) in closed form, and its
   certificate is the Frank-Wolfe gap in rho alone, exact because -H(T|Z)
-  is convex in rho.  A joint L-BFGS over (rho, sigma) polishes the result
-  when its width calls for it.  The value is certified by the joint
-  Frank-Wolfe gap, taken on Q_b when b > 1;
+  is convex in rho.  The value is certified by the joint Frank-Wolfe gap,
+  taken on Q_b when b > 1;
 * inputs that are completely pinned by the constraint skip the outer
   optimization entirely (all purifications are related by an isometry on
   the reference, which the entropy cannot see).
@@ -48,7 +47,7 @@ Each result carries the width of an interval that holds the infimum
 The same program with a general second map, min over (rho, sigma) of
 D_b(M[rho] || N[sigma]) with both inputs in marginal sets, is the
 minimized channel divergence (:func:`minimized_channel_divergence`).  At
-finite orders it is the joint L-BFGS of the polish above
+finite orders it is one joint L-BFGS over (rho, sigma)
 (:class:`_JointDivergence`), with one chart per marginal set and no SDP;
 at order inf it is the covering program.  The module also hosts numerical
 checks of the chain rule and additivity statements.  The marginal
@@ -78,9 +77,8 @@ from .marginals import (MarginalConstraint, SdpPair,  # noqa: F401 (re-export)
 from .registers import (EIG_CUT, LOG2E, RegisterSpace, State, as_labels,
                         bipartite_partial_trace,
                         canonical_purification_vector, divided_differences,
-                        herm_part, herm_power, ket_state, kraus_apply,
-                        kraus_pullback, space, support_isometry,
-                        tensor_identity)
+                        herm_part, ket_state, kraus_apply, kraus_pullback,
+                        space, tensor_identity)
 
 #: widest certified interval (in bits of entropy) a channel entropy may
 #: carry; a wider one raises NonConvergence
@@ -373,32 +371,27 @@ class _JointDivergence:
             + self.charts[1].gap_bound(sigma, g_sig)
         return value, g_rho, g_sig, max(_q_form_width(lin, self.beta), 0.0)
 
-    def minimize(self, G: np.ndarray, H: np.ndarray,
-                 sigma_chart: _InputChart, V: np.ndarray):
-        """Joint L-BFGS from the chart points (G, H): rho = rho(G) on the
-        first set and sigma = V sigma(H) V^dag on the second, with
-        ``sigma_chart`` a chart on the range of the isometry V (the whole
-        set's chart and V = 1, or a cut to a support that holds the
-        optimum).  The width stays the gap over the whole sets.  Returns
-        (value, (rho, sigma, width)) at the last accepted point."""
-        rho_chart = self.charts[0]
+    def minimize(self, G: np.ndarray, H: np.ndarray):
+        """Joint L-BFGS from the chart points (G, H), rho = rho(G) and
+        sigma = sigma(H) on the two sets' charts.  Returns (value, (rho,
+        sigma, width)) at the last accepted point."""
+        rho_chart, sigma_chart = self.charts
         m = 2 * G.size
 
         def fg(x):
             G, H = _square(x[:m]), _square(x[m:])
             rho, parts = rho_chart.point(G)
-            sig, sparts = sigma_chart.point(H)
-            sigma = V @ sig @ V.conj().T
+            sigma, sparts = sigma_chart.point(H)
             value, g_rho, g_sig, width = self.at(rho, sigma)
             if g_rho is None:
                 return value, None, None
             grad = np.concatenate([
                 _flat(rho_chart.pullback(G, parts, g_rho)),
-                _flat(sigma_chart.pullback(H, sparts, V.conj().T @ g_sig @ V))])
+                _flat(sigma_chart.pullback(H, sparts, g_sig))])
             return value, 2.0 * grad, (rho, sigma, width)
 
-        value, _, data = _lbfgs(fg, np.concatenate([_flat(G), _flat(H)]),
-                                _width_reached, smooth=True)
+        value, data = _lbfgs(fg, np.concatenate([_flat(G), _flat(H)]),
+                             _width_reached)
         return value, data
 
 
@@ -420,25 +413,20 @@ def _solve_convex(problem: ChannelEntropyProblem,
     :func:`cond_entropy_up`), and the gradient in rho is the pullback of
     grad_omega D_b at that sigma (envelope theorem), so it is only as
     accurate as sigma to first order: each inner solve stops once its
-    sigma-side Frank-Wolfe gap is a hundredth of the stage's width target
+    sigma-side Frank-Wolfe gap is a hundredth of the program's width target
     (1e-10) as well as on its value width, through damped Newton steps, and
     starts from the last point's sigma.  The value at each point is then
-    exact to rounding, as at a = 1, and the first stage runs L-BFGS's
-    smooth mode at every order.  At the last first-stage point of ``CH4``
+    exact to rounding, as at a = 1.  At the last point of ``CH4``
     (tests/test_channel_entropy.py) the sigma side of the gap is 1.8e-15 at
     a = 0.6, 1.1e-15 at a = 0.75 and 6.7e-16 at a = 2 (1.8e-5, 6.0e-6 and
-    9.3e-6 when the inner solve stopped on its value width).  Where the
-    first stage falls short, the joint L-BFGS of
-    :meth:`_JointDivergence.minimize` polishes (rho, sigma), sigma charted
-    on the support of omega_Z; it runs neither on ``CH4`` at those orders
-    nor in any of the 12 convex solves of a ``channel-opt`` benchmark pass
-    at seed 0 (it ran on ``CH4`` at each order and in 2 of the 12 before).
-    D_b and its gradients at a point cost one ``eigh`` of tau and one of
-    omega or of G (:func:`_divergence_with_grads`).  The returned value is
-    the objective at the final (rho, sigma), and the gap is the
+    9.3e-6 when the inner solve stopped on its value width).  D_b and its
+    gradients at a point cost one ``eigh`` of tau and one of omega or of G
+    (:func:`_divergence_with_grads`).  The program is one L-BFGS run, which
+    stops once the gap is a hundredth of ``CHANNEL_GAP_TOL``, at a point
+    with no decrease, or after ``_LBFGS_MAX_ITERS`` steps.  The returned
+    value is the objective at the last (rho, sigma), and the gap is the
     Frank-Wolfe gap there (:meth:`_JointDivergence.at` at orders other than
-    1).  Each stage stops once the gap is a hundredth of
-    ``CHANNEL_GAP_TOL``.
+    1).
     """
     red = _ReducedDilation(problem, mset)
     d_t, d_z = red.d_t, red.d_env
@@ -477,16 +465,8 @@ def _solve_convex(problem: ChannelEntropyProblem,
         return (value, 2.0 * _flat(chart.pullback(G, parts, g_rho)),
                 (rho, sigma, width))
 
-    value, x, data = _lbfgs(fg, _flat(np.eye(mset.dim, dtype=complex)),
-                            _width_reached, smooth=True)
-    if not _width_reached(data):
-        V = support_isometry(bipartite_partial_trace(red.apply(data[0]),
-                                                     d_t, d_z, 1))
-        h0 = herm_power(herm_part(V.conj().T @ data[1] @ V), 0.5)
-        polished = div.minimize(_square(x), h0.astype(complex),
-                                _InputChart(np.eye(1), V.shape[1]), V)
-        if polished[1][2] < data[2]:
-            value, data = polished
+    value, data = _lbfgs(fg, _flat(np.eye(mset.dim, dtype=complex)),
+                         _width_reached)
     return ChannelEntropyResult(value=float(value),
                                 witness=_purified_witness(problem, mset, data[0]),
                                 gap=data[2], method="convex-program")
@@ -557,10 +537,10 @@ def minimized_channel_divergence(m: Channel, n: Channel, constraints,
     registers; ``constraints`` is a pair of optional
     :class:`MarginalConstraint` for the two inputs.  Every finite order from
     1/2 up is one joint L-BFGS over a chart of each marginal set
-    (:meth:`_JointDivergence.minimize`, which also polishes the channel
-    entropy), certified by the joint Frank-Wolfe gap over both sets, taken
-    on D_alpha for alpha <= 1 (jointly convex) and on Q_alpha for
-    alpha > 1 (jointly convex, converted to bits); no SDP is solved there.
+    (:meth:`_JointDivergence.minimize`), certified by the joint Frank-Wolfe
+    gap over both sets, taken on D_alpha for alpha <= 1 (jointly convex)
+    and on Q_alpha for alpha > 1 (jointly convex, converted to bits); no
+    SDP is solved there.
     ``alpha = inf`` is one covering SDP, certified by its duality gap.  The
     value is the divergence at the returned pair, and the infimum lies
     within the width below it.  :class:`NonConvergence` (with the value and
@@ -590,9 +570,8 @@ def minimized_channel_divergence(m: Channel, n: Channel, constraints,
         div = _JointDivergence(alpha, maps, [
             _InputChart(s.psi_r, s.dim // s.rank_a) for s in msets])
         d_m, d_n = msets[0].dim, msets[1].dim
-        value, (_, _, width) = div.minimize(
-            np.eye(d_m, dtype=complex), np.eye(d_n, dtype=complex),
-            div.charts[1], np.eye(d_n))
+        value, (_, _, width) = div.minimize(np.eye(d_m, dtype=complex),
+                                            np.eye(d_n, dtype=complex))
     if not (math.isfinite(value)
             and width <= CHANNEL_GAP_TOL * max(1.0, abs(value))):
         raise NonConvergence("certified interval exceeds CHANNEL_GAP_TOL "
@@ -611,10 +590,10 @@ def entropy_via_conjugate_divergence(channel: Channel, target, constraint,
     :func:`channel_cond_entropy`: the dilation comes from the Stinespring
     isometry through :func:`compose` and :func:`trace_out_channel`, the
     second map is a channel with Kraus operators e_k (x) 1, and no inner
-    :func:`cond_entropy_up` runs.  The optimizer is shared with the entropy
-    route: :func:`minimized_channel_divergence` runs the joint L-BFGS that
-    polishes the entropy (or, at b = inf, the covering program of order
-    1/2).  It serves as a test oracle.
+    :func:`cond_entropy_up` runs, and the optimizer is not the entropy
+    route's: :func:`minimized_channel_divergence` runs one joint L-BFGS
+    over (rho, sigma) (or, at b = inf, the covering program of order 1/2).
+    It serves as a test oracle.
     """
     target = as_labels(target)
     beta = as_order(alpha).conjugate()

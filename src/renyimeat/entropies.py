@@ -836,7 +836,7 @@ def _root_lbfgs(ev: _SigmaEvaluator, root: np.ndarray):
         last[:] = [data, ev.width(*data)]
         return last[1] <= tol
 
-    _, _, data = _lbfgs(fg, _flat(root), done, smooth=True)
+    _, data = _lbfgs(fg, _flat(root), done)
     return data[1], data[0], last[1] if last[0] is data else ev.width(*data)
 
 

@@ -222,23 +222,21 @@ class _InputChart:
 
 
 #: L-BFGS iterations per run
-_LBFGS_MAX_ITERS = 500
+_LBFGS_MAX_ITERS = 4000
 #: curvature pairs the L-BFGS keeps
 _LBFGS_MEMORY = 8
 
 
-def _lbfgs(fg, x, done, *, smooth: bool):
+def _lbfgs(fg, x, done):
     """Minimize over flat real vectors: L-BFGS two-loop directions with
     Armijo backtracking on the true objective.
 
     ``fg(x)`` returns (value, gradient, data), with value inf where the
-    objective is undefined.  With ``smooth`` the value is exact to rounding,
-    and a step that keeps it within rounding while shrinking the gradient
-    counts as progress; otherwise the value carries an inner solver's
-    noise, and the run stops at the first step that gains less than 1e-13
-    (relative).  Stops once ``done(data)`` holds at an accepted point, or
-    when the line search finds no decrease.  Returns (value, x, data) at the
-    last accepted point.
+    objective is undefined and otherwise exact to rounding: a step that
+    keeps the value within rounding while shrinking the gradient counts as
+    progress.  Stops once ``done(data)`` holds at an accepted point, when
+    the line search finds no decrease, or after ``_LBFGS_MAX_ITERS`` steps.
+    Returns (value, data) at the last accepted point.
     """
     value, g, data = fg(x)
     if not np.isfinite(value):
@@ -278,7 +276,7 @@ def _lbfgs(fg, x, done, *, smooth: bool):
                 break
             # at rounding level the value cannot show a decrease; a smaller
             # gradient then marks progress
-            if smooth and vc <= value + 1e-14 * max(1.0, abs(value)) \
+            if vc <= value + 1e-14 * max(1.0, abs(value)) \
                     and np.linalg.norm(gc) < gnorm:
                 break
             t *= 0.5
@@ -290,11 +288,8 @@ def _lbfgs(fg, x, done, *, smooth: bool):
             mem.append((s_v, y_v, 1.0 / sy))
             if len(mem) > _LBFGS_MEMORY:
                 mem.pop(0)
-        stalled = not smooth and value - vc <= 1e-13 * max(1.0, abs(value))
         x, value, g, data = xc, vc, gc, dc
-        if stalled:
-            break
-    return value, x, data
+    return value, data
 
 
 def _flat(M: np.ndarray) -> np.ndarray:

@@ -349,13 +349,13 @@ def test_instances_where_the_descent_stopped_early(kw, alpha, want):
 def first_step_only(lbfgs):
     """``lbfgs`` cut after its first step: its stop test holds from the
     second check on."""
-    def cut(fg, x, done, **kw):
+    def cut(fg, x, done):
         checks = []
 
         def once(data):
             checks.append(data)
             return len(checks) > 1 or done(data)
-        return lbfgs(fg, x, once, **kw)
+        return lbfgs(fg, x, once)
     return cut
 
 
@@ -703,7 +703,7 @@ def test_chart_program_newton_inner_solves(alpha, solves, most, monkeypatch):
     first stage stalling on sigma's first-order error and a joint polish
     after it) and at most 200 and 160 ``eigh`` and ``eigvalsh`` calls
     (295 and 376 then).  The call certifies, its value agrees with the
-    earlier route's within the two widths, and at the last first-stage
+    earlier route's within the two widths, and at the last chart
     point the inner sigma's sigma-side Frank-Wolfe gap is at most 1e-10,
     the target of the chart program's inner solves."""
     calls, inner = [], []
@@ -773,9 +773,11 @@ def test_order_one_route_matches_its_witness_and_the_divergence_oracle(name):
 def test_order_one_route_forms_no_divergence_and_no_kronecker_product(
         name, monkeypatch):
     """Neither the divergence kernel nor ``np.kron`` runs in an order-1
-    channel entropy whose first stage certifies (these three do): sigma =
-    omega_Z is never formed as 1 (x) sigma."""
+    channel entropy, whether its L-BFGS certifies or is cut after its first
+    step and raises: sigma = omega_Z is never formed as 1 (x) sigma, and
+    no second optimizer takes over a run that falls short."""
     ch, con = order_one_instance(name)
+    problem = ChannelEntropyProblem(ch, "T", 1.0, constraint=con)
     calls = []
     kernel = channel_entropy._divergence_with_grads
     monkeypatch.setattr(channel_entropy, "_divergence_with_grads",
@@ -783,10 +785,29 @@ def test_order_one_route_forms_no_divergence_and_no_kronecker_product(
     kron = np.kron
     monkeypatch.setattr(np, "kron",
                         lambda *a: calls.append("kron") or kron(*a))
+    assert channel_cond_entropy(problem).gap <= CHANNEL_GAP_TOL
+    monkeypatch.setattr(channel_entropy, "_lbfgs",
+                        first_step_only(channel_entropy._lbfgs))
+    with pytest.raises(NonConvergence):
+        channel_cond_entropy(problem)
+    assert calls == []
+
+
+def test_ch32_at_order_one_certifies():
+    """CH32, the 32-dimensional reference input (A 4 x F 8 -> T 4 x Y 4,
+    Kraus rank 4, A pinned), at order 1: one chart L-BFGS run certifies to
+    the program's width target, and the value lies inside the interval
+    [-1.9999340584, -1.9999310584] of the earlier route, whose first stage
+    stopped after 500 steps and whose joint polish followed: it raised
+    with widths of 1.4e-6 to 5.2e-6 on this instance and its rotations."""
+    ch = random_channel(space(("A", 4), ("F", 8)), space(("T", 4), ("Y", 4)),
+                        seed=3, kraus_rank=4)
+    con = MarginalConstraint("A", random_density(space(("A", 4)), seed=5))
     res = channel_cond_entropy(ChannelEntropyProblem(ch, "T", 1.0,
                                                      constraint=con))
-    assert res.gap <= CHANNEL_GAP_TOL
-    assert calls == []
+    assert res.method == "convex-program"
+    assert res.gap <= 1e-2 * CHANNEL_GAP_TOL
+    assert -1.9999340584 <= res.value <= -1.9999310584
 
 
 def pinned_second_argument():
