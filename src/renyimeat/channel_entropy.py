@@ -108,6 +108,8 @@ class ChannelEntropyProblem:
         target = as_labels(target)
         if not target:
             raise InvalidRegister("at least one target register is required")
+        if len(set(target)) < len(target):
+            raise InvalidRegister(f"target registers {target} repeat a label")
         for l in target:
             channel.out_space.position(l)
         self.channel = channel
@@ -230,12 +232,6 @@ def _q_form_width(gap: float, beta: RenyiOrder) -> float:
     b = beta.value
     u = (b - 1.0) * LN2 * gap
     return -math.log2(1.0 - u) / (b - 1.0) if u < 1.0 else math.inf
-
-
-def _width_reached(data) -> bool:
-    """Stopping rule of every chart program: the width of the (rho, sigma,
-    width) data at a point is a hundredth of ``CHANNEL_GAP_TOL``."""
-    return data[2] <= 1e-2 * CHANNEL_GAP_TOL
 
 
 def _spectral_log2(mat: np.ndarray):
@@ -373,8 +369,9 @@ class _JointDivergence:
 
     def minimize(self, G: np.ndarray, H: np.ndarray):
         """Joint L-BFGS from the chart points (G, H), rho = rho(G) and
-        sigma = sigma(H) on the two sets' charts.  Returns (value, (rho,
-        sigma, width)) at the last accepted point."""
+        sigma = sigma(H) on the two sets' charts, to a width of a hundredth
+        of ``CHANNEL_GAP_TOL``.  Returns (value, (rho, sigma, width)) at
+        the accepted point of least width (:func:`_lbfgs`)."""
         rho_chart, sigma_chart = self.charts
         m = 2 * G.size
 
@@ -390,9 +387,8 @@ class _JointDivergence:
                 _flat(sigma_chart.pullback(H, sparts, g_sig))])
             return value, 2.0 * grad, (rho, sigma, width)
 
-        value, data = _lbfgs(fg, np.concatenate([_flat(G), _flat(H)]),
-                             _width_reached)
-        return value, data
+        return _lbfgs(fg, np.concatenate([_flat(G), _flat(H)]),
+                      1e-2 * CHANNEL_GAP_TOL)
 
 
 def _solve_convex(problem: ChannelEntropyProblem,
@@ -416,17 +412,17 @@ def _solve_convex(problem: ChannelEntropyProblem,
     sigma-side Frank-Wolfe gap is a hundredth of the program's width target
     (1e-10) as well as on its value width, through damped Newton steps, and
     starts from the last point's sigma.  The value at each point is then
-    exact to rounding, as at a = 1.  At the last point of ``CH4``
-    (tests/test_channel_entropy.py) the sigma side of the gap is 1.8e-15 at
-    a = 0.6, 1.1e-15 at a = 0.75 and 6.7e-16 at a = 2 (1.8e-5, 6.0e-6 and
+    exact to rounding, as at a = 1.  At the returned point of ``CH4``
+    (tests/test_channel_entropy.py) the sigma side of the gap is 1.6e-15 at
+    a = 0.6, 2.6e-15 at a = 0.75 and 8.4e-16 at a = 2 (1.8e-5, 6.0e-6 and
     9.3e-6 when the inner solve stopped on its value width).  D_b and its
     gradients at a point cost one ``eigh`` of tau and one of omega or of G
     (:func:`_divergence_with_grads`).  The program is one L-BFGS run, which
     stops once the gap is a hundredth of ``CHANNEL_GAP_TOL``, at a point
     with no decrease, or after ``_LBFGS_MAX_ITERS`` steps.  The returned
-    value is the objective at the last (rho, sigma), and the gap is the
-    Frank-Wolfe gap there (:meth:`_JointDivergence.at` at orders other than
-    1).
+    value is the objective at the accepted (rho, sigma) of least gap
+    (:func:`_lbfgs`), and the gap is the Frank-Wolfe gap there
+    (:meth:`_JointDivergence.at` at orders other than 1).
     """
     red = _ReducedDilation(problem, mset)
     d_t, d_z = red.d_t, red.d_env
@@ -466,7 +462,7 @@ def _solve_convex(problem: ChannelEntropyProblem,
                 (rho, sigma, width))
 
     value, data = _lbfgs(fg, _flat(np.eye(mset.dim, dtype=complex)),
-                         _width_reached)
+                         1e-2 * CHANNEL_GAP_TOL)
     return ChannelEntropyResult(value=float(value),
                                 witness=_purified_witness(problem, mset, data[0]),
                                 gap=data[2], method="convex-program")
@@ -554,7 +550,7 @@ def minimized_channel_divergence(m: Channel, n: Channel, constraints,
         raise InvalidRegister("the two maps must share their output registers")
     if not m.is_trace_preserving:
         raise InvalidState("the first argument must be trace preserving")
-    if alpha.value < 0.5 - 1e-12:
+    if alpha.below_half:
         raise UnsupportedOrder("the divergence is not jointly convex in "
                                "any form below order 1/2")
     msets = [_MarginalSet(ch.in_space, c) for ch, c in zip((m, n), constraints)]

@@ -97,16 +97,20 @@ class RenyiOrder:
         """Within ``HALF_WINDOW`` of 1/2, where the dual order is infinite."""
         return abs(self.value - 0.5) <= HALF_WINDOW
 
+    @property
+    def below_half(self) -> bool:
+        """Below 1/2 and outside ``HALF_WINDOW``, where no dual order is."""
+        return self.value < 0.5 - HALF_WINDOW
+
     def conjugate(self) -> "RenyiOrder":
         """The dual order b with 1/a + 1/b = 2 (i.e. b = a/(2a-1))."""
-        a = self.value
-        if a < 0.5:
+        if self.below_half:
             raise UnsupportedOrder("duality needs a >= 1/2")
         if self.is_infinite:
             return RenyiOrder(0.5)
         if self.is_half:
             return RenyiOrder(math.inf)
-        return RenyiOrder(a / (2.0 * a - 1.0))
+        return RenyiOrder(self.value / (2.0 * self.value - 1.0))
 
     def hat(self) -> "RenyiOrder":
         """a-hat = 1/(2-a), defined for a in [1/2, 2] (a=2 -> oo)."""

@@ -813,31 +813,22 @@ def _root_lbfgs(ev: _SigmaEvaluator, root: np.ndarray):
     """L-BFGS for an extremum over sigma on the chart sigma(H) = H H^dag /
     tr[H H^dag] of the density operators, from H = ``root``, with the
     evaluator's value and gradient in H (:meth:`_SigmaEvaluator.at_root`);
-    returns (log2_T, point, width).  Stops once the duality interval meets
-    a hundredth of ``UP_GAP_TOL``, or when the line search finds no
-    decrease.  The stop is not checked at the start: after the fixed point
-    that interval has just missed the target, and at 1/2 the start is
-    rarely optimal."""
+    returns (log2_T, point, width) at the accepted point of least width
+    (:func:`_lbfgs`).  Stops once the duality interval meets a hundredth
+    of ``UP_GAP_TOL``, when the line search finds no decrease, or after
+    ``_LBFGS_MAX_ITERS`` steps."""
     denom = ev.alpha - 1.0
-    tol = 1e-2 * UP_GAP_TOL
-    started, last = [], [None, math.inf]
 
     def fg(x):
-        """phi at sigma(H), its gradient in H, and (point, log2_T)."""
+        """phi at sigma(H), its gradient in H, and (point, log2_T, width)."""
         point, log2_T, grad = ev.at_root(_square(x))
         if grad is None:
             return math.inf, None, None
-        return log2_T / denom, 2.0 * _flat(grad), (point, log2_T)
+        return (log2_T / denom, 2.0 * _flat(grad),
+                (point, log2_T, ev.width(point, log2_T)))
 
-    def done(data) -> bool:
-        if not started:
-            started.append(True)
-            return False
-        last[:] = [data, ev.width(*data)]
-        return last[1] <= tol
-
-    _, data = _lbfgs(fg, _flat(root), done)
-    return data[1], data[0], last[1] if last[0] is data else ev.width(*data)
+    _, (point, log2_T, width) = _lbfgs(fg, _flat(root), 1e-2 * UP_GAP_TOL)
+    return log2_T, point, width
 
 
 def _purifiers(branches, d_q: int):
@@ -1085,7 +1076,7 @@ def check_duality(state: State, alpha, *, target: str = "A",
     """For pure rho on (target, left, right): H^up_a(A|B) + H^up_b(A|C) = 0
     with 1/a + 1/b = 2.  Returns (lhs, rhs, residual)."""
     a = as_order(alpha)
-    if a.value < 0.5:
+    if a.below_half:
         raise UnsupportedOrder("duality holds for orders in [1/2, oo]")
     vals = np.linalg.eigvalsh(state.matrix)
     if vals.max() < (1.0 - 1e-9) * vals.sum():

@@ -138,7 +138,7 @@ def lme(probs, values, base) -> float:
 
 def _check_order(alpha):
     a = as_order(alpha)
-    if a.near_one or (not a.is_infinite and a.value < 0.5):
+    if a.near_one or a.below_half:
         raise UnsupportedOrder("f-weighted entropies are defined for orders "
                                "in [1/2, 1) and (1, oo]")
     return a

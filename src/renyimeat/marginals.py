@@ -24,7 +24,9 @@ Every smooth program over such a set runs :func:`_lbfgs` on its chart
 entropy and the minimized divergence of :mod:`renyimeat.channel_entropy`
 at generic orders, and the conditioning state sigma of H^up_a in
 :mod:`renyimeat.entropies` (the chart of the unpinned set, sigma = G G^dag
-/ tr[G G^dag]).
+/ tr[G G^dag]).  Each of their points carries the width of an interval
+that holds the optimum, so every run stops at a width tolerance and
+returns its accepted point of least width.
 
 Over the same sets lives the measured chain rule's program, max tr[rho G]
 over a pinned marginal (:func:`build_sdp_individual`, :func:`build_sdp_joint`);
@@ -227,25 +229,28 @@ _LBFGS_MAX_ITERS = 4000
 _LBFGS_MEMORY = 8
 
 
-def _lbfgs(fg, x, done):
+def _lbfgs(fg, x, tol):
     """Minimize over flat real vectors: L-BFGS two-loop directions with
     Armijo backtracking on the true objective.
 
     ``fg(x)`` returns (value, gradient, data), with value inf where the
     objective is undefined and otherwise exact to rounding: a step that
     keeps the value within rounding while shrinking the gradient counts as
-    progress.  Stops once ``done(data)`` holds at an accepted point, when
-    the line search finds no decrease, or after ``_LBFGS_MAX_ITERS`` steps.
-    Returns (value, data) at the last accepted point.
+    progress.  The last entry of ``data`` is the width of the interval the
+    point certifies.  Stops at the first accepted point (the start
+    included) whose width is at most ``tol``, when the line search finds
+    no decrease, or after ``_LBFGS_MAX_ITERS`` steps.  Returns (value,
+    data) at the accepted point of least width.
     """
     value, g, data = fg(x)
     if not np.isfinite(value):
         raise NonConvergence("the objective is undefined at the start",
                              value=value, gap=math.inf)
+    best = value, data
     # curvature pairs (s, y, 1 / s^T y)
     mem: list[tuple[np.ndarray, np.ndarray, float]] = []
     for _ in range(_LBFGS_MAX_ITERS):
-        if done(data):
+        if data[-1] <= tol:
             break
         q = g
         coeffs = []
@@ -289,7 +294,9 @@ def _lbfgs(fg, x, done):
             if len(mem) > _LBFGS_MEMORY:
                 mem.pop(0)
         x, value, g, data = xc, vc, gc, dc
-    return value, data
+        if data[-1] < best[1][-1]:
+            best = value, data
+    return best
 
 
 def _flat(M: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from renyimeat.entropies import (alpha_entropy, cond_entropy_up,
 from renyimeat.errors import InvalidRegister, NonConvergence
 from renyimeat.registers import RegisterSpace, State, space, support_isometry
 from renyimeat.sampling import random_channel, random_density, random_isometry
-from renyimeat import channel_entropy, entropies, sdp
+from renyimeat import channel_entropy, entropies, marginals, sdp
 from renyimeat.sdp import SdpProblem, solve_sdp
 
 HALF = 0.5
@@ -193,6 +193,22 @@ def test_near_half_order_takes_the_sdp_route():
     assert near.value == pytest.approx(at_half.value, abs=1e-9)
 
 
+def test_conjugate_divergence_just_below_half_is_order_half():
+    """An order within ``HALF_WINDOW`` below 1/2 runs the divergence at
+    infinity, as 1/2 does, to the last bit."""
+    ch = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)), seed=91,
+                        kraus_rank=2)
+    assert entropy_via_conjugate_divergence(ch, "T", None, HALF - 1e-13) \
+        == entropy_via_conjugate_divergence(ch, "T", None, HALF)
+
+
+def test_repeated_target_labels_are_rejected():
+    ch = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)), seed=91,
+                        kraus_rank=2)
+    with pytest.raises(InvalidRegister):
+        ChannelEntropyProblem(ch, ["T", "T"], 2.0)
+
+
 def test_orthogonal_outputs_raise_instead_of_certifying_inf():
     """Maps onto |0> and onto |1>: every pair of outputs is orthogonal, the
     divergence is +inf at every start and no certificate exists."""
@@ -346,28 +362,19 @@ def test_instances_where_the_descent_stopped_early(kw, alpha, want):
     assert res.value == pytest.approx(want, abs=1e-6)
 
 
-def first_step_only(lbfgs):
-    """``lbfgs`` cut after its first step: its stop test holds from the
-    second check on."""
-    def cut(fg, x, done):
-        checks = []
-
-        def once(data):
-            checks.append(data)
-            return len(checks) > 1 or done(data)
-        return lbfgs(fg, x, once)
-    return cut
+def first_step_only(monkeypatch):
+    """Cut every L-BFGS run after its first step."""
+    monkeypatch.setattr(marginals, "_LBFGS_MAX_ITERS", 1)
 
 
 def test_unconverged_program_raises_with_its_interval(monkeypatch):
     """A run cut after its first step carries a wide interval, and the front
     door raises with the value and the width instead of returning it."""
-    from renyimeat import channel_entropy as ce
     ch = random_channel(space(("A", 2)), space(("T", 2), ("Y", 2)), seed=3,
                         kraus_rank=2)
     problem = ChannelEntropyProblem(ch, "T", 2.0)
     best = channel_cond_entropy(problem).value
-    monkeypatch.setattr(ce, "_lbfgs", first_step_only(ce._lbfgs))
+    first_step_only(monkeypatch)
     with pytest.raises(NonConvergence) as err:
         channel_cond_entropy(problem)
     assert err.value.gap > CHANNEL_GAP_TOL
@@ -786,8 +793,7 @@ def test_order_one_route_forms_no_divergence_and_no_kronecker_product(
     monkeypatch.setattr(np, "kron",
                         lambda *a: calls.append("kron") or kron(*a))
     assert channel_cond_entropy(problem).gap <= CHANNEL_GAP_TOL
-    monkeypatch.setattr(channel_entropy, "_lbfgs",
-                        first_step_only(channel_entropy._lbfgs))
+    first_step_only(monkeypatch)
     with pytest.raises(NonConvergence):
         channel_cond_entropy(problem)
     assert calls == []
@@ -852,10 +858,9 @@ def test_divergence_of_a_channel_to_itself_vanishes(alpha):
 def test_unconverged_divergence_raises_with_its_interval(monkeypatch):
     """The joint program cut after its first step raises with the value and
     a width whose interval still holds the optimum."""
-    from renyimeat import channel_entropy as ce
     m, n, _, cons = pinned_second_argument()
     best = minimized_channel_divergence(m, n, cons, 2.0)
-    monkeypatch.setattr(ce, "_lbfgs", first_step_only(ce._lbfgs))
+    first_step_only(monkeypatch)
     with pytest.raises(NonConvergence) as err:
         minimized_channel_divergence(m, n, cons, 2.0)
     assert err.value.gap > CHANNEL_GAP_TOL

@@ -63,6 +63,12 @@ def test_order_half_window():
     assert as_order(0.5).is_half and as_order(0.5 + 1e-13).is_half
     assert not as_order(0.5 + 1e-9).is_half
     assert as_order(0.5 + 1e-13).conjugate().is_infinite
+    # below 1/2 the window holds too: not below 1/2, and the dual order is
+    # infinite
+    near = as_order(0.5 - 1e-13)
+    assert near.is_half and not near.below_half
+    assert near.conjugate().is_infinite
+    assert as_order(0.5 - 1e-9).below_half
 
 
 def test_order_hat_map():

@@ -424,6 +424,14 @@ def test_duality_rejects_small_orders():
         check_duality(psi, 0.3)
 
 
+def test_duality_just_below_half_is_duality_at_half():
+    """An order within ``HALF_WINDOW`` below 1/2 pairs with infinity and
+    gives the values of 1/2."""
+    psi = random_pure(space(("A", 2), ("B", 2), ("C", 2)), seed=1)
+    assert check_duality(psi, 0.5 - 1e-13) == pytest.approx(
+        check_duality(psi, 0.5), abs=1e-12)
+
+
 # --------------------------------------------------------------------- errors
 
 

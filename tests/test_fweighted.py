@@ -296,6 +296,13 @@ def test_orders_outside_domain_rejected():
             fweighted_entropy(RHO4, F, alpha, **KW)
 
 
+def test_order_just_below_half_is_order_half():
+    """An order within ``HALF_WINDOW`` below 1/2 is accepted and gives the
+    entropy at 1/2."""
+    assert fweighted_entropy(RHO4, F, 0.5 - 1e-13, **KW) == pytest.approx(
+        fweighted_entropy(RHO4, F, 0.5, **KW), abs=1e-12)
+
+
 def test_nonclassical_register_rejected():
     rho = random_density(space(("Q", 2), ("Cb", 2), ("Ch", 2), ("Qp", 2)),
                          seed=23)

@@ -1,4 +1,5 @@
-"""The two SDP builders of ``renyimeat.marginals`` against closed forms.
+"""The two SDP builders of ``renyimeat.marginals`` against closed forms,
+and the stop rule of its L-BFGS.
 
 Two diagonal operators p_i(a, b) on A(2) (x) B(3) enter each builder as the
 images t -> t M_i of the one-point set; the optimum of the covering program
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from renyimeat import marginals
 from renyimeat.marginals import (_covering_program, _fidelity_program,
                                  _MarginalSet)
 from renyimeat.registers import space
@@ -52,3 +54,23 @@ def test_fidelity_program_with_two_terms():
     # within ~1e-9 places sigma only to about the square root of that
     np.testing.assert_allclose(sigma, np.diag(c ** 2 / np.sum(c ** 2)),
                                atol=1e-4)
+
+
+def test_lbfgs_returns_its_narrowest_accepted_point(monkeypatch):
+    """|x|^2 / 2 from x0 = (4, 0): the first step, along -g / |g|, lands
+    at (3, 0), and the second, at the curvature of that step, at the
+    minimum (0, 0).  With a point's width its distance to x0 / 2 the
+    widths run 2, 1, 2, and with a width target of 0 the run goes on to
+    its step cap; it returns the first step, not its last point."""
+    monkeypatch.setattr(marginals, "_LBFGS_MAX_ITERS", 3)
+    x0 = np.array([4.0, 0.0])
+    seen = []
+
+    def fg(x):
+        seen.append(x)
+        return 0.5 * float(x @ x), x, (x, float(np.linalg.norm(x - x0 / 2)))
+
+    value, (x, width) = marginals._lbfgs(fg, x0, 0.0)
+    assert any(not p.any() for p in seen)
+    assert (value, width) == (4.5, 1.0)
+    np.testing.assert_array_equal(x, [3.0, 0.0])
